@@ -6,9 +6,9 @@ the least favorable densities and the randomized robust decision rule,
 check how large the uncertainty radii are allowed to be, and evaluate
 error probabilities by quadrature or Monte Carlo.
 
-The heavy grid kernels are JIT-compiled with numba when available; set the
-environment variable ROBUSTLRT_NO_NUMBA=1 before import to force the pure
-numpy fallback (same results, useful for debugging and benchmarks).
+The grid kernels that every threshold search integrates with are plain
+vectorized numpy (``robustlrt.kernels``); numpy and scipy are the only
+run-time dependencies.
 """
 
 from .density import (

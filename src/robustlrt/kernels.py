@@ -2,324 +2,114 @@
 
 The solver repeatedly integrates densities over the three likelihood-ratio
 regions  I1 = {l < lo},  I2 = {lo <= l <= hi},  I3 = {l > hi}  with
-lo = rho*l_l and hi = rho*l_u.  Grid cells that straddle a region boundary
+lo = rho*l_l <= hi = rho*l_u.  Grid cells that straddle a region boundary
 are split at the linear crossing point of l, which keeps the integrals
 O(h^2)-accurate and smooth in the thresholds.  Ties (l exactly lo or hi)
 belong to I2.
 
-Two implementations are provided: compiled loops (numba, the default) and a
-vectorized numpy twin.  Setting the environment variable ROBUSTLRT_NO_NUMBA
-to a nonempty value before import selects the numpy path; `BACKEND` records
-which one is active.  benchmarks/bench_kernels.py compares the two.
+Both kernels are vectorized numpy.  Cells whose two ends lie in the same
+region are summed with masks.  On a crossing cell l is linear in the cell
+coordinate t in [0, 1], so the regions meet it in three consecutive
+intervals [0, t1], [t1, t2], [t2, 1]: I1, I2, I3 where l increases and
+I3, I2, I1 where it decreases.  Each piece is integrated in closed form.  A
+cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-if os.environ.get("ROBUSTLRT_NO_NUMBA"):
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
+BACKEND = "numpy"
 
-BACKEND = "numpy" if njit is None else "numba"
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
-def _label(lv: float, lo: float, hi: float) -> int:
-    if lv < lo:
-        return 1
-    if lv > hi:
-        return 3
-    return 2
+def _labels(l, lo, hi):
+    """0, 1, 2 for a knot in I1, I2, I3."""
+    return (l >= lo).view(np.int8) + (l > hi).view(np.int8)
 
 
-def _region_masses_loop(l, f0, f1, points, lo, hi):
-    """Masses of f0 and f1 over I1/I2/I3 with boundary cells split linearly."""
-    a0 = 0.0
-    m0 = 0.0
-    b0 = 0.0
-    a1 = 0.0
-    m1 = 0.0
-    b1 = 0.0
-    n = points.shape[0]
-    for j in range(n - 1):
-        la = l[j]
-        lb = l[j + 1]
-        h = points[j + 1] - points[j]
-        ra = 1 if la < lo else (3 if la > hi else 2)
-        rb = 1 if lb < lo else (3 if lb > hi else 2)
-        if ra == rb:
-            c0 = 0.5 * h * (f0[j] + f0[j + 1])
-            c1 = 0.5 * h * (f1[j] + f1[j + 1])
-            if ra == 1:
-                a0 += c0
-                a1 += c1
-            elif ra == 2:
-                m0 += c0
-                m1 += c1
-            else:
-                b0 += c0
-                b1 += c1
-        else:
-            t1 = 2.0
-            t2 = 2.0
-            if (la - lo) * (lb - lo) < 0.0:
-                t1 = (lo - la) / (lb - la)
-            if (la - hi) * (lb - hi) < 0.0:
-                t2 = (hi - la) / (lb - la)
-            if t2 < t1:
-                t1, t2 = t2, t1
-            prev = 0.0
-            fp0 = f0[j]
-            fp1 = f1[j]
-            for kk in range(3):
-                if kk == 0:
-                    cur = t1 if t1 < 1.0 else 1.0
-                elif kk == 1:
-                    cur = t2 if t2 < 1.0 else 1.0
-                else:
-                    cur = 1.0
-                if cur > prev:
-                    fc0 = f0[j] + cur * (f0[j + 1] - f0[j])
-                    fc1 = f1[j] + cur * (f1[j + 1] - f1[j])
-                    lm = la + 0.5 * (prev + cur) * (lb - la)
-                    rm = 1 if lm < lo else (3 if lm > hi else 2)
-                    c0 = 0.5 * h * (cur - prev) * (fp0 + fc0)
-                    c1 = 0.5 * h * (cur - prev) * (fp1 + fc1)
-                    if rm == 1:
-                        a0 += c0
-                        a1 += c1
-                    elif rm == 2:
-                        m0 += c0
-                        m1 += c1
-                    else:
-                        b0 += c0
-                        b1 += c1
-                    prev = cur
-                    fp0 = fc0
-                    fp1 = fc1
-                if prev >= 1.0:
-                    break
-    return a0, m0, b0, a1, m1, b1
-
-
-def _i2_power_loop(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
-    """Bracket-power integrals over I2 for given K = k^beta, L, U.
-
-    Returns (S, T0, T1) with
-      S  = integral of Br^(1/beta) * f1,
-      T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
-      T1 = integral of Br^(alpha/beta) * f1,
-    where Br = K*(L - U) / (L - K*U + (K - 1)*t) and t = (l/rho)^beta,
-    evaluated in the rearranged all-nonnegative form to avoid cancellation.
-    """
-    tmin = lb_ if lb_ < ub else ub
-    tmax = ub if lb_ < ub else lb_
-    num = (ub - lb_) if beta > 0.0 else (lb_ - ub)
-    s_acc = 0.0
-    t0_acc = 0.0
-    t1_acc = 0.0
-    n = points.shape[0]
-    for j in range(n - 1):
-        la = l[j]
-        lb2 = l[j + 1]
-        h = points[j + 1] - points[j]
-        ra = 1 if la < lo else (3 if la > hi else 2)
-        rb = 1 if lb2 < lo else (3 if lb2 > hi else 2)
-        if ra == rb:
-            if ra != 2:
-                continue
-            # endpoint integrand values
-            sa = ta0 = ta1 = 0.0
-            sb = tb0 = tb1 = 0.0
-            for end in range(2):
-                if end == 0:
-                    lv = la
-                    f0v = f0[j]
-                    f1v = f1[j]
-                else:
-                    lv = lb2
-                    f0v = f0[j + 1]
-                    f1v = f1[j + 1]
-                t = (lv / rho) ** beta
-                if t < tmin:
-                    t = tmin
-                elif t > tmax:
-                    t = tmax
-                if beta > 0.0:
-                    den = (t - lb_) / kb + (ub - t)
-                else:
-                    den = (lb_ - t) / kb + (t - ub)
-                logbr = math.log(num) - math.log(den)
-                pw = math.exp(logbr * alpha / beta)
-                sv = math.exp(logbr / beta) * f1v
-                t1v = pw * f1v
-                t0v = pw * math.exp(alpha * math.log(lv / rho)) * f0v
-                if end == 0:
-                    sa, ta0, ta1 = sv, t0v, t1v
-                else:
-                    sb, tb0, tb1 = sv, t0v, t1v
-            s_acc += 0.5 * h * (sa + sb)
-            t0_acc += 0.5 * h * (ta0 + tb0)
-            t1_acc += 0.5 * h * (ta1 + tb1)
-        else:
-            t1 = 2.0
-            t2 = 2.0
-            if (la - lo) * (lb2 - lo) < 0.0:
-                t1 = (lo - la) / (lb2 - la)
-            if (la - hi) * (lb2 - hi) < 0.0:
-                t2 = (hi - la) / (lb2 - la)
-            if t2 < t1:
-                t1, t2 = t2, t1
-            prev = 0.0
-            for kk in range(3):
-                if kk == 0:
-                    cur = t1 if t1 < 1.0 else 1.0
-                elif kk == 1:
-                    cur = t2 if t2 < 1.0 else 1.0
-                else:
-                    cur = 1.0
-                if cur > prev:
-                    lm = la + 0.5 * (prev + cur) * (lb2 - la)
-                    rm = 1 if lm < lo else (3 if lm > hi else 2)
-                    if rm == 2:
-                        sa = ta0 = ta1 = 0.0
-                        sb = tb0 = tb1 = 0.0
-                        for end in range(2):
-                            th = prev if end == 0 else cur
-                            lv = la + th * (lb2 - la)
-                            f0v = f0[j] + th * (f0[j + 1] - f0[j])
-                            f1v = f1[j] + th * (f1[j + 1] - f1[j])
-                            t = (lv / rho) ** beta
-                            if t < tmin:
-                                t = tmin
-                            elif t > tmax:
-                                t = tmax
-                            if beta > 0.0:
-                                den = (t - lb_) / kb + (ub - t)
-                            else:
-                                den = (lb_ - t) / kb + (t - ub)
-                            logbr = math.log(num) - math.log(den)
-                            pw = math.exp(logbr * alpha / beta)
-                            sv = math.exp(logbr / beta) * f1v
-                            t1v = pw * f1v
-                            t0v = pw * math.exp(alpha * math.log(lv / rho)) * f0v
-                            if end == 0:
-                                sa, ta0, ta1 = sv, t0v, t1v
-                            else:
-                                sb, tb0, tb1 = sv, t0v, t1v
-                        s_acc += 0.5 * h * (cur - prev) * (sa + sb)
-                        t0_acc += 0.5 * h * (cur - prev) * (ta0 + tb0)
-                        t1_acc += 0.5 * h * (cur - prev) * (ta1 + tb1)
-                    prev = cur
-                if prev >= 1.0:
-                    break
-    return s_acc, t0_acc, t1_acc
-
-
-if njit is not None:
-    _region_masses_nb = njit(cache=True)(_region_masses_loop)
-    _i2_power_nb = njit(cache=True)(_i2_power_loop)
-else:
-    _region_masses_nb = None
-    _i2_power_nb = None
-
-
-def _labels_np(l, lo, hi):
-    return np.where(l < lo, 1, np.where(l > hi, 3, 2)).astype(np.int8)
-
-
-def _region_masses_np(l, f0, f1, points, lo, hi):
-    """Vectorized twin of _region_masses_loop (crossing cells in a small loop)."""
-    lab = _labels_np(l, lo, hi)
-    h = np.diff(points)
-    same = lab[:-1] == lab[1:]
-    c0 = 0.5 * h * (f0[:-1] + f0[1:])
-    c1 = 0.5 * h * (f1[:-1] + f1[1:])
-    out = np.zeros(6)
-    for r, (i0, i1) in zip((1, 2, 3), ((0, 3), (1, 4), (2, 5))):
-        m = same & (lab[:-1] == r)
-        out[i0] = c0[m].sum()
-        out[i1] = c1[m].sum()
-    for j in np.nonzero(~same)[0]:
-        six = _region_masses_loop(
-            l[j : j + 2], f0[j : j + 2], f1[j : j + 2], points[j : j + 2], lo, hi
-        )
-        out += np.array(six)
-    return tuple(out)
-
-
-def _br_log_np(l, rho, beta, kb, lb_, ub):
-    """log of the I2 bracket at the given l values (assumed inside [lo, hi])."""
-    tmin, tmax = (lb_, ub) if lb_ < ub else (ub, lb_)
-    t = np.clip((l / rho) ** beta, tmin, tmax)
-    if beta > 0.0:
-        num = ub - lb_
-        den = (t - lb_) / kb + (ub - t)
-    else:
-        num = lb_ - ub
-        den = (lb_ - t) / kb + (t - ub)
-    return np.log(num) - np.log(den)
-
-
-def _i2_power_np(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
-    """Vectorized twin of _i2_power_loop."""
-    lab = _labels_np(l, lo, hi)
-    h = np.diff(points)
-    in2 = lab == 2
-    sv = np.zeros_like(l)
-    t0v = np.zeros_like(l)
-    t1v = np.zeros_like(l)
-    if np.any(in2):
-        logbr = _br_log_np(l[in2], rho, beta, kb, lb_, ub)
-        pw = np.exp(logbr * (alpha / beta))
-        sv[in2] = np.exp(logbr / beta) * f1[in2]
-        t1v[in2] = pw * f1[in2]
-        t0v[in2] = pw * np.exp(alpha * np.log(l[in2] / rho)) * f0[in2]
-    cell2 = in2[:-1] & in2[1:]
-    s_acc = float(np.sum(0.5 * h[cell2] * (sv[:-1] + sv[1:])[cell2]))
-    t0_acc = float(np.sum(0.5 * h[cell2] * (t0v[:-1] + t0v[1:])[cell2]))
-    t1_acc = float(np.sum(0.5 * h[cell2] * (t1v[:-1] + t1v[1:])[cell2]))
-    mixed = np.nonzero(lab[:-1] != lab[1:])[0]
-    for j in mixed:
-        s3 = _i2_power_loop(
-            l[j : j + 2],
-            f0[j : j + 2],
-            f1[j : j + 2],
-            points[j : j + 2],
-            lo,
-            hi,
-            rho,
-            beta,
-            alpha,
-            kb,
-            lb_,
-            ub,
-        )
-        s_acc += s3[0]
-        t0_acc += s3[1]
-        t1_acc += s3[2]
-    return s_acc, t0_acc, t1_acc
+def _crossing_cells(l, lo, hi, lab):
+    """Crossing cells j, whether l increases on them, and their splits t1 <= t2."""
+    j = np.flatnonzero(lab[:-1] != lab[1:])
+    # capping an infinite left end keeps inf - inf out: t1 = t2 = 1 then
+    la = np.minimum(l[j], _FLOAT_MAX)
+    dl = l[j + 1] - la
+    t_lo = (lo - la) / dl
+    t_hi = (hi - la) / dl
+    return (j, dl > 0.0, np.minimum(t_lo, t_hi).clip(0.0, 1.0),
+            np.maximum(t_lo, t_hi).clip(0.0, 1.0))
 
 
 def region_masses(l, f0, f1, points, lo, hi):
-    """(A0, M0, B0, A1, M1, B1): f0 and f1 masses over the three regions."""
-    if _region_masses_nb is not None:
-        return _region_masses_nb(l, f0, f1, points, lo, hi)
-    return _region_masses_np(l, f0, f1, points, lo, hi)
+    """(A0, M0, B0, A1, M1, B1): f0 and f1 masses over I1, I2, I3."""
+    lab = _labels(l, lo, hi)
+    h = np.diff(points)
+    j, up, t1, t2 = _crossing_cells(l, lo, hi, lab)
+    cell = lab[:-1].copy()
+    cell[j] = 3
+    whole = [cell == r for r in range(3)]
+    # the I1, I2, I3 pieces [s, e] of the crossing cells; the linear
+    # interpolant integrates to h*(e - s)*((1 - m)*f_a + m*f_b), m = (s + e)/2
+    s = np.array((np.where(up, 0.0, t2), t1, np.where(up, t2, 0.0)))
+    e = np.array((np.where(up, t1, 1.0), t2, np.where(up, 1.0, t1)))
+    wd = h[j] * (e - s)
+    wb = 0.5 * wd * (s + e)
+    wa = wd - wb
+    out = []
+    for f in (f0, f1):
+        c = h * (f[:-1] + f[1:])
+        split = wa @ f[j] + wb @ f[j + 1]
+        out.extend(0.5 * c[m].sum() + p for m, p in zip(whole, split))
+    return tuple(float(x) for x in out)
 
 
 def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
-    """(S, T0, T1) bracket-power integrals over I2; see _i2_power_loop."""
-    if _i2_power_nb is not None:
-        return _i2_power_nb(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub)
-    return _i2_power_np(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub)
+    """(S, T0, T1) bracket-power integrals over I2 for given K = k^beta, L, U.
+
+    S  = integral of Br^(1/beta) * f1,
+    T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
+    T1 = integral of Br^(alpha/beta) * f1,
+    where Br = K*(L - U) / (L - K*U + (K - 1)*t) and t = (l/rho)^beta,
+    evaluated in the rearranged all-nonnegative form to avoid cancellation.
+    """
+    lab = _labels(l, lo, hi)
+    h = np.diff(points)
+    in2 = lab == 1
+    # knots of whole I2 cells with their trapezoid weights (times 2)
+    hc = np.where(in2[:-1] & in2[1:], h, 0.0)
+    w = np.zeros(l.shape)
+    w[:-1] = hc
+    w[1:] += hc
+    k = np.flatnonzero(w)
+    # both ends of each crossing cell's I2 piece, weighted by its length;
+    # an end inside the cell is a threshold crossing and gets l exactly
+    j, up, t1, t2 = _crossing_cells(l, lo, hi, lab)
+    piece = t2 > t1
+    j, up, t1, t2 = j[piece], up[piece], t1[piece], t2[piece]
+    wj = h[j] * (t2 - t1)
+
+    def knots(a):
+        da = a[j + 1] - a[j]
+        return np.concatenate((a[k], a[j] + t1 * da, a[j] + t2 * da))
+
+    lv = np.concatenate((l[k], np.where(t1 > 0.0, np.where(up, lo, hi), l[j]),
+                         np.where(t2 < 1.0, np.where(up, hi, lo), l[j + 1])))
+    f0v, f1v = knots(f0), knots(f1)
+    wv = np.concatenate((w[k], wj, wj))
+
+    t = np.clip((lv / rho) ** beta, min(lb_, ub), max(lb_, ub))
+    if beta > 0.0:
+        num, den = ub - lb_, (t - lb_) / kb + (ub - t)
+    else:
+        num, den = lb_ - ub, (lb_ - t) / kb + (t - ub)
+    logbr = np.log(num) - np.log(den)
+    pw = logbr * (alpha / beta)
+    w1 = wv * f1v
+    with np.errstate(over="ignore"):  # an overflowing order integrates to inf
+        return (0.5 * float(w1 @ np.exp(logbr / beta)),
+                0.5 * float((wv * f0v) @ np.exp(pw + alpha * np.log(lv / rho))),
+                0.5 * float(w1 @ np.exp(pw)))
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):

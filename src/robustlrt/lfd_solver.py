@@ -96,12 +96,8 @@ class TabulatedFunction:
 class SolverConfig:
     root_tol: float = 1e-10
     max_iter: int = 200
-    bracket_expand: float = 1.0
-    parameterization: str = "log"
 
     def __post_init__(self):
-        if self.parameterization != "log":
-            raise ValueError("only the log parameterization is implemented")
         if self.root_tol <= 0.0 or self.max_iter < 1:
             raise ValueError("root_tol must be positive and max_iter >= 1")
 
@@ -369,17 +365,10 @@ def _delta_interior(lv, l_l, l_u, alpha, rho, k):
     """Randomization probability at interior ratio values (array)."""
     beta = alpha - 1.0
     big_l, big_u = l_l ** beta, l_u ** beta
-    kb = k ** beta
-    tmin, tmax = min(big_l, big_u), max(big_l, big_u)
-    tv = np.clip((lv / rho) ** beta, tmin, tmax)
-    if beta > 0.0:
-        den = (tv - big_l) / kb + (big_u - tv)
-        num = big_u - big_l
-    else:
-        den = (big_l - tv) / kb + (tv - big_u)
-        num = big_l - big_u
-    br = num / den
-    return br * (big_l - tv) / (kb * (big_l - big_u)) + 0.0
+    tv = np.clip((lv / rho) ** beta, min(big_l, big_u), max(big_l, big_u))
+    # exactly 0 at tv = L and 1 at tv = U for either sign of beta;
+    # + 0.0 turns -0.0 into 0
+    return (tv - big_l) / ((tv - big_l) + k ** beta * (big_u - tv)) + 0.0
 
 
 def robust_rule(l, solution: RobustSolution):
@@ -563,9 +552,8 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
 
     # coarse scan over a log-spaced box; kept column-wise so seeding can
     # follow the r0 = 0 valley instead of trusting the raw norm surface
-    span = cfg.bracket_expand * 0.95
-    us = -np.geomspace(1e-4, max(-u_floor * span, 2e-4), 16)
-    vs = np.geomspace(1e-4, max(v_ceil * span, 2e-4), 16)
+    us = -np.geomspace(1e-4, max(-u_floor * 0.95, 2e-4), 16)
+    vs = np.geomspace(1e-4, max(v_ceil * 0.95, 2e-4), 16)
     us = us[us >= u_floor]
     vs = vs[vs <= v_ceil]
     cells = {}
@@ -711,7 +699,11 @@ def _bisect_fallback(alpha, rho, l, f0v, f1v, points, x0, x1, u_floor, v_ceil, t
             def outer(vv):
                 g = inner(vv)
                 return g[1].r1 if g is not None else np.nan
-            vr = float(brentq(outer, prev[0], v, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+            try:
+                vr = float(brentq(outer, prev[0], v, xtol=1e-14, rtol=8.9e-16,
+                                  maxiter=200))
+            except ValueError:  # outer(v) was nan: the inner search failed there
+                return None
             g = inner(vr)
             if g is not None and max(abs(g[1].r0), abs(g[1].r1)) <= 10.0 * tol:
                 return g[0], vr, g[1]

@@ -7,10 +7,9 @@ splits into three disjoint intervals), so most integration tests share one
 session-scoped solve of it.
 """
 
-import numpy as np
 import pytest
 
-from robustlrt import DivergenceSpec, density, kernels, lfd_solver
+from robustlrt import DivergenceSpec, density, lfd_solver
 
 
 @pytest.fixture(scope="session")
@@ -47,15 +46,3 @@ def norm_pair():
 def norm_grid():
     return density.make_grid(-9.0, 9.0, 4001)
 
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger JIT compilation so timed tests measure steady-state speed."""
-    pts = np.linspace(-1.0, 1.0, 64)
-    f0 = np.exp(-0.5 * (pts + 0.2) ** 2)
-    f1 = np.exp(-0.5 * (pts - 0.2) ** 2)
-    l = f1 / f0
-    kernels.region_masses(l, f0, f1, pts, 0.8, 1.2)
-    kernels.i2_power_integrals(l, f0, f1, pts, 0.8, 1.2, 1.0, 3.0, 4.0,
-                               0.5, 0.512, 1.728)
-    return True

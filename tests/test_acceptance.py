@@ -43,8 +43,7 @@ def _read_csv(text: str):
     return meta, names, rows
 
 
-def test_01_reference_problem_thresholds_and_runtime(
-        warm_kernels, mix_spec, mix_nominals, mix_grid):
+def test_01_reference_problem_thresholds_and_runtime(mix_spec, mix_nominals, mix_grid):
     t0 = time.perf_counter()
     sol = lfd_solver.solve_thresholds(mix_spec, mix_nominals, mix_grid)
     elapsed = time.perf_counter() - t0
@@ -149,8 +148,7 @@ def test_05_closed_form_radius_limits_cross_checked(norm_pair, norm_grid):
           f"roundtrip {rt:.1e}, general-vs-closed {gen_dev:.1e}")
 
 
-def test_06_discrete_oracle_agrees_with_continuous_saddle(
-        warm_kernels, mix_solution, mix_nominals):
+def test_06_discrete_oracle_agrees_with_continuous_saddle(mix_solution, mix_nominals):
     sol = mix_solution
     t0 = time.perf_counter()
     prob = oracle.discretize(mix_nominals, sol.grid, 50, sol.spec)

@@ -1,18 +1,17 @@
 """Grid kernels: region quadrature, interior power integrals, crossing knots.
 
-The compiled kernels and their vectorized numpy twins are independent
-implementations of the same arithmetic, so their agreement on random inputs
-is the primary correctness check; a subprocess test pins down that the
-ROBUSTLRT_NO_NUMBA escape hatch selects the numpy path and changes nothing.
+The kernels are checked against an independent reference: plain trapezoid
+sums over the grid that `augment_with_crossings` returns, with each cell
+assigned to the region of its midpoint l, and for the interior integrals
+the bracket in its docstring form Br = K(L - U)/(L - KU + (K - 1)t).  A
+hypothesis property test draws random grids and densities, including
+ties between the thresholds, thresholds on knot values of l, and f0 = 0.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustlrt import density, kernels
 
@@ -23,6 +22,36 @@ def _random_instance(seed, n=257):
     f0 = np.exp(-0.5 * (pts + rng.uniform(0.2, 1.0)) ** 2) + 1e-6
     f1 = np.exp(-0.5 * (pts - rng.uniform(0.2, 1.0)) ** 2) + 1e-6
     return pts, f0, f1, f1 / f0
+
+
+def _reference_cells(l, f0, f1, pts, lo, hi):
+    """Augmented knots, their l, f0, f1 and each cell's region by its midpoint l."""
+    with np.errstate(invalid="ignore"):  # an infinite l gives a nan crossing, dropped
+        y, l_aug, (g0, g1), _ = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
+    mid = 0.5 * (l_aug[:-1] + l_aug[1:])
+    region = np.where(mid < lo, 1, np.where(mid > hi, 3, 2))
+    return y, l_aug, g0, g1, region
+
+
+def _cell_sums(y, v, in_region):
+    return float(np.where(in_region, 0.5 * np.diff(y) * (v[:-1] + v[1:]), 0.0).sum())
+
+
+def reference_region_masses(l, f0, f1, points, lo, hi):
+    y, _, g0, g1, region = _reference_cells(l, f0, f1, points, lo, hi)
+    return tuple(_cell_sums(y, g, region == r) for g in (g0, g1) for r in (1, 2, 3))
+
+
+def reference_i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
+    y, l_aug, g0, g1, region = _reference_cells(l, f0, f1, points, lo, hi)
+    # knots outside I2 may give a negative bracket; their cells are masked out
+    with np.errstate(all="ignore"):
+        t = (l_aug / rho) ** beta
+        br = kb * (lb_ - ub) / (lb_ - kb * ub + (kb - 1.0) * t)
+        integrands = (br ** (1.0 / beta) * g1,
+                      br ** (alpha / beta) * (l_aug / rho) ** alpha * g0,
+                      br ** (alpha / beta) * g1)
+    return tuple(_cell_sums(y, v, region == 2) for v in integrands)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -65,16 +94,18 @@ def test_region_masses_monotone_ratio_reduces_to_interval_integrals():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_backend_twins_agree_on_region_masses(seed):
+    # the twin of the kernel is the midpoint reference on the augmented grid
     pts, f0, f1, l = _random_instance(seed, n=401)
     lo = float(np.quantile(l, 0.3))
     hi = float(np.quantile(l, 0.8))
-    got_active = kernels.region_masses(l, f0, f1, pts, lo, hi)
-    got_numpy = kernels._region_masses_np(l, f0, f1, pts, lo, hi)
-    np.testing.assert_allclose(got_active, got_numpy, rtol=1e-10, atol=1e-14)
+    got = kernels.region_masses(l, f0, f1, pts, lo, hi)
+    want = reference_region_masses(l, f0, f1, pts, lo, hi)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_backend_twins_agree_on_interior_power_integrals(seed):
+    # the twin of the kernel is the docstring bracket on the augmented grid
     pts, f0, f1, l = _random_instance(seed, n=401)
     rng = np.random.default_rng(1000 + seed)
     rho = float(rng.uniform(0.8, 1.3))
@@ -85,9 +116,69 @@ def test_backend_twins_agree_on_interior_power_integrals(seed):
     k = float(rng.uniform(0.4, 0.9))
     args = (l, f0, f1, pts, rho * ll, rho * lu, rho, beta, alpha,
             k ** beta, ll ** beta, lu ** beta)
-    got_active = kernels.i2_power_integrals(*args)
-    got_numpy = kernels._i2_power_np(*args)
-    np.testing.assert_allclose(got_active, got_numpy, rtol=1e-10, atol=1e-14)
+    got = kernels.i2_power_integrals(*args)
+    want = reference_i2_power_integrals(*args)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+_density_value = st.floats(0.0, 10.0).map(lambda v: v if v >= 0.5 else 0.0)
+
+
+@st.composite
+def _kernel_problems(draw):
+    n = draw(st.integers(2, 40))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    pts = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    f0 = np.array(draw(st.lists(_density_value, min_size=n, max_size=n)))
+    f1 = np.array(draw(st.lists(_density_value, min_size=n, max_size=n)))
+    l = density.ratio_values(f0, f1)
+    knot_values = sorted({float(v) for v in l if 0.0 < v < np.inf})
+    threshold = st.floats(0.01, 100.0)
+    if knot_values:
+        threshold = st.one_of(st.sampled_from(knot_values), threshold)
+    lo = draw(threshold)
+    hi = lo if draw(st.integers(0, 4)) == 0 else draw(threshold.filter(lambda v: v != lo))
+    lo, hi = min(lo, hi), max(lo, hi)
+    return pts, f0, f1, l, lo, hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_kernel_problems(),
+       rho=st.floats(0.5, 2.0),
+       alpha=st.sampled_from([-3.0, -0.5, 0.5, 2.0, 4.0]),
+       k=st.floats(0.25, 4.0))
+def test_kernels_match_reference_on_random_grids(problem, rho, alpha, k):
+    pts, f0, f1, l, lo, hi = problem
+    masses = kernels.region_masses(l, f0, f1, pts, lo, hi)
+    assert min(masses) >= 0.0
+    assert sum(masses[:3]) == pytest.approx(np.trapezoid(f0, pts), rel=1e-12)
+    assert sum(masses[3:]) == pytest.approx(np.trapezoid(f1, pts), rel=1e-12)
+    scale = np.trapezoid(f0 + f1, pts)
+    np.testing.assert_allclose(masses, reference_region_masses(l, f0, f1, pts, lo, hi),
+                               rtol=1e-10, atol=1e-14 * scale)
+    if lo < hi:  # the bracket is 0/0 for equal thresholds, which the solver never passes
+        beta = alpha - 1.0
+        args = (l, f0, f1, pts, lo, hi, rho, beta, alpha,
+                k ** beta, (lo / rho) ** beta, (hi / rho) ** beta)
+        np.testing.assert_allclose(kernels.i2_power_integrals(*args),
+                                   reference_i2_power_integrals(*args),
+                                   rtol=1e-10, atol=1e-14)
+
+
+def test_cell_with_infinite_ratio_end_lies_in_upper_region():
+    # f0 vanishes at the first knot, so l = inf there; the linear ratio
+    # stays above every finite threshold until the cell's far end
+    pts = np.array([0.0, 1.0, 2.0])
+    f0 = np.array([0.0, 1.0, 1.0])
+    f1 = np.array([1.0, 1.0, 1.0])
+    l = density.ratio_values(f0, f1)
+    a0, m0, b0, a1, m1, b1 = kernels.region_masses(l, f0, f1, pts, 0.5, 2.0)
+    assert (a0, m0, b0) == (0.0, 1.0, 0.5)
+    assert (a1, m1, b1) == (0.0, 1.0, 1.0)
+    s, t0, t1 = kernels.i2_power_integrals(l, f0, f1, pts, 0.5, 2.0, 1.0, 3.0, 4.0,
+                                           0.5 ** 3, 0.5 ** 3, 2.0 ** 3)
+    assert np.isfinite([s, t0, t1]).all()
 
 
 def test_degenerate_band_counts_only_exact_ties():
@@ -158,26 +249,3 @@ def test_augment_no_crossings_is_identity():
     assert not inserted.any()
     np.testing.assert_array_equal(y_aug, pts)
     np.testing.assert_array_equal(f0a, f0)
-
-
-def test_numpy_fallback_env_flag_reproduces_solver_output(mix_solution):
-    code = (
-        "import json\n"
-        "import numpy as np\n"
-        "from robustlrt import DivergenceSpec, density, kernels, lfd_solver\n"
-        "assert kernels._region_masses_nb is None, 'numba should be disabled'\n"
-        "noise = density.gaussian_mixture([(0.5, -2.0, 1.0), (0.5, 2.0, 1.0)])\n"
-        "sol = lfd_solver.solve_thresholds(\n"
-        "    DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.02, eps1=0.03),\n"
-        "    (noise, density.shifted(noise, 1.0)), density.make_grid(-8.0, 9.0, 4001))\n"
-        "print(json.dumps([sol.thresholds.l_l, sol.thresholds.l_u, sol.k, sol.z]))\n"
-    )
-    env = dict(os.environ, ROBUSTLRT_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    ll, lu, k, z = json.loads(out.stdout.strip().splitlines()[-1])
-    assert ll == pytest.approx(mix_solution.thresholds.l_l, abs=1e-10)
-    assert lu == pytest.approx(mix_solution.thresholds.l_u, abs=1e-10)
-    assert k == pytest.approx(mix_solution.k, abs=1e-10)
-    assert z == pytest.approx(mix_solution.z, abs=1e-10)

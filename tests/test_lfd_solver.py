@@ -9,6 +9,7 @@ generic quadrature of the divergence module.
 """
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from robustlrt import (
 from robustlrt.lfd_solver import (
     DegenerateRegionError,
     InfeasibleEpsError,
+    NonConvergenceError,
     SolverConfig,
     TabulatedFunction,
     ThresholdPair,
@@ -53,8 +55,6 @@ def test_solver_config_validation():
         SolverConfig(root_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(parameterization="linear")
 
 
 def test_tabulated_function_interpolates():
@@ -372,6 +372,27 @@ def test_prior_ratio_outside_likelihood_range_degenerates(norm_pair):
     with pytest.raises(DegenerateRegionError):
         lfd_solver.k_factor(lfd_solver.ThresholdPair(0.5, 2.0), norm_pair,
                             100.0, tight)
+
+
+def test_nan_in_outer_bisection_is_nonconvergence(monkeypatch, norm_pair):
+    # Newton stalls, so the nested bisection runs; its outer root search on
+    # r1 then meets a nan where the inner search fails.  That must surface as
+    # NonConvergenceError (CLI exit 3), not as brentq's ValueError (exit 1).
+    root_v = 1.2345
+
+    def fake_state(l_l, l_u, *args):
+        v = math.log(l_u)
+        r1 = math.nan if abs(v - root_v) < 1e-6 else v - root_v
+        return types.SimpleNamespace(r0=math.log(l_l) + 0.3, r1=r1)
+
+    monkeypatch.setattr(lfd_solver, "_preflight", lambda *args: None)
+    monkeypatch.setattr(lfd_solver, "_eval_state", fake_state)
+    monkeypatch.setattr(lfd_solver, "_newton_2d",
+                        lambda try_eval, u, v, st, *args: (1.0, u, v, st))
+    with pytest.raises(NonConvergenceError, match="best residual norm 1"):
+        lfd_solver.solve_thresholds(
+            DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.01, eps1=0.01),
+            norm_pair, density.make_grid(-6.0, 6.0, 201))
 
 
 def test_negative_radius_rejected():
