@@ -122,7 +122,10 @@ def augment_with_crossings(points, l, arrays, lo, hi):
 
     Returns (points_aug, l_aug, arrays_aug, inserted_mask).
     """
-    la, lb = l[:-1], l[1:]
+    # a cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout,
+    # so it is not split, and leaving it out keeps inf out of the arithmetic
+    cells = np.flatnonzero(np.isfinite(l[:-1]) & np.isfinite(l[1:]))
+    la, lb = l[cells], l[cells + 1]
     ys = [points]
     ls = [l]
     vs = [list(arrays)]
@@ -130,10 +133,10 @@ def augment_with_crossings(points, l, arrays, lo, hi):
     span = float(points[-1] - points[0])
     for tau in taus:
         cross = (la - tau) * (lb - tau) < 0.0
-        idx = np.nonzero(cross)[0]
+        idx = cells[cross]
         if idx.size == 0:
             continue
-        theta = (tau - la[idx]) / (lb[idx] - la[idx])
+        theta = (tau - la[cross]) / (lb[cross] - la[cross])
         ynew = points[idx] + theta * (points[idx + 1] - points[idx])
         # drop crossings that collide with an existing knot
         keep = (

@@ -9,10 +9,13 @@ ratio thresholds 0 < l_l <= 1 <= l_u.  They induce three regions
 on which the least favorable pair (g0_hat, g1_hat) is a branch-wise scaling
 of the nominals, the randomized rule delta_hat is 0 / interior / 1, and the
 robust likelihood ratio l_hat is l/l_l / rho / l/l_u.  The thresholds solve
-two moment conditions that activate both divergence constraints; this module
-finds them (``solve_thresholds``), offers a one-dimensional fast path for
-symmetric problems (``solve_symmetric``), and exposes the unreduced
-four-constant stationarity system (``solve_raw_kkt``) for cross-validation.
+two moment conditions that activate both divergence constraints.
+``solve_thresholds`` finds them along one predictor-corrector continuation
+path (Allgower & Georg, *Numerical Continuation Methods*) that grows the
+radii from zero at rho = 1 and then moves the prior from 1 to rho.  The
+module also offers a one-dimensional fast path for symmetric problems
+(``solve_symmetric``) and exposes the unreduced four-constant stationarity
+system (``solve_raw_kkt``) for cross-validation.
 
 The returned tables live on the quadrature grid augmented with the exact
 region crossing points, so trapezoid sums over the tables reproduce the
@@ -490,7 +493,9 @@ def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
             "eps0 = %g is at or beyond its admissible maximum; see "
             "limits.validate_eps for the boundary margin" % spec.eps0
         ) from None
-    except Exception as exc:  # boundary solve is advisory, not load-bearing
+    except (ValueError, ArithmeticError) as exc:
+        # the boundary solve is advisory: brentq's bracket and nan errors,
+        # LinAlgError (a ValueError) and overflowing multiplier powers warn
         warnings.warn(
             "feasibility preflight failed (%s); proceeding with the solve" % exc,
             RuntimeWarning,
@@ -506,16 +511,27 @@ def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
         )
 
 
+# Steps in the path parameter p of solve_thresholds: radii (p^2 eps0, p^2 eps1)
+# at rho = 1 on [0, 1], where the thresholds move like sqrt(eps) and so nearly
+# linearly in p, then the prior rho^(p - 1) at the full radii on [1, 2].
+_S0 = 0.05              # first step: p of the first path point
+_GROW = 2.0             # step factor after a converged path point
+_MIN_STEP = 1e-2        # a step halved below this stalls the path
+_PRIOR_STEP = 0.25      # first step of the prior leg
+_CORRECTOR_ITERS = 4    # Newton iterations per path point
+_HALVINGS = 5           # line-search halvings per Newton iteration
+
+
 def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
                      config: SolverConfig | None = None) -> RobustSolution:
     """Solve for the robust thresholds and materialize the full solution.
 
-    Finds (l_l, l_u) zeroing both divergence-activation residuals by damped
-    Newton iteration in (log l_l, log l_u), seeded from a coarse residual
-    scan and clamped to l_l <= 1 <= l_u; falls back to nested bisection when
-    Newton stalls.  Raises InfeasibleEpsError for radius pairs outside the
-    admissible boundary and NonConvergenceError with the best residual seen
-    when the iteration budget runs out.
+    Finds (l_l, l_u) zeroing both divergence-activation residuals along one
+    continuation path from zero radii: each path point is predicted from the
+    secant through the last two and corrected by damped Newton iteration in
+    (log l_l, log l_u), clamped to l_l <= 1 <= l_u.  Raises InfeasibleEpsError
+    for radius pairs outside the admissible boundary, and NonConvergenceError
+    naming where the path stalled and the best residual beyond it.
     """
     cfg = config or SolverConfig()
     check_alpha(spec.alpha)
@@ -538,70 +554,61 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
             "rho = %g lies outside the likelihood ratio range [%g, %g]; no "
             "interior thresholds exist" % (rho, l_min, l_max)
         )
-    u_floor = math.log(max(l_min / rho, 1e-300)) * 0.98
-    v_ceil = math.log(l_max / rho) * 0.98
-    scale = max(1.0, abs(x0), abs(x1))
-    tol = cfg.root_tol * scale
+    tol = cfg.root_tol * max(1.0, abs(x0), abs(x1))
 
-    def try_eval(u, v):
-        try:
-            return _eval_state(math.exp(u), math.exp(v), alpha, rho, l, f0v, f1v,
-                               grid.points, x0, x1)
-        except (DegenerateRegionError, ParametricInfeasibleError):
-            return None
+    def evaluator(p):
+        """Residual evaluator and (u_floor, v_ceil) box at path parameter p."""
+        if p <= 1.0:
+            r, t0, t1 = 1.0, x_of(alpha, p * p * spec.eps0), x_of(alpha, p * p * spec.eps1)
+        else:
+            r, t0, t1 = rho ** (p - 1.0), x0, x1
 
-    # coarse scan over a log-spaced box; kept column-wise so seeding can
-    # follow the r0 = 0 valley instead of trusting the raw norm surface
-    us = -np.geomspace(1e-4, max(-u_floor * 0.95, 2e-4), 16)
-    vs = np.geomspace(1e-4, max(v_ceil * 0.95, 2e-4), 16)
-    us = us[us >= u_floor]
-    vs = vs[vs <= v_ceil]
-    cells = {}
-    for u in us:
-        for v in vs:
-            st = try_eval(u, v)
-            if st is not None and np.isfinite(st.r0) and np.isfinite(st.r1):
-                cells[(u, v)] = st
-    if not cells:
-        raise NonConvergenceError("no admissible starting point found in the scan box")
+        def try_eval(u, v):
+            try:
+                return _eval_state(math.exp(u), math.exp(v), alpha, r, l, f0v, f1v,
+                                   grid.points, t0, t1)
+            except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
+                return None
 
-    seeds = []
-    for v in vs:
-        col = [(u, st) for (u, vv), st in cells.items() if vv == v]
-        if col:
-            u_star, st_star = min(col, key=lambda p: abs(p[1].r0))
-            seeds.append((abs(st_star.r1), u_star, v, st_star))
-    seeds.sort(key=lambda s: s[0])
-    seeds = seeds[:4]
-    g_key, g_st = min(cells.items(), key=lambda p: max(abs(p[1].r0), abs(p[1].r1)))
-    seeds.append((0.0, g_key[0], g_key[1], g_st))
-    for s in (0.1, 0.3, 0.6):
-        u0, v0 = max(math.log(1.0 - s), u_floor), min(math.log(1.0 + s), v_ceil)
-        st0 = try_eval(u0, v0)
-        if st0 is not None:
-            seeds.append((0.0, u0, v0, st0))
+        box = (math.log(max(l_min / r, 1e-300)) * 0.98, math.log(l_max / r) * 0.98)
+        return try_eval, box
 
-    best_seen = None
-    u = v = nrm = st = None
-    for _, u0, v0, st0 in seeds:
-        got = _newton_2d(try_eval, u0, v0, st0, u_floor, v_ceil, tol, cfg.max_iter)
-        if best_seen is None or got[0] < best_seen[0]:
-            best_seen = got
+    # zero radii put the thresholds at (1, 1), from where they move like
+    # sqrt(eps); the prior leg starts without a secant
+    p_end = 1.0 if rho == 1.0 else 2.0
+    d = math.sqrt(max(spec.eps0, spec.eps1))
+    p, u, v, h, slope = 0.0, 0.0, 0.0, _S0, (-d, d)
+    best = (math.inf, u, v)  # best residual past the last path point
+    while True:
+        q = min(p + h, 1.0 if p < 1.0 else p_end)
+        try_eval, (lo, hi) = evaluator(q)
+        uq = min(0.0, max(u + slope[0] * (q - p), lo))
+        vq = max(0.0, min(v + slope[1] * (q - p), hi))
+        st = try_eval(uq, vq)
+        got = (math.inf,) if st is None else _newton_2d(
+            try_eval, uq, vq, st, lo, hi, tol, _CORRECTOR_ITERS)
         if got[0] <= tol:
-            break
-    nrm, u, v, st = best_seen
-
-    if nrm > tol:
-        got = _bisect_fallback(alpha, rho, l, f0v, f1v, grid.points, x0, x1,
-                               u_floor, v_ceil, tol)
-        if got is None:
+            if q == p_end:  # polish the end point until Newton stagnates
+                nrm, u, v, st = _newton_2d(try_eval, *got[1:], lo, hi, 0.0, cfg.max_iter)
+                break
+            slope = (0.0, 0.0) if q == 1.0 else ((got[1] - u) / (q - p), (got[2] - v) / (q - p))
+            p, u, v = q, got[1], got[2]
+            h = _PRIOR_STEP if p == 1.0 else h * _GROW
+            best = (math.inf, u, v)
+            continue
+        if got[0] < best[0]:
+            best = got[:3]
+        h *= 0.5
+        if h < _MIN_STEP:
+            where = ("radius scale s = %.4g (rho = 1)" % p if p < 1.0 else
+                     "rho = %.6g on the way to rho = %g" % (rho ** (p - 1.0), rho))
+            beyond = ("%.3g at (l_l, l_u) = (%.6g, %.6g)"
+                      % (best[0], math.exp(best[1]), math.exp(best[2]))
+                      if best[0] < math.inf else "inf: no residual could be evaluated")
             raise NonConvergenceError(
-                "threshold search did not reach tolerance %.3g; best residual "
-                "norm %.3g at (l_l, l_u) = (%.6g, %.6g)"
-                % (tol, best_seen[0], math.exp(best_seen[1]), math.exp(best_seen[2]))
+                "threshold continuation stalled past %s at (l_l, l_u) = (%.6g, %.6g); "
+                "best residual norm beyond it %s" % (where, math.exp(u), math.exp(v), beyond)
             )
-        u, v, st = got
-        nrm = max(abs(st.r0), abs(st.r1))
 
     t = ThresholdPair(math.exp(u), math.exp(v))
     return _materialize(spec, t, st, f0v, f1v, l, grid, nrm)
@@ -614,7 +621,7 @@ def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
     merit, for which the Newton direction is always a descent direction.
     Returns (residual norm, u, v, state) for the best iterate reached.
     """
-    nrm = max(abs(st.r0), abs(st.r1))
+    nrm = float(np.max(np.abs([st.r0, st.r1])))  # nan stays nan, unlike max()
     phi = st.r0 ** 2 + st.r1 ** 2
     best = (nrm, u, v, st)
     it = 0
@@ -636,7 +643,7 @@ def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
         except np.linalg.LinAlgError:
             break
         lam, improved = 1.0, False
-        for _ in range(40):
+        for _ in range(_HALVINGS):
             uc = min(0.0, max(u + lam * step[0], u_floor))
             vc = max(0.0, min(v + lam * step[1], v_ceil))
             stc = try_eval(uc, vc)
@@ -653,63 +660,6 @@ def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
         if nrm < best[0]:
             best = (nrm, u, v, st)
     return best
-
-
-def _bisect_fallback(alpha, rho, l, f0v, f1v, points, x0, x1, u_floor, v_ceil, tol):
-    """Nested bisection: inner root of r0 over u at fixed v, outer on r1."""
-
-    def eval_or_none(u, v):
-        try:
-            return _eval_state(math.exp(u), math.exp(v), alpha, rho, l, f0v, f1v,
-                               points, x0, x1)
-        except (DegenerateRegionError, ParametricInfeasibleError):
-            return None
-
-    def inner(v):
-        us = np.linspace(u_floor, -1e-12, 33)
-        prev = None
-        for u in us:
-            st = eval_or_none(u, v)
-            if st is None or not np.isfinite(st.r0):
-                prev = None
-                continue
-            if prev is not None and prev[1] * st.r0 <= 0.0:
-                def f_inner(uu):
-                    s = eval_or_none(uu, v)
-                    return s.r0 if s is not None else np.nan
-                try:
-                    ur = float(brentq(f_inner, prev[0], u, xtol=1e-14,
-                                      rtol=8.9e-16, maxiter=200))
-                except ValueError:
-                    return None
-                got = eval_or_none(ur, v)
-                return (ur, got) if got is not None else None
-            prev = (u, st.r0)
-        return None
-
-    vs = np.linspace(1e-12, v_ceil, 49)
-    prev = None
-    for v in vs:
-        got = inner(v)
-        if got is None or not np.isfinite(got[1].r1):
-            prev = None
-            continue
-        u, st = got
-        if prev is not None and prev[1] * st.r1 <= 0.0:
-            def outer(vv):
-                g = inner(vv)
-                return g[1].r1 if g is not None else np.nan
-            try:
-                vr = float(brentq(outer, prev[0], v, xtol=1e-14, rtol=8.9e-16,
-                                  maxiter=200))
-            except ValueError:  # outer(v) was nan: the inner search failed there
-                return None
-            g = inner(vr)
-            if g is not None and max(abs(g[1].r0), abs(g[1].r1)) <= 10.0 * tol:
-                return g[0], vr, g[1]
-            return None
-        prev = (v, st.r1)
-    return None
 
 
 def solve_symmetric(eps: float, alpha: float, rho: float, nominals,

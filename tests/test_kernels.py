@@ -8,6 +8,8 @@ hypothesis property test draws random grids and densities, including
 ties between the thresholds, thresholds on knot values of l, and f0 = 0.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,8 +28,7 @@ def _random_instance(seed, n=257):
 
 def _reference_cells(l, f0, f1, pts, lo, hi):
     """Augmented knots, their l, f0, f1 and each cell's region by its midpoint l."""
-    with np.errstate(invalid="ignore"):  # an infinite l gives a nan crossing, dropped
-        y, l_aug, (g0, g1), _ = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
+    y, l_aug, (g0, g1), _ = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
     mid = 0.5 * (l_aug[:-1] + l_aug[1:])
     region = np.where(mid < lo, 1, np.where(mid > hi, 3, 2))
     return y, l_aug, g0, g1, region
@@ -230,6 +231,22 @@ def test_augment_inserts_exact_threshold_knots():
     # inserted values are linear interpolants of the originals
     np.testing.assert_allclose(f1a[inserted], np.interp(y_aug[inserted], pts, f1),
                                rtol=1e-12)
+
+
+def test_augment_skips_cells_with_infinite_ratio_without_warnings():
+    # f0 = 0 at knots 0 and 4, so l = inf there; cell 0 would cross hi on
+    # its way down to 0.8, and cell 4 ends exactly on hi.  Such cells lie in
+    # I3 throughout and get no knot, and inf never enters the arithmetic.
+    pts = np.arange(6.0)
+    f0 = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+    f1 = np.array([1.0, 0.8, 0.2, 2.0, 1.0, 1.0])
+    l = density.ratio_values(f0, f1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_aug, l_aug, _, inserted = kernels.augment_with_crossings(pts, l, [f0, f1], 0.5, 1.0)
+    np.testing.assert_allclose(y_aug[inserted], [1.5, 2.0 + 1.0 / 6.0, 2.0 + 4.0 / 9.0],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(l_aug[inserted], [0.5, 0.5, 1.0])
 
 
 def test_augment_preserves_trapezoid_integrals():

@@ -14,13 +14,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustlrt import (
     DivergenceSpec,
     alpha_divergence,
     density,
     divergence,
+    evaluation,
     lfd_solver,
+    limits,
+    oracle,
 )
 from robustlrt.lfd_solver import (
     DegenerateRegionError,
@@ -241,6 +246,91 @@ def test_rho_variant_converges_with_flat_middle_ratio(mix_nominals, mix_grid):
     assert sol.achieved_eps1 == pytest.approx(0.03, abs=1e-8)
 
 
+def test_off_center_prior_solves_and_matches_oracle(mix_nominals, mix_grid):
+    # a root exists here, but a search not started near it ends with l_u
+    # pinned on the clamp l_u = 1
+    spec = DivergenceSpec(alpha=4.0, rho=1.5, eps0=0.005, eps1=0.005)
+    sol = lfd_solver.solve_thresholds(spec, mix_nominals, mix_grid)
+    assert sol.thresholds.l_l == pytest.approx(0.869724, abs=1e-5)
+    assert sol.thresholds.l_u == pytest.approx(1.400974, abs=1e-5)
+    assert sol.residual_norm < 1e-12
+    # the alternating saddle search on the binned problem, at the radii the
+    # binned densities realize, lands on the continuous saddle value
+    prob = oracle.discretize(mix_nominals, sol.grid, 50, spec)
+    d0 = oracle.discrete_divergence(oracle._bin_masses(sol.g0_hat.values, sol.grid, 50),
+                                    prob.f0, spec.alpha)
+    d1 = oracle.discrete_divergence(oracle._bin_masses(sol.g1_hat.values, sol.grid, 50),
+                                    prob.f1, spec.alpha)
+    prob_rc = oracle.DiscreteProblem(m=50, f0=prob.f0, f1=prob.f1, alpha=spec.alpha,
+                                     rho=spec.rho, eps0=d0, eps1=d1)
+    rule, _, _, _ = oracle.alternating_saddle(prob_rc)
+    pe_oracle = oracle.worst_case_error(rule, prob_rc)[2]
+    saddle = evaluation.error_probs(sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho,
+                                    sol.grid)
+    assert abs(pe_oracle - saddle.p_error) <= 5e-4
+
+
+def test_prior_without_three_region_root_gives_up_early(monkeypatch, mix_nominals,
+                                                        mix_grid):
+    # at rho = 2 region I3 empties on the way (l_u runs off), so the
+    # three-region form has no root; 2681 residual evaluations is what a
+    # scan-and-multi-start search spent before giving up
+    calls = [0]
+    real = lfd_solver._eval_state
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lfd_solver, "_eval_state", counted)
+    with pytest.raises(NonConvergenceError, match=r"stalled past rho = 1\.\d+ on the way "
+                       r"to rho = 2 at .*best residual norm beyond it \d"):
+        lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=2.0, eps0=0.02, eps1=0.03),
+                                    mix_nominals, mix_grid)
+    assert calls[0] < 2681
+
+
+# the benchmark's radius boxes (eps0 range, eps1 range) on the anchor pair
+ANCHOR_BOXES = {-1.0: ((0.015, 0.025), (0.020, 0.030)),
+                0.5: ((0.020, 0.030), (0.025, 0.040)),
+                2.0: ((0.020, 0.030), (0.025, 0.040)),
+                4.0: ((0.015, 0.025), (0.025, 0.035))}
+
+
+@st.composite
+def _anchor_specs(draw):
+    alpha = draw(st.sampled_from(sorted(ANCHOR_BOXES)))
+    (a0, b0), (a1, b1) = ANCHOR_BOXES[alpha]
+    return DivergenceSpec(alpha=alpha, rho=draw(st.sampled_from([0.8, 1.0, 1.2])),
+                          eps0=draw(st.floats(a0, b0)), eps1=draw(st.floats(a1, b1)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(spec=_anchor_specs())
+def test_solution_invariants_on_anchor_boxes(spec, mix_nominals, mix_grid):
+    # the preflight is left out: at rho != 1 its boundary solve refuses some
+    # of these radii, which solve at rho = 1 and whose admissibility does
+    # not depend on rho; this test judges the threshold search alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lfd_solver, "_preflight", lambda *args: None)
+        sol = lfd_solver.solve_thresholds(spec, mix_nominals, mix_grid)
+    w = sol.grid.weights
+    g0, g1 = sol.g0_hat.values, sol.g1_hat.values
+    assert float(w @ g0) == pytest.approx(1.0, abs=1e-6)
+    assert float(w @ g1) == pytest.approx(1.0, abs=1e-6)
+    assert alpha_divergence(g0, sol.f0_values, spec.alpha, sol.grid) == pytest.approx(
+        spec.eps0, abs=1e-4)
+    assert alpha_divergence(g1, sol.f1_values, spec.alpha, sol.grid) == pytest.approx(
+        spec.eps1, abs=1e-4)
+    l, lab, clear = _interior_labels(sol)
+    delta = sol.delta_hat.values
+    assert delta.min() >= 0.0 and delta.max() <= 1.0
+    assert np.all(np.diff(delta[np.argsort(l, kind="stable")]) >= -1e-9)
+    t, rho = sol.thresholds, spec.rho
+    want = np.where(lab == 1, l / t.l_l, np.where(lab == 3, l / t.l_u, rho))
+    np.testing.assert_allclose(sol.l_hat.values[clear], want[clear], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # zero-radius reduction
 
@@ -374,25 +464,60 @@ def test_prior_ratio_outside_likelihood_range_degenerates(norm_pair):
                             100.0, tight)
 
 
-def test_nan_in_outer_bisection_is_nonconvergence(monkeypatch, norm_pair):
-    # Newton stalls, so the nested bisection runs; its outer root search on
-    # r1 then meets a nan where the inner search fails.  That must surface as
-    # NonConvergenceError (CLI exit 3), not as brentq's ValueError (exit 1).
-    root_v = 1.2345
-
-    def fake_state(l_l, l_u, *args):
-        v = math.log(l_u)
-        r1 = math.nan if abs(v - root_v) < 1e-6 else v - root_v
-        return types.SimpleNamespace(r0=math.log(l_l) + 0.3, r1=r1)
+def test_stalled_path_is_nonconvergence(monkeypatch, norm_pair):
+    # a fake residual pair whose root (u, v) = (-0.3 s, 0.3 s) in log
+    # thresholds follows the radius scale s up to s = 0.5; beyond it the
+    # regions degenerate, or the root leaves the box v >= 0
+    def fake_state(mode):
+        def state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1):
+            s = math.sqrt((x0 - 1.0) / 0.12)  # x0 = 1 + 12 s^2 eps0 at alpha = 4
+            shift = 0.0
+            if s > 0.5 + 1e-9:
+                if mode == "degenerate":
+                    raise DegenerateRegionError("region above rho*l_u carries no mass")
+                shift = 1.0
+            return types.SimpleNamespace(r0=math.log(l_l) + 0.3 * s,
+                                         r1=math.log(l_u) - 0.3 * s + shift)
+        return state
 
     monkeypatch.setattr(lfd_solver, "_preflight", lambda *args: None)
-    monkeypatch.setattr(lfd_solver, "_eval_state", fake_state)
-    monkeypatch.setattr(lfd_solver, "_newton_2d",
-                        lambda try_eval, u, v, st, *args: (1.0, u, v, st))
-    with pytest.raises(NonConvergenceError, match="best residual norm 1"):
-        lfd_solver.solve_thresholds(
-            DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.01, eps1=0.01),
-            norm_pair, density.make_grid(-6.0, 6.0, 201))
+    spec = DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.01, eps1=0.01)
+    grid = density.make_grid(-6.0, 6.0, 201)
+    stall = (r"stalled past radius scale s = 0\.5 \(rho = 1\) at "
+             r"\(l_l, l_u\) = \(0\.860708, 1\.16183\)")
+    monkeypatch.setattr(lfd_solver, "_eval_state", fake_state("degenerate"))
+    with pytest.raises(NonConvergenceError, match=stall + r"; best residual norm beyond "
+                       r"it inf: no residual could be evaluated"):
+        lfd_solver.solve_thresholds(spec, norm_pair, grid)
+    monkeypatch.setattr(lfd_solver, "_eval_state", fake_state("rootless"))
+    with pytest.raises(NonConvergenceError, match=stall + r"; best residual norm beyond "
+                       r"it 0\.8\d* at \(l_l, l_u\) = \("):
+        lfd_solver.solve_thresholds(spec, norm_pair, grid)
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular matrix"),
+                                   ValueError("f(a) and f(b) must have different signs"),
+                                   OverflowError("math range error")])
+def test_preflight_numerical_failure_warns_and_solve_proceeds(monkeypatch, norm_pair,
+                                                              error):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(limits, "max_eps_general", failing)
+    spec = DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.05, eps1=0.05)
+    with pytest.warns(RuntimeWarning, match="feasibility preflight failed"):
+        sol = lfd_solver.solve_thresholds(spec, norm_pair, density.make_grid(-9.0, 9.0, 801))
+    assert sol.residual_norm < 1e-8
+
+
+def test_preflight_lets_programming_errors_through(monkeypatch, norm_pair):
+    def failing(*args):
+        raise KeyError("eps0")
+
+    monkeypatch.setattr(limits, "max_eps_general", failing)
+    with pytest.raises(KeyError, match="eps0"):
+        lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.05, eps1=0.05),
+                                    norm_pair, density.make_grid(-9.0, 9.0, 801))
 
 
 def test_negative_radius_rejected():
