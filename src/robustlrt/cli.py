@@ -336,36 +336,36 @@ def _cmd_solve_symmetric(cfg) -> int:
 
 
 def _cmd_limits(cfg) -> int:
+    # the shared rho key is accepted but unused: the admissible radii are a
+    # property of the two balls, not of the prior
     alpha = _get_float(cfg, "alpha")
-    rho = _get_float(cfg, "rho", 1.0)
     has0, has1 = "eps0" in cfg, "eps1" in cfg
     if has0 == has1:
         raise ConfigError("limits needs exactly one of eps0/eps1 (the fixed radius)")
     idx = 0 if has0 else 1
     val = _get_float(cfg, "eps0" if has0 else "eps1")
-    hell = abs(alpha - 0.5) < 1e-12 and abs(rho - 1.0) < 1e-12
     if "nominal0" in cfg or "nominal1" in cfg:
         nominals = _nominals(cfg)
         grid = _grid_or_default(cfg, nominals)
-        other, lam0, lam1 = limits.max_eps_general(nominals, alpha, rho, grid, (idx, val))
+        other, lam0, lam1 = limits.max_eps_general(nominals, alpha, grid, (idx, val))
         mode = "general"
-    elif hell:
+    elif abs(alpha - 0.5) < 1e-12:
         a = _get_float(cfg, "a", 0.0)
         other = limits._hellinger_other(a, val)
         lam0 = lam1 = math.nan
         mode = "closed-form"
     else:
-        raise ConfigError("limits needs nominal0/nominal1 unless alpha=0.5 and rho=1")
+        raise ConfigError("limits needs nominal0/nominal1 unless alpha=0.5")
     e0, e1 = (val, other) if idx == 0 else (other, val)
-    meta = {"alpha": alpha, "rho": rho, "mode": mode}
+    meta = {"alpha": alpha, "mode": mode}
     _write_table(cfg, meta, ["eps0", "eps1", "lambda0", "lambda1"],
                  [(e0, e1, lam0, lam1)])
     return EXIT_OK
 
 
 def _cmd_surface(cfg) -> int:
+    # like limits, accepts the shared rho key and does not use it
     alpha = _get_float(cfg, "alpha")
-    rho = _get_float(cfg, "rho", 1.0)
     n = int(_get_float(cfg, "n", 33))
     nominals = None
     grid = None
@@ -373,9 +373,9 @@ def _cmd_surface(cfg) -> int:
         nominals = _nominals(cfg)
         grid = _grid_or_default(cfg, nominals)
     a = _get_float(cfg, "a", math.nan)
-    report = limits.eps_surface(alpha, n, nominals=nominals, rho=rho, grid=grid,
+    report = limits.eps_surface(alpha, n, nominals=nominals, grid=grid,
                                 a=None if math.isnan(a) else a)
-    meta = {"alpha": report.alpha, "rho": report.rho, "mode": report.mode,
+    meta = {"alpha": report.alpha, "mode": report.mode,
             "lambda0": report.lambda0, "lambda1": report.lambda1}
     rows = [(e0, e1, report.a_value, True) for (e0, e1) in report.pairs]
     _write_table(cfg, meta, ["eps0", "eps1", "a", "feasible"], rows)

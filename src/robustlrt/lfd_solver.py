@@ -485,17 +485,15 @@ def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            bound, _, _ = limits.max_eps_general(
-                nominals, spec.alpha, spec.rho, grid, (0, spec.eps0)
-            )
-    except limits.NoBoundaryPointError:
+            bound, _, _ = limits.max_eps_general(nominals, spec.alpha, grid, (0, spec.eps0))
+    except limits.NoBoundaryPointError as exc:
         raise InfeasibleEpsError(
-            "eps0 = %g is at or beyond its admissible maximum; see "
-            "limits.validate_eps for the boundary margin" % spec.eps0
+            "eps0 = %g is at or beyond its admissible maximum %.10g; see "
+            "limits.validate_eps for the boundary margin" % (spec.eps0, exc.axis_max)
         ) from None
     except (ValueError, ArithmeticError) as exc:
-        # the boundary solve is advisory: brentq's bracket and nan errors,
-        # LinAlgError (a ValueError) and overflowing multiplier powers warn
+        # the boundary solve is advisory: brentq's bracket and nan errors
+        # and overflowing multiplier powers warn
         warnings.warn(
             "feasibility preflight failed (%s); proceeding with the solve" % exc,
             RuntimeWarning,

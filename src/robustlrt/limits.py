@@ -2,13 +2,15 @@
 
 For a pair of uncertainty balls around the nominal densities, robust testing
 only makes sense while the balls are disjoint.  At the critical radii the
-balls touch in a single shared density, and that touching point is
-characterized by a coupled system: one normalization equation for the shared
-density and one divergence-activation equation per ball.  This module solves
-that system for general alpha (`max_eps_general`), provides the closed form
+balls touch in a single shared density g_v, one member of a family that
+runs from f0 to f1 in the log multiplier ratio v = log(lambda1/lambda0).
+Normalising g_v fixes the multipliers in closed form, so the touching point
+for one fixed radius is the root of one scalar equation in v.  This module
+solves it for general alpha (`max_eps_general`), provides the closed form
 available in the Hellinger case alpha = 1/2 (`hellinger_root_a`,
 `hellinger_eps_max`), tabulates boundary surfaces (`eps_surface`), and checks
-a requested radius pair against the boundary (`validate_eps`).
+a requested radius pair against the boundary (`validate_eps`).  The prior
+ratio plays no part: the admissible region is a property of the two balls.
 
 All integrals run on the caller's quadrature grid in log space, so very
 large or very negative alpha stay finite.
@@ -33,9 +35,22 @@ EPS_MAX_A0 = 4.0 - 2.0 * math.sqrt(2.0)
 _L_RANGE_LO = 1e-6
 _L_RANGE_HI = 1e6
 
+# the bracket for v stops growing here: beyond it g_v is f0 or f1 to
+# rounding unless |1-a| log(f1/f0) spans thousands on the grid, so a fixed
+# radius whose root lies further out gets that end
+_V_MAX = 2.0 ** 13
+
 
 class NoBoundaryPointError(RuntimeError):
-    """The boundary system has no root with both multipliers positive."""
+    """No touching point exists for the requested fixed radius.
+
+    axis_max is the largest admissible value of the fixed radius (its
+    partner radius is 0 there), or NaN where it is not known.
+    """
+
+    def __init__(self, message: str, axis_max: float = math.nan):
+        super().__init__(message)
+        self.axis_max = axis_max
 
 
 class InfeasiblePairError(ValueError):
@@ -44,7 +59,7 @@ class InfeasiblePairError(ValueError):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Boundary summary for one (alpha, rho) configuration.
+    """Boundary summary for one alpha.
 
     pairs holds (eps0, eps1) points on the critical boundary.  a_value is
     the Bhattacharyya-type overlap the boundary refers to (Hellinger mode;
@@ -53,7 +68,6 @@ class FeasibilityReport:
     """
 
     alpha: float
-    rho: float
     mode: str
     pairs: tuple
     a_value: float
@@ -92,55 +106,6 @@ def _warn_if_bounded_ratio(lf0: np.ndarray, lf1: np.ndarray) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-class _BoundarySystem:
-    """Log-space evaluators for the three boundary equations.
-
-    The shared density at the touching point is
-        g = (lam0*f0^(1-a) + lam1*rho^(a-1)*f1^(1-a))^(1/(1-a)) / |1-a|^(1/(1-a))
-    and the equations are  integral(g) = 1  plus the two activated divergence
-    constraints  integral(g^a fi^(1-a)) = x(a, eps_i).  Each is evaluated as a
-    single power of a logaddexp so that zero-density cells come out as exact
-    zero contributions for every sign of alpha.
-    """
-
-    def __init__(self, lf0, lf1, weights, alpha, rho):
-        b = 1.0 - alpha
-        lr = math.log(rho)
-        self.alpha = alpha
-        self.w = weights
-        self.p1 = 1.0 / b
-        self.pa = alpha / b
-        self.t1_0 = b * lf0
-        self.t1_1 = (alpha - 1.0) * lr + b * lf1
-        self.t2_0 = (b / alpha) * lf0
-        self.t2_1 = (alpha - 1.0) * lr + b * lf1 + ((alpha - 1.0) ** 2 / alpha) * lf0
-        self.t3_1 = (b / alpha) * lf1
-        self.t3_0 = b * lr + b * lf0 + ((alpha - 1.0) ** 2 / alpha) * lf1
-        self.rhs1 = abs(b) ** (1.0 / b)
-        self.rhs_pow = abs(b) ** (alpha / b)
-        self.dead = np.isneginf(lf0) & np.isneginf(lf1)
-
-    def _integral(self, u0, u1, c0, c1, p):
-        s = np.logaddexp(u0 + c0, u1 + c1)
-        v = np.exp(p * s)
-        if np.any(self.dead):
-            v = np.where(self.dead, 0.0, v)
-        return float(np.dot(v, self.w))
-
-    def norm(self, u0, u1):
-        return self._integral(u0, u1, self.t1_0, self.t1_1, self.p1)
-
-    def moment0(self, u0, u1):
-        return self._integral(u0, u1, self.t2_0, self.t2_1, self.pa)
-
-    def moment1(self, u0, u1):
-        return self._integral(u0, u1, self.t3_0, self.t3_1, self.pa)
-
-    def eps_from_moment(self, m):
-        x = m / self.rhs_pow
-        return (1.0 - x) / (self.alpha * (1.0 - self.alpha))
 
 
 def _root_a_unchecked(eps0: float, eps1: float) -> float:
@@ -201,142 +166,46 @@ def _moment_alpha(lf0: np.ndarray, lf1: np.ndarray, alpha: float, w: np.ndarray)
     return float(np.dot(np.exp(lm), w))
 
 
-def _inner_u0(sys_: _BoundarySystem, u1: float):
-    base = math.log(abs(1.0 - sys_.alpha))
-    lo, hi = base - 45.0, base + 25.0
-    f = lambda u0: sys_.norm(u0, u1) - sys_.rhs1
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    # multipliers can live many hundreds of log units below the natural
-    # scale when alpha is large; extend the bracket downward as needed
-    tries = 0
-    while flo * fhi > 0.0 and np.isfinite(flo) and np.isfinite(fhi) and lo > base - 850.0 and tries < 12:
-        lo -= 100.0
-        flo = f(lo)
-        tries += 1
-    if flo * fhi > 0.0 or not (np.isfinite(flo) and np.isfinite(fhi)):
-        return None
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+def _touching(lf0: np.ndarray, lf1: np.ndarray, w: np.ndarray, alpha: float, v: float):
+    """Log normaliser and both radii of the touching density g_v.
+
+    g_v = h_v / integral(h_v) with h_v = (f0^(1-a) + e^v f1^(1-a))^(1/(1-a))
+    and v = log(lambda1/lambda0); returns (log integral(h_v), D(g_v, f0),
+    D(g_v, f1)).  A cell where f_i vanishes adds nothing to the moment of
+    f_i, for every sign of alpha.
+    """
+    b = 1.0 - alpha
+    lh = np.logaddexp(b * lf0, v + b * lf1) / b
+    top = float(lh.max())
+    log_norm = top + math.log(float(np.dot(np.exp(lh - top), w)))
+    lg_a = alpha * (lh - log_norm)
+    radii = []
+    with np.errstate(invalid="ignore"):
+        for lf in (lf0, lf1):
+            terms = np.where(np.isneginf(lf), 0.0, np.exp(lg_a + b * lf))
+            radii.append((1.0 - float(np.dot(terms, w))) / (alpha * b))
+    return log_norm, radii[0], radii[1]
 
 
-def _solve_boundary(sys_: _BoundarySystem, fix_idx: int, x_fixed: float, init=None):
-    """Solve the two coupled equations for (u0, u1) = log multipliers."""
-    rhs_fix = sys_.rhs_pow * x_fixed
-    fix_fun = sys_.moment0 if fix_idx == 0 else sys_.moment1
-
-    def resid_outer(u1):
-        u0 = _inner_u0(sys_, u1)
-        if u0 is None:
-            return np.nan
-        return fix_fun(u0, u1) - rhs_fix
-
-    tol = 1e-12 * max(1.0, sys_.rhs1, abs(rhs_fix))
-
-    def newton(u0, u1):
-        r = np.array([sys_.norm(u0, u1) - sys_.rhs1, fix_fun(u0, u1) - rhs_fix])
-        for _ in range(60):
-            nr = float(np.hypot(r[0], r[1]))
-            if nr <= tol:
-                return u0, u1, nr
-            d = 1e-7
-            r0 = np.array([sys_.norm(u0 + d, u1) - sys_.rhs1, fix_fun(u0 + d, u1) - rhs_fix])
-            r1 = np.array([sys_.norm(u0, u1 + d) - sys_.rhs1, fix_fun(u0, u1 + d) - rhs_fix])
-            jac = np.column_stack([(r0 - r) / d, (r1 - r) / d])
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                return u0, u1, nr
-            lam = 1.0
-            for _ in range(30):
-                c0, c1 = u0 + lam * step[0], u1 + lam * step[1]
-                rc = np.array([sys_.norm(c0, c1) - sys_.rhs1, fix_fun(c0, c1) - rhs_fix])
-                if np.hypot(rc[0], rc[1]) < nr and np.all(np.isfinite(rc)):
-                    u0, u1, r = c0, c1, rc
-                    break
-                lam *= 0.5
-            else:
-                return u0, u1, nr
-        return u0, u1, float(np.hypot(r[0], r[1]))
-
-    if init is not None:
-        u0, u1, nr = newton(*init)
-        if nr <= tol:
-            return u0, u1
-
-    # march u1 upward: below the root the fixed-moment residual is negative,
-    # above it the residual turns positive or the integrals blow up or the
-    # normalization loses its root; both count as the positive side
-    def signed(u1):
-        r = resid_outer(u1)
-        if np.isnan(r) or np.isinf(r):
-            return None
-        return r
-
-    base = math.log(abs(1.0 - sys_.alpha))
-    u1s = base + np.arange(-600.0, 26.0, 10.0)
-    bracket = None
-    prev_u, prev_r = None, None
-    for u in u1s:
-        r = signed(u)
-        if prev_r is not None and prev_r < 0.0 and (r is None or r >= 0.0):
-            bracket = (prev_u, u, r)
-            break
-        if r is not None and prev_r is not None and prev_r * r <= 0.0:
-            bracket = (prev_u, u, r)
-            break
-        if r is not None:
-            prev_u, prev_r = u, r
-    if bracket is None:
-        raise NoBoundaryPointError(
-            "no boundary point: the activation system has no root with both "
-            "multipliers positive for the requested fixed radius"
-        )
-    lo_u, hi_u, hi_r = bracket
-    if hi_r is None:
-        # shrink past the non-finite zone by sign-only bisection
-        for _ in range(200):
-            mid = 0.5 * (lo_u + hi_u)
-            r = signed(mid)
-            if r is not None and r < 0.0:
-                lo_u = mid
-            else:
-                hi_u = mid
-                hi_r = r
-            if hi_u - lo_u < 1e-12 * max(1.0, abs(lo_u)):
-                break
-    if hi_r is not None and np.isfinite(hi_r):
-        u1 = float(brentq(resid_outer, lo_u, hi_u, xtol=1e-12, rtol=8.9e-16, maxiter=200))
-    else:
-        u1 = lo_u
-    u0 = _inner_u0(sys_, u1)
-    if u0 is None:
-        raise NoBoundaryPointError("boundary root lost during refinement")
-    u0, u1, nr = newton(u0, u1)
-    if nr > 1e-8 * max(1.0, sys_.rhs1, abs(rhs_fix)):
-        raise NoBoundaryPointError(
-            "boundary system residual %.3g did not reach tolerance" % nr
-        )
-    return u0, u1
-
-
-def max_eps_general(nominals, alpha: float, rho: float, grid: QuadratureGrid, eps_i_fixed):
+def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     """Largest admissible partner radius when one radius is held fixed.
 
-    Solves the touching-point system for the two ball multipliers with
-    eps[index] pinned at `value` (eps_i_fixed = (index, value)) and returns
-    (eps_other, lambda0, lambda1).  For alpha = 1/2 and rho = 1 the closed
-    form seeds the Newton iteration; elsewhere a bracketing scan does.
+    With eps[index] pinned at `value` (eps_i_fixed = (index, value)) the
+    balls touch in g_v (see `_touching`) at the root v of
+    D(g_v, f_index) = value; returns (eps_other, lambda0, lambda1), where
+    lambda0 = |1-a| integral(h_v)^(-(1-a)) and lambda1 = e^v lambda0 make
+    g = ((lambda0 f0^(1-a) + lambda1 f1^(1-a)) / |1-a|)^(1/(1-a)).
 
-    Raises NoBoundaryPointError when no positive-multiplier root exists,
-    which is the signature of a fixed radius at or beyond its own axis
-    maximum.
+    The ends of the family are closed forms: a fixed radius of 0 gives
+    g = f_index and the partner D(f_index||f_other); a fixed radius equal
+    to its axis maximum D(f_other||f_index) gives g = f_other and the
+    partner 0.  Between them one brentq finds v on a bracket grown
+    outward from v = 0.
+
+    Raises NoBoundaryPointError, carrying the axis maximum, when the fixed
+    radius lies beyond it.
     """
     check_alpha(alpha)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
     idx, val = eps_i_fixed
     if idx not in (0, 1):
         raise ValueError("eps_i_fixed index must be 0 or 1")
@@ -348,47 +217,57 @@ def max_eps_general(nominals, alpha: float, rho: float, grid: QuadratureGrid, ep
     _warn_if_bounded_ratio(lf0, lf1)
     w = grid.weights
     aa = alpha * (1.0 - alpha)
+    lam = abs(1.0 - alpha)
+    # the ends of the touching family as (eps0, eps1, lambda0, lambda1):
+    # g = f0 as v -> -inf and g = f1 as v -> +inf
+    ends = {-1.0: (0.0, (1.0 - _moment_alpha(lf0, lf1, alpha, w)) / aa, lam, 0.0),
+            1.0: ((1.0 - _moment_alpha(lf1, lf0, alpha, w)) / aa, 0.0, 0.0, lam)}
+    # D(g_v, f0) rises and D(g_v, f1) falls with v, so r below rises with v
+    sign = 1.0 if idx == 0 else -1.0
+    axis_max = ends[sign][idx]
 
-    # a fixed radius of zero pins the shared density to that nominal, which
-    # zeroes the opposite multiplier exactly; solve that case analytically
-    if val == 0.0 and idx == 0:
-        m = rho ** alpha * _moment_alpha(lf0, lf1, alpha, w)
-        return (1.0 - m) / aa, abs(1.0 - alpha), 0.0
-    if val == 0.0 and idx == 1 and rho == 1.0:
-        m = _moment_alpha(lf1, lf0, alpha, w)
-        return (1.0 - m) / aa, 0.0, abs(1.0 - alpha)
+    def end(side):
+        e0, e1, lam0, lam1 = ends[side]
+        return (e1 if idx == 0 else e0), lam0, lam1
 
-    x_fixed = x_of(alpha, val)
-    if x_fixed <= 0.0:
+    if val == 0.0:
+        return end(-sign)
+    if x_of(alpha, val) <= 0.0:
         raise NoBoundaryPointError(
             "no boundary point: constraint constant x(alpha, eps) = %g is not "
-            "positive, the fixed radius is beyond any admissible boundary" % x_fixed
-        )
+            "positive, the fixed radius is beyond any admissible boundary"
+            % x_of(alpha, val), axis_max)
+    if val == axis_max:
+        return end(sign)
+    if val > axis_max:
+        raise NoBoundaryPointError(
+            "no boundary point: fixed radius eps%d = %g is beyond its axis "
+            "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max),
+            axis_max)
 
-    sys_ = _BoundarySystem(lf0, lf1, w, alpha, rho)
-    init = None
-    if abs(alpha - 0.5) < 1e-12 and abs(rho - 1.0) < 1e-12:
-        a_act = _moment_alpha(lf0, lf1, 0.5, w)
-        try:
-            other0 = _hellinger_other(a_act, val)
-            e0, e1 = (val, other0) if idx == 0 else (other0, val)
-            rhsv = np.array([0.5 - e0 / 8.0, 0.5 - e1 / 8.0])
-            lam = np.linalg.solve(np.array([[1.0, a_act], [a_act, 1.0]]), rhsv)
-            if np.all(lam > 0.0):
-                init = (math.log(lam[0]), math.log(lam[1]))
-        except (NoBoundaryPointError, np.linalg.LinAlgError):
-            init = None
+    def r(v):
+        return sign * (_touching(lf0, lf1, w, alpha, v)[1 + idx] - val)
 
-    u0, u1 = _solve_boundary(sys_, idx, x_fixed, init=init)
-    m_other = sys_.moment1(u0, u1) if idx == 0 else sys_.moment0(u0, u1)
-    return sys_.eps_from_moment(m_other), math.exp(u0), math.exp(u1)
+    step = 1.0 if r(0.0) < 0.0 else -1.0
+    near_v, far_v = 0.0, step
+    while step * r(far_v) < 0.0:
+        if abs(far_v) >= _V_MAX:
+            return end(step)
+        near_v, far_v = far_v, 2.0 * far_v
+    v = float(brentq(r, min(near_v, far_v), max(near_v, far_v), xtol=1e-14,
+                     rtol=8.9e-16, maxiter=200))
+    log_norm, e0, e1 = _touching(lf0, lf1, w, alpha, v)
+    lam0 = lam * math.exp(-(1.0 - alpha) * log_norm)
+    lam1 = lam * math.exp(v - (1.0 - alpha) * log_norm)
+    # next to the far end the partner radius is 0 up to rounding
+    return max(e1 if idx == 0 else e0, 0.0), lam0, lam1
 
 
-def eps_surface(alpha: float, n: int, nominals=None, rho: float = 1.0,
+def eps_surface(alpha: float, n: int, nominals=None,
                 grid: QuadratureGrid | None = None, a: float | None = None) -> FeasibilityReport:
-    """Tabulate n boundary radius pairs for one (alpha, rho) configuration.
+    """Tabulate n boundary radius pairs for one alpha.
 
-    Hellinger mode (alpha = 1/2, rho = 1) uses the closed form at overlap
+    Hellinger mode (alpha = 1/2) uses the closed form at overlap
     a_value, taken from the nominals when given, from `a` otherwise, and
     defaulting to the widest case a = 0.  Any other alpha runs the general
     solver pointwise, which requires nominals and a grid.
@@ -396,8 +275,7 @@ def eps_surface(alpha: float, n: int, nominals=None, rho: float = 1.0,
     check_alpha(alpha)
     if n < 2:
         raise ValueError("need at least 2 surface points")
-    hell = abs(alpha - 0.5) < 1e-12 and abs(rho - 1.0) < 1e-12
-    if hell:
+    if abs(alpha - 0.5) < 1e-12:
         if nominals is not None:
             if grid is None:
                 raise ValueError("a grid is required to integrate the nominals")
@@ -420,23 +298,21 @@ def eps_surface(alpha: float, n: int, nominals=None, rho: float = 1.0,
             np.array([[1.0, a_val], [a_val, 1.0]]),
             np.array([0.5 - mid[0] / 8.0, 0.5 - mid[1] / 8.0]),
         )
-        return FeasibilityReport(alpha=alpha, rho=rho, mode="hellinger",
-                                 pairs=tuple(pairs), a_value=a_val,
-                                 lambda0=float(lam[0]), lambda1=float(lam[1]))
+        return FeasibilityReport(alpha=alpha, mode="hellinger", pairs=tuple(pairs),
+                                 a_value=a_val, lambda0=float(lam[0]), lambda1=float(lam[1]))
     if nominals is None or grid is None:
         raise ValueError("general mode needs nominals and a grid")
-    e0_hi, _, _ = max_eps_general(nominals, alpha, rho, grid, (1, 0.0))
+    e0_hi, _, _ = max_eps_general(nominals, alpha, grid, (1, 0.0))
     pairs = []
     lam_mid = (math.nan, math.nan)
     sweep = np.linspace(0.0, e0_hi, n)
     for j, e0 in enumerate(sweep):
-        e1, l0, l1 = max_eps_general(nominals, alpha, rho, grid, (0, float(e0)))
-        pairs.append((float(e0), max(e1, 0.0)))
+        e1, l0, l1 = max_eps_general(nominals, alpha, grid, (0, float(e0)))
+        pairs.append((float(e0), e1))
         if j == n // 2:
             lam_mid = (l0, l1)
-    return FeasibilityReport(alpha=alpha, rho=rho, mode="general",
-                             pairs=tuple(pairs), a_value=math.nan,
-                             lambda0=lam_mid[0], lambda1=lam_mid[1])
+    return FeasibilityReport(alpha=alpha, mode="general", pairs=tuple(pairs),
+                             a_value=math.nan, lambda0=lam_mid[0], lambda1=lam_mid[1])
 
 
 def validate_eps(nominals, spec, grid: QuadratureGrid):
@@ -448,29 +324,24 @@ def validate_eps(nominals, spec, grid: QuadratureGrid):
     inequality the robust test needs.
     """
     eps0, eps1 = float(spec.eps0), float(spec.eps1)
-    alpha, rho = spec.alpha, spec.rho
+    alpha = spec.alpha
     s_req = math.hypot(eps0, eps1)
     if s_req == 0.0:
         u = (math.sqrt(0.5), math.sqrt(0.5))
     else:
         u = (eps0 / s_req, eps1 / s_req)
 
+    # a zero fixed radius always has its partner in closed form
     if u[0] == 0.0:
-        try:
-            s_star, _, _ = max_eps_general(nominals, alpha, rho, grid, (0, 0.0))
-        except NoBoundaryPointError:
-            return False, -math.inf
+        s_star, _, _ = max_eps_general(nominals, alpha, grid, (0, 0.0))
     elif u[1] == 0.0:
-        try:
-            s_star, _, _ = max_eps_general(nominals, alpha, rho, grid, (1, 0.0))
-        except NoBoundaryPointError:
-            return False, -math.inf
+        s_star, _, _ = max_eps_general(nominals, alpha, grid, (1, 0.0))
     else:
         # signed clearance at ray parameter s; a failed boundary solve means
         # the fixed coordinate is already past its axis maximum, i.e. beyond
         def f(s):
             try:
-                e1b, _, _ = max_eps_general(nominals, alpha, rho, grid, (0, s * u[0]))
+                e1b, _, _ = max_eps_general(nominals, alpha, grid, (0, s * u[0]))
             except NoBoundaryPointError:
                 return -(1.0 + s)
             return e1b - s * u[1]

@@ -140,8 +140,7 @@ def test_05_closed_form_radius_limits_cross_checked(norm_pair, norm_grid):
     gen_dev = 0.0
     for e0 in np.linspace(0.02, 0.95 * limits.hellinger_eps_max(a_mid), 10):
         closed = limits._hellinger_other(a_mid, float(e0))
-        gen, _, _ = limits.max_eps_general(norm_pair, 0.5, 1.0, norm_grid,
-                                           (0, float(e0)))
+        gen, _, _ = limits.max_eps_general(norm_pair, 0.5, norm_grid, (0, float(e0)))
         gen_dev = max(gen_dev, abs(gen - closed))
     assert gen_dev <= 1e-6
     print(f"[05] PASS quadrature overlap defect {abs(a_quad - a_mid):.1e}, "

@@ -251,6 +251,33 @@ def test_limits_general_mode(tmp_path, capsys):
     assert float(rows[0][2]) > 0.0 and float(rows[0][3]) > 0.0
 
 
+def _anchor_limits(tmp_path, capsys, body):
+    cfg = tmp_path / "lim.cfg"
+    cfg.write_text(f"command = limits\nnominal0 = {MIX0}\nnominal1 = {MIX1}\n"
+                   f"grid = -8:9:4001\n{body}")
+    with pytest.warns(RuntimeWarning, match="spans only"):
+        code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 0, err
+    meta, _, rows = read_csv(out)
+    assert meta["mode"] == "general"
+    return [float(x) for x in rows[0]]
+
+
+def test_limits_ignores_the_prior(tmp_path, capsys):
+    # the balls, and so the boundary, do not depend on rho: at eps0 = 0 the
+    # partner is D(f0||f1), the rho = 1 value, at any prior
+    row = _anchor_limits(tmp_path, capsys, "alpha = 0.5\nrho = 1.2\neps0 = 0\n")
+    assert row == _anchor_limits(tmp_path, capsys, "alpha = 0.5\nrho = 1\neps0 = 0\n")
+    assert f"{row[1]:.6f}" == "0.325866"
+    assert (row[2], row[3]) == (0.5, 0.0)
+
+
+def test_limits_with_eps1_fixed(tmp_path, capsys):
+    row = _anchor_limits(tmp_path, capsys, "alpha = 4\neps1 = 0.01\n")
+    assert row[1] == 0.01 and row[0] > 0.0
+    assert row[2] > 0.0 and row[3] > 0.0
+
+
 def test_limits_rejects_two_fixed_radii(capsys):
     code, _, err = run_main(
         ["--command", "limits", "--alpha", "0.5", "--eps0", "0.1",

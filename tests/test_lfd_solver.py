@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustlrt import (
@@ -307,13 +307,10 @@ def _anchor_specs(draw):
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(spec=_anchor_specs())
+# the admissible region does not depend on the prior: these radii solve at rho = 0.8
+@example(spec=DivergenceSpec(alpha=0.5, rho=0.8, eps0=0.011, eps1=0.019))
 def test_solution_invariants_on_anchor_boxes(spec, mix_nominals, mix_grid):
-    # the preflight is left out: at rho != 1 its boundary solve refuses some
-    # of these radii, which solve at rho = 1 and whose admissibility does
-    # not depend on rho; this test judges the threshold search alone
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lfd_solver, "_preflight", lambda *args: None)
-        sol = lfd_solver.solve_thresholds(spec, mix_nominals, mix_grid)
+    sol = lfd_solver.solve_thresholds(spec, mix_nominals, mix_grid)
     w = sol.grid.weights
     g0, g1 = sol.g0_hat.values, sol.g1_hat.values
     assert float(w @ g0) == pytest.approx(1.0, abs=1e-6)

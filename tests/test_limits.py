@@ -4,6 +4,9 @@ the agreement between the two on the Gaussian pair where both apply.
 The alpha = 1/2 closed forms are checked against hand-derivable endpoints
 and a frozen boundary partner computed independently, and the general
 solver is cross-validated against the closed form at ten boundary points.
+Its printed multipliers are checked by rebuilding the touching density
+with plain trapezoid sums, and its two axes against each other on the
+mirror-symmetric Gaussian pair.
 """
 
 import math
@@ -12,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from robustlrt import DivergenceSpec, density, limits
+from robustlrt import DivergenceSpec, density, lfd_solver, limits
+from robustlrt.lfd_solver import InfeasibleEpsError
 from robustlrt.limits import (
     EPS_MAX_A0,
     FeasibilityReport,
@@ -96,7 +100,7 @@ def test_general_matches_closed_form_on_gaussian_pair(norm_pair, norm_grid):
     for e0 in np.linspace(0.02, 0.95 * e_hi, 10):
         e1_closed = limits._hellinger_other(a, float(e0))
         e1_gen, lam0, lam1 = limits.max_eps_general(
-            norm_pair, 0.5, 1.0, norm_grid, (0, float(e0)))
+            norm_pair, 0.5, norm_grid, (0, float(e0)))
         assert e1_gen == pytest.approx(e1_closed, abs=1e-12)
         assert lam0 > 0.0 and lam1 > 0.0
 
@@ -104,7 +108,7 @@ def test_general_matches_closed_form_on_gaussian_pair(norm_pair, norm_grid):
 def test_general_partner_anchor_value(mix_nominals, mix_grid):
     with pytest.warns(RuntimeWarning, match="spans only"):
         e1, lam0, lam1 = limits.max_eps_general(
-            mix_nominals, 4.0, 1.0, mix_grid, (0, 0.02))
+            mix_nominals, 4.0, mix_grid, (0, 0.02))
     assert e1 == pytest.approx(ANCHOR_PARTNER_AT_002, rel=1e-9)
     assert lam0 == pytest.approx(ANCHOR_LAMBDA0, rel=1e-7)
     assert lam1 == pytest.approx(ANCHOR_LAMBDA1, rel=1e-7)
@@ -115,47 +119,120 @@ def test_general_zero_radius_shortcuts(norm_pair, norm_grid):
     # the partner radius is the plain divergence and one multiplier is zero
     alpha = 4.0
     aa = alpha * (1.0 - alpha)
-    e1, lam0, lam1 = limits.max_eps_general(norm_pair, alpha, 1.0, norm_grid,
-                                            (0, 0.0))
+    e1, lam0, lam1 = limits.max_eps_general(norm_pair, alpha, norm_grid, (0, 0.0))
     lf0 = np.log(density.evaluate(norm_pair[0], norm_grid.points))
     lf1 = np.log(density.evaluate(norm_pair[1], norm_grid.points))
     m = float(np.dot(np.exp(alpha * lf0 + (1 - alpha) * lf1), norm_grid.weights))
     assert e1 == pytest.approx((1.0 - m) / aa, rel=1e-12)
     assert (lam0, lam1) == (abs(1.0 - alpha), 0.0)
 
-    e0, lam0, lam1 = limits.max_eps_general(norm_pair, alpha, 1.0, norm_grid,
-                                            (1, 0.0))
+    e0, lam0, lam1 = limits.max_eps_general(norm_pair, alpha, norm_grid, (1, 0.0))
     m = float(np.dot(np.exp(alpha * lf1 + (1 - alpha) * lf0), norm_grid.weights))
     assert e0 == pytest.approx((1.0 - m) / aa, rel=1e-12)
     assert (lam0, lam1) == (0.0, abs(1.0 - alpha))
 
+    # a fixed radius at its axis maximum makes the shared density the other
+    # nominal: partner 0 and the multipliers swapped
+    assert limits.max_eps_general(norm_pair, alpha, norm_grid, (0, e0)) == (
+        0.0, 0.0, abs(1.0 - alpha))
+    assert limits.max_eps_general(norm_pair, alpha, norm_grid, (1, e1)) == (
+        0.0, abs(1.0 - alpha), 0.0)
+
+
+def _trapezoid(values, y):
+    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(y)))
+
+
+@pytest.mark.parametrize("pair", ["mix", "norm"])
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("idx", [0, 1])
+def test_touching_density_from_printed_multipliers(request, pair, alpha, idx):
+    # g = ((lambda0 f0^(1-a) + lambda1 f1^(1-a)) / |1-a|)^(1/(1-a)) must be a
+    # density at the printed radii from both nominals, whichever is fixed
+    nominals = request.getfixturevalue(f"{pair}_nominals" if pair == "mix" else "norm_pair")
+    grid = request.getfixturevalue(f"{pair}_grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        other, lam0, lam1 = limits.max_eps_general(nominals, alpha, grid, (idx, 0.02))
+    eps = (0.02, other) if idx == 0 else (other, 0.02)
+    y = grid.points
+    lf0, lf1 = (np.log(density.evaluate(f, y)) for f in nominals)
+    b = 1.0 - alpha
+    g = np.exp((np.logaddexp(math.log(lam0) + b * lf0, math.log(lam1) + b * lf1)
+                - math.log(abs(b))) / b)
+    assert _trapezoid(g, y) == pytest.approx(1.0, abs=1e-9)
+    for lf, e in zip((lf0, lf1), eps):
+        moment = _trapezoid(np.exp(alpha * np.log(g) + b * lf), y)
+        assert (1.0 - moment) / (alpha * b) == pytest.approx(e, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 2.0, 4.0])
+@pytest.mark.parametrize("eps", [0.01, 0.05])
+def test_fixing_eps1_mirrors_fixing_eps0(norm_pair, norm_grid, alpha, eps):
+    # f1(y) = f0(-y) on a grid symmetric about 0: the two axes are mirror
+    # images, so fixing either radius gives the same partner
+    e0, lam0, lam1 = limits.max_eps_general(norm_pair, alpha, norm_grid, (1, eps))
+    e1, mu0, mu1 = limits.max_eps_general(norm_pair, alpha, norm_grid, (0, eps))
+    assert e0 == pytest.approx(e1, rel=1e-10)
+    assert (lam0, lam1) == pytest.approx((mu1, mu0), rel=1e-10)
+
+
+def test_touching_point_takes_few_evaluations(monkeypatch, mix_nominals, mix_grid):
+    # one scalar root in v: a bracket grown from v = 0 plus one brentq; a
+    # march with nested root finds spent about 1700 grid integrals here
+    calls = [0]
+    real = limits._touching
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(limits, "_touching", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        e1, _, _ = limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.02))
+    assert e1 == pytest.approx(ANCHOR_PARTNER_AT_002, rel=1e-9)
+    assert 0 < calls[0] < 100
+
+
+def test_fixed_radius_beyond_axis_maximum_names_it(mix_nominals, mix_grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        axis_max, _, _ = limits.max_eps_general(mix_nominals, 4.0, mix_grid, (1, 0.0))
+        with pytest.raises(NoBoundaryPointError, match="beyond its axis maximum") as exc:
+            limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, axis_max + 0.01))
+    assert exc.value.axis_max == axis_max
+    assert "%.10g" % axis_max in str(exc.value)
+    with pytest.raises(InfeasibleEpsError, match="at or beyond its admissible maximum") as exc:
+        lfd_solver.solve_thresholds(
+            DivergenceSpec(alpha=4.0, eps0=axis_max + 0.01, eps1=0.01), mix_nominals, mix_grid)
+    assert "%.10g" % axis_max in str(exc.value)
+
 
 def test_general_rejects_bad_arguments(norm_pair, norm_grid):
     with pytest.raises(ValueError, match="index"):
-        limits.max_eps_general(norm_pair, 4.0, 1.0, norm_grid, (2, 0.1))
+        limits.max_eps_general(norm_pair, 4.0, norm_grid, (2, 0.1))
     with pytest.raises(ValueError, match="nonnegative"):
-        limits.max_eps_general(norm_pair, 4.0, 1.0, norm_grid, (0, -0.1))
+        limits.max_eps_general(norm_pair, 4.0, norm_grid, (0, -0.1))
     with pytest.raises(ValueError, match="nonnegative"):
-        limits.max_eps_general(norm_pair, 4.0, 1.0, norm_grid, (0, math.nan))
-    with pytest.raises(ValueError, match="rho"):
-        limits.max_eps_general(norm_pair, 4.0, 0.0, norm_grid, (0, 0.1))
+        limits.max_eps_general(norm_pair, 4.0, norm_grid, (0, math.nan))
 
 
 def test_general_fixed_radius_beyond_any_boundary(norm_pair, norm_grid):
     # x(alpha, eps) <= 0 means no ball of that radius exists at all
     with pytest.raises(NoBoundaryPointError, match="not positive"):
-        limits.max_eps_general(norm_pair, 0.5, 1.0, norm_grid, (0, 4.1))
+        limits.max_eps_general(norm_pair, 0.5, norm_grid, (0, 4.1))
 
 
 def test_bounded_ratio_warning_contract(mix_nominals, mix_grid, norm_pair,
                                         norm_grid):
     # the bimodal pair has a ratio trapped in a few decades -> warn
     with pytest.warns(RuntimeWarning, match="spans only"):
-        limits.max_eps_general(mix_nominals, 4.0, 1.0, mix_grid, (0, 0.0))
+        limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.0))
     # the Gaussian pair sweeps far past both rails on this grid -> silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        limits.max_eps_general(norm_pair, 4.0, 1.0, norm_grid, (0, 0.0))
+        limits.max_eps_general(norm_pair, 4.0, norm_grid, (0, 0.0))
 
 
 # ---------------------------------------------------------------------------
