@@ -7,8 +7,9 @@ check how large the uncertainty radii are allowed to be, and evaluate
 error probabilities by quadrature or Monte Carlo.
 
 The grid kernels that every threshold search integrates with are plain
-vectorized numpy (``robustlrt.kernels``); numpy and scipy are the only
-run-time dependencies.
+vectorized numpy (``robustlrt.kernels``), and one bracket-and-Brent search
+(``robustlrt.roots``) solves every scalar equation; numpy is the only
+run-time dependency.
 """
 
 from .density import (
@@ -58,7 +59,6 @@ from .evaluation import (
 from .lfd_solver import (
     DegenerateRegionError,
     InfeasibleEpsError,
-    KktParams,
     NonConvergenceError,
     ParametricInfeasibleError,
     RobustSolution,
@@ -72,7 +72,6 @@ from .lfd_solver import (
     residuals,
     robust_lr,
     robust_rule,
-    solve_raw_kkt,
     solve_symmetric,
     solve_thresholds,
     z_norm,
@@ -114,11 +113,11 @@ __all__ = [
     "DivergenceSpec", "check_alpha", "x_of", "moment_integral",
     "alpha_divergence", "bhattacharyya",
     # lfd_solver
-    "ThresholdPair", "KktParams", "TabulatedFunction", "SolverConfig",
+    "ThresholdPair", "TabulatedFunction", "SolverConfig",
     "RobustSolution", "DegenerateRegionError", "ParametricInfeasibleError",
     "InfeasibleEpsError", "NonConvergenceError", "partition", "k_factor",
     "z_norm", "phi0", "phi1", "residuals", "robust_rule", "robust_lr",
-    "solve_thresholds", "solve_symmetric", "solve_raw_kkt",
+    "solve_thresholds", "solve_symmetric",
     # limits
     "FeasibilityReport", "InfeasiblePairError", "NoBoundaryPointError",
     "hellinger_root_a", "hellinger_eps_max", "max_eps_general",

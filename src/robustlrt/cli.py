@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     p.add_argument("--rho")
     p.add_argument("--eps0")
     p.add_argument("--eps1")
-    p.add_argument("--grid", help="min:max:n")
+    p.add_argument("--grid", help="min:max:n; write --grid=-8:9:4001 when min is negative")
     p.add_argument("--mc", help="n:seed")
     p.add_argument("--out", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"))

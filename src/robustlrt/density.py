@@ -230,6 +230,19 @@ def evaluate(model: DensityModel, y) -> np.ndarray | float:
     return out.reshape(arr.shape)
 
 
+def values_on(d, grid: QuadratureGrid) -> np.ndarray:
+    """Density values on the grid points, from a model or a matching array."""
+    if isinstance(d, (Gaussian, GaussianMixture, Shifted, Tabulated)):
+        return evaluate(d, grid.points)
+    v = np.asarray(d, dtype=np.float64)
+    if v.shape != grid.points.shape:
+        raise ValueError(
+            f"density array has shape {v.shape}, grid has {grid.points.shape}")
+    if np.any(v < 0.0):
+        raise ValueError("density values must be nonnegative")
+    return v
+
+
 def integrate(values_on_grid, grid: QuadratureGrid) -> float:
     """Composite trapezoid integral of grid values; exact for piecewise-linear."""
     v = np.asarray(values_on_grid, dtype=np.float64)

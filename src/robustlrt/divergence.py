@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, QuadratureGrid, evaluate, integrate
+from .density import QuadratureGrid, integrate, values_on
 
 # alpha must stay this far from the excluded points {0, 1}
 ALPHA_GUARD_BAND = 1e-6
@@ -64,15 +64,6 @@ def x_of(alpha: float, eps: float) -> float:
     return 1.0 - alpha * (1.0 - alpha) * eps
 
 
-def _values_on(d, grid: QuadratureGrid) -> np.ndarray:
-    """Accept either a DensityModel or an array of values on the grid."""
-    if isinstance(d, np.ndarray):
-        if d.shape != grid.points.shape:
-            raise ValueError("value array does not match the grid")
-        return d
-    return evaluate(d, grid.points)
-
-
 def moment_integral(g, f, alpha: float, grid: QuadratureGrid) -> float:
     """Quadrature of g^alpha * f^(1-alpha) with zero-density conventions.
 
@@ -82,8 +73,8 @@ def moment_integral(g, f, alpha: float, grid: QuadratureGrid) -> float:
     respect to f for alpha > 1, and vice versa for alpha < 0).
     """
     alpha = check_alpha(alpha)
-    gv = _values_on(g, grid)
-    fv = _values_on(f, grid)
+    gv = values_on(g, grid)
+    fv = values_on(f, grid)
     both = (gv > 0.0) & (fv > 0.0)
     if alpha > 1.0 and np.any((fv == 0.0) & (gv > 0.0)):
         raise ValueError("support violation: g > 0 where f = 0 makes the integrand infinite")
@@ -126,6 +117,6 @@ def alpha_divergence(g, f, alpha: float, grid: QuadratureGrid) -> float:
 
 def bhattacharyya(f0, f1, grid: QuadratureGrid) -> float:
     """Coefficient integral sqrt(f0 * f1); 1 for identical densities, 0 for disjoint."""
-    v0 = _values_on(f0, grid)
-    v1 = _values_on(f1, grid)
+    v0 = values_on(f0, grid)
+    v1 = values_on(f1, grid)
     return integrate(np.sqrt(v0 * v1), grid)

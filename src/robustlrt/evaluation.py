@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import density, kernels
 from .density import DensityModel, QuadratureGrid
@@ -36,6 +35,7 @@ from .lfd_solver import (
     TabulatedFunction,
     solve_thresholds,
 )
+from .roots import bracket, brent
 
 __all__ = [
     "ErrorReport",
@@ -99,20 +99,6 @@ def _bayes(p_f: float, p_m: float, rho: float) -> float:
     return p0 * p_f + p1 * p_m
 
 
-def _density_on(d, grid: QuadratureGrid) -> np.ndarray:
-    """Density values on the grid from a model or a matching array."""
-    if isinstance(d, (density.Gaussian, density.GaussianMixture,
-                      density.Shifted, density.Tabulated)):
-        return density.evaluate(d, grid.points)
-    v = np.asarray(d, dtype=float)
-    if v.shape != grid.points.shape:
-        raise ValueError(
-            f"density array has shape {v.shape}, grid has {grid.points.shape}")
-    if np.any(v < 0.0):
-        raise ValueError("density values must be nonnegative")
-    return v
-
-
 def _rule_on(delta, grid: QuadratureGrid) -> np.ndarray:
     """Rule values on the grid from a tabulated rule, callable, or array."""
     if isinstance(delta, TabulatedFunction):
@@ -159,8 +145,8 @@ def error_probs(delta, g0, g1, rho: float, grid: QuadratureGrid) -> ErrorReport:
     construction.
     """
     dv = _rule_on(delta, grid)
-    g0v = _density_on(g0, grid)
-    g1v = _density_on(g1, grid)
+    g0v = density.values_on(g0, grid)
+    g1v = density.values_on(g1, grid)
     w = grid.weights
     p_f = float(np.clip(np.sum(w * dv * g0v), 0.0, 1.0))
     p_m = float(np.clip(np.sum(w * (1.0 - dv) * g1v), 0.0, 1.0))
@@ -192,8 +178,8 @@ def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
     it.  Decision regions are integrated with split cells at the threshold
     crossings, so the discontinuity of the rule costs no accuracy.
     """
-    f0v = _density_on(nominals[0], grid)
-    f1v = _density_on(nominals[1], grid)
+    f0v = density.values_on(nominals[0], grid)
+    f1v = density.values_on(nominals[1], grid)
     l = density.ratio_values(f0v, f1v)
     a0, m0, b0, a1, m1, b1 = kernels.region_masses(
         l, f0v, f1v, grid.points, rho, rho)
@@ -406,7 +392,7 @@ def tilted_density(f, grid: QuadratureGrid, alpha: float, eps_target: float,
     """A density at the given divergence from f, by exponential tilting.
 
     Builds g proportional to f * exp(t * h) with the bounded carrier
-    h(y) = sign * tanh((y - center)/width) and bisects the tilt t so that
+    h(y) = sign * tanh((y - center)/width) and solves for the tilt t so that
     the divergence of order alpha from f hits eps_target.  Returns the
     tabulated density and the divergence actually achieved.  If the carrier
     cannot reach the target even at the internal tilt cap, the capped
@@ -416,7 +402,7 @@ def tilted_density(f, grid: QuadratureGrid, alpha: float, eps_target: float,
         raise ValueError(f"divergence target must be nonnegative, got {eps_target}")
     if width <= 0.0:
         raise ValueError(f"carrier width must be positive, got {width}")
-    fv = _density_on(f, grid)
+    fv = density.values_on(f, grid)
     mass = float(np.sum(grid.weights * fv))
     if mass <= 0.0:
         raise ValueError("density f has no mass on the grid")
@@ -433,13 +419,15 @@ def tilted_density(f, grid: QuadratureGrid, alpha: float, eps_target: float,
     if eps_target == 0.0:
         return density.tabulated(grid.points, fv), 0.0
 
-    t_hi, cap = 0.5, 64.0
-    while achieved(t_hi) < eps_target:
-        t_hi *= 2.0
-        if t_hi > cap:
-            gv = tilt(cap)
-            return density.tabulated(grid.points, gv), achieved(cap)
-    t = brentq(lambda tt: achieved(tt) - eps_target, 0.0, t_hi, xtol=1e-14)
+    def miss(t: float) -> float:
+        return achieved(t) - eps_target
+
+    cap = 64.0  # the tilt doubles from 0.5 up to this cap
+    span = bracket(miss, 0.0, miss(0.0), 0.5, cap)
+    if span is None:
+        gv = tilt(cap)
+        return density.tabulated(grid.points, gv), achieved(cap)
+    t = brent(miss, *span, xtol=1e-14)
     gv = tilt(t)
     return density.tabulated(grid.points, gv), achieved(t)
 

@@ -85,7 +85,9 @@ def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub)
     # both ends of each crossing cell's I2 piece, weighted by its length;
     # an end inside the cell is a threshold crossing and gets l exactly
     j, up, t1, t2 = _crossing_cells(l, lo, hi, lab)
-    piece = t2 > t1
+    # a piece narrower than the float spacing of y is empty, as it is on
+    # the grid of `augment_with_crossings`
+    piece = points[j] + t2 * h[j] > points[j] + t1 * h[j]
     j, up, t1, t2 = j[piece], up[piece], t1[piece], t2[piece]
     wj = h[j] * (t2 - t1)
 

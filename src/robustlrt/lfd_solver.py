@@ -14,8 +14,7 @@ two moment conditions that activate both divergence constraints.
 path (Allgower & Georg, *Numerical Continuation Methods*) that grows the
 radii from zero at rho = 1 and then moves the prior from 1 to rho.  The
 module also offers a one-dimensional fast path for symmetric problems
-(``solve_symmetric``) and exposes the unreduced four-constant stationarity
-system (``solve_raw_kkt``) for cross-validation.
+(``solve_symmetric``).
 
 The returned tables live on the quadrature grid augmented with the exact
 region crossing points, so trapezoid sums over the tables reproduce the
@@ -29,12 +28,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from . import limits
-from .density import QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights
+from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights,
+                      values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import augment_with_crossings, i2_power_integrals, region_masses
+from .roots import bracket, brent
 
 
 class DegenerateRegionError(RuntimeError):
@@ -64,20 +64,6 @@ class ThresholdPair:
                 "thresholds must satisfy 0 < l_l <= 1 <= l_u < inf, got "
                 "(%r, %r)" % (self.l_l, self.l_u)
             )
-
-
-@dataclass(frozen=True)
-class KktParams:
-    """Unreduced stationarity constants and multipliers."""
-
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    lambda0: float
-    lambda1: float
-    mu0: float
-    mu1: float
 
 
 @dataclass(frozen=True)
@@ -131,15 +117,6 @@ def partition(l_values, rho: float, t: ThresholdPair) -> np.ndarray:
     l = np.asarray(l_values, dtype=np.float64)
     lo, hi = rho * t.l_l, rho * t.l_u
     return np.where(l < lo, 1, np.where(l > hi, 3, 2)).astype(np.int8)
-
-
-def _nominal_arrays(nominals, grid: QuadratureGrid):
-    f0, f1 = nominals
-    v0 = f0 if isinstance(f0, np.ndarray) else evaluate(f0, grid.points)
-    v1 = f1 if isinstance(f1, np.ndarray) else evaluate(f1, grid.points)
-    if v0.shape != grid.points.shape or v1.shape != grid.points.shape:
-        raise ValueError("nominal arrays must match the grid")
-    return v0, v1
 
 
 @dataclass
@@ -216,32 +193,18 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
             raise DegenerateRegionError(
                 "literal threshold-balance ratio is not positive at (%g, %g)" % (l_l, l_u)
             )
-        lo_k, hi_k = k_lit, k_lit
-        p_lo, p_hi = psi(k_lit), psi(k_lit)
-        tries = 0
-        while p_lo * p_hi > 0.0 and tries < 60:
-            if p_lo > 0.0:
-                hi_k *= 2.0
-                p_hi = psi(hi_k)
-                if p_hi <= 0.0:
-                    lo_k = hi_k / 2.0
-                    break
-                lo_k = hi_k
-                p_lo = p_hi
-            else:
-                lo_k *= 0.5
-                p_lo = psi(lo_k)
-                if p_lo >= 0.0:
-                    hi_k = lo_k * 2.0
-                    break
-                hi_k = lo_k
-                p_hi = p_lo
-            tries += 1
-        else:
-            if p_lo * p_hi > 0.0:
-                raise DegenerateRegionError("no positive mass-balancing k at these thresholds")
+        # psi falls as k grows: from k_lit search k_lit * 2^u upward where
+        # psi is positive and downward where it is negative
+        p_lit = psi(k_lit)
+        span = bracket(lambda u: psi(k_lit * 2.0 ** u), 0.0, p_lit,
+                       1.0 if p_lit > 0.0 else -1.0, 64.0)
+        if span is None:
+            raise DegenerateRegionError(
+                "no positive mass-balancing k within 2^64 of its literal ratio at "
+                "(%g, %g)" % (l_l, l_u))
         try:
-            k = float(brentq(psi, lo_k, hi_k, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+            k = brent(psi, k_lit * 2.0 ** span[0], k_lit * 2.0 ** span[1], xtol=1e-14,
+                      rtol=8.9e-16, maxiter=200)
         except ValueError:
             raise DegenerateRegionError(
                 "mass-balancing k bracket failed at (%g, %g)" % (l_l, l_u)
@@ -283,7 +246,7 @@ def k_factor(t: ThresholdPair, nominals, rho: float, grid: QuadratureGrid) -> fl
     taken with the rho-scaled thresholds.  Raises DegenerateRegionError when
     the ratio is not a positive finite number.
     """
-    f0v, f1v = _nominal_arrays(nominals, grid)
+    f0v, f1v = (values_on(f, grid) for f in nominals)
     l = ratio_values(f0v, f1v)
     masses = region_masses(l, f0v, f1v, grid.points, rho * t.l_l, rho * t.l_u)
     num, den = _k_literal(t.l_l, t.l_u, masses)
@@ -309,7 +272,7 @@ def z_norm(t: ThresholdPair, alpha: float, rho: float, nominals, grid: Quadratur
     literal mass ratio when rho = 1).
     """
     check_alpha(alpha)
-    f0v, f1v = _nominal_arrays(nominals, grid)
+    f0v, f1v = (values_on(f, grid) for f in nominals)
     l = ratio_values(f0v, f1v)
     st = _eval_state(t.l_l, t.l_u, alpha, rho, l, f0v, f1v, grid.points, 1.0, 1.0)
     return st.z
@@ -355,7 +318,7 @@ def phi0(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
 
 def residuals(t: ThresholdPair, spec: DivergenceSpec, nominals, grid: QuadratureGrid):
     """Activation residuals of the two divergence constraints at thresholds t."""
-    f0v, f1v = _nominal_arrays(nominals, grid)
+    f0v, f1v = (values_on(f, grid) for f in nominals)
     l = ratio_values(f0v, f1v)
     st = _eval_state(
         t.l_l, t.l_u, spec.alpha, spec.rho, l, f0v, f1v, grid.points,
@@ -492,8 +455,8 @@ def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
             "limits.validate_eps for the boundary margin" % (spec.eps0, exc.axis_max)
         ) from None
     except (ValueError, ArithmeticError) as exc:
-        # the boundary solve is advisory: brentq's bracket and nan errors
-        # and overflowing multiplier powers warn
+        # the boundary solve is advisory: a NaN in its root search and
+        # overflowing multiplier powers warn
         warnings.warn(
             "feasibility preflight failed (%s); proceeding with the solve" % exc,
             RuntimeWarning,
@@ -533,7 +496,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
     """
     cfg = config or SolverConfig()
     check_alpha(spec.alpha)
-    f0v, f1v = _nominal_arrays(nominals, grid)
+    f0v, f1v = (values_on(f, grid) for f in nominals)
     l = ratio_values(f0v, f1v)
     alpha, rho = spec.alpha, spec.rho
     x0, x1 = x_of(alpha, spec.eps0), x_of(alpha, spec.eps1)
@@ -673,7 +636,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     check_alpha(alpha)
     if eps < 0.0:
         raise ValueError("radius must be nonnegative")
-    f0v, f1v = _nominal_arrays(nominals, grid)
+    f0v, f1v = (values_on(f, grid) for f in nominals)
     mirrored = evaluate(nominals[0], -grid.points) if not isinstance(nominals[0], np.ndarray) \
         else np.interp(-grid.points, grid.points, f0v)
     if np.max(np.abs(f1v - mirrored)) > 1e-8:
@@ -728,23 +691,22 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     y0 = float(np.interp(1.0, l[core], points[core]))
     ys = np.linspace(y0 + 1e-9, points[-1], 200)
     gv_prev, y_prev = None, None
-    bracket = None
+    span = None
     for y in ys:
         gv = g_resid(float(y))
         if not np.isfinite(gv):
             gv_prev, y_prev = None, None
             continue
         if gv_prev is not None and gv_prev * gv <= 0.0:
-            bracket = (y_prev, float(y))
+            span = (y_prev, float(y))
             break
         gv_prev, y_prev = gv, float(y)
-    if bracket is None:
+    if span is None:
         raise InfeasibleEpsError(
             "no decision point solves the symmetric activation equation for "
             "eps = %g; check feasibility with limits.validate_eps" % eps
         )
-    y_u = float(brentq(g_resid, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16,
-                       maxiter=cfg.max_iter))
+    y_u = brent(g_resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=cfg.max_iter)
     lu = float(np.interp(y_u, points, l))
     ll = 1.0 / lu
     st = _eval_state(ll, lu, alpha, rho, l, f0v, f1v, points, x_eps, x_eps)
@@ -787,142 +749,3 @@ def _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu):
     f0a = np.concatenate([f0v, np.interp(knots, points, f0v)])[order]
     f1a = np.concatenate([f1v, np.interp(knots, points, f1v)])[order]
     return y_aug, l_aug, f0a, f1a
-
-
-def _kkt_multipliers(c, alpha):
-    c1, c2, c3, c4 = c
-    beta = alpha - 1.0
-    d0 = c1 ** beta - c2 ** beta
-    d1 = c4 ** beta - c3 ** beta
-    if d0 == 0.0 or d1 == 0.0:
-        return None
-    lam0 = (1.0 - alpha) / d0
-    mu0 = (c1 ** beta - 1.0) / d0
-    lam1 = (1.0 - alpha) / d1
-    mu1 = (c4 ** beta - 1.0) / d1
-    if not (lam0 > 0.0 and lam1 > 0.0):
-        return None
-    return lam0, lam1, mu0, mu1
-
-
-def _n_const(params: KktParams, alpha: float) -> float:
-    lam0, lam1 = params.lambda0, params.lambda1
-    mu0, mu1 = params.mu0, params.mu1
-    return -1.0 + lam0 + lam1 + mu0 + mu1 - alpha * (-1.0 + mu0 + mu1)
-
-
-def raw_phi1(l, params: KktParams, alpha: float, rho: float):
-    """Interior g1 scale factor built from the unreduced multipliers."""
-    beta = alpha - 1.0
-    lv = np.asarray(l, dtype=np.float64)
-    n = _n_const(params, alpha)
-    return (n / (params.lambda1 + params.lambda0 * (lv / rho) ** beta)) ** (1.0 / beta)
-
-
-def raw_phi0(l, params: KktParams, alpha: float, rho: float):
-    """Interior g0 scale factor built from the unreduced multipliers."""
-    beta = alpha - 1.0
-    lv = np.asarray(l, dtype=np.float64)
-    n = _n_const(params, alpha)
-    return (n / (params.lambda0 + params.lambda1 * (lv / rho) ** (1.0 - alpha))) ** (1.0 / beta)
-
-
-def raw_rule(l, params: KktParams, alpha: float, rho: float):
-    """Interior randomization built from the unreduced multipliers."""
-    lam0, lam1 = params.lambda0, params.lambda1
-    mu0, mu1 = params.mu0, params.mu1
-    lv = np.asarray(l, dtype=np.float64)
-    s = (lv / rho) ** (1.0 - alpha)
-    num = lam0 * (-1.0 + alpha + lam1 + mu1 - alpha * mu1) \
-        - lam1 * (lam0 + mu0 - alpha * mu0) * s
-    return num / ((alpha - 1.0) * (lam0 + lam1 * s))
-
-
-def solve_raw_kkt(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
-                  config: SolverConfig | None = None) -> KktParams:
-    """Solve the unreduced four-constant stationarity system directly.
-
-    Finds (c1, c2, c3, c4) such that both least favorable densities
-    normalize and both divergence constraints are active, using the
-    branch scalings g0 = c1*f0 / phi0-form / c2*f0 and g1 = c3*f1 /
-    phi1-form / c4*f1 with thresholds l_l = c1/c3 and l_u = c2/c4.  This is
-    the cross-validation route for the reduced threshold solver; no values
-    from solve_thresholds seed it.
-    """
-    cfg = config or SolverConfig()
-    check_alpha(spec.alpha)
-    alpha, rho = spec.alpha, spec.rho
-    beta = alpha - 1.0
-    f0v, f1v = _nominal_arrays(nominals, grid)
-    l = ratio_values(f0v, f1v)
-    x0, x1 = x_of(alpha, spec.eps0), x_of(alpha, spec.eps1)
-    points = grid.points
-    bad = np.array([1e6, 1e6, 1e6, 1e6])
-
-    def system(logc):
-        c = np.exp(logc)
-        mult = _kkt_multipliers(c, alpha)
-        if mult is None:
-            return bad
-        lam0, lam1, mu0, mu1 = mult
-        ll, lu = c[0] / c[2], c[1] / c[3]
-        if not (0.0 < ll <= 1.0 <= lu):
-            return bad
-        n_const = -1.0 + lam0 + lam1 + mu0 + mu1 - alpha * (-1.0 + mu0 + mu1)
-        if n_const <= 0.0:
-            return bad
-        lo, hi = rho * ll, rho * lu
-        y_aug, l_aug, (f0a, f1a), _ = augment_with_crossings(points, l, [f0v, f1v], lo, hi)
-        w = trapezoid_weights(y_aug)
-        lab = np.where(l_aug < lo, 1, np.where(l_aug > hi, 3, 2))
-        in1, in2, in3 = lab == 1, lab == 2, lab == 3
-        g0 = np.empty_like(f0a)
-        g1 = np.empty_like(f1a)
-        g0[in1], g0[in3] = c[0] * f0a[in1], c[1] * f0a[in3]
-        g1[in1], g1[in3] = c[2] * f1a[in1], c[3] * f1a[in3]
-        if np.any(in2):
-            s = (l_aug[in2] / rho) ** (1.0 - alpha)
-            ph0 = (n_const / (lam0 + lam1 * s)) ** (1.0 / beta)
-            ph1 = (n_const / (lam1 + lam0 * (l_aug[in2] / rho) ** beta)) ** (1.0 / beta)
-            if not (np.all(np.isfinite(ph0)) and np.all(np.isfinite(ph1))):
-                return bad
-            g0[in2] = ph0 * f0a[in2]
-            g1[in2] = ph1 * f1a[in2]
-        r1 = float(np.dot(g0, w)) - 1.0
-        r2 = float(np.dot(g1, w)) - 1.0
-        base0 = np.where(f0a > 0.0, f0a, 1.0)
-        base1 = np.where(f1a > 0.0, f1a, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            m0 = np.where(f0a > 0.0, (g0 / base0) ** alpha * f0a, 0.0)
-            m1 = np.where(f1a > 0.0, (g1 / base1) ** alpha * f1a, 0.0)
-        r3 = float(np.dot(m0, w)) - x0
-        r4 = float(np.dot(m1, w)) - x1
-        out = np.array([r1, r2, r3, r4])
-        if not np.all(np.isfinite(out)):
-            return bad
-        return out
-
-    scale = max(1.0, abs(x0), abs(x1))
-    best = None
-    for s in (0.05, 0.15, 0.3, 0.5, 0.02, 0.7):
-        for shape in ((1.0 - s, 1.0 + s, 1.0 + s, 1.0 - s),
-                      (1.0 - s, 1.0 + s, 1.0, 1.0),
-                      (1.0 - 0.5 * s, 1.0 + s, 1.0 + 0.5 * s, 1.0 - 0.25 * s)):
-            c0 = np.array(shape)
-            if not (0.0 < c0[0] / c0[2] <= 1.0 <= c0[1] / c0[3]):
-                continue
-            sol = root(system, np.log(c0), method="hybr",
-                       options={"xtol": 1e-13, "maxfev": 4000})
-            r = system(sol.x)
-            nrm = float(np.max(np.abs(r)))
-            if best is None or nrm < best[0]:
-                best = (nrm, sol.x)
-            if nrm < 1e-9 * scale:
-                c = np.exp(sol.x)
-                lam0, lam1, mu0, mu1 = _kkt_multipliers(c, alpha)
-                return KktParams(c1=float(c[0]), c2=float(c[1]), c3=float(c[2]),
-                                 c4=float(c[3]), lambda0=lam0, lambda1=lam1,
-                                 mu0=mu0, mu1=mu1)
-    raise NonConvergenceError(
-        "four-constant system did not converge; best residual norm %.3g" % best[0]
-    )

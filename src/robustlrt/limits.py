@@ -23,10 +23,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .density import QuadratureGrid, evaluate
+from .density import QuadratureGrid, values_on
 from .divergence import check_alpha, x_of
+from .roots import bracket, brent
 
 EPS_MAX_A0 = 4.0 - 2.0 * math.sqrt(2.0)
 
@@ -75,18 +75,9 @@ class FeasibilityReport:
     lambda1: float
 
 
-def _values(obj, grid: QuadratureGrid) -> np.ndarray:
-    if isinstance(obj, np.ndarray):
-        if obj.shape != grid.points.shape:
-            raise ValueError("density array does not match the grid")
-        return obj
-    return evaluate(obj, grid.points)
-
-
 def _log_values(obj, grid: QuadratureGrid) -> np.ndarray:
-    v = _values(obj, grid)
     with np.errstate(divide="ignore"):
-        return np.log(v)
+        return np.log(values_on(obj, grid))
 
 
 def _warn_if_bounded_ratio(lf0: np.ndarray, lf1: np.ndarray) -> None:
@@ -150,14 +141,11 @@ def _hellinger_other(a: float, eps_fixed: float) -> float:
         )
     if f0 == 0.0:
         return 0.0
-    hi = EPS_MAX_A0
-    fhi = _root_a_unchecked(eps_fixed, hi) - a
-    while fhi > 0.0 and hi < 8.0:
-        hi = min(8.0, hi + 0.5)
-        fhi = _root_a_unchecked(eps_fixed, hi) - a
-    if fhi > 0.0:
-        raise NoBoundaryPointError("no boundary point on the closed-form curve")
-    return float(brentq(lambda e: _root_a_unchecked(eps_fixed, e) - a, 0.0, hi, xtol=1e-14))
+    # squaring _root_a_unchecked(eps_fixed, e) = a gives
+    # 16 e^2 + q e + b^2 = 0; the partner is its smaller root
+    b = 16.0 - 4.0 * eps_fixed - 16.0 * a
+    q = 2.0 * (eps_fixed - 4.0) * b + 8.0 * eps_fixed * (eps_fixed - 8.0)
+    return 2.0 * b * b / (math.sqrt(max(q * q - 64.0 * b * b, 0.0)) - q)
 
 
 def _moment_alpha(lf0: np.ndarray, lf1: np.ndarray, alpha: float, w: np.ndarray) -> float:
@@ -199,7 +187,7 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     The ends of the family are closed forms: a fixed radius of 0 gives
     g = f_index and the partner D(f_index||f_other); a fixed radius equal
     to its axis maximum D(f_other||f_index) gives g = f_other and the
-    partner 0.  Between them one brentq finds v on a bracket grown
+    partner 0.  Between them Brent's method finds v on a bracket grown
     outward from v = 0.
 
     Raises NoBoundaryPointError, carrying the axis maximum, when the fixed
@@ -248,14 +236,12 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     def r(v):
         return sign * (_touching(lf0, lf1, w, alpha, v)[1 + idx] - val)
 
-    step = 1.0 if r(0.0) < 0.0 else -1.0
-    near_v, far_v = 0.0, step
-    while step * r(far_v) < 0.0:
-        if abs(far_v) >= _V_MAX:
-            return end(step)
-        near_v, far_v = far_v, 2.0 * far_v
-    v = float(brentq(r, min(near_v, far_v), max(near_v, far_v), xtol=1e-14,
-                     rtol=8.9e-16, maxiter=200))
+    r0 = r(0.0)
+    step = 1.0 if r0 < 0.0 else -1.0
+    span = bracket(r, 0.0, r0, step, _V_MAX)
+    if span is None:
+        return end(step)
+    v = brent(r, *span, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     log_norm, e0, e1 = _touching(lf0, lf1, w, alpha, v)
     lam0 = lam * math.exp(-(1.0 - alpha) * log_norm)
     lam1 = lam * math.exp(v - (1.0 - alpha) * log_norm)
@@ -346,19 +332,15 @@ def validate_eps(nominals, spec, grid: QuadratureGrid):
                 return -(1.0 + s)
             return e1b - s * u[1]
 
-        s_lo, s_hi = 0.0, max(s_req, 1e-6)
-        f_hi = f(s_hi)
-        grow = 0
-        while f_hi > 0.0 and grow < 80:
-            s_lo, s_hi = s_hi, 2.0 * s_hi
-            f_hi = f(s_hi)
-            grow += 1
-        if f_hi > 0.0:
+        f_zero = f(0.0)
+        if f_zero <= 0.0:
+            return False, -s_req
+        s_one = max(s_req, 1e-6)
+        span = bracket(f, 0.0, f_zero, s_one, 2.0 ** 80 * s_one)
+        if span is None:
             # boundary further out than 2^80 ray lengths; effectively infinite
             return True, math.inf
-        if s_hi == s_lo or (s_lo == 0.0 and f_hi <= 0.0 and f(s_lo) <= 0.0):
-            return False, -s_req
-        s_star = float(brentq(f, s_lo, s_hi, xtol=1e-11, rtol=8.9e-16, maxiter=200))
+        s_star = brent(f, *span, xtol=1e-11, rtol=8.9e-16, maxiter=200)
 
     margin = s_star - s_req
     return margin > 1e-9 * (1.0 + s_req), margin

@@ -1,9 +1,10 @@
 """Independent brute-force verification on small discretized instances.
 
 Everything here works on plain probability vectors over m equal-width bins
-and deliberately shares no code with the continuous solver: the ball
-maximizer is re-derived from the Lagrangian of the constrained linear
-program, and the saddle point is approached by alternating best responses.
+and shares only the generic scalar root finder (``roots``) with the
+continuous solver: the ball maximizer is re-derived from the Lagrangian of
+the constrained linear program, and the saddle point is approached by
+alternating best responses.
 Agreement between these routines and the continuous solver is evidence that
 both are right; they share no thresholds, no normalization constants, and
 no quadrature shortcuts.
@@ -19,10 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .density import QuadratureGrid
+from .density import QuadratureGrid, values_on
 from .divergence import DivergenceSpec, check_alpha
+from .roots import bracket, brent
+
+_LOG2 = math.log(2.0)
+_LOG4 = math.log(4.0)
 
 __all__ = [
     "OracleError",
@@ -107,12 +111,7 @@ def discretize(nominals, grid: QuadratureGrid, m: int,
     """
     if m < 8:
         raise ValueError(f"need at least 8 bins, got {m}")
-    from .density import evaluate  # local import to keep module deps minimal
-
-    vals = []
-    for f in nominals:
-        v = f if isinstance(f, np.ndarray) else evaluate(f, grid.points)
-        vals.append(_bin_masses(np.asarray(v, dtype=float), grid, int(m)))
+    vals = [_bin_masses(values_on(f, grid), grid, int(m)) for f in nominals]
     return DiscreteProblem(int(m), vals[0], vals[1], spec.alpha, spec.rho,
                            spec.eps0, spec.eps1)
 
@@ -143,41 +142,39 @@ def _tilt_family(w: np.ndarray, f: np.ndarray, alpha: float, lam: float):
     """
     beta = alpha - 1.0
 
-    if beta > 0.0:
-        def g_of(mu: float) -> np.ndarray:
-            base = 1.0 - beta * (mu - w) / lam
-            return f * np.maximum(base, 0.0) ** (1.0 / beta)
+    def g_of(mu: float) -> np.ndarray:
+        base = 1.0 - beta * (mu - w) / lam
+        return f * np.maximum(base, 0.0) ** (1.0 / beta)
 
-        # sum(g) is continuous and strictly decreasing in mu on this bracket,
-        # from >= 2^(1/beta) down to 0
-        lo = float(np.min(w)) - lam / beta
-        hi = float(np.max(w)) + lam / beta
-        mu = brentq(lambda t: float(np.sum(g_of(t))) - 1.0, lo, hi,
-                    xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    else:
-        # mu > mu_min keeps every base positive; solve in log(mu - mu_min)
-        mu_min = float(np.max(w)) - lam / (1.0 - alpha)
+    try:
+        if beta > 0.0:
+            # sum(g) is continuous and strictly decreasing in mu on this
+            # bracket, from >= 2^(1/beta) down to 0
+            lo = float(np.min(w)) - lam / beta
+            hi = float(np.max(w)) + lam / beta
+            mu = brent(lambda t: float(np.sum(g_of(t))) - 1.0, lo, hi,
+                       xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        else:
+            # mu > mu_min keeps every base positive; solve in
+            # u = log(mu - mu_min), where sum(g) falls as u grows, from
+            # mu - mu_min = lam/(1 - alpha) over factors up to 2^(+-200).
+            # A base rounded to 0 gives g = inf, on the right side of 1.
+            mu_min = float(np.max(w)) - lam / (1.0 - alpha)
 
-        def g_of_s(s: float) -> np.ndarray:
-            base = 1.0 + (1.0 - alpha) * (mu_min + s - w) / lam
-            return f * base ** (1.0 / beta)
+            def excess(u: float) -> float:
+                return float(np.sum(g_of(mu_min + math.exp(u)))) - 1.0
 
-        s_lo = s_hi = lam / (1.0 - alpha)
-        for _ in range(200):
-            if float(np.sum(g_of_s(s_lo))) > 1.0:
-                break
-            s_lo *= 0.5
-        for _ in range(200):
-            if float(np.sum(g_of_s(s_hi))) < 1.0:
-                break
-            s_hi *= 2.0
-        t = brentq(lambda u: float(np.sum(g_of_s(math.exp(u)))) - 1.0,
-                   math.log(s_lo), math.log(s_hi), xtol=1e-14, maxiter=200)
-        mu = mu_min + math.exp(t)
-
-        def g_of(mu: float) -> np.ndarray:
-            base = 1.0 + (1.0 - alpha) * (mu - w) / lam
-            return f * base ** (1.0 / beta)
+            u0 = math.log(lam / (1.0 - alpha))
+            with np.errstate(divide="ignore"):
+                e0 = excess(u0)
+                span = bracket(excess, u0, e0, math.copysign(_LOG2, e0), 200.0 * _LOG2)
+                if span is None:
+                    raise ValueError("sum(g) - 1 keeps its sign or is NaN within "
+                                     "factors 2^(+-200) of mu - mu_min = lam/(1 - alpha)")
+                mu = mu_min + math.exp(brent(excess, *span, xtol=1e-14, maxiter=200))
+    except (ValueError, RuntimeError) as exc:
+        raise OracleError(
+            f"normalization multiplier search failed at lam = {lam:.6g}: {exc}") from None
 
     g = g_of(mu)
     return g / float(np.sum(g))
@@ -188,11 +185,12 @@ def maximize_over_ball(weights, f, alpha: float, eps: float) -> np.ndarray:
 
     Solves the one-dimensional dual: for each multiplier lam the inner
     maximizer has the closed parametric form of `_tilt_family`; lam is then
-    bisected until the divergence constraint is active within 1e-8.  The
+    solved for so that the divergence constraint is active within 1e-8.  The
     returned vector lies on the simplex exactly and inside the ball up to
     that activation tolerance.  Raises OracleError when even a vanishing
     multiplier cannot reach the radius (the ball covers every direction of
-    improvement, so the constraint cannot be activated).
+    improvement, so the constraint cannot be activated), and when a root
+    search fails, naming the search and its multiplier.
     """
     w = np.asarray(weights, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -209,28 +207,31 @@ def maximize_over_ball(weights, f, alpha: float, eps: float) -> np.ndarray:
     def achieved(lam: float) -> float:
         return discrete_divergence(_tilt_family(w, f, alpha, lam), f, alpha)
 
-    # bracket the active multiplier: achieved divergence falls as lam grows
-    lam_hi = spread
-    for _ in range(80):
-        if achieved(lam_hi) < eps:
-            break
-        lam_hi *= 4.0
-    else:
-        raise OracleError("divergence constraint stayed above the radius at huge multipliers")
-    lam_lo = lam_hi
-    for _ in range(80):
-        lam_lo *= 0.25
-        d_lo = achieved(lam_lo)
-        if d_lo > eps:
-            break
-        if lam_lo < 1e-16 * spread:
-            raise OracleError(
-                f"constraint cannot be activated: the whole improvement family stays "
-                f"inside the radius-{eps} ball (reachable divergence {d_lo:.3e}); "
-                f"the unconstrained maximum is not unique in the ball")
-    t = brentq(lambda u: achieved(math.exp(u)) - eps,
-               math.log(lam_lo), math.log(lam_hi), xtol=1e-13, maxiter=200)
-    lam = math.exp(t)
+    def excess(u: float) -> float:
+        return achieved(math.exp(u)) - eps
+
+    # the achieved divergence falls as lam grows: bracket the active
+    # multiplier in u = log(lam) from lam = spread over factors up to 4^(+-32)
+    u0 = math.log(spread)
+    e0 = excess(u0)
+    reach = 32.0 * _LOG4
+    span = bracket(excess, u0, e0, math.copysign(_LOG4, e0), reach)
+    if span is None and e0 > 0.0:
+        raise OracleError(
+            f"divergence constraint stayed above the radius at multipliers up to "
+            f"lam = {math.exp(u0 + reach):.3e}")
+    if span is None:
+        d_lo = achieved(math.exp(u0 - reach))
+        raise OracleError(
+            f"constraint cannot be activated: the whole improvement family stays "
+            f"inside the radius-{eps} ball (reachable divergence {d_lo:.3e}); "
+            f"the unconstrained maximum is not unique in the ball")
+    try:
+        lam = math.exp(brent(excess, *span, xtol=1e-13, maxiter=200))
+    except (ValueError, RuntimeError) as exc:
+        raise OracleError(
+            f"dual multiplier search failed between lam = {math.exp(span[0]):.6g} and "
+            f"{math.exp(span[1]):.6g}: {exc}") from None
     g = _tilt_family(w, f, alpha, lam)
     d = discrete_divergence(g, f, alpha)
     if abs(d - eps) > 1e-8:

@@ -30,6 +30,8 @@ from robustlrt import (
 from robustlrt.density import gaussian, make_grid, shifted
 from robustlrt.lfd_solver import ThresholdPair
 
+import kkt_reference
+
 
 def _read_csv(text: str):
     lines = text.strip().splitlines()
@@ -285,7 +287,7 @@ def test_10_unreduced_solution_forms_match_reduced_ones(
     ]
     worst_phi, worst_rule = 0.0, 0.0
     for idx, (spec, noms, grid) in enumerate(problems):
-        params = lfd_solver.solve_raw_kkt(spec, noms, grid)
+        params = kkt_reference.solve_raw_kkt(spec, noms, grid)
         l_l, l_u = params.c1 / params.c3, params.c2 / params.c4
         z = 1.0 / params.c3
         k = params.c4 / params.c3
@@ -295,10 +297,10 @@ def test_10_unreduced_solution_forms_match_reduced_ones(
         lv = np.exp(rng.uniform(math.log(lo), math.log(hi), 100))
         dphi = float(np.max(np.abs(
             lfd_solver.phi1(lv, t, spec.alpha, spec.rho, k, z)
-            - lfd_solver.raw_phi1(lv, params, spec.alpha, spec.rho))))
+            - kkt_reference.raw_phi1(lv, params, spec.alpha, spec.rho))))
         drule = float(np.max(np.abs(
             lfd_solver._delta_interior(lv, l_l, l_u, spec.alpha, spec.rho, k)
-            - lfd_solver.raw_rule(lv, params, spec.alpha, spec.rho))))
+            - kkt_reference.raw_rule(lv, params, spec.alpha, spec.rho))))
         assert dphi <= 1e-9
         assert drule <= 1e-9
         worst_phi, worst_rule = max(worst_phi, dphi), max(worst_rule, drule)

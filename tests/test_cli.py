@@ -159,6 +159,23 @@ def test_solve_csv_output(anchor_config, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_grid_flag_with_negative_minimum(anchor_config, tmp_path, capsys):
+    # a flag value starting with '-' must be joined to its flag with '='
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(Path(anchor_config).read_text().replace("grid = -8:9:4001",
+                                                           "grid = 0:1:1001"))
+    out = tmp_path / "grid.csv"
+    code, _, err = run_main(["--config", str(cfg), "--grid=-8:9:4001", "--out", str(out)],
+                            capsys)
+    assert code == 0 and err == ""
+    meta, _, rows = read_csv(out.read_text())
+    assert (float(rows[0][0]), float(rows[-1][0])) == (-8.0, 9.0)
+    assert float(meta["l_l"]) == pytest.approx(ANCHOR_L_L, rel=1e-9)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--config", str(cfg), "--grid", "-8:9:4001"])
+    assert info.value.code == 1
+
+
 def test_solve_json_output_and_override_precedence(tmp_path, capsys):
     # the gaussian pair comes from a config file; CLI flags override radii
     cfg = tmp_path / "g.cfg"

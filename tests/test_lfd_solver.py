@@ -36,6 +36,8 @@ from robustlrt.lfd_solver import (
     ThresholdPair,
 )
 
+import kkt_reference
+
 ANCHOR_L_L = 0.6050401521115419
 ANCHOR_L_U = 1.6180169369866289
 ANCHOR_K = 0.5838991944010262
@@ -393,7 +395,7 @@ def test_symmetric_warns_for_off_center_prior(norm_pair, norm_grid):
 
 
 def test_raw_kkt_constants_frozen(mix_spec, mix_nominals, mix_grid):
-    p = lfd_solver.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
+    p = kkt_reference.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
     assert p.c1 == pytest.approx(0.8225712343595875, rel=1e-7)
     assert p.c2 == pytest.approx(1.2844294793275601, rel=1e-7)
     assert p.c3 == pytest.approx(1.3595316560381914, rel=1e-7)
@@ -407,7 +409,7 @@ def test_raw_kkt_constants_frozen(mix_spec, mix_nominals, mix_grid):
 
 def test_raw_kkt_reproduces_reduced_thresholds(mix_spec, mix_nominals, mix_grid,
                                                mix_solution):
-    p = lfd_solver.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
+    p = kkt_reference.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
     assert p.c1 / p.c3 == pytest.approx(mix_solution.thresholds.l_l, abs=1e-6)
     assert p.c2 / p.c4 == pytest.approx(mix_solution.thresholds.l_u, abs=1e-6)
     assert 1.0 / p.c3 == pytest.approx(mix_solution.z, abs=1e-6)
@@ -416,7 +418,7 @@ def test_raw_kkt_reproduces_reduced_thresholds(mix_spec, mix_nominals, mix_grid,
 
 def test_raw_forms_match_reduced_forms_at_shared_parameters(mix_spec, mix_nominals,
                                                             mix_grid):
-    p = lfd_solver.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
+    p = kkt_reference.solve_raw_kkt(mix_spec, mix_nominals, mix_grid)
     ll, lu = p.c1 / p.c3, p.c2 / p.c4
     k, z = p.c4 / p.c3, 1.0 / p.c3
     t = ThresholdPair(ll, lu)
@@ -424,13 +426,13 @@ def test_raw_forms_match_reduced_forms_at_shared_parameters(mix_spec, mix_nomina
     lv = np.exp(np.random.default_rng(2).uniform(
         math.log(rho * ll), math.log(rho * lu), 100))
     np.testing.assert_allclose(
-        lfd_solver.raw_phi1(lv, p, alpha, rho),
+        kkt_reference.raw_phi1(lv, p, alpha, rho),
         lfd_solver.phi1(lv, t, alpha, rho, k, z), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
-        lfd_solver.raw_phi0(lv, p, alpha, rho),
+        kkt_reference.raw_phi0(lv, p, alpha, rho),
         lfd_solver.phi0(lv, t, alpha, rho, k, z), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
-        lfd_solver.raw_rule(lv, p, alpha, rho),
+        kkt_reference.raw_rule(lv, p, alpha, rho),
         lfd_solver._delta_interior(lv, ll, lu, alpha, rho, k),
         rtol=1e-9, atol=1e-12)
 

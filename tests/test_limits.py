@@ -178,7 +178,7 @@ def test_fixing_eps1_mirrors_fixing_eps0(norm_pair, norm_grid, alpha, eps):
 
 
 def test_touching_point_takes_few_evaluations(monkeypatch, mix_nominals, mix_grid):
-    # one scalar root in v: a bracket grown from v = 0 plus one brentq; a
+    # one scalar root in v: a bracket grown from v = 0 plus one Brent solve; a
     # march with nested root finds spent about 1700 grid integrals here
     calls = [0]
     real = limits._touching

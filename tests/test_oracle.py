@@ -170,6 +170,22 @@ def test_maximize_over_ball_unreachable_radius():
         maximize_over_ball(w, f, 2.0, 5.0)
 
 
+@pytest.mark.parametrize("m,rho", [(40, 0.85), (60, 0.8), (60, 0.85)])
+def test_failed_dual_search_raises_oracle_error(mix_nominals, mix_grid, m, rho):
+    # the anchor pair at alpha = -1, where the dual searches cannot always
+    # resolve the multipliers in floating point: either the saddle settles
+    # or the failing search is named with its multiplier, never a bare
+    # ValueError from the root finder
+    spec = DivergenceSpec(alpha=-1.0, rho=rho, eps0=0.031, eps1=0.046)
+    problem = discretize(mix_nominals, mix_grid, m, spec)
+    try:
+        rule, _, _, trace = alternating_saddle(problem, gap_tol=2e-4)
+    except OracleError as exc:
+        assert "search failed" in str(exc) and "lam = " in str(exc)
+    else:
+        assert worst_case_error(rule, problem)[2] == pytest.approx(min(trace), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # best responses and saddle search
 
