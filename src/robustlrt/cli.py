@@ -2,9 +2,12 @@
 
 Parses a flat key=value config (plus command-line overrides), dispatches one
 of the solve/limits/evaluate/sweep commands, and writes machine-readable
-CSV or JSON tables.  Exit codes: 0 on success, 1 on configuration problems
-(bad flags, unknown density specs, malformed tables), 2 when the requested
-uncertainty radii are infeasible, 3 when the solver fails to converge.
+CSV or JSON tables.  Each command handler returns (meta, columns), a dict of
+scalars and a dict of 1-D columns; `run` renders them and writes the text
+in one place.  Exit codes: 0 on success, 1 on configuration problems (bad
+flags, unknown density specs, malformed tables, an unwritable output file),
+2 when the requested uncertainty radii are infeasible, 3 when the solver
+fails to converge.
 
 Density spec grammar (for the nominal0/nominal1 config keys):
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -32,6 +34,7 @@ from .lfd_solver import (
     InfeasibleEpsError,
     NonConvergenceError,
     RobustSolution,
+    partition,
     solve_symmetric,
     solve_thresholds,
 )
@@ -241,101 +244,81 @@ def _grid_or_default(cfg, models) -> QuadratureGrid:
     return density.grid_for(*models, n=4001)
 
 
+def _spec(cfg, alpha: float) -> DivergenceSpec:
+    return DivergenceSpec(alpha=alpha, rho=_get_float(cfg, "rho", 1.0),
+                          eps0=_get_float(cfg, "eps0"), eps1=_get_float(cfg, "eps1"))
+
+
 # ---------------------------------------------------------------------------
-# output writers
+# output
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _typed(values) -> tuple:
+    """Python scalars of one column (or meta value) and its %-format, read
+    once from the dtype: strings as is, ints and bools as integers, the
+    rest as %.17g floats, which round-trip exactly."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    return arr.tolist(), "%s" if kind == "U" else "%d" if kind in "biu" else "%.17g"
 
 
-def _json_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    v = float(v)
-    return None if math.isnan(v) else v
-
-
-def _write_table(cfg, meta: dict, names: list[str], rows: list[tuple]) -> None:
-    fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    out = cfg.get("out", "-")
+def _render(fmt: str, meta: dict, columns: dict) -> str:
+    """CSV or JSON text of one result table."""
+    head = {k: _typed(v) for k, v in meta.items()}
+    cols = {k: _typed(v) for k, v in columns.items()}
     if fmt == "csv":
-        lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-        lines.append(",".join(names))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "meta": {k: _json_cell(v) for k, v in meta.items()},
-            "columns": {name: [_json_cell(v) for v in col]
-                        for name, col in zip(names, zip(*rows) if rows else [[] for _ in names])},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        lines = [f"# {k}={f % v}" for k, (v, f) in head.items()]
+        lines.append(",".join(cols))
+        template = ",".join(f for _, f in cols.values())
+        lines.extend(template % row for row in zip(*(v for v, _ in cols.values())))
+        return "\n".join(lines) + "\n"
+    payload = {
+        "meta": {k: None if v != v else v for k, (v, _) in head.items()},
+        "columns": {k: [None if x != x else x for x in v] if f == "%.17g" else v
+                    for k, (v, f) in cols.items()},
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _solution_table(cfg, spec: DivergenceSpec, sol: RobustSolution) -> None:
-    pts = sol.grid.points
+def _solution_table(spec: DivergenceSpec, sol: RobustSolution):
     l = density.ratio_values(sol.f0_values, sol.f1_values)
-    from .lfd_solver import partition
-
-    region = partition(l, spec.rho, sol.thresholds)
     meta = {
         "alpha": spec.alpha, "rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1,
         "l_l": sol.thresholds.l_l, "l_u": sol.thresholds.l_u, "k": sol.k, "z": sol.z,
         "residual_norm": sol.residual_norm,
         "achieved_eps0": sol.achieved_eps0, "achieved_eps1": sol.achieved_eps1,
     }
-    names = ["y", "f0", "f1", "l", "g0_hat", "g1_hat", "delta_hat", "l_hat", "region"]
-    cols = [pts, sol.f0_values, sol.f1_values, l, sol.g0_hat.values,
-            sol.g1_hat.values, sol.delta_hat.values, sol.l_hat.values, region]
-    rows = list(zip(*cols))
-    _write_table(cfg, meta, names, rows)
+    columns = {
+        "y": sol.grid.points, "f0": sol.f0_values, "f1": sol.f1_values, "l": l,
+        "g0_hat": sol.g0_hat.values, "g1_hat": sol.g1_hat.values,
+        "delta_hat": sol.delta_hat.values, "l_hat": sol.l_hat.values,
+        "region": partition(l, spec.rho, sol.thresholds),
+    }
+    return meta, columns
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns (meta, columns) for `run` to write
 
 
-def _cmd_solve(cfg) -> int:
+def _cmd_solve(cfg):
     nominals = _nominals(cfg)
-    spec = DivergenceSpec(alpha=_get_float(cfg, "alpha"), rho=_get_float(cfg, "rho", 1.0),
-                          eps0=_get_float(cfg, "eps0"), eps1=_get_float(cfg, "eps1"))
+    spec = _spec(cfg, _get_float(cfg, "alpha"))
     grid = _grid_or_default(cfg, nominals)
-    sol = solve_thresholds(spec, nominals, grid)
-    _solution_table(cfg, spec, sol)
-    return EXIT_OK
+    return _solution_table(spec, solve_thresholds(spec, nominals, grid))
 
 
-def _cmd_solve_symmetric(cfg) -> int:
+def _cmd_solve_symmetric(cfg):
     nominals = _nominals(cfg)
     eps = _get_float(cfg, "eps")
     alpha = _get_float(cfg, "alpha")
     rho = _get_float(cfg, "rho", 1.0)
     grid = _grid_or_default(cfg, nominals)
     sol = solve_symmetric(eps, alpha, rho, nominals, grid)
-    spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
-    _solution_table(cfg, spec, sol)
-    return EXIT_OK
+    return _solution_table(DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps), sol)
 
 
-def _cmd_limits(cfg) -> int:
+def _cmd_limits(cfg):
     # the shared rho key is accepted but unused: the admissible radii are a
     # property of the two balls, not of the prior
     alpha = _get_float(cfg, "alpha")
@@ -357,16 +340,17 @@ def _cmd_limits(cfg) -> int:
     else:
         raise ConfigError("limits needs nominal0/nominal1 unless alpha=0.5")
     e0, e1 = (val, other) if idx == 0 else (other, val)
-    meta = {"alpha": alpha, "mode": mode}
-    _write_table(cfg, meta, ["eps0", "eps1", "lambda0", "lambda1"],
-                 [(e0, e1, lam0, lam1)])
-    return EXIT_OK
+    return ({"alpha": alpha, "mode": mode},
+            {"eps0": [e0], "eps1": [e1], "lambda0": [lam0], "lambda1": [lam1]})
 
 
-def _cmd_surface(cfg) -> int:
+def _cmd_surface(cfg):
     # like limits, accepts the shared rho key and does not use it
     alpha = _get_float(cfg, "alpha")
-    n = int(_get_float(cfg, "n", 33))
+    try:
+        n = int(cfg.get("n", "33"))
+    except ValueError:
+        raise ConfigError(f"surface point count n must be an integer, got {cfg['n']!r}") from None
     nominals = None
     grid = None
     if "nominal0" in cfg or "nominal1" in cfg:
@@ -377,60 +361,58 @@ def _cmd_surface(cfg) -> int:
                                 a=None if math.isnan(a) else a)
     meta = {"alpha": report.alpha, "mode": report.mode,
             "lambda0": report.lambda0, "lambda1": report.lambda1}
-    rows = [(e0, e1, report.a_value, True) for (e0, e1) in report.pairs]
-    _write_table(cfg, meta, ["eps0", "eps1", "a", "feasible"], rows)
-    return EXIT_OK
+    e0, e1 = np.array(report.pairs).T
+    return meta, {"eps0": e0, "eps1": e1, "a": np.full(e0.size, report.a_value),
+                  "feasible": np.ones(e0.size, dtype=bool)}
 
 
-def _cmd_evaluate(cfg) -> int:
+def _cmd_evaluate(cfg):
     nominals = _nominals(cfg)
-    spec = DivergenceSpec(alpha=_get_float(cfg, "alpha"), rho=_get_float(cfg, "rho", 1.0),
-                          eps0=_get_float(cfg, "eps0"), eps1=_get_float(cfg, "eps1"))
+    spec = _spec(cfg, _get_float(cfg, "alpha"))
     grid = _grid_or_default(cfg, nominals)
     sol = solve_thresholds(spec, nominals, grid)
     lrt = evaluation.lrt_rule(nominals, spec.rho)
-    rows = []
-
-    def add(rule_name, dens_name, rep):
-        rows.append((rule_name, dens_name, rep.method, rep.p_false_alarm,
-                     rep.p_miss, rep.p_error,
-                     math.nan if rep.hw_false_alarm is None else rep.hw_false_alarm,
-                     math.nan if rep.hw_miss is None else rep.hw_miss))
-
-    add("robust", "lfd", evaluation.error_probs(
-        sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, sol.grid))
-    add("robust", "nominal", evaluation.error_probs(
-        sol.delta_hat, nominals[0], nominals[1], spec.rho, sol.grid))
-    add("lrt", "nominal", evaluation.lrt_errors(nominals, spec.rho, sol.grid))
+    runs = [
+        ("robust", "lfd", evaluation.error_probs(
+            sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, sol.grid)),
+        ("robust", "nominal", evaluation.error_probs(
+            sol.delta_hat, nominals[0], nominals[1], spec.rho, sol.grid)),
+        ("lrt", "nominal", evaluation.lrt_errors(nominals, spec.rho, sol.grid)),
+    ]
     if "mc" in cfg:
         n, seed = _parse_mc(cfg["mc"])
-        add("robust", "lfd", evaluation.monte_carlo_errors(
-            sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, n, seed))
-        add("robust", "nominal", evaluation.monte_carlo_errors(
-            sol.delta_hat, nominals[0], nominals[1], spec.rho, n, seed + 1))
-        add("lrt", "nominal", evaluation.monte_carlo_errors(
-            lrt, nominals[0], nominals[1], spec.rho, n, seed + 2))
+        runs += [
+            ("robust", "lfd", evaluation.monte_carlo_errors(
+                sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, n, seed)),
+            ("robust", "nominal", evaluation.monte_carlo_errors(
+                sol.delta_hat, nominals[0], nominals[1], spec.rho, n, seed + 1)),
+            ("lrt", "nominal", evaluation.monte_carlo_errors(
+                lrt, nominals[0], nominals[1], spec.rho, n, seed + 2)),
+        ]
+    rules, dens, reps = zip(*runs)
     meta = {"alpha": spec.alpha, "rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1,
             "l_l": sol.thresholds.l_l, "l_u": sol.thresholds.l_u}
-    _write_table(cfg, meta, ["rule", "densities", "method", "p_fa", "p_miss",
-                             "p_error", "hw_fa", "hw_miss"], rows)
-    return EXIT_OK
+    return meta, {
+        "rule": rules, "densities": dens, "method": [r.method for r in reps],
+        "p_fa": [r.p_false_alarm for r in reps], "p_miss": [r.p_miss for r in reps],
+        "p_error": [r.p_error for r in reps],
+        "hw_fa": [math.nan if r.hw_false_alarm is None else r.hw_false_alarm for r in reps],
+        "hw_miss": [math.nan if r.hw_miss is None else r.hw_miss for r in reps],
+    }
 
 
-def _cmd_sweep_alpha(cfg) -> int:
+def _cmd_sweep_alpha(cfg):
     nominals = _nominals(cfg)
     alphas = _parse_list(_need(cfg, "alphas"), "alphas")
-    spec = DivergenceSpec(alpha=alphas[0], rho=_get_float(cfg, "rho", 1.0),
-                          eps0=_get_float(cfg, "eps0"), eps1=_get_float(cfg, "eps1"))
+    spec = _spec(cfg, alphas[0])
     grid = _grid_or_default(cfg, nominals)
     rows = evaluation.alpha_sweep(spec, alphas, nominals, grid)
-    meta = {"rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1}
-    _write_table(cfg, meta, ["alpha", "l_l", "l_u", "residual"],
-                 [(r.alpha, r.l_l, r.l_u, r.residual_norm) for r in rows])
-    return EXIT_OK
+    return {"rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1}, {
+        "alpha": [r.alpha for r in rows], "l_l": [r.l_l for r in rows],
+        "l_u": [r.l_u for r in rows], "residual": [r.residual_norm for r in rows]}
 
 
-def _cmd_sweep_snr(cfg) -> int:
+def _cmd_sweep_snr(cfg):
     noise = parse_density(_need(cfg, "nominal0"))
     if "amplitudes" in cfg:
         amps = _parse_list(cfg["amplitudes"], "amplitudes")
@@ -449,11 +431,10 @@ def _cmd_sweep_snr(cfg) -> int:
         n, seed = _parse_mc(cfg["mc"])
     rows = evaluation.snr_sweep(noise, amps, spec, grid, n,
                                 **({"seed": seed} if n else {}))
-    meta = {"alpha": spec.alpha, "rho": spec.rho}
-    _write_table(cfg, meta, ["snr_db", "test", "eps0", "eps1", "p_fa", "p_miss"],
-                 [(r.snr_db, r.test, r.eps0, r.eps1, r.p_false_alarm, r.p_miss)
-                  for r in rows])
-    return EXIT_OK
+    return {"alpha": spec.alpha, "rho": spec.rho}, {
+        "snr_db": [r.snr_db for r in rows], "test": [r.test for r in rows],
+        "eps0": [r.eps0 for r in rows], "eps1": [r.eps1 for r in rows],
+        "p_fa": [r.p_false_alarm for r in rows], "p_miss": [r.p_miss for r in rows]}
 
 
 _HANDLERS = {
@@ -468,17 +449,27 @@ _HANDLERS = {
 
 
 def run(cfg: dict[str, str]) -> int:
-    """Dispatch one parsed configuration; returns the process exit code."""
+    """Dispatch one parsed configuration, write its table; returns the exit code."""
     try:
         _check_keys(cfg)
         command = _need(cfg, "command")
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-        return _HANDLERS[command](cfg)
-    except InfeasibleEpsError as exc:
-        print(f"infeasible radii: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except limits.NoBoundaryPointError as exc:
+        fmt = cfg.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {fmt!r}")
+        text = _render(fmt, *_HANDLERS[command](cfg))
+        out = cfg.get("out", "-")
+        if out == "-":
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out!r}: {exc}") from None
+        return EXIT_OK
+    except (InfeasibleEpsError, limits.NoBoundaryPointError) as exc:
         print(f"infeasible radii: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NonConvergenceError as exc:

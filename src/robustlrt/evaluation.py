@@ -101,9 +101,7 @@ def _bayes(p_f: float, p_m: float, rho: float) -> float:
 
 def _rule_on(delta, grid: QuadratureGrid) -> np.ndarray:
     """Rule values on the grid from a tabulated rule, callable, or array."""
-    if isinstance(delta, TabulatedFunction):
-        v = delta(grid.points)
-    elif callable(delta):
+    if callable(delta):
         v = np.asarray(delta(grid.points), dtype=float)
         if v.shape == ():
             v = np.full(grid.points.shape, float(v))
@@ -121,9 +119,7 @@ def _rule_on(delta, grid: QuadratureGrid) -> np.ndarray:
 
 def _rule_at(delta, y: np.ndarray) -> np.ndarray:
     """Rule values at arbitrary sample locations (Monte Carlo use)."""
-    if isinstance(delta, TabulatedFunction):
-        v = np.asarray(delta(y), dtype=float)
-    elif callable(delta):
+    if callable(delta):
         v = np.asarray(delta(y), dtype=float)
         if v.shape == ():
             v = np.full(y.shape, float(v))

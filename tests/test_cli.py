@@ -25,7 +25,7 @@ import pytest
 import robustlrt
 from robustlrt import cli, density
 from robustlrt.cli import ConfigError, parse_density
-from robustlrt.lfd_solver import NonConvergenceError
+from robustlrt.lfd_solver import NonConvergenceError, partition
 
 ANCHOR_L_L = 0.6050401521115419
 ANCHOR_L_U = 1.6180169369866289
@@ -406,6 +406,77 @@ def test_sweep_snr_command(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output contract: floats round-trip exactly, ints and booleans are integers,
+# NaN is null in JSON, and both formats carry the same values
+
+
+def test_solve_csv_round_trips_the_solution(anchor_config, mix_solution, capsys):
+    code, out, err = run_main(["--config", anchor_config], capsys)
+    assert code == 0 and err == ""
+    _, names, rows = read_csv(out)
+    cols = dict(zip(names, zip(*rows)))
+    sol = mix_solution
+    for name, expected in (("y", sol.grid.points), ("g0_hat", sol.g0_hat.values),
+                           ("delta_hat", sol.delta_hat.values)):
+        parsed = np.array([float(v) for v in cols[name]])
+        assert parsed.tobytes() == np.asarray(expected, dtype=float).tobytes(), name
+    l = density.ratio_values(sol.f0_values, sol.f1_values)
+    regions = partition(l, 1.0, sol.thresholds)
+    assert list(cols["region"]) == [str(r) for r in regions.tolist()]
+    assert set(cols["region"]) == {"1", "2", "3"}
+
+
+def test_closed_form_limits_writes_nan_multipliers(capsys):
+    code, out, _ = run_main(LIMITS_ARGS, capsys)
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert rows[0][2:] == ["nan", "nan"]
+    code, out, _ = run_main([*LIMITS_ARGS, "--format", "json"], capsys)
+    assert code == 0
+    cols = json.loads(out)["columns"]
+    assert cols["lambda0"] == [None] and cols["lambda1"] == [None]
+    assert cols["eps0"] == [0.2]
+
+
+def test_surface_writes_feasible_as_integer_and_boolean(tmp_path, capsys):
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text("command = surface\nalpha = 0.5\nn = 3\n")
+    code, out, _ = run_main(["--config", str(cfg)], capsys)
+    assert code == 0
+    _, names, rows = read_csv(out)
+    assert [row[names.index("feasible")] for row in rows] == ["1"] * 3
+    code, out, _ = run_main(["--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    feasible = json.loads(out)["columns"]["feasible"]
+    assert len(feasible) == 3 and all(v is True for v in feasible)
+
+
+def test_evaluate_csv_and_json_carry_the_same_values(tmp_path, capsys):
+    cfg = tmp_path / "ev.cfg"
+    cfg.write_text(
+        "command = evaluate\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"
+        "alpha = 0.5\neps0 = 0.02\neps1 = 0.02\ngrid = -9:9:1001\nmc = 2000:5\n")
+    code, text, _ = run_main(["--config", str(cfg)], capsys)
+    assert code == 0
+    meta, names, rows = read_csv(text)
+    code, text, _ = run_main(["--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(text)
+    assert {k: float(v) for k, v in meta.items()} == payload["meta"]
+    assert list(payload["columns"]) == sorted(names)
+    for name, cells in zip(names, zip(*rows)):
+        values = payload["columns"][name]
+        assert len(values) == len(cells) == 6
+        for cell, value in zip(cells, values):
+            if isinstance(value, str):
+                assert cell == value
+            elif value is None:
+                assert cell == "nan"
+            else:
+                assert float(cell) == value
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -462,6 +533,35 @@ def test_exit_nonconvergence(tmp_path, monkeypatch, capsys):
          "--eps0", "0.02", "--eps1", "0.03", "--grid=-8:9:101"], capsys)
     assert code == 3
     assert "did not converge" in err
+
+
+def test_bad_format_is_refused_before_any_solve(anchor_config, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the solve ran before the format was checked")
+
+    monkeypatch.setattr(cli, "solve_thresholds", never)
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text(Path(anchor_config).read_text() + "format = xml\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "format must be csv or json" in err
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_main([*LIMITS_ARGS, "--out", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert "configuration error" in err and "cannot write" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("n", ["2.7", "1e400", "many"])
+def test_surface_point_count_must_be_an_integer(tmp_path, capsys, n):
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text(f"command = surface\nalpha = 0.5\nn = {n}\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "configuration error" in err and "integer" in err
 
 
 # ---------------------------------------------------------------------------
