@@ -280,7 +280,8 @@ def _render(fmt: str, meta: dict, columns: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _solution_table(spec: DivergenceSpec, sol: RobustSolution):
+def _solution_table(sol: RobustSolution):
+    spec = sol.spec
     l = density.ratio_values(sol.f0_values, sol.f1_values)
     meta = {
         "alpha": spec.alpha, "rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1,
@@ -305,7 +306,7 @@ def _cmd_solve(cfg):
     nominals = _nominals(cfg)
     spec = _spec(cfg, _get_float(cfg, "alpha"))
     grid = _grid_or_default(cfg, nominals)
-    return _solution_table(spec, solve_thresholds(spec, nominals, grid))
+    return _solution_table(solve_thresholds(spec, nominals, grid))
 
 
 def _cmd_solve_symmetric(cfg):
@@ -314,8 +315,7 @@ def _cmd_solve_symmetric(cfg):
     alpha = _get_float(cfg, "alpha")
     rho = _get_float(cfg, "rho", 1.0)
     grid = _grid_or_default(cfg, nominals)
-    sol = solve_symmetric(eps, alpha, rho, nominals, grid)
-    return _solution_table(DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps), sol)
+    return _solution_table(solve_symmetric(eps, alpha, rho, nominals, grid))
 
 
 def _cmd_limits(cfg):

@@ -42,8 +42,8 @@ class DivergenceSpec:
 
     rho is the prior ratio P(H0)/P(H1) and doubles as the likelihood-ratio
     test threshold.  eps0 and eps1 are the uncertainty radii around the two
-    nominal densities; feasibility against the admissible-radius boundary is
-    a separate check, not enforced here.
+    nominal densities, finite and nonnegative; feasibility against the
+    admissible-radius boundary is a separate check, not enforced here.
     """
 
     alpha: float
@@ -55,8 +55,9 @@ class DivergenceSpec:
         check_alpha(self.alpha)
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.eps0 < 0.0 or self.eps1 < 0.0:
-            raise ValueError(f"radii must be nonnegative, got ({self.eps0}, {self.eps1})")
+        if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
+            raise ValueError(
+                f"radii must be finite and nonnegative, got ({self.eps0}, {self.eps1})")
 
 
 def x_of(alpha: float, eps: float) -> float:

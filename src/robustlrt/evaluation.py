@@ -28,13 +28,7 @@ import numpy as np
 from . import density, kernels
 from .density import DensityModel, QuadratureGrid
 from .divergence import DivergenceSpec, alpha_divergence
-from .lfd_solver import (
-    InfeasibleEpsError,
-    NonConvergenceError,
-    RobustSolution,
-    TabulatedFunction,
-    solve_thresholds,
-)
+from .lfd_solver import RobustSolution, TabulatedFunction, solve_thresholds
 from .roots import bracket, brent
 
 __all__ = [
@@ -336,8 +330,7 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
             row_spec = dataclasses.replace(spec, eps0=float(e0), eps1=float(e1))
             try:
                 sol = solve_thresholds(row_spec, (f0, f1), g)
-            except (InfeasibleEpsError, NonConvergenceError, ValueError,
-                    RuntimeError) as exc:
+            except (ValueError, RuntimeError) as exc:
                 rows.append(SnrRow(sdb, amp, "robust", float(e0), float(e1),
                                    math.nan, math.nan, math.nan,
                                    feasible=False, note=str(exc)))
@@ -367,8 +360,7 @@ def alpha_sweep(spec: DivergenceSpec, alphas, nominals,
         row_spec = dataclasses.replace(spec, alpha=float(a))
         try:
             sol = solve_thresholds(row_spec, nominals, grid)
-        except (InfeasibleEpsError, NonConvergenceError, ValueError,
-                RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             rows.append(AlphaRow(float(a), math.nan, math.nan, math.nan,
                                  math.nan, math.nan, error=str(exc)))
             continue

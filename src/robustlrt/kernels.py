@@ -64,14 +64,33 @@ def region_masses(l, f0, f1, points, lo, hi):
     return tuple(float(x) for x in out)
 
 
+def _interior_bracket(lv, rho, beta, kb, lb_, ub):
+    """(log Br, delta) at ratio values lv for given K = k^beta, L, U.
+
+    Br = K*(L - U) / (L - K*U + (K - 1)*t) with t = (l/rho)^beta clipped
+    between L and U is the interior bracket of the least favorable densities, and
+    delta = (t - L) / ((t - L) + K*(U - t)) the randomized rule.  Both come
+    from p = (t - L)/K and q = U - t, sign-flipped when beta < 0 so that
+    both are nonnegative: Br = |U - L|/(p + q) and delta = p/(p + q), with
+    delta exactly 0 at t = L and 1 at t = U.
+    """
+    t = np.clip((lv / rho) ** beta, min(lb_, ub), max(lb_, ub))
+    p, q = (t - lb_) / kb, ub - t
+    if beta < 0.0:
+        p, q = -p, -q
+    pq = p + q
+    # + 0.0 turns -0.0 into 0
+    return np.log(abs(ub - lb_)) - np.log(pq), p / pq + 0.0
+
+
 def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
     """(S, T0, T1) bracket-power integrals over I2 for given K = k^beta, L, U.
 
     S  = integral of Br^(1/beta) * f1,
     T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
     T1 = integral of Br^(alpha/beta) * f1,
-    where Br = K*(L - U) / (L - K*U + (K - 1)*t) and t = (l/rho)^beta,
-    evaluated in the rearranged all-nonnegative form to avoid cancellation.
+    with the interior bracket Br of `_interior_bracket`, evaluated in its
+    rearranged all-nonnegative form to avoid cancellation.
     """
     lab = _labels(l, lo, hi)
     h = np.diff(points)
@@ -100,12 +119,7 @@ def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub)
     f0v, f1v = knots(f0), knots(f1)
     wv = np.concatenate((w[k], wj, wj))
 
-    t = np.clip((lv / rho) ** beta, min(lb_, ub), max(lb_, ub))
-    if beta > 0.0:
-        num, den = ub - lb_, (t - lb_) / kb + (ub - t)
-    else:
-        num, den = lb_ - ub, (lb_ - t) / kb + (t - ub)
-    logbr = np.log(num) - np.log(den)
+    logbr, _ = _interior_bracket(lv, rho, beta, kb, lb_, ub)
     pw = logbr * (alpha / beta)
     w1 = wv * f1v
     with np.errstate(over="ignore"):  # an overflowing order integrates to inf

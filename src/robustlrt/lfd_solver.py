@@ -14,7 +14,10 @@ two moment conditions that activate both divergence constraints.
 path (Allgower & Georg, *Numerical Continuation Methods*) that grows the
 radii from zero at rho = 1 and then moves the prior from 1 to rho.  The
 module also offers a one-dimensional fast path for symmetric problems
-(``solve_symmetric``).
+(``solve_symmetric``): the same residuals restricted to l_l = 1/l_u, summed
+into one scalar equation in log l_u.  The interior bracket and the rule
+come from one kernel helper, and ``robust_rule``, ``robust_lr`` and the
+materialized tables share one branch form.
 
 The returned tables live on the quadrature grid augmented with the exact
 region crossing points, so trapezoid sums over the tables reproduce the
@@ -33,7 +36,8 @@ from . import limits
 from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights,
                       values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import augment_with_crossings, i2_power_integrals, region_masses
+from .kernels import (_interior_bracket, augment_with_crossings, i2_power_integrals,
+                      region_masses)
 from .roots import bracket, brent
 
 
@@ -74,11 +78,7 @@ class TabulatedFunction:
     values: np.ndarray
 
     def __call__(self, y):
-        arr = np.asarray(y, dtype=np.float64)
-        out = np.interp(np.atleast_1d(arr), self.points, self.values)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        return _on_values(lambda yv: np.interp(yv, self.points, self.values), y)
 
 
 @dataclass(frozen=True)
@@ -278,37 +278,38 @@ def z_norm(t: ThresholdPair, alpha: float, rho: float, nominals, grid: Quadratur
     return st.z
 
 
+def _on_values(fn, l):
+    """fn applied to l as a 1-d float array, shaped back like l (a float for a scalar)."""
+    arr = np.asarray(l, dtype=np.float64)
+    out = fn(np.atleast_1d(arr))
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
 def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
     """Interior scale factor of g1_hat at ratio value(s) l in [rho*l_l, rho*l_u]."""
     check_alpha(alpha)
-    arr = np.asarray(l, dtype=np.float64)
-    lv = np.atleast_1d(arr)
     lo, hi = rho * t.l_l, rho * t.l_u
-    if np.any(lv < lo - 1e-12 * lo) or np.any(lv > hi + 1e-12 * hi):
-        raise ValueError("phi1 is defined on [rho*l_l, rho*l_u] only")
     beta = alpha - 1.0
-    big_l, big_u = t.l_l ** beta, t.l_u ** beta
-    if t.l_l == t.l_u:
-        out = np.full(lv.shape, 1.0 / z)
-    else:
-        kb = k ** beta
-        tmin, tmax = min(big_l, big_u), max(big_l, big_u)
-        tv = np.clip((lv / rho) ** beta, tmin, tmax)
-        if beta > 0.0:
-            den = (tv - big_l) / kb + (big_u - tv)
-            num = big_u - big_l
-        else:
-            den = (big_l - tv) / kb + (tv - big_u)
-            num = big_l - big_u
-        if np.any(den <= 0.0) or num <= 0.0:
+
+    def factor(lv):
+        if np.any(lv < lo - 1e-12 * lo) or np.any(lv > hi + 1e-12 * hi):
+            raise ValueError("phi1 is defined on [rho*l_l, rho*l_u] only")
+        if t.l_l == t.l_u:
+            return np.full(lv.shape, 1.0 / z)
+        big_l, big_u = t.l_l ** beta, t.l_u ** beta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logbr, _ = _interior_bracket(lv, rho, beta, k ** beta, big_l, big_u)
+        # L = U or a vanishing bracket denominator (log Br = inf or nan)
+        if big_l == big_u or not np.all(logbr < math.inf):
             raise ParametricInfeasibleError(
                 "interior bracket is not positive; the parametric form is "
                 "infeasible at these thresholds"
             )
-        out = np.exp((np.log(num) - np.log(den)) / beta) / z
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return np.exp(logbr / beta) / z
+
+    return _on_values(factor, l)
 
 
 def phi0(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
@@ -327,50 +328,34 @@ def residuals(t: ThresholdPair, spec: DivergenceSpec, nominals, grid: Quadrature
     return st.r0, st.r1
 
 
-def _delta_interior(lv, l_l, l_u, alpha, rho, k):
-    """Randomization probability at interior ratio values (array)."""
-    beta = alpha - 1.0
-    big_l, big_u = l_l ** beta, l_u ** beta
-    tv = np.clip((lv / rho) ** beta, min(big_l, big_u), max(big_l, big_u))
-    # exactly 0 at tv = L and 1 at tv = U for either sign of beta;
-    # + 0.0 turns -0.0 into 0
-    return (tv - big_l) / ((tv - big_l) + k ** beta * (big_u - tv)) + 0.0
+def _branches(lv, t: ThresholdPair, alpha: float, rho: float, k: float):
+    """(delta_hat, l_hat) at ratio values lv: the rule is 0 / interior / 1 and
+    the robust likelihood ratio l/l_l / rho / l/l_u below, inside and above
+    [rho*l_l, rho*l_u]; equal thresholds randomize evenly on their tie."""
+    lo, hi = rho * t.l_l, rho * t.l_u
+    delta = (lv > hi).astype(np.float64)
+    mid = (lv >= lo) & (lv <= hi)
+    if np.any(mid):
+        if t.l_l == t.l_u:
+            delta[mid] = 0.5
+        else:
+            beta = alpha - 1.0
+            delta[mid] = _interior_bracket(lv[mid], rho, beta, k ** beta, t.l_l ** beta,
+                                           t.l_u ** beta)[1]
+    l_hat = np.where(lv < lo, lv / t.l_l, np.where(lv > hi, lv / t.l_u, rho))
+    return delta, l_hat
 
 
 def robust_rule(l, solution: RobustSolution):
     """Probability of deciding for the alternative at ratio value(s) l."""
-    arr = np.asarray(l, dtype=np.float64)
-    lv = np.atleast_1d(arr).astype(np.float64)
-    t = solution.thresholds
-    rho = solution.spec.rho
-    lo, hi = rho * t.l_l, rho * t.l_u
-    out = np.zeros(lv.shape)
-    out[lv > hi] = 1.0
-    mid = (lv >= lo) & (lv <= hi)
-    if np.any(mid):
-        if t.l_l == t.l_u:
-            out[mid] = np.where(lv[mid] == lo, 0.5, np.where(lv[mid] > lo, 1.0, 0.0))
-        else:
-            out[mid] = np.clip(
-                _delta_interior(lv[mid], t.l_l, t.l_u, solution.spec.alpha, rho, solution.k),
-                0.0, 1.0,
-            )
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _on_values(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
+                                           solution.spec.rho, solution.k)[0], l)
 
 
 def robust_lr(l, solution: RobustSolution):
     """Robust likelihood ratio: l/l_l below, rho inside, l/l_u above."""
-    arr = np.asarray(l, dtype=np.float64)
-    lv = np.atleast_1d(arr).astype(np.float64)
-    t = solution.thresholds
-    rho = solution.spec.rho
-    lo, hi = rho * t.l_l, rho * t.l_u
-    out = np.where(lv < lo, lv / t.l_l, np.where(lv > hi, lv / t.l_u, rho))
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _on_values(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
+                                           solution.spec.rho, solution.k)[1], l)
 
 
 def _materialize(spec, t, st, f0v, f1v, l, grid, resid_norm, aug=None) -> RobustSolution:
@@ -383,37 +368,21 @@ def _materialize(spec, t, st, f0v, f1v, l, grid, resid_norm, aug=None) -> Robust
     else:
         y_aug, l_aug, f0a, f1a = aug
     lab = partition(l_aug, rho, t)
-    in1, in2, in3 = lab == 1, lab == 2, lab == 3
+    in2, in3 = lab == 2, lab == 3
     k, z = st.k, st.z
 
-    g0 = np.empty_like(f0a)
-    g1 = np.empty_like(f1a)
-    g0[in1] = (t.l_l / z) * f0a[in1]
-    g1[in1] = (1.0 / z) * f1a[in1]
-    g0[in3] = (k * t.l_u / z) * f0a[in3]
-    g1[in3] = (k / z) * f1a[in3]
-    delta = np.zeros_like(f0a)
-    delta[in3] = 1.0
-    if np.any(in2):
-        if t.l_l == t.l_u:
-            g0[in2] = (t.l_l / z) * f0a[in2]
-            g1[in2] = (1.0 / z) * f1a[in2]
-            delta[in2] = 0.5
-        else:
-            p1 = phi1(l_aug[in2], t, alpha, rho, k, z)
-            g1[in2] = p1 * f1a[in2]
-            g0[in2] = p1 * (l_aug[in2] / rho) * f0a[in2]
-            d = _delta_interior(l_aug[in2], t.l_l, t.l_u, alpha, rho, k)
-            if d.min() < -1e-9 or d.max() > 1.0 + 1e-9:
-                raise ParametricInfeasibleError(
-                    "interior randomization left [0, 1]: range [%g, %g]"
-                    % (d.min(), d.max())
-                )
-            delta[in2] = np.clip(d, 0.0, 1.0)
+    # I3 takes the upper-region scaling; I1, and I2 when the thresholds are
+    # equal, the lower-region one
+    g0 = np.where(in3, k * t.l_u / z, t.l_l / z) * f0a
+    g1 = np.where(in3, k / z, 1.0 / z) * f1a
+    if np.any(in2) and t.l_l != t.l_u:
+        p1 = phi1(l_aug[in2], t, alpha, rho, k, z)
+        g1[in2] = p1 * f1a[in2]
+        g0[in2] = p1 * (l_aug[in2] / rho) * f0a[in2]
     if g0.min() < 0.0 or g1.min() < 0.0:
         raise ParametricInfeasibleError("a least favorable density went negative")
 
-    l_hat_vals = np.where(in1, l_aug / t.l_l, np.where(in3, l_aug / t.l_u, rho))
+    delta, l_hat_vals = _branches(l_aug, t, alpha, rho, k)
     aug_grid = QuadratureGrid(y_aug, trapezoid_weights(y_aug))
     ach0 = alpha_divergence(g0, f0a, alpha, aug_grid)
     ach1 = alpha_divergence(g1, f1a, alpha, aug_grid)
@@ -628,14 +597,13 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     """One-dimensional solver for mirror-symmetric problems with equal radii.
 
     Requires f1(y) = f0(-y) pointwise and a strictly increasing likelihood
-    ratio; then l_l = 1/l_u, the balance factor equals l_l, and a single
-    scalar equation in the upper decision point y_u determines everything.
-    The materialized solution matches solve_thresholds on the same problem.
+    ratio; then l_l = 1/l_u, and the sum of the two activation residuals of
+    solve_thresholds is a single scalar equation in u = log l_u.  Its root is
+    bracketed outward from u = 0 and found by Brent's method.  The
+    materialized solution matches solve_thresholds on the same problem.
     """
     cfg = config or SolverConfig()
-    check_alpha(alpha)
-    if eps < 0.0:
-        raise ValueError("radius must be nonnegative")
+    spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
     f0v, f1v = (values_on(f, grid) for f in nominals)
     mirrored = evaluate(nominals[0], -grid.points) if not isinstance(nominals[0], np.ndarray) \
         else np.interp(-grid.points, grid.points, f0v)
@@ -656,60 +624,32 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             RuntimeWarning,
             stacklevel=2,
         )
-    spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
-    x_eps = x_of(alpha, eps)
-
     if eps == 0.0:
-        st = _eval_state(1.0, 1.0, alpha, rho, l, f0v, f1v, grid.points, x_eps, x_eps)
-        return _materialize(spec, ThresholdPair(1.0, 1.0), st, f0v, f1v, l, grid,
-                            max(abs(st.r0), abs(st.r1)))
+        return solve_thresholds(spec, nominals, grid, config)
 
+    x_eps = x_of(alpha, eps)
     points = grid.points
-    beta = alpha - 1.0
+    states = {}  # u -> _EvalState, or None where the regions degenerate
 
-    def g_resid(y_u):
-        lu = float(np.interp(y_u, points, l))
-        if lu <= 1.0:
-            return np.nan
-        ll = 1.0 / lu
-        lo, hi = rho * ll, rho * lu
-        masses = region_masses(l, f0v, f1v, points, lo, hi)
-        a1, b1 = masses[3], masses[5]
-        if a1 <= 0.0 or b1 <= 0.0:
-            return np.nan
-        # the two constraints coincide by symmetry; with the balance factor
-        # pinned to l_l the interior integrals collapse to a single equation
-        big_l, big_u = ll ** beta, lu ** beta
-        s_int, _, t1_int = i2_power_integrals(
-            l, f0v, f1v, points, lo, hi, rho, beta, alpha, big_l, big_l, big_u
-        )
-        t_mid1 = s_int / ll
-        t_mida = t1_int / ll ** alpha
-        return lu ** alpha * a1 + t_mida + b1 - x_eps * (lu * a1 + t_mid1 + b1) ** alpha
+    def resid(u):
+        if u not in states:
+            try:
+                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, rho, l, f0v, f1v,
+                                        points, x_eps, x_eps)
+            except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
+                states[u] = None
+        st = states[u]
+        return math.nan if st is None else st.r0 + st.r1
 
-    # bracket y_u between the ratio crossing of 1 and the grid edge
-    y0 = float(np.interp(1.0, l[core], points[core]))
-    ys = np.linspace(y0 + 1e-9, points[-1], 200)
-    gv_prev, y_prev = None, None
-    span = None
-    for y in ys:
-        gv = g_resid(float(y))
-        if not np.isfinite(gv):
-            gv_prev, y_prev = None, None
-            continue
-        if gv_prev is not None and gv_prev * gv <= 0.0:
-            span = (y_prev, float(y))
-            break
-        gv_prev, y_prev = gv, float(y)
+    # l_u moves like sqrt(eps) away from 1 and stays inside the ratio range
+    span = bracket(resid, 0.0, resid(0.0), math.sqrt(eps), math.log(float(l[core].max())))
     if span is None:
         raise InfeasibleEpsError(
             "no decision point solves the symmetric activation equation for "
             "eps = %g; check feasibility with limits.validate_eps" % eps
         )
-    y_u = brent(g_resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=cfg.max_iter)
-    lu = float(np.interp(y_u, points, l))
-    ll = 1.0 / lu
-    st = _eval_state(ll, lu, alpha, rho, l, f0v, f1v, points, x_eps, x_eps)
+    st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=cfg.max_iter)]
+    ll, lu = st.l_l, st.l_u
     aug = _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu) if rho == 1.0 else None
     if abs(st.k - ll) > 1e-6 * ll:
         warnings.warn(

@@ -71,8 +71,9 @@ class DiscreteProblem:
         check_alpha(self.alpha)
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.eps0 < 0.0 or self.eps1 < 0.0:
-            raise ValueError(f"radii must be nonnegative, got ({self.eps0}, {self.eps1})")
+        if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
+            raise ValueError(
+                f"radii must be finite and nonnegative, got ({self.eps0}, {self.eps1})")
         for name, v in (("f0", self.f0), ("f1", self.f1)):
             if v.ndim != 1 or v.size != self.m:
                 raise ValueError(f"{name} must be a length-{self.m} vector")

@@ -299,7 +299,7 @@ def test_10_unreduced_solution_forms_match_reduced_ones(
             lfd_solver.phi1(lv, t, spec.alpha, spec.rho, k, z)
             - kkt_reference.raw_phi1(lv, params, spec.alpha, spec.rho))))
         drule = float(np.max(np.abs(
-            lfd_solver._delta_interior(lv, l_l, l_u, spec.alpha, spec.rho, k)
+            lfd_solver.robust_rule(lv, types.SimpleNamespace(thresholds=t, k=k, spec=spec))
             - kkt_reference.raw_rule(lv, params, spec.alpha, spec.rho))))
         assert dphi <= 1e-9
         assert drule <= 1e-9

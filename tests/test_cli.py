@@ -303,6 +303,27 @@ def test_limits_rejects_two_fixed_radii(capsys):
     assert "configuration error" in err and "exactly one" in err
 
 
+@pytest.mark.parametrize("eps0", ["inf", "nan"])
+def test_solve_refuses_non_finite_radius(tmp_path, capsys, eps0):
+    cfg = tmp_path / "gauss.cfg"
+    cfg.write_text("nominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n")
+    code, out, err = run_main(
+        ["--config", str(cfg), "--command", "solve", "--alpha", "4", "--eps0", eps0,
+         "--eps1", "0.03", "--grid=-8:9:401"], capsys)
+    assert code == 1 and out == ""
+    assert "finite and nonnegative" in err
+
+
+def test_solve_symmetric_refuses_non_finite_radius(tmp_path, capsys):
+    cfg = tmp_path / "sym.cfg"
+    cfg.write_text(
+        "command = solve-symmetric\nnominal0 = gaussian(-1,1)\n"
+        "nominal1 = gaussian(1,1)\nalpha = 4\neps = nan\ngrid = -8:9:401\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "finite and nonnegative" in err
+
+
 def test_limits_beyond_boundary_is_infeasible_exit(capsys):
     # fixed radius past the closed-form axis maximum: exit code 2
     code, _, err = run_main(

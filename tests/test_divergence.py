@@ -33,6 +33,11 @@ def test_spec_validation():
         divergence.DivergenceSpec(alpha=2.0, rho=0.0)
     with pytest.raises(ValueError):
         divergence.DivergenceSpec(alpha=2.0, eps0=-0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            divergence.DivergenceSpec(alpha=4.0, eps0=bad, eps1=0.03)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            divergence.DivergenceSpec(alpha=4.0, eps0=0.02, eps1=bad)
 
 
 def test_self_divergence_is_zero():

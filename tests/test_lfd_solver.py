@@ -390,6 +390,38 @@ def test_symmetric_warns_for_off_center_prior(norm_pair, norm_grid):
     assert len(messages) >= 2
 
 
+@pytest.mark.parametrize("alpha, eps", [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2),
+                                        (4.0, 0.475)])
+def test_symmetric_solve_takes_few_residual_evaluations(monkeypatch, norm_pair, norm_grid,
+                                                        alpha, eps):
+    # one region_masses call per evaluation of the shared residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return region_masses(*args)
+
+    region_masses = lfd_solver.region_masses
+    monkeypatch.setattr(lfd_solver, "region_masses", counted)
+    sym = lfd_solver.solve_symmetric(eps, alpha, 1.0, norm_pair, norm_grid)
+    assert sym.residual_norm < 1e-8
+    assert len(calls) < 20
+
+
+def test_symmetric_matches_general_solver_near_the_boundary(norm_pair):
+    # alpha = -10 at 0.9 of the diagonal boundary radius on a coarse grid,
+    # where discretization separates the two threshold equations most
+    grid = density.make_grid(-9.0, 9.0, 401)
+    with warnings.catch_warnings():
+        # the coarse grid leaves a general residual that the solver reports
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sym = lfd_solver.solve_symmetric(1.259, -10.0, 1.0, norm_pair, grid)
+    gen = lfd_solver.solve_thresholds(
+        DivergenceSpec(alpha=-10.0, rho=1.0, eps0=1.259, eps1=1.259), norm_pair, grid)
+    assert sym.thresholds.l_l == pytest.approx(gen.thresholds.l_l, rel=3e-5)
+    assert sym.thresholds.l_u == pytest.approx(gen.thresholds.l_u, rel=3e-5)
+
+
 # ---------------------------------------------------------------------------
 # unreduced stationarity system (independent route)
 
@@ -433,7 +465,7 @@ def test_raw_forms_match_reduced_forms_at_shared_parameters(mix_spec, mix_nomina
         lfd_solver.phi0(lv, t, alpha, rho, k, z), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
         kkt_reference.raw_rule(lv, p, alpha, rho),
-        lfd_solver._delta_interior(lv, ll, lu, alpha, rho, k),
+        lfd_solver.robust_rule(lv, types.SimpleNamespace(thresholds=t, k=k, spec=mix_spec)),
         rtol=1e-9, atol=1e-12)
 
 

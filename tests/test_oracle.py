@@ -58,6 +58,11 @@ def test_discrete_problem_validation():
         DiscreteProblem(10, u, u, 0.5, -1.0, 0.01, 0.01)
     with pytest.raises(ValueError, match="nonnegative"):
         DiscreteProblem(10, u, u, 0.5, 1.0, -0.01, 0.01)
+    for bad_eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DiscreteProblem(10, u, u, 0.5, 1.0, bad_eps, 0.01)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DiscreteProblem(10, u, u, 0.5, 1.0, 0.01, bad_eps)
 
 
 def test_bin_centers_span_the_grid(mix_grid):
