@@ -356,9 +356,8 @@ def _cmd_surface(cfg):
     if "nominal0" in cfg or "nominal1" in cfg:
         nominals = _nominals(cfg)
         grid = _grid_or_default(cfg, nominals)
-    a = _get_float(cfg, "a", math.nan)
-    report = limits.eps_surface(alpha, n, nominals=nominals, grid=grid,
-                                a=None if math.isnan(a) else a)
+    a = _get_float(cfg, "a") if "a" in cfg else None
+    report = limits.eps_surface(alpha, n, nominals=nominals, grid=grid, a=a)
     meta = {"alpha": report.alpha, "mode": report.mode,
             "lambda0": report.lambda0, "lambda1": report.lambda1}
     e0, e1 = np.array(report.pairs).T

@@ -243,8 +243,12 @@ def k_factor(t: ThresholdPair, nominals, rho: float, grid: QuadratureGrid) -> fl
     """Ratio of lower-region to upper-region threshold-weighted f0 masses.
 
     k = int_{I1}(l - l_l) f0 / int_{I3}(l_u - l) f0, both region integrals
-    taken with the rho-scaled thresholds.  Raises DegenerateRegionError when
-    the ratio is not a positive finite number.
+    taken with the rho-scaled thresholds.  This literal ratio is the
+    solution's coupling `RobustSolution.k` only at rho = 1; off centre the
+    solve couples the branches otherwise (on the anchor problem at rho 0.8,
+    eps (0.011, 0.014), alpha 4 it gives 0.469 where `sol.k` is 0.686),
+    while `z_norm` matches `sol.z` for every rho.  Raises
+    DegenerateRegionError when the ratio is not a positive finite number.
     """
     f0v, f1v = (values_on(f, grid) for f in nominals)
     l = ratio_values(f0v, f1v)

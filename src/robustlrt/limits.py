@@ -4,13 +4,13 @@ For a pair of uncertainty balls around the nominal densities, robust testing
 only makes sense while the balls are disjoint.  At the critical radii the
 balls touch in a single shared density g_v, one member of a family that
 runs from f0 to f1 in the log multiplier ratio v = log(lambda1/lambda0).
-Normalising g_v fixes the multipliers in closed form, so the touching point
-for one fixed radius is the root of one scalar equation in v.  This module
-solves it for general alpha (`max_eps_general`), provides the closed form
-available in the Hellinger case alpha = 1/2 (`hellinger_root_a`,
-`hellinger_eps_max`), tabulates boundary surfaces (`eps_surface`), and checks
-a requested radius pair against the boundary (`validate_eps`).  The prior
-ratio plays no part: the admissible region is a property of the two balls.
+Normalising g_v fixes the multipliers in closed form, so every boundary
+question is the root of one scalar equation in v on that family: the point
+where one radius takes a fixed value (`max_eps_general`, and pointwise on
+one shared family in `eps_surface`), or the point whose radii lie along a
+requested ray (`validate_eps`).  The Hellinger case alpha = 1/2 also has
+closed forms (`hellinger_root_a`, `hellinger_eps_max`).  The prior ratio
+plays no part: the admissible region is a property of the two balls.
 
 All integrals run on the caller's quadrature grid in log space, so very
 large or very negative alpha stay finite.
@@ -95,7 +95,7 @@ def _warn_if_bounded_ratio(lf0: np.ndarray, lf1: np.ndarray) -> None:
             "boundary radii assume an unbounded ratio range and may be "
             "slightly optimistic" % (lmin, lmax),
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -133,6 +133,10 @@ def hellinger_eps_max(a: float) -> float:
 
 def _hellinger_other(a: float, eps_fixed: float) -> float:
     """Closed-form boundary partner of eps_fixed at overlap a (alpha = 1/2)."""
+    if not 0.0 <= a <= 1.0:
+        raise ValueError("overlap a must lie in [0, 1], got %r" % (a,))
+    if not (math.isfinite(eps_fixed) and eps_fixed >= 0.0):
+        raise ValueError("fixed radius must be a finite nonnegative real")
     f0 = _root_a_unchecked(eps_fixed, 0.0) - a
     if f0 < 0.0:
         raise NoBoundaryPointError(
@@ -175,6 +179,71 @@ def _touching(lf0: np.ndarray, lf1: np.ndarray, w: np.ndarray, alpha: float, v: 
     return log_norm, radii[0], radii[1]
 
 
+def _family(nominals, alpha: float, grid: QuadratureGrid):
+    """The touching family of one nominal pair: (lf0, lf1, w, alpha, ends).
+
+    lf0, lf1 are the log nominals on the grid and w its weights; ends[-1]
+    (g = f0) and ends[1] (g = f1) are (eps0, eps1, lambda0, lambda1).
+    """
+    lf0, lf1 = (_log_values(f, grid) for f in nominals)
+    _warn_if_bounded_ratio(lf0, lf1)
+    w = grid.weights
+    aa = alpha * (1.0 - alpha)
+    lam = abs(1.0 - alpha)
+    ends = {-1.0: (0.0, (1.0 - _moment_alpha(lf0, lf1, alpha, w)) / aa, lam, 0.0),
+            1.0: ((1.0 - _moment_alpha(lf1, lf0, alpha, w)) / aa, 0.0, 0.0, lam)}
+    return lf0, lf1, w, alpha, ends
+
+
+def _touching_root(family, h):
+    """(eps0, eps1, lambda0, lambda1) at the g_v where h(eps0, eps1) = 0.
+
+    h must rise with v, as D(g_v, f0) does while D(g_v, f1) falls.  Brent's
+    method refines a bracket grown outward from v = 0; with no sign change
+    within |v| <= _V_MAX this returns the end of the family h points to.
+    """
+    lf0, lf1, w, alpha, ends = family
+
+    def r(v):
+        return h(*_touching(lf0, lf1, w, alpha, v)[1:])
+
+    r0 = r(0.0)
+    step = 1.0 if r0 < 0.0 else -1.0
+    span = bracket(r, 0.0, r0, step, _V_MAX)
+    if span is None:
+        return ends[step]
+    v = brent(r, *span, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    log_norm, e0, e1 = _touching(lf0, lf1, w, alpha, v)
+    lam = abs(1.0 - alpha)
+    return (e0, e1, lam * math.exp(-(1.0 - alpha) * log_norm),
+            lam * math.exp(v - (1.0 - alpha) * log_norm))
+
+
+def _partner(family, idx: int, val: float):
+    """`max_eps_general` on a built family, for a valid index and radius."""
+    alpha, ends = family[3:]
+    # D(g_v, f0) rises and D(g_v, f1) falls with v, so h below rises with v
+    sign = 1.0 if idx == 0 else -1.0
+    axis_max = ends[sign][idx]
+    if val == 0.0:
+        e0, e1, lam0, lam1 = ends[-sign]
+        return (e1 if idx == 0 else e0), lam0, lam1
+    if x_of(alpha, val) <= 0.0:
+        raise NoBoundaryPointError(
+            "no boundary point: constraint constant x(alpha, eps) = %g is not "
+            "positive, the fixed radius is beyond any admissible boundary"
+            % x_of(alpha, val), axis_max)
+    if val > axis_max:
+        raise NoBoundaryPointError(
+            "no boundary point: fixed radius eps%d = %g is beyond its axis "
+            "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max),
+            axis_max)
+    e0, e1, lam0, lam1 = ends[sign] if val == axis_max else _touching_root(
+        family, lambda e0, e1: sign * ((e0 if idx == 0 else e1) - val))
+    # next to the far end the partner radius is 0 up to rounding
+    return max(e1 if idx == 0 else e0, 0.0), lam0, lam1
+
+
 def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     """Largest admissible partner radius when one radius is held fixed.
 
@@ -199,54 +268,7 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
         raise ValueError("eps_i_fixed index must be 0 or 1")
     if not (np.isfinite(val) and val >= 0.0):
         raise ValueError("fixed radius must be a finite nonnegative real")
-    f0, f1 = nominals
-    lf0 = _log_values(f0, grid)
-    lf1 = _log_values(f1, grid)
-    _warn_if_bounded_ratio(lf0, lf1)
-    w = grid.weights
-    aa = alpha * (1.0 - alpha)
-    lam = abs(1.0 - alpha)
-    # the ends of the touching family as (eps0, eps1, lambda0, lambda1):
-    # g = f0 as v -> -inf and g = f1 as v -> +inf
-    ends = {-1.0: (0.0, (1.0 - _moment_alpha(lf0, lf1, alpha, w)) / aa, lam, 0.0),
-            1.0: ((1.0 - _moment_alpha(lf1, lf0, alpha, w)) / aa, 0.0, 0.0, lam)}
-    # D(g_v, f0) rises and D(g_v, f1) falls with v, so r below rises with v
-    sign = 1.0 if idx == 0 else -1.0
-    axis_max = ends[sign][idx]
-
-    def end(side):
-        e0, e1, lam0, lam1 = ends[side]
-        return (e1 if idx == 0 else e0), lam0, lam1
-
-    if val == 0.0:
-        return end(-sign)
-    if x_of(alpha, val) <= 0.0:
-        raise NoBoundaryPointError(
-            "no boundary point: constraint constant x(alpha, eps) = %g is not "
-            "positive, the fixed radius is beyond any admissible boundary"
-            % x_of(alpha, val), axis_max)
-    if val == axis_max:
-        return end(sign)
-    if val > axis_max:
-        raise NoBoundaryPointError(
-            "no boundary point: fixed radius eps%d = %g is beyond its axis "
-            "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max),
-            axis_max)
-
-    def r(v):
-        return sign * (_touching(lf0, lf1, w, alpha, v)[1 + idx] - val)
-
-    r0 = r(0.0)
-    step = 1.0 if r0 < 0.0 else -1.0
-    span = bracket(r, 0.0, r0, step, _V_MAX)
-    if span is None:
-        return end(step)
-    v = brent(r, *span, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    log_norm, e0, e1 = _touching(lf0, lf1, w, alpha, v)
-    lam0 = lam * math.exp(-(1.0 - alpha) * log_norm)
-    lam1 = lam * math.exp(v - (1.0 - alpha) * log_norm)
-    # next to the far end the partner radius is 0 up to rounding
-    return max(e1 if idx == 0 else e0, 0.0), lam0, lam1
+    return _partner(_family(nominals, alpha, grid), idx, val)
 
 
 def eps_surface(alpha: float, n: int, nominals=None,
@@ -265,8 +287,7 @@ def eps_surface(alpha: float, n: int, nominals=None,
         if nominals is not None:
             if grid is None:
                 raise ValueError("a grid is required to integrate the nominals")
-            lf0 = _log_values(nominals[0], grid)
-            lf1 = _log_values(nominals[1], grid)
+            lf0, lf1 = (_log_values(f, grid) for f in nominals)
             a_val = _moment_alpha(lf0, lf1, 0.5, grid.weights)
         else:
             a_val = 0.0 if a is None else float(a)
@@ -288,59 +309,37 @@ def eps_surface(alpha: float, n: int, nominals=None,
                                  a_value=a_val, lambda0=float(lam[0]), lambda1=float(lam[1]))
     if nominals is None or grid is None:
         raise ValueError("general mode needs nominals and a grid")
-    e0_hi, _, _ = max_eps_general(nominals, alpha, grid, (1, 0.0))
-    pairs = []
-    lam_mid = (math.nan, math.nan)
-    sweep = np.linspace(0.0, e0_hi, n)
-    for j, e0 in enumerate(sweep):
-        e1, l0, l1 = max_eps_general(nominals, alpha, grid, (0, float(e0)))
-        pairs.append((float(e0), e1))
-        if j == n // 2:
-            lam_mid = (l0, l1)
-    return FeasibilityReport(alpha=alpha, mode="general", pairs=tuple(pairs),
-                             a_value=math.nan, lambda0=lam_mid[0], lambda1=lam_mid[1])
+    family = _family(nominals, alpha, grid)
+    sweep = [float(e0) for e0 in np.linspace(0.0, _partner(family, 1, 0.0)[0], n)]
+    partners = [_partner(family, 0, e0) for e0 in sweep]
+    _, lam0, lam1 = partners[n // 2]
+    return FeasibilityReport(alpha=alpha, mode="general",
+                             pairs=tuple((e0, p[0]) for e0, p in zip(sweep, partners)),
+                             a_value=math.nan, lambda0=lam0, lambda1=lam1)
 
 
 def validate_eps(nominals, spec, grid: QuadratureGrid):
     """Check a radius pair against the boundary; returns (feasible, margin).
 
     margin is the signed distance to the boundary along the ray from the
-    origin through (eps0, eps1) (diagonal ray for the zero pair).  Points
-    within 1e-9 of the boundary count as infeasible, matching the strict
-    inequality the robust test needs.
+    origin through (eps0, eps1) (diagonal ray for the zero pair).  The ray
+    meets the boundary at the member of the touching family whose radii
+    point along it, the root of u1 D(g_v, f0) - u0 D(g_v, f1) for the ray
+    direction u; an axis ray ends at the closed-form partner of a zero
+    radius.  Points within 1e-9 of the boundary count as infeasible,
+    matching the strict inequality the robust test needs.
     """
     eps0, eps1 = float(spec.eps0), float(spec.eps1)
-    alpha = spec.alpha
     s_req = math.hypot(eps0, eps1)
-    if s_req == 0.0:
-        u = (math.sqrt(0.5), math.sqrt(0.5))
+    u0, u1 = (eps0 / s_req, eps1 / s_req) if s_req > 0.0 else (math.sqrt(0.5),) * 2
+    family = _family(nominals, spec.alpha, grid)
+    ends = family[-1]
+    if u0 == 0.0:
+        s_star = ends[-1.0][1]
+    elif u1 == 0.0:
+        s_star = ends[1.0][0]
     else:
-        u = (eps0 / s_req, eps1 / s_req)
-
-    # a zero fixed radius always has its partner in closed form
-    if u[0] == 0.0:
-        s_star, _, _ = max_eps_general(nominals, alpha, grid, (0, 0.0))
-    elif u[1] == 0.0:
-        s_star, _, _ = max_eps_general(nominals, alpha, grid, (1, 0.0))
-    else:
-        # signed clearance at ray parameter s; a failed boundary solve means
-        # the fixed coordinate is already past its axis maximum, i.e. beyond
-        def f(s):
-            try:
-                e1b, _, _ = max_eps_general(nominals, alpha, grid, (0, s * u[0]))
-            except NoBoundaryPointError:
-                return -(1.0 + s)
-            return e1b - s * u[1]
-
-        f_zero = f(0.0)
-        if f_zero <= 0.0:
-            return False, -s_req
-        s_one = max(s_req, 1e-6)
-        span = bracket(f, 0.0, f_zero, s_one, 2.0 ** 80 * s_one)
-        if span is None:
-            # boundary further out than 2^80 ray lengths; effectively infinite
-            return True, math.inf
-        s_star = brent(f, *span, xtol=1e-11, rtol=8.9e-16, maxiter=200)
-
+        e0, e1, _, _ = _touching_root(family, lambda e0, e1: u1 * e0 - u0 * e1)
+        s_star = u0 * e0 + u1 * e1
     margin = s_star - s_req
     return margin > 1e-9 * (1.0 + s_req), margin

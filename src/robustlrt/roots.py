@@ -2,13 +2,13 @@
 
 Every scalar equation in the package (the mass balance at rho != 1, the
 symmetric threshold equation in log l_u, the touching point of the two
-balls, the ray search for the boundary margin, the tilt of a ball member
-and the oracle's dual multipliers) is solved by these two functions.  `brent` is Brent's method (R. P. Brent, *Algorithms
-for Minimization without Derivatives*, 1973, ch. 4) in the classic variant
-with a hyperbolic extrapolation step: it stops once the bracket is shorter
-than xtol + rtol*|x|, takes at most maxiter steps, and compares signs
-rather than multiplying values, so values whose products underflow still
-bracket.
+balls at a fixed radius or along a ray, the tilt of a ball member and the
+oracle's dual multipliers) is solved by these two functions.  `brent` is
+Brent's method (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4) in the classic variant with a hyperbolic
+extrapolation step: it stops once the bracket is shorter than
+xtol + rtol*|x|, takes at most maxiter steps, and compares signs rather
+than multiplying values, so values whose products underflow still bracket.
 """
 
 from __future__ import annotations

@@ -332,6 +332,35 @@ def test_limits_beyond_boundary_is_infeasible_exit(capsys):
     assert "infeasible radii" in err
 
 
+@pytest.mark.parametrize("eps0", ["-0.1", "nan", "inf"])
+def test_closed_form_limits_refuses_a_bad_fixed_radius(capsys, eps0):
+    # no ball has such a radius, so there is no partner to print
+    code, out, err = run_main(
+        ["--command", "limits", "--alpha", "0.5", f"--eps0={eps0}"], capsys)
+    assert code == 1 and out == ""
+    assert "finite nonnegative" in err
+
+
+@pytest.mark.parametrize("a", ["-0.5", "1.5"])
+def test_closed_form_limits_refuses_an_overlap_outside_0_1(tmp_path, capsys, a):
+    # no density pair has such an overlap: bad input, not infeasible radii
+    # (a = -0.5 would give a partner past 4, the widest one at a = 0)
+    cfg = tmp_path / "lim.cfg"
+    cfg.write_text(f"command = limits\nalpha = 0.5\neps0 = 0.1\na = {a}\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "[0, 1]" in err
+
+
+def test_surface_refuses_a_nan_overlap(tmp_path, capsys):
+    # NaN is a bad overlap, not an absent key defaulting to a = 0
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text("command = surface\nalpha = 0.5\nn = 9\na = nan\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "[0, 1]" in err
+
+
 def test_surface_widest_case(tmp_path, capsys):
     cfg = tmp_path / "surf.cfg"
     cfg.write_text("command = surface\nalpha = 0.5\nn = 9\n")

@@ -90,6 +90,13 @@ def test_hellinger_partner_no_boundary_point():
     assert limits._hellinger_other(0.75, e_axis) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, eps", [(-0.5, 0.1), (1.5, 0.1), (math.nan, 0.1),
+                                    (0.5, -0.1), (0.5, math.nan), (0.5, math.inf)])
+def test_hellinger_partner_rejects_bad_inputs(a, eps):
+    with pytest.raises(ValueError, match=r"\[0, 1\]|finite nonnegative"):
+        limits._hellinger_other(a, eps)
+
+
 # ---------------------------------------------------------------------------
 # general boundary solver
 
@@ -224,6 +231,22 @@ def test_general_fixed_radius_beyond_any_boundary(norm_pair, norm_grid):
         limits.max_eps_general(norm_pair, 0.5, norm_grid, (0, 4.1))
 
 
+def test_bounded_ratio_warning_names_the_caller(mix_nominals, mix_grid, mix_spec):
+    # each public boundary function warns at the line that called it
+    calls = [
+        lambda: limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.02)),
+        lambda: limits.eps_surface(4.0, 3, nominals=mix_nominals, grid=mix_grid),
+        lambda: limits.validate_eps(mix_nominals, mix_spec, mix_grid),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        spans = [w for w in caught if "spans only" in str(w.message)]
+        assert len(spans) == 1
+        assert spans[0].filename == __file__
+
+
 def test_bounded_ratio_warning_contract(mix_nominals, mix_grid, norm_pair,
                                         norm_grid):
     # the bimodal pair has a ratio trapped in a few decades -> warn
@@ -274,6 +297,24 @@ def test_surface_general_mode(mix_nominals, mix_grid):
     assert rep.lambda0 > 0.0 and rep.lambda1 > 0.0
 
 
+def test_surface_builds_the_family_once(monkeypatch, mix_nominals, mix_grid):
+    # the two closed-form ends need one moment each, once for all n + 1
+    # partners (a family per partner would take 20)
+    calls = [0]
+    real = limits._moment_alpha
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(limits, "_moment_alpha", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = limits.eps_surface(4.0, 9, nominals=mix_nominals, grid=mix_grid)
+    assert len(rep.pairs) == 9
+    assert calls[0] == 2
+
+
 def test_surface_argument_validation(norm_pair, norm_grid):
     with pytest.raises(ValueError, match="at least 2"):
         limits.eps_surface(0.5, 1)
@@ -300,3 +341,68 @@ def test_validate_eps_signs(mix_nominals, mix_grid):
             mix_grid)
     assert ok is True and margin > 0.0
     assert bad is False and neg < 0.0
+
+
+# margins on the anchor problem (4001 points) from a search over the ray
+# parameter that solved the fixed-eps0 boundary at each step; the one root
+# on the touching family must land on the same boundary point
+VALIDATE_MARGINS = [
+    (4.0, 0.02, 0.03, 0.09412875714013355),
+    (4.0, 0.02, 0.40, -0.04733794587722001),
+    (-1.0, 0.031, 0.046, 0.04702378292720138),
+    (0.5, 0.02, 0.03, 0.08385728810573562),
+    (2.0, 0.05, 0.01, 0.12246835033441637),
+    (4.0, 0.0, 0.0, 0.12537544500438427),
+]
+
+
+@pytest.mark.parametrize("alpha, eps0, eps1, margin", VALIDATE_MARGINS)
+def test_validate_eps_is_one_root(monkeypatch, mix_nominals, mix_grid,
+                                  alpha, eps0, eps1, margin):
+    # one bracket and Brent solve on the touching family takes 4-13 grid
+    # integrals here; a ray search over boundary solves took 103-456
+    calls = [0]
+    real = limits._touching
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(limits, "_touching", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ok, got = limits.validate_eps(
+            mix_nominals, DivergenceSpec(alpha=alpha, eps0=eps0, eps1=eps1), mix_grid)
+    assert got == pytest.approx(margin, rel=1e-9)
+    assert ok is (margin > 0.0)
+    assert 0 < calls[0] < 30
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 4.0])
+def test_validate_eps_agrees_with_the_fixed_radius_boundary(mix_nominals, mix_grid, alpha):
+    # a pair is feasible exactly when eps1 is below the partner of eps0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        axis_max, _, _ = limits.max_eps_general(mix_nominals, alpha, mix_grid, (1, 0.0))
+        for eps0 in (0.1 * axis_max, 0.5 * axis_max):
+            partner, _, _ = limits.max_eps_general(mix_nominals, alpha, mix_grid, (0, eps0))
+            for f in (0.5, 0.9, 1.1, 1.5):
+                spec = DivergenceSpec(alpha=alpha, eps0=eps0, eps1=f * partner)
+                ok, margin = limits.validate_eps(mix_nominals, spec, mix_grid)
+                assert ok is (f < 1.0), (eps0, f, margin)
+
+
+@pytest.mark.parametrize("pair", ["mix", "norm"])
+@pytest.mark.parametrize("alpha", [-10.0, -1.0, 4.0])
+def test_validate_eps_on_an_axis_takes_the_closed_form_end(request, pair, alpha):
+    # a ray along an axis ends at the partner of a zero radius; a root search
+    # there would rest on the far radius, which only rounding keeps from zero
+    nominals = request.getfixturevalue(f"{pair}_nominals" if pair == "mix" else "norm_pair")
+    grid = request.getfixturevalue(f"{pair}_grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for idx in (0, 1):
+            axis_max, _, _ = limits.max_eps_general(nominals, alpha, grid, (1 - idx, 0.0))
+            eps = (0.05, 0.0) if idx == 0 else (0.0, 0.05)
+            spec = DivergenceSpec(alpha=alpha, eps0=eps[0], eps1=eps[1])
+            assert limits.validate_eps(nominals, spec, grid) == (True, axis_max - 0.05)
