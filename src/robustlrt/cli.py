@@ -318,6 +318,13 @@ def _cmd_solve_symmetric(cfg):
     return _solution_table(solve_symmetric(eps, alpha, rho, nominals, grid))
 
 
+def _refuse_overlap(cfg):
+    # the nominals fix the boundary, so an overlap given beside them would go unread
+    if "a" in cfg:
+        raise ConfigError("the overlap a is read only without nominals; drop a or the "
+                          "nominals")
+
+
 def _cmd_limits(cfg):
     # the shared rho key is accepted but unused: the admissible radii are a
     # property of the two balls, not of the prior
@@ -328,6 +335,7 @@ def _cmd_limits(cfg):
     idx = 0 if has0 else 1
     val = _get_float(cfg, "eps0" if has0 else "eps1")
     if "nominal0" in cfg or "nominal1" in cfg:
+        _refuse_overlap(cfg)
         nominals = _nominals(cfg)
         grid = _grid_or_default(cfg, nominals)
         other, lam0, lam1 = limits.max_eps_general(nominals, alpha, grid, (idx, val))
@@ -354,6 +362,7 @@ def _cmd_surface(cfg):
     nominals = None
     grid = None
     if "nominal0" in cfg or "nominal1" in cfg:
+        _refuse_overlap(cfg)
         nominals = _nominals(cfg)
         grid = _grid_or_default(cfg, nominals)
     a = _get_float(cfg, "a") if "a" in cfg else None

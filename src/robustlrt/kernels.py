@@ -13,9 +13,22 @@ coordinate t in [0, 1], so the regions meet it in three consecutive
 intervals [0, t1], [t1, t2], [t2, 1]: I1, I2, I3 where l increases and
 I3, I2, I1 where it decreases.  Each piece is integrated in closed form.  A
 cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout.
+
+Each kernel is a composition of steps that the solver also runs one by one.
+`region_split` labels the knots and finds the crossing cells once per
+threshold pair, and `split_masses` integrates the region masses on that
+split.  The interior power integrals take two more steps.  `i2_geometry`
+gathers the I2 knots of the split with their trapezoid weights times f0
+and f1 and the k-independent parts of the bracket, once per threshold
+pair.  `i2_powers` then gives (S, T0, T1) for one balance power K with a
+few vector operations and a dot product per integral, and `i2_s` gives S
+alone, the one integral the off-centre mass balance in k needs.
+`region_masses` and `i2_power_integrals` run all steps for one call.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +54,31 @@ def _crossing_cells(l, lo, hi, lab):
             np.maximum(t_lo, t_hi).clip(0.0, 1.0))
 
 
-def region_masses(l, f0, f1, points, lo, hi):
-    """(A0, M0, B0, A1, M1, B1): f0 and f1 masses over I1, I2, I3."""
+class RegionSplit(NamedTuple):
+    """The grid split at lo <= hi: knot labels, cell widths, crossing cells."""
+
+    l: np.ndarray
+    points: np.ndarray
+    lo: float
+    hi: float
+    lab: np.ndarray
+    h: np.ndarray
+    j: np.ndarray
+    up: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+
+
+def region_split(l, points, lo, hi):
+    """The split of the grid `points` with ratio values l at lo <= hi."""
     lab = _labels(l, lo, hi)
-    h = np.diff(points)
-    j, up, t1, t2 = _crossing_cells(l, lo, hi, lab)
-    cell = lab[:-1].copy()
+    return RegionSplit(l, points, lo, hi, lab, np.diff(points), *_crossing_cells(l, lo, hi, lab))
+
+
+def split_masses(sp, f0, f1):
+    """(A0, M0, B0, A1, M1, B1) on the split `sp`."""
+    h, j, up, t1, t2 = sp.h, sp.j, sp.up, sp.t1, sp.t2
+    cell = sp.lab[:-1].copy()
     cell[j] = 3
     whole = [cell == r for r in range(3)]
     # the I1, I2, I3 pieces [s, e] of the crossing cells; the linear
@@ -64,6 +96,21 @@ def region_masses(l, f0, f1, points, lo, hi):
     return tuple(float(x) for x in out)
 
 
+def region_masses(l, f0, f1, points, lo, hi):
+    """(A0, M0, B0, A1, M1, B1): f0 and f1 masses over I1, I2, I3."""
+    return split_masses(region_split(l, points, lo, hi), f0, f1)
+
+
+def _bracket_terms(lv, rho, beta, lb_, ub):
+    """t - L and U - t at t = (l/rho)^beta clipped between L and U, both
+    sign-flipped when beta < 0 so that they are nonnegative."""
+    t = np.clip((lv / rho) ** beta, min(lb_, ub), max(lb_, ub))
+    tl, ut = t - lb_, ub - t
+    if beta < 0.0:
+        return -tl, -ut
+    return tl, ut
+
+
 def _interior_bracket(lv, rho, beta, kb, lb_, ub):
     """(log Br, delta) at ratio values lv for given K = k^beta, L, U.
 
@@ -74,13 +121,81 @@ def _interior_bracket(lv, rho, beta, kb, lb_, ub):
     both are nonnegative: Br = |U - L|/(p + q) and delta = p/(p + q), with
     delta exactly 0 at t = L and 1 at t = U.
     """
-    t = np.clip((lv / rho) ** beta, min(lb_, ub), max(lb_, ub))
-    p, q = (t - lb_) / kb, ub - t
-    if beta < 0.0:
-        p, q = -p, -q
+    tl, q = _bracket_terms(lv, rho, beta, lb_, ub)
+    p = tl / kb
     pq = p + q
     # + 0.0 turns -0.0 into 0
     return np.log(abs(ub - lb_)) - np.log(pq), p / pq + 0.0
+
+
+class I2Geometry(NamedTuple):
+    """The k-independent part of the I2 power integrals: at each I2 knot the
+    trapezoid weight times f0 and f1, the bracket terms of `_bracket_terms`
+    and alpha*log(l/rho)."""
+
+    w0: np.ndarray
+    w1: np.ndarray
+    tl: np.ndarray
+    ut: np.ndarray
+    alog: np.ndarray
+    log_ul: float
+    beta: float
+    alpha: float
+
+
+def i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub):
+    """The I2Geometry of the split `sp` for the threshold powers L, U.
+
+    Its knots are those of whole I2 cells and both ends of the I2 piece of
+    each crossing cell.
+    """
+    l, points, lo, hi, lab, h = sp.l, sp.points, sp.lo, sp.hi, sp.lab, sp.h
+    in2 = lab == 1
+    # knots of whole I2 cells with their trapezoid weights (times 2)
+    hc = np.where(in2[:-1] & in2[1:], h, 0.0)
+    w = np.zeros(l.shape)
+    w[:-1] = hc
+    w[1:] += hc
+    k = np.flatnonzero(w)
+    # both ends of each crossing cell's I2 piece, weighted by its length;
+    # an end inside the cell is a threshold crossing and gets l exactly.
+    # A piece narrower than the float spacing of y is empty, as it is on
+    # the grid of `augment_with_crossings`
+    piece = points[sp.j] + sp.t2 * h[sp.j] > points[sp.j] + sp.t1 * h[sp.j]
+    j, up, t1, t2 = sp.j[piece], sp.up[piece], sp.t1[piece], sp.t2[piece]
+    wj = h[j] * (t2 - t1)
+
+    def knots(a):
+        da = a[j + 1] - a[j]
+        return np.concatenate((a[k], a[j] + t1 * da, a[j] + t2 * da))
+
+    lv = np.concatenate((l[k], np.where(t1 > 0.0, np.where(up, lo, hi), l[j]),
+                         np.where(t2 < 1.0, np.where(up, hi, lo), l[j + 1])))
+    wv = np.concatenate((w[k], wj, wj))
+    return I2Geometry(wv * knots(f0), wv * knots(f1), *_bracket_terms(lv, rho, beta, lb_, ub),
+                      alpha * np.log(lv / rho), np.log(abs(ub - lb_)), beta, alpha)
+
+
+def _i2_log_bracket(geo, kb):
+    """log Br at the I2 knots of `geo` for K = kb, as `_interior_bracket` gives it."""
+    return geo.log_ul - np.log(geo.tl / kb + geo.ut)
+
+
+def i2_s(geo, kb):
+    """S of `i2_powers` alone, the one integral the mass balance in k needs."""
+    logbr = _i2_log_bracket(geo, kb)
+    with np.errstate(over="ignore"):  # an overflowing order integrates to inf
+        return 0.5 * float(geo.w1 @ np.exp(logbr / geo.beta))
+
+
+def i2_powers(geo, kb):
+    """(S, T0, T1) of `i2_power_integrals` on the geometry `geo`."""
+    logbr = _i2_log_bracket(geo, kb)
+    pw = logbr * (geo.alpha / geo.beta)
+    with np.errstate(over="ignore"):  # an overflowing order integrates to inf
+        return (0.5 * float(geo.w1 @ np.exp(logbr / geo.beta)),
+                0.5 * float(geo.w0 @ np.exp(pw + geo.alog)),
+                0.5 * float(geo.w1 @ np.exp(pw)))
 
 
 def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
@@ -92,40 +207,8 @@ def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub)
     with the interior bracket Br of `_interior_bracket`, evaluated in its
     rearranged all-nonnegative form to avoid cancellation.
     """
-    lab = _labels(l, lo, hi)
-    h = np.diff(points)
-    in2 = lab == 1
-    # knots of whole I2 cells with their trapezoid weights (times 2)
-    hc = np.where(in2[:-1] & in2[1:], h, 0.0)
-    w = np.zeros(l.shape)
-    w[:-1] = hc
-    w[1:] += hc
-    k = np.flatnonzero(w)
-    # both ends of each crossing cell's I2 piece, weighted by its length;
-    # an end inside the cell is a threshold crossing and gets l exactly
-    j, up, t1, t2 = _crossing_cells(l, lo, hi, lab)
-    # a piece narrower than the float spacing of y is empty, as it is on
-    # the grid of `augment_with_crossings`
-    piece = points[j] + t2 * h[j] > points[j] + t1 * h[j]
-    j, up, t1, t2 = j[piece], up[piece], t1[piece], t2[piece]
-    wj = h[j] * (t2 - t1)
-
-    def knots(a):
-        da = a[j + 1] - a[j]
-        return np.concatenate((a[k], a[j] + t1 * da, a[j] + t2 * da))
-
-    lv = np.concatenate((l[k], np.where(t1 > 0.0, np.where(up, lo, hi), l[j]),
-                         np.where(t2 < 1.0, np.where(up, hi, lo), l[j + 1])))
-    f0v, f1v = knots(f0), knots(f1)
-    wv = np.concatenate((w[k], wj, wj))
-
-    logbr, _ = _interior_bracket(lv, rho, beta, kb, lb_, ub)
-    pw = logbr * (alpha / beta)
-    w1 = wv * f1v
-    with np.errstate(over="ignore"):  # an overflowing order integrates to inf
-        return (0.5 * float(w1 @ np.exp(logbr / beta)),
-                0.5 * float((wv * f0v) @ np.exp(pw + alpha * np.log(lv / rho))),
-                0.5 * float(w1 @ np.exp(pw)))
+    geo = i2_geometry(region_split(l, points, lo, hi), f0, f1, rho, beta, alpha, lb_, ub)
+    return i2_powers(geo, kb)
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):

@@ -36,8 +36,8 @@ from . import limits
 from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights,
                       values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import (_interior_bracket, augment_with_crossings, i2_power_integrals,
-                      region_masses)
+from .kernels import (_interior_bracket, augment_with_crossings, i2_geometry, i2_powers, i2_s,
+                      region_masses, region_split, split_masses)
 from .roots import bracket, brent
 
 
@@ -150,8 +150,11 @@ def _pow(x, p):
 
 
 def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState:
-    lo, hi = rho * l_l, rho * l_u
-    masses = region_masses(l, f0v, f1v, points, lo, hi)
+    # one region split of the grid gives the masses and the I2 geometry;
+    # only the bracket powers depend on k, so off centre each trial k of the
+    # mass balance psi(k) costs a few vector operations and one dot product
+    split = region_split(l, points, rho * l_l, rho * l_u)
+    masses = split_masses(split, f0v, f1v)
     a0, m0, b0, a1, m1, b1 = masses
     if a0 + a1 <= 0.0:
         raise DegenerateRegionError(
@@ -168,7 +171,14 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
     if den == 0.0:
         raise DegenerateRegionError("vanishing upper-region balance at these thresholds")
 
+    # equal thresholds leave I2 a tie band, where the bracket is 0/0 and
+    # the I2 integrals are plain masses
     equal_t = l_l == l_u
+    if not equal_t:
+        if not (np.isfinite(big_l) and big_l > 0.0 and np.isfinite(big_u) and big_u > 0.0):
+            raise ParametricInfeasibleError(
+                "threshold powers left the representable range at (%g, %g)" % (l_l, l_u))
+        geo = i2_geometry(split, f0v, f1v, rho, beta, alpha, big_l, big_u)
 
     def s_of(k):
         if equal_t:
@@ -176,9 +186,7 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
         kb = _pow(k, beta)
         if not (np.isfinite(kb) and kb > 0.0):
             return math.nan
-        return i2_power_integrals(
-            l, f0v, f1v, points, lo, hi, rho, beta, alpha, kb, big_l, big_u
-        )[0]
+        return i2_s(geo, kb)
 
     if rho == 1.0:
         k = num / den
@@ -220,16 +228,12 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
         s_int, t0_int, t1_int = m1, _pow(l_l, alpha) * m0, m1
     else:
         kb = _pow(k, beta)
-        ok = (np.isfinite(kb) and kb > 0.0 and np.isfinite(big_l)
-              and big_l > 0.0 and np.isfinite(big_u) and big_u > 0.0)
-        if not ok:
+        if not (np.isfinite(kb) and kb > 0.0):
             raise ParametricInfeasibleError(
-                "threshold powers left the representable range at (%g, %g)"
+                "balance power k^beta left the representable range at (%g, %g)"
                 % (l_l, l_u)
             )
-        s_int, t0_int, t1_int = i2_power_integrals(
-            l, f0v, f1v, points, lo, hi, rho, beta, alpha, kb, big_l, big_u
-        )
+        s_int, t0_int, t1_int = i2_powers(geo, kb)
     z = a1 + s_int + k * b1
     if not (np.isfinite(z) and z > 0.0):
         raise ParametricInfeasibleError("normalizer z = %r is not positive" % (z,))

@@ -4,7 +4,8 @@ The anchor problem — symmetric two-component Gaussian noise, unit shift,
 alpha = 4, rho = 1, radii (0.02, 0.03) on a 4001-point grid over [-8, 9] —
 exercises every region structure the solver supports (its middle region
 splits into three disjoint intervals), so most integration tests share one
-session-scoped solve of it.
+session-scoped solve of it.  `count_calls` counts the calls a test makes
+to a module-level function.
 """
 
 import pytest
@@ -46,3 +47,22 @@ def norm_pair():
 def norm_grid():
     return density.make_grid(-9.0, 9.0, 4001)
 
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count(module, name) wraps module.name for this test and returns a
+    one-item list that holds its call count."""
+
+    def count(module, name):
+        calls = [0]
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

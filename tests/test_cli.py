@@ -361,6 +361,19 @@ def test_surface_refuses_a_nan_overlap(tmp_path, capsys):
     assert "[0, 1]" in err
 
 
+@pytest.mark.parametrize("command, keys", [("surface", "alpha = 0.5\nn = 9\n"),
+                                           ("limits", "alpha = 4\neps0 = 0.1\n")],
+                         ids=["surface", "limits"])
+def test_overlap_beside_nominals_is_refused(tmp_path, capsys, command, keys):
+    # the nominals fix the boundary, so the overlap a would go unread
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"command = {command}\n{keys}a = 0.9\nnominal0 = gaussian(-1,1)\n"
+                   "nominal1 = gaussian(1,1)\ngrid = -9:9:401\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "overlap a is read only without nominals" in err
+
+
 def test_surface_widest_case(tmp_path, capsys):
     cfg = tmp_path / "surf.cfg"
     cfg.write_text("command = surface\nalpha = 0.5\nn = 9\n")

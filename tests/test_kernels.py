@@ -6,6 +6,8 @@ assigned to the region of its midpoint l, and for the interior integrals
 the bracket in its docstring form Br = K(L - U)/(L - KU + (K - 1)t).  A
 hypothesis property test draws random grids and densities, including
 ties between the thresholds, thresholds on knot values of l, and f0 = 0.
+The solver's path, one region split shared by the masses and an I2
+geometry reused for every K, must match the one-shot kernels exactly.
 """
 
 import warnings
@@ -122,6 +124,32 @@ def test_backend_twins_agree_on_interior_power_integrals(seed):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
+def _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub):
+    """Masses and I2 geometry from one shared region split, geometry first."""
+    sp = kernels.region_split(l, pts, lo, hi)
+    geo = kernels.i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub)
+    return kernels.split_masses(sp, f0, f1), geo
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_geometry_serves_every_k(seed):
+    # a geometry built once per threshold pair gives, at each K, exactly what
+    # the one-shot kernel gives, S alone included; its split gives exactly
+    # the masses that region_masses computes alone
+    pts, f0, f1, l = _random_instance(seed, n=401)
+    rho, ll, lu, alpha = 0.9, 0.7, 1.6, (4.0, -3.0, 0.5, 2.0)[seed]
+    beta = alpha - 1.0
+    lo, hi, lb_, ub = rho * ll, rho * lu, ll ** beta, lu ** beta
+    masses, geo = _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub)
+    assert masses == kernels.region_masses(l, f0, f1, pts, lo, hi)
+    for k in (0.3, 0.55, 0.8, 1.7, 0.55):
+        kb = k ** beta
+        one_shot = kernels.i2_power_integrals(l, f0, f1, pts, lo, hi, rho, beta, alpha,
+                                              kb, lb_, ub)
+        assert kernels.i2_powers(geo, kb) == one_shot
+        assert kernels.i2_s(geo, kb) == one_shot[0]
+
+
 _density_value = st.floats(0.0, 10.0).map(lambda v: v if v >= 0.5 else 0.0)
 
 
@@ -160,11 +188,17 @@ def test_kernels_match_reference_on_random_grids(problem, rho, alpha, k):
                                rtol=1e-10, atol=1e-14 * scale)
     if lo < hi:  # the bracket is 0/0 for equal thresholds, which the solver never passes
         beta = alpha - 1.0
-        args = (l, f0, f1, pts, lo, hi, rho, beta, alpha,
-                k ** beta, (lo / rho) ** beta, (hi / rho) ** beta)
-        np.testing.assert_allclose(kernels.i2_power_integrals(*args),
-                                   reference_i2_power_integrals(*args),
+        lb_, ub, kb = (lo / rho) ** beta, (hi / rho) ** beta, k ** beta
+        args = (l, f0, f1, pts, lo, hi, rho, beta, alpha, kb, lb_, ub)
+        want = reference_i2_power_integrals(*args)
+        np.testing.assert_allclose(kernels.i2_power_integrals(*args), want,
                                    rtol=1e-10, atol=1e-14)
+        # the solver's path: one split for the masses and the geometry
+        shared_masses, geo = _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub)
+        assert shared_masses == masses
+        powers = kernels.i2_powers(geo, kb)
+        np.testing.assert_allclose(powers, want, rtol=1e-10, atol=1e-14)
+        assert kernels.i2_s(geo, kb) == powers[0]
 
 
 def test_cell_with_infinite_ratio_end_lies_in_upper_region():

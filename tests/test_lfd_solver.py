@@ -23,6 +23,7 @@ from robustlrt import (
     density,
     divergence,
     evaluation,
+    kernels,
     lfd_solver,
     limits,
     oracle,
@@ -92,6 +93,43 @@ def test_anchor_thresholds_and_constants(mix_solution):
     assert mix_solution.k == pytest.approx(ANCHOR_K, rel=1e-9)
     assert mix_solution.z == pytest.approx(ANCHOR_Z, rel=1e-9)
     assert mix_solution.residual_norm < 1e-8
+
+
+# (rho, eps0, eps1) -> (l_l, l_u, k, z) of the anchor pair at alpha 4, frozen
+# bit for bit: off centre k is the root of the mass balance psi(k), and a
+# change in how psi is evaluated must not move any of them
+OFF_CENTRE_ANCHORS = {
+    (0.8, 0.011, 0.014): (0.6355066056203226, 1.2952530555096455, 0.6856129267358468,
+                          0.7609116759205542),
+    (1.2, 0.02, 0.03): (0.6710754759800573, 1.9215116895073392, 0.5495051135387503,
+                        0.7753724093049288),
+    (1.5, 0.005, 0.005): (0.8697236452419853, 1.400973657448657, 0.7981162064984052,
+                          0.9130308201166447),
+}
+
+
+@pytest.mark.parametrize("rho, eps0, eps1", sorted(OFF_CENTRE_ANCHORS))
+def test_off_centre_anchors_are_frozen(mix_nominals, mix_grid, rho, eps0, eps1):
+    sol = lfd_solver.solve_thresholds(
+        DivergenceSpec(alpha=4.0, rho=rho, eps0=eps0, eps1=eps1), mix_nominals, mix_grid)
+    got = (sol.thresholds.l_l, sol.thresholds.l_u, sol.k, sol.z)
+    assert got == OFF_CENTRE_ANCHORS[rho, eps0, eps1]
+
+
+def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix_grid):
+    # one region split per residual evaluation serves the masses and the I2
+    # geometry; each trial k of the off-centre mass balance only reweighs
+    # the I2 knots of that geometry
+    evals = count_calls(lfd_solver, "_eval_state")
+    geometries = count_calls(lfd_solver, "i2_geometry")
+    trials = count_calls(lfd_solver, "i2_s")
+    grid_wide = [count_calls(kernels, name) for name in ("_labels", "_crossing_cells")]
+    lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=0.8, eps0=0.011, eps1=0.014),
+                                mix_nominals, mix_grid)
+    assert evals[0] > 0
+    assert [c[0] for c in grid_wide] == [evals[0], evals[0]]
+    assert geometries[0] == evals[0]
+    assert trials[0] > 3 * evals[0]
 
 
 def test_anchor_constraints_attained(mix_solution, mix_spec):
@@ -272,19 +310,12 @@ def test_off_center_prior_solves_and_matches_oracle(mix_nominals, mix_grid):
     assert abs(pe_oracle - saddle.p_error) <= 5e-4
 
 
-def test_prior_without_three_region_root_gives_up_early(monkeypatch, mix_nominals,
+def test_prior_without_three_region_root_gives_up_early(count_calls, mix_nominals,
                                                         mix_grid):
     # at rho = 2 region I3 empties on the way (l_u runs off), so the
     # three-region form has no root; 2681 residual evaluations is what a
     # scan-and-multi-start search spent before giving up
-    calls = [0]
-    real = lfd_solver._eval_state
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(lfd_solver, "_eval_state", counted)
+    calls = count_calls(lfd_solver, "_eval_state")
     with pytest.raises(NonConvergenceError, match=r"stalled past rho = 1\.\d+ on the way "
                        r"to rho = 2 at .*best residual norm beyond it \d"):
         lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=2.0, eps0=0.02, eps1=0.03),
@@ -392,20 +423,13 @@ def test_symmetric_warns_for_off_center_prior(norm_pair, norm_grid):
 
 @pytest.mark.parametrize("alpha, eps", [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2),
                                         (4.0, 0.475)])
-def test_symmetric_solve_takes_few_residual_evaluations(monkeypatch, norm_pair, norm_grid,
+def test_symmetric_solve_takes_few_residual_evaluations(count_calls, norm_pair, norm_grid,
                                                         alpha, eps):
-    # one region_masses call per evaluation of the shared residual
-    calls = []
-
-    def counted(*args):
-        calls.append(args[-2:])
-        return region_masses(*args)
-
-    region_masses = lfd_solver.region_masses
-    monkeypatch.setattr(lfd_solver, "region_masses", counted)
+    # one evaluation of the shared residual per bracket or Brent step
+    calls = count_calls(lfd_solver, "_eval_state")
     sym = lfd_solver.solve_symmetric(eps, alpha, 1.0, norm_pair, norm_grid)
     assert sym.residual_norm < 1e-8
-    assert len(calls) < 20
+    assert 0 < calls[0] < 20
 
 
 def test_symmetric_matches_general_solver_near_the_boundary(norm_pair):

@@ -184,22 +184,10 @@ def test_fixing_eps1_mirrors_fixing_eps0(norm_pair, norm_grid, alpha, eps):
     assert (lam0, lam1) == pytest.approx((mu1, mu0), rel=1e-10)
 
 
-def _count_calls(monkeypatch, name):
-    calls = [0]
-    real = getattr(limits, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(limits, name, counted)
-    return calls
-
-
-def test_touching_point_takes_few_evaluations(monkeypatch, mix_nominals, mix_grid):
+def test_touching_point_takes_few_evaluations(count_calls, mix_nominals, mix_grid):
     # one scalar root in v: a bracket grown from v = 0 plus one Brent solve; a
     # march with nested root finds spent about 1700 grid integrals here
-    calls = _count_calls(monkeypatch, "_touching")
+    calls = count_calls(limits, "_touching")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         e1, _, _ = limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.02))
@@ -302,10 +290,10 @@ def test_surface_general_mode(mix_nominals, mix_grid):
     assert rep.lambda0 > 0.0 and rep.lambda1 > 0.0
 
 
-def test_surface_builds_the_family_once(monkeypatch, mix_nominals, mix_grid):
+def test_surface_builds_the_family_once(count_calls, mix_nominals, mix_grid):
     # the two closed-form ends need one moment each, once for all n + 1
     # partners (a family per partner would take 20)
-    calls = _count_calls(monkeypatch, "_moment_alpha")
+    calls = count_calls(limits, "_moment_alpha")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rep = limits.eps_surface(4.0, 9, nominals=mix_nominals, grid=mix_grid)
@@ -355,11 +343,11 @@ VALIDATE_MARGINS = [
 
 
 @pytest.mark.parametrize("alpha, eps0, eps1, margin", VALIDATE_MARGINS)
-def test_validate_eps_is_one_root(monkeypatch, mix_nominals, mix_grid,
+def test_validate_eps_is_one_root(count_calls, mix_nominals, mix_grid,
                                   alpha, eps0, eps1, margin):
     # one bracket and Brent solve on the touching family takes 4-13 grid
     # integrals here; a ray search over boundary solves took 103-456
-    calls = _count_calls(monkeypatch, "_touching")
+    calls = count_calls(limits, "_touching")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ok, got = limits.validate_eps(
