@@ -49,9 +49,19 @@ EXIT_NONCONVERGENCE = 3
 COMMANDS = ("solve", "solve-symmetric", "limits", "surface", "evaluate",
             "sweep-alpha", "sweep-snr")
 
-_KNOWN_KEYS = {
-    "command", "nominal0", "nominal1", "alpha", "rho", "eps0", "eps1", "eps",
-    "grid", "mc", "out", "format", "n", "alphas", "amplitudes", "snr_db", "a",
+# the keys each command reads besides command, format and out; limits and
+# surface accept rho without using it, since the admissible radii do not
+# depend on the prior
+_PAIR = {"nominal0", "nominal1", "grid"}
+_KEYS = {
+    "solve": _PAIR | {"alpha", "rho", "eps0", "eps1"},
+    "solve-symmetric": _PAIR | {"alpha", "rho", "eps"},
+    "limits": _PAIR | {"alpha", "rho", "eps0", "eps1", "a"},
+    "surface": _PAIR | {"alpha", "rho", "n", "a"},
+    "evaluate": _PAIR | {"alpha", "rho", "eps0", "eps1", "mc"},
+    "sweep-alpha": _PAIR | {"alphas", "rho", "eps0", "eps1"},
+    "sweep-snr": {"nominal0", "grid", "alpha", "rho", "eps0", "eps1", "mc", "amplitudes",
+                  "snr_db"},
 }
 
 
@@ -178,10 +188,10 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _check_keys(cfg: dict[str, str]) -> None:
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+def _check_keys(command: str, cfg: dict[str, str]) -> None:
+    unknown = sorted(set(cfg) - _KEYS[command] - {"command", "format", "out"})
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
 
 
 def _need(cfg: dict[str, str], key: str) -> str:
@@ -459,10 +469,10 @@ _HANDLERS = {
 def run(cfg: dict[str, str]) -> int:
     """Dispatch one parsed configuration, write its table; returns the exit code."""
     try:
-        _check_keys(cfg)
         command = _need(cfg, "command")
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+        _check_keys(command, cfg)
         fmt = cfg.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")

@@ -15,19 +15,23 @@ I3, I2, I1 where it decreases.  Each piece is integrated in closed form.  A
 cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout.
 
 Each kernel is a composition of steps that the solver also runs one by one.
+`cell_sums` gives each nominal's trapezoid cell sums once per grid.
 `region_split` labels the knots and finds the crossing cells once per
 threshold pair, and `split_masses` integrates the region masses on that
-split.  The interior power integrals take two more steps.  `i2_geometry`
-gathers the I2 knots of the split with their trapezoid weights times f0
-and f1 and the k-independent parts of the bracket, once per threshold
-pair.  `i2_powers` then gives (S, T0, T1) for one balance power K with a
-few vector operations and a dot product per integral, and `i2_s` gives S
-alone, the one integral the off-centre mass balance in k needs.
+split from the cell sums.  The interior power integrals take two more
+steps.  `i2_geometry` gathers the I2 knots of the split with their
+trapezoid weights times f0 and f1 and the k-independent parts of the
+bracket, once per threshold pair.  `i2_powers` then gives (S, T0, T1) for
+one balance power K with a few vector operations and a dot product per
+integral, and `i2_s` gives S alone, the one integral the off-centre mass
+balance in k needs.  `i2_power_derivatives` adds the derivatives of
+(S, T0, T1) and of the region masses that the solver's Newton step needs.
 `region_masses` and `i2_power_integrals` run all steps for one call.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +79,15 @@ def region_split(l, points, lo, hi):
     return RegionSplit(l, points, lo, hi, lab, np.diff(points), *_crossing_cells(l, lo, hi, lab))
 
 
-def split_masses(sp, f0, f1):
-    """(A0, M0, B0, A1, M1, B1) on the split `sp`."""
+def cell_sums(points, f):
+    """h*(f[:-1] + f[1:]) per grid cell, twice its trapezoid mass: threshold-free,
+    so a solve builds it once for each nominal."""
+    return np.diff(points) * (f[:-1] + f[1:])
+
+
+def split_masses(sp, f0, f1, c0, c1):
+    """(A0, M0, B0, A1, M1, B1) on the split `sp`, given the `cell_sums` c0, c1
+    of f0 and f1."""
     h, j, up, t1, t2 = sp.h, sp.j, sp.up, sp.t1, sp.t2
     cell = sp.lab[:-1].copy()
     cell[j] = 3
@@ -89,8 +100,7 @@ def split_masses(sp, f0, f1):
     wb = 0.5 * wd * (s + e)
     wa = wd - wb
     out = []
-    for f in (f0, f1):
-        c = h * (f[:-1] + f[1:])
+    for f, c in ((f0, c0), (f1, c1)):
         split = wa @ f[j] + wb @ f[j + 1]
         out.extend(0.5 * c[m].sum() + p for m, p in zip(whole, split))
     return tuple(float(x) for x in out)
@@ -98,7 +108,8 @@ def split_masses(sp, f0, f1):
 
 def region_masses(l, f0, f1, points, lo, hi):
     """(A0, M0, B0, A1, M1, B1): f0 and f1 masses over I1, I2, I3."""
-    return split_masses(region_split(l, points, lo, hi), f0, f1)
+    return split_masses(region_split(l, points, lo, hi), f0, f1, cell_sums(points, f0),
+                        cell_sums(points, f1))
 
 
 def _bracket_terms(lv, rho, beta, lb_, ub):
@@ -131,7 +142,11 @@ def _interior_bracket(lv, rho, beta, kb, lb_, ub):
 class I2Geometry(NamedTuple):
     """The k-independent part of the I2 power integrals: at each I2 knot the
     trapezoid weight times f0 and f1, the bracket terms of `_bracket_terms`
-    and alpha*log(l/rho)."""
+    and alpha*log(l/rho).  The knots of whole I2 cells come first, then the
+    first and then the second ends of the crossing cells' I2 pieces, which
+    `i2_power_derivatives` locates from the thresholds lo, hi, their powers
+    L, U, and each piece's cell: whether l increases on it, the piece's
+    ends t1 < t2 in the cell and the change dl of l over the cell."""
 
     w0: np.ndarray
     w1: np.ndarray
@@ -141,6 +156,14 @@ class I2Geometry(NamedTuple):
     log_ul: float
     beta: float
     alpha: float
+    lo: float
+    hi: float
+    lb: float
+    ub: float
+    up: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    dl: np.ndarray
 
 
 def i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub):
@@ -173,7 +196,8 @@ def i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub):
                          np.where(t2 < 1.0, np.where(up, hi, lo), l[j + 1])))
     wv = np.concatenate((w[k], wj, wj))
     return I2Geometry(wv * knots(f0), wv * knots(f1), *_bracket_terms(lv, rho, beta, lb_, ub),
-                      alpha * np.log(lv / rho), np.log(abs(ub - lb_)), beta, alpha)
+                      alpha * np.log(lv / rho), np.log(abs(ub - lb_)), beta, alpha, lo, hi,
+                      lb_, ub, up, t1, t2, l[j + 1] - l[j])
 
 
 def _i2_log_bracket(geo, kb):
@@ -188,14 +212,87 @@ def i2_s(geo, kb):
         return 0.5 * float(geo.w1 @ np.exp(logbr / geo.beta))
 
 
-def i2_powers(geo, kb):
-    """(S, T0, T1) of `i2_power_integrals` on the geometry `geo`."""
+def _i2_integrands(geo, kb):
+    """log Br and the integrands of (S, T0, T1) at the I2 knots, without the
+    weights w1, w0, w1."""
     logbr = _i2_log_bracket(geo, kb)
     pw = logbr * (geo.alpha / geo.beta)
     with np.errstate(over="ignore"):  # an overflowing order integrates to inf
-        return (0.5 * float(geo.w1 @ np.exp(logbr / geo.beta)),
-                0.5 * float(geo.w0 @ np.exp(pw + geo.alog)),
-                0.5 * float(geo.w1 @ np.exp(pw)))
+        return logbr, (np.exp(logbr / geo.beta), np.exp(pw + geo.alog), np.exp(pw))
+
+
+def i2_powers(geo, kb):
+    """(S, T0, T1) of `i2_power_integrals` on the geometry `geo`."""
+    _, (ps, p0, p1) = _i2_integrands(geo, kb)
+    return 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
+
+
+def i2_power_derivatives(geo, kb):
+    """(S, T0, T1) of `i2_powers`, their partial derivatives, and those of the
+    region masses, all on the region split of the geometry `geo`.
+
+    The second item is a 3x5 array: row i holds the derivatives of the i-th
+    integral in L, U and K with the knots held fixed, then in log lo and
+    log hi with L, U and K held fixed.  With D = L - K*U + (K - 1)*t,
+
+        d log Br/dL = 1/(L - U) - 1/D  = sign(beta)*(Br/K - 1)/|U - L|,
+        d log Br/dU = -1/(L - U) + K/D = sign(beta)*(1 - Br)/|U - L|,
+        d log Br/dK = 1/K - (t - U)/D  = (t - L)*Br/(K^2*|U - L|),
+
+    the right-hand forms rewritten through Br = |U - L|/(p + q) and the
+    nonnegative bracket terms of `_bracket_terms`, so nothing cancels.  An
+    integrand Br^(a/beta)*w differentiates to (a/beta)*Br^(a/beta)*w*d log Br,
+    so each of these nine is one dot product over the I2 knots.
+
+    A threshold moves the grid integrals only through the crossing cells
+    (the crossing-cell terms).  There the crossing moves with the threshold,
+    and with it one end e of the cell's I2 piece, whose l is the threshold
+    itself.  Moving e by dt cell widths towards the other end o changes the
+    piece (h*(t2 - t1)/2)*(P_e*f_e + P_o*f_o) by
+    (h/2)*(P_e*(f_o - 2*f_e) - P_o*f_o)*dt, with f interpolated and P the
+    integrand's power at each end, and the neighbouring region's piece by
+    h*f_e*dt.  The third item holds the latter: the derivatives of (A0, B0)
+    and (A1, B1), each in (log lo, log hi).  In the continuum the crossing
+    terms of an integral and of the region mass next to it cancel, because
+    the branches meet continuously (at t = L the bracket is 1, at t = U it
+    is K); on the grid they leave the quadrature's share.
+    """
+    logbr, powers = _i2_integrands(geo, kb)
+    ps, p0, p1 = powers
+    values = 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
+    w, p = np.array((geo.w1, geo.w0, geo.w1)), np.array(powers)
+    order = np.array((1.0, geo.alpha, geo.alpha)) / geo.beta
+    br = np.exp(logbr)
+    inv_ul = math.exp(-geo.log_ul)
+    c = math.copysign(inv_ul, geo.beta)
+    dlog = np.array((c * (br / kb - 1.0), c * (1.0 - br), (inv_ul / (kb * kb)) * geo.tl * br))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = w * p
+        fixed = 0.5 * order[:, None] * (q @ dlog.T)
+
+        # the ends of the crossing cells' I2 pieces and, for each, the other end
+        up, t1, t2 = geo.up, geo.t1, geo.t2
+        n = up.size
+        e = np.arange(w.shape[1] - 2 * n, w.shape[1])
+        o = np.concatenate((e[n:], e[:n]))
+        at_lo = np.concatenate((up, ~up))
+        # dt/d log threshold, over 2*(t2 - t1) to turn an end's weight
+        # h*(t2 - t1)*f in w into h*f/2; signed so that lo moves towards o
+        # and hi away from it, and 0 at an end on a knot
+        rate = np.tile(0.5 / (np.abs(geo.dl) * (t2 - t1)), 2)
+        move = np.where(at_lo, geo.lo, -geo.hi) * rate * np.concatenate((t1 > 0.0, t2 < 1.0))
+        # the end's own l is the threshold: d log Br/d log lo = -beta*L*d log Br/dL
+        # there (the bracket stays 1), likewise at hi with U (it stays K), and
+        # (l/rho)^alpha of T0 adds alpha
+        own_l = np.where(at_lo, -geo.beta * geo.lb * dlog[0, e], -geo.beta * geo.ub * dlog[1, e])
+        own_l = order[:, None] * own_l + np.array((0.0, geo.alpha, 0.0))[:, None]
+        ends = (move * (p[:, e] * (w[:, o] - 2.0 * w[:, e]) - q[:, o])
+                + 0.5 * q[:, e] * own_l * (move != 0.0))
+        moved = 2.0 * move * w[:2, e]  # f1 and f0 at the ends, as weighted in w
+    cols = np.column_stack((ends[:, at_lo].sum(axis=1), ends[:, ~at_lo].sum(axis=1)))
+    masses = np.array(((moved[1, at_lo].sum(), moved[1, ~at_lo].sum()),
+                       (moved[0, at_lo].sum(), moved[0, ~at_lo].sum())))
+    return values, np.hstack((fixed, cols)), masses
 
 
 def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):

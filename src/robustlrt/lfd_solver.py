@@ -12,7 +12,14 @@ robust likelihood ratio l_hat is l/l_l / rho / l/l_u.  The thresholds solve
 two moment conditions that activate both divergence constraints.
 ``solve_thresholds`` finds them along one predictor-corrector continuation
 path (Allgower & Georg, *Numerical Continuation Methods*) that grows the
-radii from zero at rho = 1 and then moves the prior from 1 to rho.  The
+radii from zero at rho = 1 and then moves the prior from 1 to rho.  Its
+corrector is damped Newton with the analytic Jacobian of the residual pair:
+in the continuum the region boundaries contribute nothing, because the
+branches meet continuously there, so the Jacobian is the threshold powers,
+the interior integrals' derivatives and dk from the mass balance; on the
+grid the crossing cells add the quadrature's share, which keeps the
+Jacobian that of the discrete residual.  A Newton step costs one residual
+evaluation per line-search trial and none for its Jacobian.  The
 module also offers a one-dimensional fast path for symmetric problems
 (``solve_symmetric``): the same residuals restricted to l_l = 1/l_u, summed
 into one scalar equation in log l_u.  The interior bracket and the rule
@@ -28,7 +35,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +44,9 @@ from . import limits
 from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights,
                       values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import (_interior_bracket, augment_with_crossings, i2_geometry, i2_powers, i2_s,
-                      region_masses, region_split, split_masses)
+from .kernels import (I2Geometry, _interior_bracket, augment_with_crossings, cell_sums,
+                      i2_geometry, i2_power_derivatives, i2_powers, i2_s, region_masses,
+                      region_split, split_masses)
 from .roots import bracket, brent
 
 
@@ -119,6 +128,24 @@ def partition(l_values, rho: float, t: ThresholdPair) -> np.ndarray:
     return np.where(l < lo, 1, np.where(l > hi, 3, 2)).astype(np.int8)
 
 
+class _GridValues(NamedTuple):
+    """What every residual evaluation of one solve reads: the grid points, the
+    nominals on them, their likelihood ratio and their `cell_sums`."""
+
+    points: np.ndarray
+    f0: np.ndarray
+    f1: np.ndarray
+    l: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+
+
+def _grid_values(nominals, grid: QuadratureGrid) -> _GridValues:
+    f0v, f1v = (values_on(f, grid) for f in nominals)
+    return _GridValues(grid.points, f0v, f1v, ratio_values(f0v, f1v),
+                       cell_sums(grid.points, f0v), cell_sums(grid.points, f1v))
+
+
 @dataclass
 class _EvalState:
     l_l: float
@@ -129,8 +156,46 @@ class _EvalState:
     s_int: float            # I2 integral of bracket^(1/beta) * f1
     t0_int: float           # I2 integral of bracket^(alpha/beta)*(l/rho)^alpha*f0
     t1_int: float           # I2 integral of bracket^(alpha/beta) * f1
-    r0: float = math.nan
-    r1: float = math.nan
+    r0: float
+    r1: float
+    alpha: float
+    rho: float
+    geo: I2Geometry | None  # None for equal thresholds
+
+    def jacobian(self):
+        """d(r0, r1)/d(log l_l, log l_u) as a 2x2 array, None for equal thresholds.
+
+        The thresholds enter through their powers, through the bracket of the
+        I2 integrals, and through the region boundaries rho*l_l, rho*l_u,
+        which move the crossing cells of the grid (`i2_power_derivatives`
+        gives all three).  k follows from the implicit-function theorem on
+        the mass balance psi(k) = k*den - num - c*S, with c = 1 - 1/rho.
+        """
+        if self.geo is None:
+            return None
+        a0, _, b0, a1, _, b1 = self.masses
+        alpha, beta, k, l_l, l_u = self.alpha, self.alpha - 1.0, self.k, self.l_l, self.l_u
+        kb = _pow(k, beta)
+        _, dq, ((da0, db0), (da1, db1)) = i2_power_derivatives(self.geo, kb)
+        # (S, T0, T1) in (u, v, k) = (log l_l, log l_u, k): dL/du = beta*L,
+        # dU/dv = beta*U, dK/dk = beta*K/k, and d log lo/du = d log hi/dv = 1
+        ds, dt0, dt1 = np.column_stack((beta * self.geo.lb * dq[:, 0] + dq[:, 3],
+                                        beta * self.geo.ub * dq[:, 1] + dq[:, 4],
+                                        (beta * kb / k) * dq[:, 2]))
+        lower, upper, kpow = _pow(l_l, alpha), _pow(k * l_u, alpha), _pow(k, alpha)
+        c = 1.0 - 1.0 / self.rho
+        # rows n0, n1, z, psi of r0 = n0/z^alpha - x0, r1 = n1/z^alpha - x1
+        p = np.array((
+            (alpha * lower * a0 + lower * da0, alpha * upper * b0 + upper * db0,
+             alpha * upper * b0 / k),
+            (da1, kpow * db1, alpha * kpow * b1 / k),
+            (da1, k * db1, b1),
+            (l_l * (a0 + da0) - da1, k * (l_u * (b0 + db0) - db1), l_u * b0 - b1),
+        )) + np.array((dt0, dt1, ds, -c * ds))
+        dk = -p[3, :2] / p[3, 2]
+        tot = p[:3, :2] + np.outer(p[:3, 2], dk)
+        n = np.array((lower * a0 + self.t0_int + upper * b0, a1 + self.t1_int + kpow * b1))
+        return (tot[:2] - np.outer(alpha * n / self.z, tot[2])) / _pow(self.z, alpha)
 
 
 def _k_literal(l_l, l_u, masses):
@@ -149,12 +214,12 @@ def _pow(x, p):
         return math.inf
 
 
-def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState:
+def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState:
     # one region split of the grid gives the masses and the I2 geometry;
     # only the bracket powers depend on k, so off centre each trial k of the
     # mass balance psi(k) costs a few vector operations and one dot product
-    split = region_split(l, points, rho * l_l, rho * l_u)
-    masses = split_masses(split, f0v, f1v)
+    split = region_split(gv.l, gv.points, rho * l_l, rho * l_u)
+    masses = split_masses(split, gv.f0, gv.f1, gv.c0, gv.c1)
     a0, m0, b0, a1, m1, b1 = masses
     if a0 + a1 <= 0.0:
         raise DegenerateRegionError(
@@ -173,15 +238,15 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
 
     # equal thresholds leave I2 a tie band, where the bracket is 0/0 and
     # the I2 integrals are plain masses
-    equal_t = l_l == l_u
-    if not equal_t:
+    geo = None
+    if l_l != l_u:
         if not (np.isfinite(big_l) and big_l > 0.0 and np.isfinite(big_u) and big_u > 0.0):
             raise ParametricInfeasibleError(
                 "threshold powers left the representable range at (%g, %g)" % (l_l, l_u))
-        geo = i2_geometry(split, f0v, f1v, rho, beta, alpha, big_l, big_u)
+        geo = i2_geometry(split, gv.f0, gv.f1, rho, beta, alpha, big_l, big_u)
 
     def s_of(k):
-        if equal_t:
+        if geo is None:
             return m1
         kb = _pow(k, beta)
         if not (np.isfinite(kb) and kb > 0.0):
@@ -224,7 +289,7 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
             "degenerate at (%g, %g)" % (k, l_l, l_u)
         )
 
-    if equal_t:
+    if geo is None:
         s_int, t0_int, t1_int = m1, _pow(l_l, alpha) * m0, m1
     else:
         kb = _pow(k, beta)
@@ -240,7 +305,7 @@ def _eval_state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1) -> _EvalState
     za = _pow(z, alpha)
     r0 = (_pow(l_l, alpha) * a0 + t0_int + _pow(k * l_u, alpha) * b0) / za - x0
     r1 = (a1 + t1_int + _pow(k, alpha) * b1) / za - x1
-    return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1)
+    return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo)
 
 
 def k_factor(t: ThresholdPair, nominals, rho: float, grid: QuadratureGrid) -> float:
@@ -254,9 +319,8 @@ def k_factor(t: ThresholdPair, nominals, rho: float, grid: QuadratureGrid) -> fl
     while `z_norm` matches `sol.z` for every rho.  Raises
     DegenerateRegionError when the ratio is not a positive finite number.
     """
-    f0v, f1v = (values_on(f, grid) for f in nominals)
-    l = ratio_values(f0v, f1v)
-    masses = region_masses(l, f0v, f1v, grid.points, rho * t.l_l, rho * t.l_u)
+    gv = _grid_values(nominals, grid)
+    masses = region_masses(gv.l, gv.f0, gv.f1, gv.points, rho * t.l_l, rho * t.l_u)
     num, den = _k_literal(t.l_l, t.l_u, masses)
     if den == 0.0 or not np.isfinite(den):
         raise DegenerateRegionError(
@@ -280,9 +344,7 @@ def z_norm(t: ThresholdPair, alpha: float, rho: float, nominals, grid: Quadratur
     literal mass ratio when rho = 1).
     """
     check_alpha(alpha)
-    f0v, f1v = (values_on(f, grid) for f in nominals)
-    l = ratio_values(f0v, f1v)
-    st = _eval_state(t.l_l, t.l_u, alpha, rho, l, f0v, f1v, grid.points, 1.0, 1.0)
+    st = _eval_state(t.l_l, t.l_u, alpha, rho, _grid_values(nominals, grid), 1.0, 1.0)
     return st.z
 
 
@@ -327,12 +389,8 @@ def phi0(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
 
 def residuals(t: ThresholdPair, spec: DivergenceSpec, nominals, grid: QuadratureGrid):
     """Activation residuals of the two divergence constraints at thresholds t."""
-    f0v, f1v = (values_on(f, grid) for f in nominals)
-    l = ratio_values(f0v, f1v)
-    st = _eval_state(
-        t.l_l, t.l_u, spec.alpha, spec.rho, l, f0v, f1v, grid.points,
-        x_of(spec.alpha, spec.eps0), x_of(spec.alpha, spec.eps1),
-    )
+    st = _eval_state(t.l_l, t.l_u, spec.alpha, spec.rho, _grid_values(nominals, grid),
+                     x_of(spec.alpha, spec.eps0), x_of(spec.alpha, spec.eps1))
     return st.r0, st.r1
 
 
@@ -366,13 +424,12 @@ def robust_lr(l, solution: RobustSolution):
                                            solution.spec.rho, solution.k)[1], l)
 
 
-def _materialize(spec, t, st, f0v, f1v, l, grid, resid_norm, aug=None) -> RobustSolution:
+def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
     rho, alpha = spec.rho, spec.alpha
     lo, hi = rho * t.l_l, rho * t.l_u
     if aug is None:
-        y_aug, l_aug, (f0a, f1a), _ = augment_with_crossings(
-            grid.points, l, [f0v, f1v], lo, hi
-        )
+        y_aug, l_aug, (f0a, f1a), _ = augment_with_crossings(gv.points, gv.l, [gv.f0, gv.f1],
+                                                             lo, hi)
     else:
         y_aug, l_aug, f0a, f1a = aug
     lab = partition(l_aug, rho, t)
@@ -458,6 +515,7 @@ _MIN_STEP = 1e-2        # a step halved below this stalls the path
 _PRIOR_STEP = 0.25      # first step of the prior leg
 _CORRECTOR_ITERS = 4    # Newton iterations per path point
 _HALVINGS = 5           # line-search halvings per Newton iteration
+_ULPS = 16.0            # a Newton step this many ulps of (u, v) long is rounding noise
 
 
 def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
@@ -467,25 +525,26 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
     Finds (l_l, l_u) zeroing both divergence-activation residuals along one
     continuation path from zero radii: each path point is predicted from the
     secant through the last two and corrected by damped Newton iteration in
-    (log l_l, log l_u), clamped to l_l <= 1 <= l_u.  Raises InfeasibleEpsError
-    for radius pairs outside the admissible boundary, and NonConvergenceError
-    naming where the path stalled and the best residual beyond it.
+    (log l_l, log l_u) with the analytic Jacobian, clamped to l_l <= 1 <= l_u.
+    Raises InfeasibleEpsError for radius pairs outside the admissible
+    boundary, and NonConvergenceError naming where the path stalled and the
+    best residual beyond it.
     """
     cfg = config or SolverConfig()
     check_alpha(spec.alpha)
-    f0v, f1v = (values_on(f, grid) for f in nominals)
-    l = ratio_values(f0v, f1v)
+    gv = _grid_values(nominals, grid)
+    l = gv.l
     alpha, rho = spec.alpha, spec.rho
     x0, x1 = x_of(alpha, spec.eps0), x_of(alpha, spec.eps1)
 
     if spec.eps0 == 0.0 and spec.eps1 == 0.0:
         t = ThresholdPair(1.0, 1.0)
-        st = _eval_state(1.0, 1.0, alpha, rho, l, f0v, f1v, grid.points, x0, x1)
-        return _materialize(spec, t, st, f0v, f1v, l, grid, max(abs(st.r0), abs(st.r1)))
+        st = _eval_state(1.0, 1.0, alpha, rho, gv, x0, x1)
+        return _materialize(spec, t, st, gv, max(abs(st.r0), abs(st.r1)))
 
     _preflight(spec, nominals, grid)
 
-    pos = (l > 0.0) & np.isfinite(l) & ((f0v > 0.0) | (f1v > 0.0))
+    pos = (l > 0.0) & np.isfinite(l) & ((gv.f0 > 0.0) | (gv.f1 > 0.0))
     l_min, l_max = float(l[pos].min()), float(l[pos].max())
     if not (l_min < rho < l_max):
         raise DegenerateRegionError(
@@ -503,8 +562,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
 
         def try_eval(u, v):
             try:
-                return _eval_state(math.exp(u), math.exp(v), alpha, r, l, f0v, f1v,
-                                   grid.points, t0, t1)
+                return _eval_state(math.exp(u), math.exp(v), alpha, r, gv, t0, t1)
             except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
                 return None
 
@@ -549,14 +607,19 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
             )
 
     t = ThresholdPair(math.exp(u), math.exp(v))
-    return _materialize(spec, t, st, f0v, f1v, l, grid, nrm)
+    return _materialize(spec, t, st, gv, nrm)
 
 
 def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
     """Damped Newton on the residual pair in clamped log-threshold space.
 
-    The backtrack accepts on an Armijo decrease of the squared-residual
-    merit, for which the Newton direction is always a descent direction.
+    Each step solves with the analytic Jacobian of the accepted iterate
+    (`_EvalState.jacobian`), so a step costs one residual evaluation per
+    line-search trial.  The backtrack accepts on an Armijo decrease of the
+    squared-residual merit, for which the Newton direction is always a
+    descent direction.  The iteration stops when a clamped step would move
+    (u, v) by no more than _ULPS ulps: such a step is rounding noise, and a
+    line search on it would spend every trial to find no decrease.
     Returns (residual norm, u, v, state) for the best iterate reached.
     """
     nrm = float(np.max(np.abs([st.r0, st.r1])))  # nan stays nan, unlike max()
@@ -565,25 +628,19 @@ def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
     it = 0
     while nrm > tol and it < max_iter:
         it += 1
-        r = np.array([st.r0, st.r1])
-        d = 1e-6
-        du = d if (u + d) <= 0.0 else -d
-        stu = try_eval(u + du, v)
-        stv = try_eval(u, v + d)
-        if stu is None or stv is None:
+        jac = st.jacobian()
+        if jac is None or not np.all(np.isfinite(jac)):
             break
-        jac = np.array([
-            [(stu.r0 - st.r0) / du, (stv.r0 - st.r0) / d],
-            [(stu.r1 - st.r1) / du, (stv.r1 - st.r1) / d],
-        ])
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jac, -np.array([st.r0, st.r1]))
         except np.linalg.LinAlgError:
             break
         lam, improved = 1.0, False
         for _ in range(_HALVINGS):
             uc = min(0.0, max(u + lam * step[0], u_floor))
             vc = max(0.0, min(v + lam * step[1], v_ceil))
+            if abs(uc - u) <= _ULPS * math.ulp(u) and abs(vc - v) <= _ULPS * math.ulp(v):
+                break
             stc = try_eval(uc, vc)
             if stc is not None:
                 pc = stc.r0 ** 2 + stc.r1 ** 2
@@ -612,14 +669,14 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     """
     cfg = config or SolverConfig()
     spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
-    f0v, f1v = (values_on(f, grid) for f in nominals)
-    mirrored = evaluate(nominals[0], -grid.points) if not isinstance(nominals[0], np.ndarray) \
-        else np.interp(-grid.points, grid.points, f0v)
+    gv = _grid_values(nominals, grid)
+    points, f0v, f1v, l = gv.points, gv.f0, gv.f1, gv.l
+    mirrored = evaluate(nominals[0], -points) if not isinstance(nominals[0], np.ndarray) \
+        else np.interp(-points, points, f0v)
     if np.max(np.abs(f1v - mirrored)) > 1e-8:
         raise ValueError(
             "nominals are not mirror images of each other; use solve_thresholds"
         )
-    l = ratio_values(f0v, f1v)
     core = (f0v > 0.0) & (f1v > 0.0)
     if np.any(np.diff(l[core]) <= 0.0):
         raise ValueError(
@@ -636,14 +693,13 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
         return solve_thresholds(spec, nominals, grid, config)
 
     x_eps = x_of(alpha, eps)
-    points = grid.points
     states = {}  # u -> _EvalState, or None where the regions degenerate
 
     def resid(u):
         if u not in states:
             try:
-                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, rho, l, f0v, f1v,
-                                        points, x_eps, x_eps)
+                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, rho, gv, x_eps,
+                                        x_eps)
             except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
                 states[u] = None
         st = states[u]
@@ -672,7 +728,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             RuntimeWarning,
             stacklevel=2,
         )
-    return _materialize(spec, ThresholdPair(ll, lu), st, f0v, f1v, l, grid, nrm, aug=aug)
+    return _materialize(spec, ThresholdPair(ll, lu), st, gv, nrm, aug=aug)
 
 
 def _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu):

@@ -578,6 +578,39 @@ def test_exit_config_errors(tmp_path, capsys):
     assert code == 1 and "at least 1000" in err
 
 
+# per command: every key it reads, and keys that only other commands read
+_PAIR_KEYS = {"nominal0": "gaussian(-1,1)", "nominal1": "gaussian(1,1)", "grid": "-9:9:401"}
+COMMAND_KEYS = {
+    "solve": ({**_PAIR_KEYS, "alpha": "4", "rho": "1", "eps0": "0.02", "eps1": "0.03"},
+              {"a": "0.9", "alphas": "1,2", "n": "7"}),
+    "solve-symmetric": ({**_PAIR_KEYS, "alpha": "4", "rho": "1", "eps": "0.02"},
+                        {"eps0": "0.02", "mc": "2000:1"}),
+    "limits": ({**_PAIR_KEYS, "alpha": "4", "rho": "1.2", "eps0": "0.02", "a": "0.5"},
+               {"mc": "2000:1", "eps": "0.02"}),
+    "surface": ({**_PAIR_KEYS, "alpha": "4", "rho": "1.2", "n": "9", "a": "0.5"},
+                {"eps0": "0.02", "alphas": "1,2"}),
+    "evaluate": ({**_PAIR_KEYS, "alpha": "4", "rho": "1", "eps0": "0.02", "eps1": "0.03",
+                  "mc": "2000:1"}, {"n": "7", "eps": "0.02"}),
+    "sweep-alpha": ({**_PAIR_KEYS, "alphas": "2,4", "rho": "1", "eps0": "0.02",
+                     "eps1": "0.03"}, {"alpha": "4", "mc": "2000:1"}),
+    "sweep-snr": ({"nominal0": "gaussian(0,1)", "grid": "-9:9:401", "alpha": "0.5", "rho": "1",
+                   "eps0": "0.02", "eps1": "0.02", "mc": "2000:1", "amplitudes": "1",
+                   "snr_db": "0"}, {"nominal1": "gaussian(1,1)", "n": "7"}),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_refuses_the_keys_it_does_not_read(tmp_path, capsys, command):
+    reads, stray = COMMAND_KEYS[command]
+    cli._check_keys(command, {"command": command, "format": "json", "out": "-", **reads})
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {"command": command, **reads, **stray}.items()))
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert f"unknown config keys for {command}: {', '.join(sorted(stray))}" in err
+
+
 def test_exit_bad_flag_is_config_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["--no-such-flag"])

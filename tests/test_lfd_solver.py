@@ -99,6 +99,16 @@ def test_anchor_thresholds_and_constants(mix_solution):
 # bit for bit: off centre k is the root of the mass balance psi(k), and a
 # change in how psi is evaluated must not move any of them
 OFF_CENTRE_ANCHORS = {
+    (0.8, 0.011, 0.014): (0.6355066056203221, 1.295253055509646, 0.6856129267358464,
+                          0.7609116759205539),
+    (1.2, 0.02, 0.03): (0.6710754759800571, 1.9215116895073414, 0.5495051135387496,
+                        0.7753724093049286),
+    (1.5, 0.005, 0.005): (0.8697236452419852, 1.4009736574486582, 0.798116206498405,
+                          0.9130308201166447),
+}
+# the same, as the Newton iteration with finite-difference Jacobian columns
+# left them; the analytic Jacobian reaches the same roots within rounding
+FD_JACOBIAN_ANCHORS = {
     (0.8, 0.011, 0.014): (0.6355066056203226, 1.2952530555096455, 0.6856129267358468,
                           0.7609116759205542),
     (1.2, 0.02, 0.03): (0.6710754759800573, 1.9215116895073392, 0.5495051135387503,
@@ -114,6 +124,7 @@ def test_off_centre_anchors_are_frozen(mix_nominals, mix_grid, rho, eps0, eps1):
         DivergenceSpec(alpha=4.0, rho=rho, eps0=eps0, eps1=eps1), mix_nominals, mix_grid)
     got = (sol.thresholds.l_l, sol.thresholds.l_u, sol.k, sol.z)
     assert got == OFF_CENTRE_ANCHORS[rho, eps0, eps1]
+    assert got == pytest.approx(FD_JACOBIAN_ANCHORS[rho, eps0, eps1], rel=1e-12)
 
 
 def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix_grid):
@@ -330,6 +341,64 @@ ANCHOR_BOXES = {-1.0: ((0.015, 0.025), (0.020, 0.030)),
                 4.0: ((0.015, 0.025), (0.025, 0.035))}
 
 
+@pytest.mark.parametrize("rho", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("alpha", sorted(ANCHOR_BOXES))
+def test_jacobian_matches_central_differences(mix_nominals, mix_grid, alpha, rho):
+    # at the box midpoint's solution and off it; central differences with
+    # step 1e-6 in the log thresholds carry a truncation error near 1e-12 and
+    # rounding near 1e-10 relative, and a crossing that passes a grid knot
+    # within the step adds up to about 1e-8 (the residual has a kink there)
+    (a0, b0), (a1, b1) = ANCHOR_BOXES[alpha]
+    eps0, eps1 = 0.5 * (a0 + b0), 0.5 * (a1 + b1)
+    sol = lfd_solver.solve_thresholds(
+        DivergenceSpec(alpha=alpha, rho=rho, eps0=eps0, eps1=eps1), mix_nominals, mix_grid)
+    gv = lfd_solver._grid_values(mix_nominals, mix_grid)
+    x0, x1 = divergence.x_of(alpha, eps0), divergence.x_of(alpha, eps1)
+
+    def state(u, v):
+        return lfd_solver._eval_state(math.exp(u), math.exp(v), alpha, rho, gv, x0, x1)
+
+    h = 1e-6
+    for du, dv in ((0.0, 0.0), (-0.05, 0.03)):
+        u, v = math.log(sol.thresholds.l_l) + du, math.log(sol.thresholds.l_u) + dv
+        jac = state(u, v).jacobian()
+        cols = []
+        for eu, ev in ((h, 0.0), (0.0, h)):
+            up, down = state(u + eu, v + ev), state(u - eu, v - ev)
+            cols.append(((up.r0 - down.r0) / (2 * h), (up.r1 - down.r1) / (2 * h)))
+        want = np.array(cols).T
+        assert np.abs(jac - want).max() <= 1e-7 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rho, eps0, eps1, most", [(1.0, 0.02, 0.03, 45),
+                                                   (0.8, 0.011, 0.014, 60),
+                                                   (1.2, 0.02, 0.03, 60),
+                                                   (1.5, 0.005, 0.005, 60)])
+def test_solve_takes_few_residual_evaluations(count_calls, mix_nominals, mix_grid, rho,
+                                              eps0, eps1, most):
+    # the analytic Jacobian leaves one evaluation per path prediction and per
+    # line-search trial; with two finite-difference columns per Newton
+    # iteration these solves took 73, 94, 92 and 85
+    calls = count_calls(lfd_solver, "_eval_state")
+    lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=rho, eps0=eps0, eps1=eps1),
+                                mix_nominals, mix_grid)
+    assert 0 < calls[0] <= most
+
+
+@pytest.mark.parametrize("alpha, rho, eps0, eps1, most", [(4.0, 1.46, 0.02, 0.03, 285),
+                                                          (4.0, 2.0, 0.02, 0.03, 284),
+                                                          (-1.0, 0.8, 0.031, 0.046, 281)])
+def test_known_stalls_stay_nonconvergence(count_calls, mix_nominals, mix_grid, alpha, rho,
+                                          eps0, eps1, most):
+    # past the critical prior the three-region form has no root; the path
+    # gives up no later than it did with finite-difference Jacobian columns
+    calls = count_calls(lfd_solver, "_eval_state")
+    with pytest.raises(NonConvergenceError, match="stalled past rho"):
+        lfd_solver.solve_thresholds(DivergenceSpec(alpha=alpha, rho=rho, eps0=eps0, eps1=eps1),
+                                    mix_nominals, mix_grid)
+    assert calls[0] <= most
+
+
 @st.composite
 def _anchor_specs(draw):
     alpha = draw(st.sampled_from(sorted(ANCHOR_BOXES)))
@@ -524,7 +593,7 @@ def test_stalled_path_is_nonconvergence(monkeypatch, norm_pair):
     # thresholds follows the radius scale s up to s = 0.5; beyond it the
     # regions degenerate, or the root leaves the box v >= 0
     def fake_state(mode):
-        def state(l_l, l_u, alpha, rho, l, f0v, f1v, points, x0, x1):
+        def state(l_l, l_u, alpha, rho, gv, x0, x1):
             s = math.sqrt((x0 - 1.0) / 0.12)  # x0 = 1 + 12 s^2 eps0 at alpha = 4
             shift = 0.0
             if s > 0.5 + 1e-9:
@@ -532,7 +601,8 @@ def test_stalled_path_is_nonconvergence(monkeypatch, norm_pair):
                     raise DegenerateRegionError("region above rho*l_u carries no mass")
                 shift = 1.0
             return types.SimpleNamespace(r0=math.log(l_l) + 0.3 * s,
-                                         r1=math.log(l_u) - 0.3 * s + shift)
+                                         r1=math.log(l_u) - 0.3 * s + shift,
+                                         jacobian=lambda: np.eye(2))
         return state
 
     monkeypatch.setattr(lfd_solver, "_preflight", lambda *args: None)
