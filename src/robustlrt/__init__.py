@@ -46,15 +46,12 @@ from .evaluation import (
     SnrRow,
     alpha_sweep,
     amplitudes_from_snr,
-    ball_members,
     error_probs,
     lrt_errors,
     lrt_rule,
     monte_carlo_errors,
-    rule_perturbations,
     snr_of,
     snr_sweep,
-    tilted_density,
 )
 from .lfd_solver import (
     DegenerateRegionError,
@@ -62,19 +59,14 @@ from .lfd_solver import (
     NonConvergenceError,
     ParametricInfeasibleError,
     RobustSolution,
-    SolverConfig,
     TabulatedFunction,
     ThresholdPair,
-    k_factor,
     partition,
-    phi0,
     phi1,
-    residuals,
     robust_lr,
     robust_rule,
     solve_symmetric,
     solve_thresholds,
-    z_norm,
 )
 from .limits import (
     FeasibilityReport,
@@ -113,10 +105,9 @@ __all__ = [
     "DivergenceSpec", "check_alpha", "x_of", "moment_integral",
     "alpha_divergence", "bhattacharyya",
     # lfd_solver
-    "ThresholdPair", "TabulatedFunction", "SolverConfig",
-    "RobustSolution", "DegenerateRegionError", "ParametricInfeasibleError",
-    "InfeasibleEpsError", "NonConvergenceError", "partition", "k_factor",
-    "z_norm", "phi0", "phi1", "residuals", "robust_rule", "robust_lr",
+    "ThresholdPair", "TabulatedFunction", "RobustSolution",
+    "DegenerateRegionError", "ParametricInfeasibleError", "InfeasibleEpsError",
+    "NonConvergenceError", "partition", "phi1", "robust_rule", "robust_lr",
     "solve_thresholds", "solve_symmetric",
     # limits
     "FeasibilityReport", "InfeasiblePairError", "NoBoundaryPointError",
@@ -125,8 +116,7 @@ __all__ = [
     # evaluation
     "ErrorReport", "SnrRow", "AlphaRow", "error_probs", "lrt_rule",
     "lrt_errors", "monte_carlo_errors", "amplitudes_from_snr", "snr_of",
-    "snr_sweep", "alpha_sweep", "tilted_density", "ball_members",
-    "rule_perturbations",
+    "snr_sweep", "alpha_sweep",
     # oracle
     "DiscreteProblem", "OracleError", "OscillationError", "bin_centers",
     "discretize", "discrete_divergence", "maximize_over_ball",

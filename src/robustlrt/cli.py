@@ -213,6 +213,8 @@ def _parse_grid(text: str) -> QuadratureGrid:
     if len(parts) != 3:
         raise ConfigError(f"grid must be min:max:n, got {text!r}")
     lo, hi = _number(parts[0], "grid min"), _number(parts[1], "grid max")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid min and max must be finite, got {text!r}")
     try:
         n = int(parts[2])
     except ValueError:
@@ -234,6 +236,8 @@ def _parse_mc(text: str) -> tuple[int, int]:
         raise ConfigError(f"mc must be two integers n:seed, got {text!r}") from None
     if n < 1000:
         raise ConfigError(f"mc sample count must be at least 1000, got {n}")
+    if seed < 0:
+        raise ConfigError(f"mc seed must be nonnegative, got {seed}")
     return n, seed
 
 
@@ -388,6 +392,7 @@ def _cmd_evaluate(cfg):
     nominals = _nominals(cfg)
     spec = _spec(cfg, _get_float(cfg, "alpha"))
     grid = _grid_or_default(cfg, nominals)
+    mc = _parse_mc(cfg["mc"]) if "mc" in cfg else None
     sol = solve_thresholds(spec, nominals, grid)
     lrt = evaluation.lrt_rule(nominals, spec.rho)
     runs = [
@@ -397,8 +402,8 @@ def _cmd_evaluate(cfg):
             sol.delta_hat, nominals[0], nominals[1], spec.rho, sol.grid)),
         ("lrt", "nominal", evaluation.lrt_errors(nominals, spec.rho, sol.grid)),
     ]
-    if "mc" in cfg:
-        n, seed = _parse_mc(cfg["mc"])
+    if mc is not None:
+        n, seed = mc
         runs += [
             ("robust", "lfd", evaluation.monte_carlo_errors(
                 sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, n, seed)),

@@ -12,9 +12,7 @@ interest are
 This module evaluates them by grid quadrature (`error_probs`) or by Monte
 Carlo simulation with per-sample randomization (`monte_carlo_errors`), and
 provides sweep drivers over signal amplitude (`snr_sweep`) and divergence
-order (`alpha_sweep`).  It also builds perturbed densities that stay inside
-a divergence ball (`tilted_density`, `ball_members`) and perturbed rules
-(`rule_perturbations`) for saddle-point audits of the robust test.
+order (`alpha_sweep`).
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ import numpy as np
 
 from . import density, kernels
 from .density import DensityModel, QuadratureGrid
-from .divergence import DivergenceSpec, alpha_divergence
-from .lfd_solver import RobustSolution, TabulatedFunction, solve_thresholds
-from .roots import bracket, brent
+from .divergence import DivergenceSpec
+from .lfd_solver import solve_thresholds
 
 __all__ = [
     "ErrorReport",
@@ -45,9 +42,6 @@ __all__ = [
     "snr_of",
     "snr_sweep",
     "alpha_sweep",
-    "tilted_density",
-    "ball_members",
-    "rule_perturbations",
 ]
 
 #: Uncertainty-radius settings used by `snr_sweep` when the caller's spec
@@ -284,7 +278,6 @@ def amplitudes_from_snr(snr_db, noise: DensityModel) -> list[float]:
 
 def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
               grid: QuadratureGrid | None = None, n: int = 0, *,
-              settings=None, grid_n: int = 4001,
               seed: int = 20260816) -> list[SnrRow]:
     """Error probabilities versus signal level for nominal and robust tests.
 
@@ -294,29 +287,29 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
     SNR values instead of amplitudes.
 
     For each amplitude the sweep emits one row for the plain
-    likelihood-ratio test and one per uncertainty setting for the robust
-    test, all evaluated under the *nominal* pair, so the rows measure the
-    price of robustness when no deviation occurs.  Settings default to the
-    spec's own (eps0, eps1) when nonzero and to DEFAULT_EPS_SETTINGS
-    otherwise.  Amplitudes whose radii are infeasible, or where the solve
-    fails, produce a row with feasible=False and NaN probabilities rather
-    than aborting the sweep.
+    likelihood-ratio test and one per radius pair for the robust test, all
+    evaluated under the *nominal* pair, so the rows measure the price of
+    robustness when no deviation occurs.  The radius pair is the spec's own
+    (eps0, eps1) when nonzero; otherwise the pairs of DEFAULT_EPS_SETTINGS
+    each get a row.  Without a grid, each amplitude gets a 4001-point
+    `density.grid_for` grid.  Amplitudes whose radii are infeasible, or
+    where the solve fails, produce a row with feasible=False and NaN
+    probabilities rather than aborting the sweep.
 
     n = 0 evaluates by quadrature; n > 0 by Monte Carlo with n samples per
     hypothesis and deterministic per-row seeds derived from `seed`.
     """
-    if settings is None:
-        if spec.eps0 > 0.0 or spec.eps1 > 0.0:
-            settings = ((spec.eps0, spec.eps1),)
-        else:
-            settings = DEFAULT_EPS_SETTINGS
+    if spec.eps0 > 0.0 or spec.eps1 > 0.0:
+        radii = ((spec.eps0, spec.eps1),)
+    else:
+        radii = DEFAULT_EPS_SETTINGS
     rows: list[SnrRow] = []
     for i, amp in enumerate(amplitudes):
         amp = float(amp)
         sdb = snr_of(amp, noise)
         f0 = noise
         f1 = density.shifted(noise, amp)
-        g = grid if grid is not None else density.grid_for(f0, f1, n=grid_n)
+        g = grid if grid is not None else density.grid_for(f0, f1, n=4001)
 
         if n > 0:
             rep = monte_carlo_errors(lrt_rule((f0, f1), spec.rho), f0, f1,
@@ -326,7 +319,7 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
         rows.append(SnrRow(sdb, amp, "nominal", 0.0, 0.0,
                            rep.p_false_alarm, rep.p_miss, rep.p_error, True))
 
-        for j, (e0, e1) in enumerate(settings):
+        for j, (e0, e1) in enumerate(radii):
             row_spec = dataclasses.replace(spec, eps0=float(e0), eps1=float(e1))
             try:
                 sol = solve_thresholds(row_spec, (f0, f1), g)
@@ -368,109 +361,3 @@ def alpha_sweep(spec: DivergenceSpec, alphas, nominals,
                              sol.residual_norm, sol.achieved_eps0,
                              sol.achieved_eps1))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# ball members and rule perturbations for saddle-point audits
-
-
-def tilted_density(f, grid: QuadratureGrid, alpha: float, eps_target: float,
-                   center: float = 0.0, width: float = 1.0,
-                   sign: float = 1.0) -> tuple[density.Tabulated, float]:
-    """A density at the given divergence from f, by exponential tilting.
-
-    Builds g proportional to f * exp(t * h) with the bounded carrier
-    h(y) = sign * tanh((y - center)/width) and solves for the tilt t so that
-    the divergence of order alpha from f hits eps_target.  Returns the
-    tabulated density and the divergence actually achieved.  If the carrier
-    cannot reach the target even at the internal tilt cap, the capped
-    density is returned with its (smaller) achieved divergence.
-    """
-    if eps_target < 0.0:
-        raise ValueError(f"divergence target must be nonnegative, got {eps_target}")
-    if width <= 0.0:
-        raise ValueError(f"carrier width must be positive, got {width}")
-    fv = density.values_on(f, grid)
-    mass = float(np.sum(grid.weights * fv))
-    if mass <= 0.0:
-        raise ValueError("density f has no mass on the grid")
-    fv = fv / mass
-    h = float(sign) * np.tanh((grid.points - center) / width)
-
-    def tilt(t: float) -> np.ndarray:
-        gv = fv * np.exp(t * h)
-        return gv / float(np.sum(grid.weights * gv))
-
-    def achieved(t: float) -> float:
-        return alpha_divergence(tilt(t), fv, alpha, grid)
-
-    if eps_target == 0.0:
-        return density.tabulated(grid.points, fv), 0.0
-
-    def miss(t: float) -> float:
-        return achieved(t) - eps_target
-
-    cap = 64.0  # the tilt doubles from 0.5 up to this cap
-    span = bracket(miss, 0.0, miss(0.0), 0.5, cap)
-    if span is None:
-        gv = tilt(cap)
-        return density.tabulated(grid.points, gv), achieved(cap)
-    t = brent(miss, *span, xtol=1e-14)
-    gv = tilt(t)
-    return density.tabulated(grid.points, gv), achieved(t)
-
-
-def ball_members(f, grid: QuadratureGrid, alpha: float, eps: float,
-                 count: int, seed: int) -> list[density.Tabulated]:
-    """Randomly tilted densities strictly inside the radius-eps ball of f.
-
-    Draws carrier centers across the middle of the grid, log-uniform
-    widths, random tilt directions, and divergence targets between 25% and
-    95% of eps, so the returned members probe the ball interior in varied
-    directions.  Deterministic for a given seed.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"ball radius must be positive, got {eps}")
-    if count < 1:
-        raise ValueError(f"need at least one member, got {count}")
-    rng = np.random.default_rng(seed)
-    lo, hi = grid.span
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    scale = half / 4.0
-    members: list[density.Tabulated] = []
-    for _ in range(count):
-        center = mid + half * rng.uniform(-0.6, 0.6)
-        width = scale * 10.0 ** rng.uniform(-0.4, 0.4)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        target = eps * rng.uniform(0.25, 0.95)
-        g, _ = tilted_density(f, grid, alpha, target, center, width, sign)
-        members.append(g)
-    return members
-
-
-def rule_perturbations(solution: RobustSolution, count: int, seed: int,
-                       magnitude: float = 0.3) -> list[TabulatedFunction]:
-    """Randomly perturbed variants of the solution's robust rule.
-
-    Adds smooth random bumps to the rule and clips back into [0, 1]; every
-    variant is a valid decision rule on the solution grid.  Used to audit
-    that no perturbation beats the robust rule against the least favorable
-    pair.  Deterministic for a given seed.
-    """
-    if count < 1:
-        raise ValueError(f"need at least one perturbation, got {count}")
-    if not (0.0 < magnitude <= 1.0):
-        raise ValueError(f"magnitude must be in (0, 1], got {magnitude}")
-    rng = np.random.default_rng(seed)
-    pts = solution.grid.points
-    base = solution.delta_hat(pts)
-    lo, hi = solution.grid.span
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    out: list[TabulatedFunction] = []
-    for _ in range(count):
-        center = mid + half * rng.uniform(-0.8, 0.8)
-        width = (half / 4.0) * 10.0 ** rng.uniform(-0.5, 0.3)
-        amp = magnitude * rng.uniform(-1.0, 1.0)
-        bump = amp * np.exp(-0.5 * ((pts - center) / width) ** 2)
-        out.append(TabulatedFunction(pts, np.clip(base + bump, 0.0, 1.0)))
-    return out

@@ -26,7 +26,7 @@ one balance power K with a few vector operations and a dot product per
 integral, and `i2_s` gives S alone, the one integral the off-centre mass
 balance in k needs.  `i2_power_derivatives` adds the derivatives of
 (S, T0, T1) and of the region masses that the solver's Newton step needs.
-`region_masses` and `i2_power_integrals` run all steps for one call.
+`region_masses` runs the mass steps for one threshold pair.
 """
 
 from __future__ import annotations
@@ -222,7 +222,14 @@ def _i2_integrands(geo, kb):
 
 
 def i2_powers(geo, kb):
-    """(S, T0, T1) of `i2_power_integrals` on the geometry `geo`."""
+    """(S, T0, T1) bracket-power integrals over I2 on the geometry `geo` for K = kb.
+
+    S  = integral of Br^(1/beta) * f1,
+    T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
+    T1 = integral of Br^(alpha/beta) * f1,
+    with the interior bracket Br of `_interior_bracket`, evaluated in its
+    rearranged all-nonnegative form to avoid cancellation.
+    """
     _, (ps, p0, p1) = _i2_integrands(geo, kb)
     return 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
 
@@ -293,19 +300,6 @@ def i2_power_derivatives(geo, kb):
     masses = np.array(((moved[1, at_lo].sum(), moved[1, ~at_lo].sum()),
                        (moved[0, at_lo].sum(), moved[0, ~at_lo].sum())))
     return values, np.hstack((fixed, cols)), masses
-
-
-def i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
-    """(S, T0, T1) bracket-power integrals over I2 for given K = k^beta, L, U.
-
-    S  = integral of Br^(1/beta) * f1,
-    T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
-    T1 = integral of Br^(alpha/beta) * f1,
-    with the interior bracket Br of `_interior_bracket`, evaluated in its
-    rearranged all-nonnegative form to avoid cancellation.
-    """
-    geo = i2_geometry(region_split(l, points, lo, hi), f0, f1, rho, beta, alpha, lb_, ub)
-    return i2_powers(geo, kb)
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):

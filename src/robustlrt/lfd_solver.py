@@ -45,8 +45,8 @@ from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezo
                       values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (I2Geometry, _interior_bracket, augment_with_crossings, cell_sums,
-                      i2_geometry, i2_power_derivatives, i2_powers, i2_s, region_masses,
-                      region_split, split_masses)
+                      i2_geometry, i2_power_derivatives, i2_powers, i2_s, region_split,
+                      split_masses)
 from .roots import bracket, brent
 
 
@@ -88,16 +88,6 @@ class TabulatedFunction:
 
     def __call__(self, y):
         return _on_values(lambda yv: np.interp(yv, self.points, self.values), y)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    root_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.root_tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("root_tol must be positive and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,13 +188,6 @@ class _EvalState:
         return (tot[:2] - np.outer(alpha * n / self.z, tot[2])) / _pow(self.z, alpha)
 
 
-def _k_literal(l_l, l_u, masses):
-    a0, _, b0, a1, _, b1 = masses
-    num = a1 - l_l * a0
-    den = l_u * b0 - b1
-    return num, den
-
-
 def _pow(x, p):
     # python float ** raises OverflowError where inf is the useful answer;
     # numpy scalars would warn and return inf instead, so coerce first
@@ -232,7 +215,7 @@ def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState:
     beta = alpha - 1.0
     big_l = _pow(l_l, beta)
     big_u = _pow(l_u, beta)
-    num, den = _k_literal(l_l, l_u, masses)
+    num, den = a1 - l_l * a0, l_u * b0 - b1
     if den == 0.0:
         raise DegenerateRegionError("vanishing upper-region balance at these thresholds")
 
@@ -308,46 +291,6 @@ def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState:
     return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo)
 
 
-def k_factor(t: ThresholdPair, nominals, rho: float, grid: QuadratureGrid) -> float:
-    """Ratio of lower-region to upper-region threshold-weighted f0 masses.
-
-    k = int_{I1}(l - l_l) f0 / int_{I3}(l_u - l) f0, both region integrals
-    taken with the rho-scaled thresholds.  This literal ratio is the
-    solution's coupling `RobustSolution.k` only at rho = 1; off centre the
-    solve couples the branches otherwise (on the anchor problem at rho 0.8,
-    eps (0.011, 0.014), alpha 4 it gives 0.469 where `sol.k` is 0.686),
-    while `z_norm` matches `sol.z` for every rho.  Raises
-    DegenerateRegionError when the ratio is not a positive finite number.
-    """
-    gv = _grid_values(nominals, grid)
-    masses = region_masses(gv.l, gv.f0, gv.f1, gv.points, rho * t.l_l, rho * t.l_u)
-    num, den = _k_literal(t.l_l, t.l_u, masses)
-    if den == 0.0 or not np.isfinite(den):
-        raise DegenerateRegionError(
-            "region above rho*l_u has vanishing balance integral; it is empty "
-            "or cancels at these thresholds"
-        )
-    k = num / den
-    if not (np.isfinite(k) and k > 0.0):
-        raise DegenerateRegionError(
-            "balance ratio k = %r is not positive; lower region integral %g, "
-            "upper region integral %g" % (k, num, den)
-        )
-    return float(k)
-
-
-def z_norm(t: ThresholdPair, alpha: float, rho: float, nominals, grid: QuadratureGrid) -> float:
-    """Normalizer z making the scaled branches of g1_hat integrate to one.
-
-    z = int_{I1} f1 + int_{I2} bracket^(1/(alpha-1)) f1 + k * int_{I3} f1,
-    with k chosen so the g0_hat branches normalize as well (this matches the
-    literal mass ratio when rho = 1).
-    """
-    check_alpha(alpha)
-    st = _eval_state(t.l_l, t.l_u, alpha, rho, _grid_values(nominals, grid), 1.0, 1.0)
-    return st.z
-
-
 def _on_values(fn, l):
     """fn applied to l as a 1-d float array, shaped back like l (a float for a scalar)."""
     arr = np.asarray(l, dtype=np.float64)
@@ -380,18 +323,6 @@ def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
         return np.exp(logbr / beta) / z
 
     return _on_values(factor, l)
-
-
-def phi0(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
-    """Interior scale factor of g0_hat: phi0 = phi1 * l / rho."""
-    return phi1(l, t, alpha, rho, k, z) * np.asarray(l, dtype=np.float64) / rho
-
-
-def residuals(t: ThresholdPair, spec: DivergenceSpec, nominals, grid: QuadratureGrid):
-    """Activation residuals of the two divergence constraints at thresholds t."""
-    st = _eval_state(t.l_l, t.l_u, spec.alpha, spec.rho, _grid_values(nominals, grid),
-                     x_of(spec.alpha, spec.eps0), x_of(spec.alpha, spec.eps1))
-    return st.r0, st.r1
 
 
 def _branches(lv, t: ThresholdPair, alpha: float, rho: float, k: float):
@@ -516,10 +447,11 @@ _PRIOR_STEP = 0.25      # first step of the prior leg
 _CORRECTOR_ITERS = 4    # Newton iterations per path point
 _HALVINGS = 5           # line-search halvings per Newton iteration
 _ULPS = 16.0            # a Newton step this many ulps of (u, v) long is rounding noise
+_ROOT_TOL = 1e-10       # path-point residual tolerance, relative to max(1, |x0|, |x1|)
+_MAX_ITER = 200         # iteration cap of the end point's Newton polish and the symmetric search
 
 
-def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
-                     config: SolverConfig | None = None) -> RobustSolution:
+def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> RobustSolution:
     """Solve for the robust thresholds and materialize the full solution.
 
     Finds (l_l, l_u) zeroing both divergence-activation residuals along one
@@ -530,7 +462,6 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
     boundary, and NonConvergenceError naming where the path stalled and the
     best residual beyond it.
     """
-    cfg = config or SolverConfig()
     check_alpha(spec.alpha)
     gv = _grid_values(nominals, grid)
     l = gv.l
@@ -551,7 +482,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
             "rho = %g lies outside the likelihood ratio range [%g, %g]; no "
             "interior thresholds exist" % (rho, l_min, l_max)
         )
-    tol = cfg.root_tol * max(1.0, abs(x0), abs(x1))
+    tol = _ROOT_TOL * max(1.0, abs(x0), abs(x1))
 
     def evaluator(p):
         """Residual evaluator and (u_floor, v_ceil) box at path parameter p."""
@@ -585,7 +516,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
             try_eval, uq, vq, st, lo, hi, tol, _CORRECTOR_ITERS)
         if got[0] <= tol:
             if q == p_end:  # polish the end point until Newton stagnates
-                nrm, u, v, st = _newton_2d(try_eval, *got[1:], lo, hi, 0.0, cfg.max_iter)
+                nrm, u, v, st = _newton_2d(try_eval, *got[1:], lo, hi, 0.0, _MAX_ITER)
                 break
             slope = (0.0, 0.0) if q == 1.0 else ((got[1] - u) / (q - p), (got[2] - v) / (q - p))
             p, u, v = q, got[1], got[2]
@@ -658,7 +589,7 @@ def _newton_2d(try_eval, u, v, st, u_floor, v_ceil, tol, max_iter):
 
 
 def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
-                    grid: QuadratureGrid, config: SolverConfig | None = None) -> RobustSolution:
+                    grid: QuadratureGrid) -> RobustSolution:
     """One-dimensional solver for mirror-symmetric problems with equal radii.
 
     Requires f1(y) = f0(-y) pointwise and a strictly increasing likelihood
@@ -667,7 +598,6 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     bracketed outward from u = 0 and found by Brent's method.  The
     materialized solution matches solve_thresholds on the same problem.
     """
-    cfg = config or SolverConfig()
     spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
     gv = _grid_values(nominals, grid)
     points, f0v, f1v, l = gv.points, gv.f0, gv.f1, gv.l
@@ -690,7 +620,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             stacklevel=2,
         )
     if eps == 0.0:
-        return solve_thresholds(spec, nominals, grid, config)
+        return solve_thresholds(spec, nominals, grid)
 
     x_eps = x_of(alpha, eps)
     states = {}  # u -> _EvalState, or None where the regions degenerate
@@ -712,7 +642,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             "no decision point solves the symmetric activation equation for "
             "eps = %g; check feasibility with limits.validate_eps" % eps
         )
-    st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=cfg.max_iter)]
+    st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER)]
     ll, lu = st.l_l, st.l_u
     aug = _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu) if rho == 1.0 else None
     if abs(st.k - ll) > 1e-6 * ll:

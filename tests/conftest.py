@@ -5,12 +5,14 @@ alpha = 4, rho = 1, radii (0.02, 0.03) on a 4001-point grid over [-8, 9] —
 exercises every region structure the solver supports (its middle region
 splits into three disjoint intervals), so most integration tests share one
 session-scoped solve of it.  `count_calls` counts the calls a test makes
-to a module-level function.
+to a module-level function, and `saddle_bounds` brackets a solution's
+saddle value exactly on its own grid.
 """
 
+import numpy as np
 import pytest
 
-from robustlrt import DivergenceSpec, density, lfd_solver
+from robustlrt import DivergenceSpec, density, lfd_solver, oracle
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +50,6 @@ def norm_grid():
     return density.make_grid(-9.0, 9.0, 4001)
 
 
-
 @pytest.fixture
 def count_calls(monkeypatch):
     """count(module, name) wraps module.name for this test and returns a
@@ -66,3 +67,33 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture(scope="session")
+def saddle_bounds():
+    """bounds(sol) -> (lower, saddle, upper) Bayes errors on sol's grid.
+
+    With the trapezoid masses w*f of the grid the solution lives on, the
+    saddle is the Bayes error of delta_hat against (g0_hat, g1_hat).  The
+    upper bound is delta_hat's worst case over both whole balls, one exact
+    ball maximisation per hypothesis; `maximize_over_ball` takes probability
+    vectors, so the nominal masses are normalised (the grid misses a little
+    tail mass).  The lower bound is the Bayes
+    error of the best rule against (g0_hat, g1_hat),
+    sum min(rho*w*g0_hat, w*g1_hat)/(1 + rho).  At a saddle point all three
+    agree up to the ball maximisation's activation tolerance.
+    """
+
+    def bounds(sol):
+        spec, w, delta = sol.spec, sol.grid.weights, sol.delta_hat.values
+        rho = spec.rho
+        p0, p1 = w * sol.f0_values, w * sol.f1_values
+        g0 = oracle.maximize_over_ball(delta, p0 / p0.sum(), spec.alpha, spec.eps0)
+        g1 = oracle.maximize_over_ball(1.0 - delta, p1 / p1.sum(), spec.alpha, spec.eps1)
+        h0, h1 = w * sol.g0_hat.values, w * sol.g1_hat.values
+        upper = rho * float(delta @ g0) + float((1.0 - delta) @ g1)
+        saddle = rho * float(delta @ h0) + float((1.0 - delta) @ h1)
+        lower = float(np.minimum(rho * h0, h1).sum())
+        return lower / (1.0 + rho), saddle / (1.0 + rho), upper / (1.0 + rho)
+
+    return bounds

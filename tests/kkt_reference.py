@@ -21,7 +21,7 @@ from scipy.optimize import root
 from robustlrt.density import QuadratureGrid, ratio_values, trapezoid_weights, values_on
 from robustlrt.divergence import DivergenceSpec, check_alpha, x_of
 from robustlrt.kernels import augment_with_crossings
-from robustlrt.lfd_solver import NonConvergenceError, SolverConfig
+from robustlrt.lfd_solver import NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def raw_rule(l, params: KktParams, alpha: float, rho: float):
     return num / ((alpha - 1.0) * (lam0 + lam1 * s))
 
 
-def solve_raw_kkt(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
-                  config: SolverConfig | None = None) -> KktParams:
+def solve_raw_kkt(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> KktParams:
     """Solve the unreduced four-constant stationarity system directly.
 
     Finds (c1, c2, c3, c4) such that both least favorable densities
@@ -98,7 +97,6 @@ def solve_raw_kkt(spec: DivergenceSpec, nominals, grid: QuadratureGrid,
     the cross-validation route for the reduced threshold solver; no values
     from solve_thresholds seed it.
     """
-    cfg = config or SolverConfig()
     check_alpha(spec.alpha)
     alpha, rho = spec.alpha, spec.rho
     beta = alpha - 1.0

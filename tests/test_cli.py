@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -641,6 +642,32 @@ def test_bad_format_is_refused_before_any_solve(anchor_config, tmp_path, monkeyp
     code, out, err = run_main(["--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert "format must be csv or json" in err
+
+
+def test_negative_mc_seed_is_refused_before_any_solve(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the solve ran before mc was checked")
+
+    monkeypatch.setattr(cli, "solve_thresholds", never)
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(
+        "command = evaluate\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"
+        "alpha = 0.5\neps0 = 0.02\neps1 = 0.02\ngrid = -9:9:401\nmc = 1000:-1\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "configuration error" in err and "mc seed must be nonnegative" in err
+
+
+@pytest.mark.parametrize("grid", ["-9:inf:401", "-inf:9:401", "nan:9:401"])
+def test_non_finite_grid_bounds_are_config_errors(tmp_path, capsys, grid):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("command = solve\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"
+                   "alpha = 4\neps0 = 0.02\neps1 = 0.02\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(["--config", str(cfg), f"--grid={grid}"], capsys)
+    assert code == 1 and out == ""
+    assert "configuration error" in err and "grid min and max must be finite" in err
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):

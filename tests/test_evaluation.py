@@ -1,5 +1,4 @@
-"""Error-probability evaluation: quadrature, Monte Carlo, sweeps, and the
-ball/rule perturbation generators used for saddle-point audits.
+"""Error-probability evaluation: quadrature, Monte Carlo and sweeps.
 
 The plain likelihood-ratio test on the unit-shift Gaussian pair has the
 closed-form error Phi(-1/2 - log(rho)/2) per component; its quadrature
@@ -8,36 +7,26 @@ form, and Monte Carlo is required to agree with quadrature within its own
 confidence half-widths.
 """
 
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from robustlrt import (
-    DivergenceSpec,
-    alpha_divergence,
-    density,
-    evaluation,
-    lfd_solver,
-)
+from robustlrt import DivergenceSpec, density, evaluation
 from robustlrt.evaluation import (
     DEFAULT_EPS_SETTINGS,
     AlphaRow,
     ErrorReport,
     SnrRow,
     amplitudes_from_snr,
-    ball_members,
     error_probs,
     lrt_errors,
     lrt_rule,
     monte_carlo_errors,
     priors,
-    rule_perturbations,
     snr_of,
     snr_sweep,
-    tilted_density,
 )
 
 # quadrature errors of the LRT at rho = 1 on N(-1,1) vs N(+1,1), grid_for n=4001
@@ -253,81 +242,3 @@ def test_alpha_sweep_records_failed_orders(mix_nominals, mix_grid):
     assert len(rows) == 1
     assert rows[0].error is not None and "not strictly inside" in rows[0].error
     assert math.isnan(rows[0].l_l) and math.isnan(rows[0].l_u)
-
-
-# ---------------------------------------------------------------------------
-# ball members and rule perturbations
-
-
-def test_tilted_density_hits_target(norm_pair, norm_grid):
-    f0, _ = norm_pair
-    g, achieved = tilted_density(f0, norm_grid, 0.5, 0.01)
-    assert achieved == pytest.approx(0.01, abs=1e-8)
-    d = alpha_divergence(g, f0, 0.5, norm_grid)
-    assert d == pytest.approx(achieved, abs=1e-9)
-    # the tilt moved mass but kept a density
-    assert float(np.sum(norm_grid.weights * density.evaluate(g, norm_grid.points))) == \
-        pytest.approx(1.0, abs=1e-9)
-
-
-def test_tilted_density_zero_target_returns_nominal(norm_pair, norm_grid):
-    f0, _ = norm_pair
-    g, achieved = tilted_density(f0, norm_grid, 0.5, 0.0)
-    assert achieved == 0.0
-    np.testing.assert_allclose(density.evaluate(g, norm_grid.points),
-                               density.evaluate(f0, norm_grid.points),
-                               rtol=1e-9, atol=1e-12)
-
-
-def test_tilted_density_caps_unreachable_targets(norm_pair, norm_grid):
-    f0, _ = norm_pair
-    g, achieved = tilted_density(f0, norm_grid, 0.5, 50.0)
-    assert achieved < 50.0
-    assert float(np.sum(norm_grid.weights * density.evaluate(g, norm_grid.points))) == \
-        pytest.approx(1.0, abs=1e-9)
-
-
-def test_tilted_density_validation(norm_pair, norm_grid):
-    f0, _ = norm_pair
-    with pytest.raises(ValueError, match="nonnegative"):
-        tilted_density(f0, norm_grid, 0.5, -0.1)
-    with pytest.raises(ValueError, match="width"):
-        tilted_density(f0, norm_grid, 0.5, 0.1, width=0.0)
-    with pytest.raises(ValueError, match="no mass"):
-        tilted_density(density.gaussian(100.0, 0.1), norm_grid, 0.5, 0.1)
-
-
-def test_ball_members_stay_strictly_inside(norm_pair, norm_grid):
-    f0, _ = norm_pair
-    members = ball_members(f0, norm_grid, 0.5, 0.02, count=20, seed=11)
-    assert len(members) == 20
-    for g in members:
-        d = alpha_divergence(g, f0, 0.5, norm_grid)
-        assert 0.0 < d < 0.02
-    again = ball_members(f0, norm_grid, 0.5, 0.02, count=20, seed=11)
-    np.testing.assert_array_equal(members[0].values, again[0].values)
-    with pytest.raises(ValueError, match="radius"):
-        ball_members(f0, norm_grid, 0.5, 0.0, count=2, seed=1)
-    with pytest.raises(ValueError, match="member"):
-        ball_members(f0, norm_grid, 0.5, 0.02, count=0, seed=1)
-
-
-def test_rule_perturbations_are_valid_rules(mix_solution):
-    sol = mix_solution
-    variants = rule_perturbations(sol, count=10, seed=13)
-    assert len(variants) == 10
-    base = sol.delta_hat(sol.grid.points)
-    changed = 0
-    for v in variants:
-        vals = v(sol.grid.points)
-        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        if not np.array_equal(vals, base):
-            changed += 1
-    assert changed == 10
-    again = rule_perturbations(sol, count=10, seed=13)
-    np.testing.assert_array_equal(variants[0](sol.grid.points),
-                                  again[0](sol.grid.points))
-    with pytest.raises(ValueError, match="perturbation"):
-        rule_perturbations(sol, count=0, seed=1)
-    with pytest.raises(ValueError, match="magnitude"):
-        rule_perturbations(sol, count=1, seed=1, magnitude=1.5)

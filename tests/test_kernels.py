@@ -8,9 +8,9 @@ random-grid test draws 200 grids and densities from seeded numpy
 generators (so that no literal in the package changes its cases),
 including ties between the thresholds, thresholds on knot values of l,
 and f0 = 0.  The solver's path, one region split shared by the masses and
-an I2 geometry reused for every K, must match the one-shot kernels
-exactly, and the derivatives of the power integrals and region masses
-must match central differences.
+an I2 geometry reused for every K, must match `region_masses` and a fresh
+geometry per K exactly, and the derivatives of the power integrals and
+region masses must match central differences.
 """
 
 import math
@@ -57,6 +57,12 @@ def reference_i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb
                       br ** (alpha / beta) * (l_aug / rho) ** alpha * g0,
                       br ** (alpha / beta) * g1)
     return tuple(_cell_sums(y, v, region == 2) for v in integrands)
+
+
+def _i2_powers(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
+    """(S, T0, T1) on a fresh region split and I2 geometry."""
+    sp = kernels.region_split(l, points, lo, hi)
+    return kernels.i2_powers(kernels.i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub), kb)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -121,7 +127,7 @@ def test_backend_twins_agree_on_interior_power_integrals(seed):
     k = float(rng.uniform(0.4, 0.9))
     args = (l, f0, f1, pts, rho * ll, rho * lu, rho, beta, alpha,
             k ** beta, ll ** beta, lu ** beta)
-    got = kernels.i2_power_integrals(*args)
+    got = _i2_powers(*args)
     want = reference_i2_power_integrals(*args)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
@@ -137,8 +143,8 @@ def _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub):
 @pytest.mark.parametrize("seed", range(4))
 def test_one_geometry_serves_every_k(seed):
     # a geometry built once per threshold pair gives, at each K, exactly what
-    # the one-shot kernel gives, S alone included; its split gives exactly
-    # the masses that region_masses computes alone
+    # a fresh split and geometry give, S alone included; its split gives
+    # exactly the masses that region_masses computes alone
     pts, f0, f1, l = _random_instance(seed, n=401)
     rho, ll, lu, alpha = 0.9, 0.7, 1.6, (4.0, -3.0, 0.5, 2.0)[seed]
     beta = alpha - 1.0
@@ -147,8 +153,7 @@ def test_one_geometry_serves_every_k(seed):
     assert masses == kernels.region_masses(l, f0, f1, pts, lo, hi)
     for k in (0.3, 0.55, 0.8, 1.7, 0.55):
         kb = k ** beta
-        one_shot = kernels.i2_power_integrals(l, f0, f1, pts, lo, hi, rho, beta, alpha,
-                                              kb, lb_, ub)
+        one_shot = _i2_powers(l, f0, f1, pts, lo, hi, rho, beta, alpha, kb, lb_, ub)
         assert kernels.i2_powers(geo, kb) == one_shot
         assert kernels.i2_s(geo, kb) == one_shot[0]
 
@@ -239,8 +244,6 @@ def _check_kernels_against_reference(case, pts, f0, f1, l, lo, hi, rho, alpha, k
         lb_, ub, kb = (lo / rho) ** beta, (hi / rho) ** beta, k ** beta
         args = (l, f0, f1, pts, lo, hi, rho, beta, alpha, kb, lb_, ub)
         want = reference_i2_power_integrals(*args)
-        np.testing.assert_allclose(kernels.i2_power_integrals(*args), want,
-                                   rtol=1e-10, atol=1e-14, err_msg=case)
         # the solver's path: one split for the masses and the geometry
         shared_masses, geo = _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub)
         assert shared_masses == masses, case
@@ -259,8 +262,8 @@ def test_cell_with_infinite_ratio_end_lies_in_upper_region():
     a0, m0, b0, a1, m1, b1 = kernels.region_masses(l, f0, f1, pts, 0.5, 2.0)
     assert (a0, m0, b0) == (0.0, 1.0, 0.5)
     assert (a1, m1, b1) == (0.0, 1.0, 1.0)
-    s, t0, t1 = kernels.i2_power_integrals(l, f0, f1, pts, 0.5, 2.0, 1.0, 3.0, 4.0,
-                                           0.5 ** 3, 0.5 ** 3, 2.0 ** 3)
+    s, t0, t1 = _i2_powers(l, f0, f1, pts, 0.5, 2.0, 1.0, 3.0, 4.0, 0.5 ** 3, 0.5 ** 3,
+                           2.0 ** 3)
     assert np.isfinite([s, t0, t1]).all()
 
 
