@@ -9,7 +9,8 @@ evaluates pointwise, integrates by the composite trapezoid rule on a
 Analytic models are truncated to a finite support chosen wide enough that the
 discarded tail mass is negligible (below 1e-10).  Tabulated models are
 renormalized at construction so that their trapezoid integral over their own
-grid equals one; downstream formulas assume unit mass.
+grid equals one; downstream formulas assume unit mass.  Table lookups, both
+here and for the solver's tabulated rule, go through ``interp``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ import numpy as np
 PEAK_CUTOFF = 1e-16
 
 _SUPPORT_RADIUS_SIGMA = math.sqrt(-2.0 * math.log(PEAK_CUTOFF)) + 0.5  # ~9.1
+
+# Queries per sorted block in `interp`: enough to amortize the sort, few
+# enough that the block's index and value arrays stay small.
+_INTERP_BLOCK = 1 << 16
 
 
 def _as_support(lo: float, hi: float) -> tuple[float, float]:
@@ -200,6 +205,26 @@ def grid_for(*models: DensityModel, n: int = 4001) -> QuadratureGrid:
     return make_grid(lo, hi, n)
 
 
+def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
+    """``np.interp(x, xp, fp, left, right)`` as an array, fast on unordered x.
+
+    np.interp bisects afresh for every query that does not lie near the one
+    before it, so a million samples in random order cost a bisection each.
+    Here the queries are sorted in blocks of ``_INTERP_BLOCK``, looked up in
+    order and scattered back.  np.interp's value at a query depends only on
+    that query (the knot j with xp[j] <= x < xp[j+1] is unique), so the
+    result equals np.interp's element for element, ends and NaNs included.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _INTERP_BLOCK):
+        xb = flat[s:s + _INTERP_BLOCK]
+        order = np.argsort(xb)
+        out[s:s + _INTERP_BLOCK][order] = np.interp(xb[order], xp, fp, left, right)
+    return out.reshape(x.shape)
+
+
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     if isinstance(model, Gaussian):
         z = (y - model.mean) / model.stddev
@@ -212,7 +237,7 @@ def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     elif isinstance(model, Shifted):
         return _pdf(model.base, y - model.shift)
     elif isinstance(model, Tabulated):
-        out = np.interp(y, model.points, model.values, left=0.0, right=0.0)
+        out = interp(y, model.points, model.values, left=0.0, right=0.0)
     else:
         raise TypeError(f"not a density model: {model!r}")
     # analytic models are evaluated exactly everywhere; `support` only sets
@@ -283,6 +308,13 @@ def sample(model: DensityModel, n: int, seed: int) -> np.ndarray:
 
 
 def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws from the model using rng.
+
+    A mixture draws its component labels, then one standard normal per
+    sample scaled and shifted in place.  A table inverts its trapezoid CDF
+    through ``interp``, which looks the uniforms up in sorted blocks and
+    gives np.interp's values.
+    """
     if isinstance(model, Gaussian):
         return rng.normal(model.mean, model.stddev, n)
     if isinstance(model, GaussianMixture):
@@ -290,7 +322,10 @@ def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray
         means = np.array([c[1] for c in model.components])
         stds = np.array([c[2] for c in model.components])
         idx = rng.choice(len(w), size=n, p=w / w.sum())
-        return rng.normal(means[idx], stds[idx])
+        y = rng.standard_normal(n)
+        y *= stds[idx]
+        y += means[idx]
+        return y
     if isinstance(model, Shifted):
         return _sample(model.base, n, rng) + model.shift
     if isinstance(model, Tabulated):
@@ -300,5 +335,5 @@ def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray
         cdf = np.concatenate(([0.0], inc))
         cdf /= cdf[-1]
         u = rng.uniform(0.0, 1.0, n)
-        return np.interp(u, cdf, pts)
+        return interp(u, cdf, pts)
     raise TypeError(f"not a density model: {model!r}")

@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import limits
-from .density import (QuadratureGrid, evaluate, ratio_values, tabulated, trapezoid_weights,
-                      values_on)
+from .density import (QuadratureGrid, evaluate, interp, ratio_values, tabulated,
+                      trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (I2Geometry, _interior_bracket, augment_with_crossings, cell_sums,
                       i2_geometry, i2_power_derivatives, i2_powers, i2_s, region_split,
@@ -81,13 +81,19 @@ class ThresholdPair:
 
 @dataclass(frozen=True)
 class TabulatedFunction:
-    """Piecewise-linear function of y given by its values on grid points."""
+    """Piecewise-linear function of y given by its values on grid points.
+
+    Outside the points it holds the end values.  A call looks y up through
+    ``density.interp``, which runs the lookups on sorted blocks of the
+    queries and gives np.interp's values, so Monte Carlo samples in random
+    order do not pay a bisection each.
+    """
 
     points: np.ndarray
     values: np.ndarray
 
     def __call__(self, y):
-        return _on_values(lambda yv: np.interp(yv, self.points, self.values), y)
+        return _on_values(lambda yv: interp(yv, self.points, self.values), y)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The anchor problem — symmetric two-component Gaussian noise, unit shift,
 alpha = 4, rho = 1, radii (0.02, 0.03) on a 4001-point grid over [-8, 9] —
 exercises every region structure the solver supports (its middle region
 splits into three disjoint intervals), so most integration tests share one
-session-scoped solve of it.  `count_calls` counts the calls a test makes
+session-scoped solve of it.  `norm_solution_40k` solves N(-1,1) against
+N(1,1) at alpha = 0.5 on 40001 points, where the tails of g0_hat leave
+flat runs in its CDF.  `count_calls` counts the calls a test makes
 to a module-level function, and `saddle_bounds` brackets a solution's
 saddle value exactly on its own grid.
 """
@@ -48,6 +50,12 @@ def norm_pair():
 @pytest.fixture(scope="session")
 def norm_grid():
     return density.make_grid(-9.0, 9.0, 4001)
+
+
+@pytest.fixture(scope="session")
+def norm_solution_40k(norm_pair):
+    spec = DivergenceSpec(alpha=0.5, rho=1.0, eps0=0.13, eps1=0.16)
+    return lfd_solver.solve_thresholds(spec, norm_pair, density.make_grid(-9.0, 9.0, 40001))
 
 
 @pytest.fixture

@@ -115,6 +115,27 @@ def test_sampling_is_deterministic_and_unbiased():
     assert float(np.var(a)) == pytest.approx(5.0, abs=0.1)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_mixture_sampling_is_the_normal_stream(seed):
+    m = density.gaussian_mixture([(0.3, -1.5, 0.5), (0.7, 2.0, 1.5)])
+    rng = np.random.default_rng(seed)
+    w, means, stds = (np.array(c) for c in zip(*m.components))
+    idx = rng.choice(len(w), size=50_000, p=w / w.sum())
+    reference = rng.normal(means[idx], stds[idx])
+    assert np.array_equal(density.sample(m, 50_000, seed), reference)
+
+
+def test_tabulated_sampling_is_the_inverse_cdf_stream():
+    pts = np.linspace(-4.0, 4.0, 801)
+    vals = np.exp(-0.5 * pts * pts)
+    vals[300:350] = 0.0                 # zero-density cells: a flat CDF run
+    t = density.tabulated(pts, vals)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (t.values[1:] + t.values[:-1]) * np.diff(pts))))
+    cdf /= cdf[-1]
+    u = np.random.default_rng(11).uniform(0.0, 1.0, 200_000)
+    assert np.array_equal(density.sample(t, 200_000, seed=11), np.interp(u, cdf, pts))
+
+
 def test_tabulated_sampling_matches_cdf():
     g = density.gaussian(0.0, 1.0)
     grid = density.make_grid(-8.0, 8.0, 2001)
@@ -123,3 +144,71 @@ def test_tabulated_sampling_matches_cdf():
     frac = float(np.mean(y <= 1.0))
     # P(Y <= 1) for the standard normal, within a generous CLT band
     assert frac == pytest.approx(0.8413447460685429, abs=0.005)
+
+
+# ---------------------------------------------------------------------------
+# table lookup: density.interp against np.interp
+
+
+def _assert_interp_is_np_interp(x, xp, fp):
+    for ends in ({}, {"left": 0.0, "right": 0.0}):
+        got = density.interp(x, xp, fp, **ends)
+        want = np.interp(x, xp, fp, **ends)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_interp_on_random_queries_over_a_solution_grid(norm_solution_40k):
+    sol = norm_solution_40k
+    xp = sol.grid.points
+    rng = np.random.default_rng(5)
+    x = np.concatenate([3.0 * rng.standard_normal(150_000),
+                        rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 50_000)])
+    rng.shuffle(x)
+    for fp in (sol.g0_hat.values, sol.delta_hat.values, sol.l_hat.values):
+        _assert_interp_is_np_interp(x, xp, fp)
+
+
+def test_interp_at_every_knot_and_its_neighbours(norm_solution_40k):
+    xp, fp = norm_solution_40k.grid.points, norm_solution_40k.g1_hat.values
+    x = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf)])
+    np.random.default_rng(6).shuffle(x)
+    _assert_interp_is_np_interp(x, xp, fp)
+
+
+def test_interp_off_the_table_and_at_non_finite_queries():
+    xp = np.linspace(-2.0, 3.0, 1001)
+    fp = np.sin(xp) + 2.0
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(-4.0, 5.0, 5000),
+                        [-np.inf, np.inf, np.nan, -2.5, 3.5, -1e308, 1e308, -2.0, 3.0]])
+    rng.shuffle(x)
+    _assert_interp_is_np_interp(x, xp, fp)
+
+
+def test_interp_on_a_cdf_with_flat_runs():
+    pts = np.linspace(-3.0, 3.0, 601)
+    val = np.exp(-pts * pts)
+    val[100:180] = 0.0
+    val[400:401] = 0.0
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))))
+    cdf /= cdf[-1]
+    assert np.any(np.diff(cdf) == 0.0)
+    rng = np.random.default_rng(9)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 100_000), cdf])
+    rng.shuffle(u)
+    _assert_interp_is_np_interp(u, cdf, pts)
+
+
+def test_interp_on_a_three_knot_table():
+    xp, fp = np.array([-1.0, 0.5, 2.0]), np.array([3.0, -1.0, 4.0])
+    x = np.random.default_rng(10).uniform(-2.0, 3.0, 1000)
+    _assert_interp_is_np_interp(np.concatenate([x, xp]), xp, fp)
+
+
+@pytest.mark.parametrize("size", [0, 1, density._INTERP_BLOCK, density._INTERP_BLOCK + 1])
+def test_interp_at_block_edge_sizes(size):
+    xp = np.linspace(0.0, 1.0, 101)
+    fp = xp * xp
+    x = np.random.default_rng(size).uniform(-0.1, 1.1, size)
+    _assert_interp_is_np_interp(x, xp, fp)

@@ -137,6 +137,19 @@ def test_monte_carlo_deterministic_per_seed(norm_pair):
         p0 * a.hw_false_alarm + p1 * a.hw_miss, rel=1e-15)
 
 
+def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40k):
+    # g0_hat's tails leave flat runs in its CDF, so the inverse-CDF lookups
+    # meet zero-width cells
+    sol = norm_solution_40k
+    pts, vals = sol.delta_hat.points, sol.delta_hat.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = monte_carlo_errors(sol.delta_hat, sol.g0_hat, sol.g1_hat, 1.0, 200_000, seed=5)
+        want = monte_carlo_errors(lambda y: np.interp(y, pts, vals),
+                                  sol.g0_hat, sol.g1_hat, 1.0, 200_000, seed=5)
+    assert got == want
+
+
 def test_monte_carlo_input_validation(norm_pair, norm_grid):
     f0, f1 = norm_pair
     with pytest.raises(ValueError, match="at least 1000"):
