@@ -20,11 +20,12 @@ the interior integrals' derivatives and dk from the mass balance; on the
 grid the crossing cells add the quadrature's share, which keeps the
 Jacobian that of the discrete residual.  A Newton step costs one residual
 evaluation per line-search trial and none for its Jacobian.  The
-module also offers a one-dimensional fast path for symmetric problems
-(``solve_symmetric``): the same residuals restricted to l_l = 1/l_u, summed
-into one scalar equation in log l_u.  The interior bracket and the rule
-come from one kernel helper, and ``robust_rule``, ``robust_lr`` and the
-materialized tables share one branch form.
+module also offers a one-dimensional fast path for symmetric problems at
+rho = 1 (``solve_symmetric``): the same residuals restricted to
+l_l = 1/l_u, summed into one scalar equation in log l_u.  The interior
+bracket and the rule come from one kernel helper, and ``robust_rule``,
+``robust_lr`` and the materialized tables share one branch form.  Both
+solvers refuse radii through one feasibility check, `limits.validate_eps`.
 
 The returned tables live on the quadrature grid augmented with the exact
 region crossing points, so trapezoid sums over the tables reproduce the
@@ -114,7 +115,6 @@ class RobustSolution:
     achieved_eps0: float
     achieved_eps1: float
     residual_norm: float
-    region_masses: tuple
 
 
 def partition(l_values, rho: float, t: ThresholdPair) -> np.ndarray:
@@ -310,43 +310,52 @@ def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
     """Interior scale factor of g1_hat at ratio value(s) l in [rho*l_l, rho*l_u]."""
     check_alpha(alpha)
     lo, hi = rho * t.l_l, rho * t.l_u
-    beta = alpha - 1.0
 
     def factor(lv):
         if np.any(lv < lo - 1e-12 * lo) or np.any(lv > hi + 1e-12 * hi):
             raise ValueError("phi1 is defined on [rho*l_l, rho*l_u] only")
         if t.l_l == t.l_u:
             return np.full(lv.shape, 1.0 / z)
-        big_l, big_u = t.l_l ** beta, t.l_u ** beta
+        beta = alpha - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            logbr, _ = _interior_bracket(lv, rho, beta, k ** beta, big_l, big_u)
-        # L = U or a vanishing bracket denominator (log Br = inf or nan)
-        if big_l == big_u or not np.all(logbr < math.inf):
-            raise ParametricInfeasibleError(
-                "interior bracket is not positive; the parametric form is "
-                "infeasible at these thresholds"
-            )
-        return np.exp(logbr / beta) / z
+            logbr, _ = _interior_bracket(lv, rho, beta, k ** beta, t.l_l ** beta,
+                                         t.l_u ** beta)
+        return _interior_factor(logbr, t, alpha, z)
 
     return _on_values(factor, l)
 
 
+def _interior_factor(logbr, t: ThresholdPair, alpha: float, z: float):
+    """phi1 from the log interior bracket of unequal thresholds."""
+    beta = alpha - 1.0
+    # L = U or a vanishing bracket denominator (log Br = inf or nan)
+    if t.l_l ** beta == t.l_u ** beta or not np.all(logbr < math.inf):
+        raise ParametricInfeasibleError(
+            "interior bracket is not positive; the parametric form is "
+            "infeasible at these thresholds"
+        )
+    return np.exp(logbr / beta) / z
+
+
 def _branches(lv, t: ThresholdPair, alpha: float, rho: float, k: float):
-    """(delta_hat, l_hat) at ratio values lv: the rule is 0 / interior / 1 and
-    the robust likelihood ratio l/l_l / rho / l/l_u below, inside and above
-    [rho*l_l, rho*l_u]; equal thresholds randomize evenly on their tie."""
+    """(delta_hat, l_hat, log Br) at ratio values lv: the rule is 0 / interior / 1
+    and the robust likelihood ratio l/l_l / rho / l/l_u below, inside and
+    above [rho*l_l, rho*l_u]; equal thresholds randomize evenly on their tie.
+    log Br is the interior bracket at the lv inside, None for equal
+    thresholds or no lv inside."""
     lo, hi = rho * t.l_l, rho * t.l_u
     delta = (lv > hi).astype(np.float64)
     mid = (lv >= lo) & (lv <= hi)
+    logbr = None
     if np.any(mid):
         if t.l_l == t.l_u:
             delta[mid] = 0.5
         else:
             beta = alpha - 1.0
-            delta[mid] = _interior_bracket(lv[mid], rho, beta, k ** beta, t.l_l ** beta,
-                                           t.l_u ** beta)[1]
+            logbr, delta[mid] = _interior_bracket(lv[mid], rho, beta, k ** beta,
+                                                  t.l_l ** beta, t.l_u ** beta)
     l_hat = np.where(lv < lo, lv / t.l_l, np.where(lv > hi, lv / t.l_u, rho))
-    return delta, l_hat
+    return delta, l_hat, logbr
 
 
 def robust_rule(l, solution: RobustSolution):
@@ -372,19 +381,20 @@ def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
     lab = partition(l_aug, rho, t)
     in2, in3 = lab == 2, lab == 3
     k, z = st.k, st.z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta, l_hat_vals, logbr = _branches(l_aug, t, alpha, rho, k)
 
     # I3 takes the upper-region scaling; I1, and I2 when the thresholds are
     # equal, the lower-region one
     g0 = np.where(in3, k * t.l_u / z, t.l_l / z) * f0a
     g1 = np.where(in3, k / z, 1.0 / z) * f1a
-    if np.any(in2) and t.l_l != t.l_u:
-        p1 = phi1(l_aug[in2], t, alpha, rho, k, z)
+    if logbr is not None:
+        p1 = _interior_factor(logbr, t, alpha, z)
         g1[in2] = p1 * f1a[in2]
         g0[in2] = p1 * (l_aug[in2] / rho) * f0a[in2]
     if g0.min() < 0.0 or g1.min() < 0.0:
         raise ParametricInfeasibleError("a least favorable density went negative")
 
-    delta, l_hat_vals = _branches(l_aug, t, alpha, rho, k)
     aug_grid = QuadratureGrid(y_aug, trapezoid_weights(y_aug))
     ach0 = alpha_divergence(g0, f0a, alpha, aug_grid)
     ach1 = alpha_divergence(g1, f1a, alpha, aug_grid)
@@ -395,7 +405,6 @@ def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
             RuntimeWarning,
             stacklevel=3,
         )
-    a0, m0, b0, a1, m1, b1 = st.masses
     return RobustSolution(
         spec=spec,
         thresholds=t,
@@ -411,20 +420,16 @@ def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
         achieved_eps0=ach0,
         achieved_eps1=ach1,
         residual_norm=resid_norm,
-        region_masses=((a0, m0, b0), (a1, m1, b1)),
     )
 
 
-def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
+def _preflight(spec: DivergenceSpec, gv: _GridValues, grid: QuadratureGrid) -> None:
+    """Refuse radii that `limits.validate_eps` does not find strictly inside the
+    admissible boundary, judged on the solver's own grid values."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            bound, _, _ = limits.max_eps_general(nominals, spec.alpha, grid, (0, spec.eps0))
-    except limits.NoBoundaryPointError as exc:
-        raise InfeasibleEpsError(
-            "eps0 = %g is at or beyond its admissible maximum %.10g; see "
-            "limits.validate_eps for the boundary margin" % (spec.eps0, exc.axis_max)
-        ) from None
+            feasible, margin = limits.validate_eps((gv.f0, gv.f1), spec, grid)
     except (ValueError, ArithmeticError) as exc:
         # the boundary solve is advisory: a NaN in its root search and
         # overflowing multiplier powers warn
@@ -434,12 +439,14 @@ def _preflight(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> None:
             stacklevel=3,
         )
         return
-    if spec.eps1 >= bound - 1e-9 * (1.0 + bound):
+    if not feasible:
+        # the ray through (eps0, eps1) meets the boundary at this multiple of it
+        scale = 1.0 + margin / math.hypot(spec.eps0, spec.eps1)
         raise InfeasibleEpsError(
             "(eps0, eps1) = (%g, %g) is not strictly inside the admissible "
-            "region: at eps0 = %g the boundary allows eps1 < %g; see "
-            "limits.validate_eps for the ray margin"
-            % (spec.eps0, spec.eps1, spec.eps0, bound)
+            "region: the ray through it meets the boundary at (%g, %g), a "
+            "margin of %.3g" % (spec.eps0, spec.eps1, scale * spec.eps0,
+                                scale * spec.eps1, margin)
         )
 
 
@@ -479,7 +486,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> Ro
         st = _eval_state(1.0, 1.0, alpha, rho, gv, x0, x1)
         return _materialize(spec, t, st, gv, max(abs(st.r0), abs(st.r1)))
 
-    _preflight(spec, nominals, grid)
+    _preflight(spec, gv, grid)
 
     pos = (l > 0.0) & np.isfinite(l) & ((gv.f0 > 0.0) | (gv.f1 > 0.0))
     l_min, l_max = float(l[pos].min()), float(l[pos].max())
@@ -599,10 +606,13 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     """One-dimensional solver for mirror-symmetric problems with equal radii.
 
     Requires f1(y) = f0(-y) pointwise and a strictly increasing likelihood
-    ratio; then l_l = 1/l_u, and the sum of the two activation residuals of
-    solve_thresholds is a single scalar equation in u = log l_u.  Its root is
-    bracketed outward from u = 0 and found by Brent's method.  The
-    materialized solution matches solve_thresholds on the same problem.
+    ratio; then at rho = 1 l_l = 1/l_u, and the sum of the two activation
+    residuals of solve_thresholds is a single scalar equation in
+    u = log l_u.  Its root is bracketed outward from u = 0 and found by
+    Brent's method.  The materialized solution matches solve_thresholds on
+    the same problem, which solves rho != 1 and eps = 0 here.  Without a
+    bracket, infeasible radii raise InfeasibleEpsError and feasible ones
+    NonConvergenceError.
     """
     spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
     gv = _grid_values(nominals, grid)
@@ -618,14 +628,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
         raise ValueError(
             "likelihood ratio is not strictly increasing; use solve_thresholds"
         )
-    if rho != 1.0:
-        warnings.warn(
-            "the symmetric reduction is derived for rho = 1; carrying rho "
-            "through the formulas is a formal extension",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if eps == 0.0:
+    if eps == 0.0 or rho != 1.0:
         return solve_thresholds(spec, nominals, grid)
 
     x_eps = x_of(alpha, eps)
@@ -634,7 +637,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     def resid(u):
         if u not in states:
             try:
-                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, rho, gv, x_eps,
+                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps,
                                         x_eps)
             except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
                 states[u] = None
@@ -644,13 +647,14 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     # l_u moves like sqrt(eps) away from 1 and stays inside the ratio range
     span = bracket(resid, 0.0, resid(0.0), math.sqrt(eps), math.log(float(l[core].max())))
     if span is None:
-        raise InfeasibleEpsError(
+        _preflight(spec, gv, grid)
+        raise NonConvergenceError(
             "no decision point solves the symmetric activation equation for "
-            "eps = %g; check feasibility with limits.validate_eps" % eps
+            "eps = %g, although the radii are feasible" % eps
         )
     st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER)]
     ll, lu = st.l_l, st.l_u
-    aug = _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu) if rho == 1.0 else None
+    aug = _mirrored_augmentation(points, l, f0v, f1v, core, ll, lu)
     if abs(st.k - ll) > 1e-6 * ll:
         warnings.warn(
             "symmetric-case balance factor %g deviates from l_l = %g" % (st.k, ll),
@@ -667,7 +671,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     return _materialize(spec, ThresholdPair(ll, lu), st, gv, nrm, aug=aug)
 
 
-def _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu):
+def _mirrored_augmentation(points, l, f0v, f1v, core, ll, lu):
     """Crossing knots snapped to an exact mirror pair for symmetric problems.
 
     Independently interpolated crossings of the two thresholds land a few
@@ -676,8 +680,7 @@ def _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu):
     increasing ratio there is one crossing per threshold, so place them at
     exactly -y_u and +y_u instead.
     """
-    lo, hi = rho * ll, rho * lu
-    y_up = float(np.interp(hi, l[core], points[core]))
+    y_up = float(np.interp(lu, l[core], points[core]))
     span = points[-1] - points[0]
     if np.min(np.abs(points - y_up)) <= 1e-13 * span:
         return None  # crossing sits on a grid knot; mirror knot does too
@@ -685,7 +688,7 @@ def _mirrored_augmentation(points, l, f0v, f1v, core, rho, ll, lu):
     y_aug = np.concatenate([points, knots])
     order = np.argsort(y_aug, kind="stable")
     y_aug = y_aug[order]
-    l_aug = np.concatenate([l, [lo, hi]])[order]
+    l_aug = np.concatenate([l, [ll, lu]])[order]
     f0a = np.concatenate([f0v, np.interp(knots, points, f0v)])[order]
     f1a = np.concatenate([f1v, np.interp(knots, points, f1v)])[order]
     return y_aug, l_aug, f0a, f1a

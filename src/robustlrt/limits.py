@@ -42,15 +42,7 @@ _V_MAX = 2.0 ** 13
 
 
 class NoBoundaryPointError(RuntimeError):
-    """No touching point exists for the requested fixed radius.
-
-    axis_max is the largest admissible value of the fixed radius (its
-    partner radius is 0 there), or NaN where it is not known.
-    """
-
-    def __init__(self, message: str, axis_max: float = math.nan):
-        super().__init__(message)
-        self.axis_max = axis_max
+    """No touching point exists for the requested fixed radius."""
 
 
 class InfeasiblePairError(ValueError):
@@ -232,12 +224,11 @@ def _partner(family, idx: int, val: float):
         raise NoBoundaryPointError(
             "no boundary point: constraint constant x(alpha, eps) = %g is not "
             "positive, the fixed radius is beyond any admissible boundary"
-            % x_of(alpha, val), axis_max)
+            % x_of(alpha, val))
     if val > axis_max:
         raise NoBoundaryPointError(
             "no boundary point: fixed radius eps%d = %g is beyond its axis "
-            "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max),
-            axis_max)
+            "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max))
     e0, e1, lam0, lam1 = ends[sign] if val == axis_max else _touching_root(
         family, lambda e0, e1: sign * ((e0 if idx == 0 else e1) - val))
     # next to the far end the partner radius is 0 up to rounding
@@ -259,7 +250,7 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     partner 0.  Between them Brent's method finds v on a bracket grown
     outward from v = 0.
 
-    Raises NoBoundaryPointError, carrying the axis maximum, when the fixed
+    Raises NoBoundaryPointError, naming the axis maximum, when the fixed
     radius lies beyond it.
     """
     check_alpha(alpha)
@@ -327,7 +318,8 @@ def validate_eps(nominals, spec, grid: QuadratureGrid):
     point along it, the root of u1 D(g_v, f0) - u0 D(g_v, f1) for the ray
     direction u; an axis ray ends at the closed-form partner of a zero
     radius.  Points within 1e-9 of the boundary count as infeasible,
-    matching the strict inequality the robust test needs.
+    matching the strict inequality the robust test needs.  Both threshold
+    solvers refuse radius pairs through this check.
     """
     eps0, eps1 = float(spec.eps0), float(spec.eps1)
     s_req = math.hypot(eps0, eps1)

@@ -483,14 +483,20 @@ def test_symmetric_rejects_asymmetric_problems(norm_grid):
         lfd_solver.solve_symmetric(0.02, 4.0, 1.0, (f0, f1), norm_grid)
 
 
-def test_symmetric_warns_for_off_center_prior(norm_pair, norm_grid):
-    # besides the rho warning, the off-domain call also warns about the
-    # balance factor, the general residual, and the achieved radii
-    with pytest.warns(RuntimeWarning) as record:
-        lfd_solver.solve_symmetric(0.05, 4.0, 1.1, norm_pair, norm_grid)
-    messages = [str(w.message) for w in record]
-    assert any("rho" in m for m in messages)
-    assert len(messages) >= 2
+@pytest.mark.parametrize("rho", [0.8, 1.1])
+def test_symmetric_off_center_prior_is_the_general_solve(norm_pair, norm_grid, rho):
+    # l_l = 1/l_u holds at rho = 1 only, so another prior goes to
+    # solve_thresholds: the same table, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sym = lfd_solver.solve_symmetric(0.2, 2.0, rho, norm_pair, norm_grid)
+    gen = lfd_solver.solve_thresholds(
+        DivergenceSpec(alpha=2.0, rho=rho, eps0=0.2, eps1=0.2), norm_pair, norm_grid)
+    assert sym.thresholds == gen.thresholds
+    np.testing.assert_array_equal(sym.g0_hat.values, gen.g0_hat.values)
+    np.testing.assert_array_equal(sym.delta_hat.values, gen.delta_hat.values)
+    assert sym.achieved_eps0 == pytest.approx(0.2, abs=1e-9)
+    assert sym.achieved_eps1 == pytest.approx(0.2, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha, eps", [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2),
@@ -570,11 +576,58 @@ def test_raw_forms_match_reduced_forms_at_shared_parameters(mix_spec, mix_nomina
 
 
 def test_infeasible_radii_report_boundary_partner(mix_nominals, mix_grid):
+    spec = DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.02, eps1=0.40)
     with pytest.raises(InfeasibleEpsError, match="not strictly inside") as exc:
-        lfd_solver.solve_thresholds(
-            DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.02, eps1=0.40),
-            mix_nominals, mix_grid)
-    assert "0.320333" in str(exc.value)
+        lfd_solver.solve_thresholds(spec, mix_nominals, mix_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, margin = limits.validate_eps(mix_nominals, spec, mix_grid)
+    scale = 1.0 + margin / math.hypot(0.02, 0.40)
+    assert "meets the boundary at (%g, %g), a margin of %.3g" % (
+        0.02 * scale, 0.40 * scale, margin) in str(exc.value)
+
+
+# each pair with the direction of its rays in the (eps0, eps1) plane
+_RAYS = {"mix": ("mix_nominals", "mix_grid", (2.0, 3.0)),
+         "norm": ("norm_pair", "norm_grid", (3.0, 2.0))}
+
+
+@pytest.mark.parametrize("pair", sorted(_RAYS))
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 4.0])
+def test_solver_refuses_exactly_what_validate_eps_refuses(monkeypatch, request, pair, alpha):
+    # a residual that never evaluates stalls the continuation at once, so
+    # radii that pass the feasibility check end in NonConvergenceError
+    def no_state(*args):
+        raise DegenerateRegionError("stub")
+
+    monkeypatch.setattr(lfd_solver, "_eval_state", no_state)
+    nominals, grid = (request.getfixturevalue(name) for name in _RAYS[pair][:2])
+    d0, d1 = _RAYS[pair][2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, margin = limits.validate_eps(nominals, DivergenceSpec(alpha=alpha, eps0=d0,
+                                                                 eps1=d1), grid)
+    s_star = (margin + math.hypot(d0, d1)) / math.hypot(d0, d1)
+    for rho in (0.8, 1.0, 1.2):
+        for factor in (0.5, 0.99, 1.01, 1.5):
+            spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=factor * s_star * d0,
+                                  eps1=factor * s_star * d1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                feasible, _ = limits.validate_eps(nominals, spec, grid)
+            assert feasible == (factor < 1.0)
+            with pytest.raises(NonConvergenceError if feasible else InfeasibleEpsError):
+                lfd_solver.solve_thresholds(spec, nominals, grid)
+
+
+def test_symmetric_without_a_root_bracket_names_the_cause(monkeypatch, norm_pair, norm_grid):
+    # with no bracket for the symmetric equation, the radii decide the
+    # error; the diagonal boundary at alpha = 2 lies near eps = 0.612
+    monkeypatch.setattr(lfd_solver, "bracket", lambda *args: None)
+    with pytest.raises(NonConvergenceError, match="although the radii are feasible"):
+        lfd_solver.solve_symmetric(0.2, 2.0, 1.0, norm_pair, norm_grid)
+    with pytest.raises(InfeasibleEpsError, match="not strictly inside"):
+        lfd_solver.solve_symmetric(0.7, 2.0, 1.0, norm_pair, norm_grid)
 
 
 def test_prior_ratio_outside_likelihood_range_degenerates(norm_pair):
@@ -632,7 +685,7 @@ def test_preflight_numerical_failure_warns_and_solve_proceeds(monkeypatch, norm_
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(limits, "max_eps_general", failing)
+    monkeypatch.setattr(limits, "validate_eps", failing)
     spec = DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.05, eps1=0.05)
     with pytest.warns(RuntimeWarning, match="feasibility preflight failed"):
         sol = lfd_solver.solve_thresholds(spec, norm_pair, density.make_grid(-9.0, 9.0, 801))
@@ -643,7 +696,7 @@ def test_preflight_lets_programming_errors_through(monkeypatch, norm_pair):
     def failing(*args):
         raise KeyError("eps0")
 
-    monkeypatch.setattr(limits, "max_eps_general", failing)
+    monkeypatch.setattr(limits, "validate_eps", failing)
     with pytest.raises(KeyError, match="eps0"):
         lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=1.0, eps0=0.05, eps1=0.05),
                                     norm_pair, density.make_grid(-9.0, 9.0, 801))

@@ -10,6 +10,7 @@ mirror-symmetric Gaussian pair.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -201,12 +202,16 @@ def test_fixed_radius_beyond_axis_maximum_names_it(mix_nominals, mix_grid):
         axis_max, _, _ = limits.max_eps_general(mix_nominals, 4.0, mix_grid, (1, 0.0))
         with pytest.raises(NoBoundaryPointError, match="beyond its axis maximum") as exc:
             limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, axis_max + 0.01))
-    assert exc.value.axis_max == axis_max
     assert "%.10g" % axis_max in str(exc.value)
-    with pytest.raises(InfeasibleEpsError, match="at or beyond its admissible maximum") as exc:
+    # the solver refuses such a pair by its ray, whose boundary point lies
+    # near the eps0 axis at no more than the axis maximum
+    with pytest.raises(InfeasibleEpsError, match="not strictly inside") as exc:
         lfd_solver.solve_thresholds(
             DivergenceSpec(alpha=4.0, eps0=axis_max + 0.01, eps1=0.01), mix_nominals, mix_grid)
-    assert "%.10g" % axis_max in str(exc.value)
+    e0, e1 = map(float, re.search(r"meets the boundary at \((\S+), (\S+)\)",
+                                  str(exc.value)).groups())
+    assert 0.0 < e0 <= axis_max and e1 == pytest.approx(0.01 * e0 / (axis_max + 0.01),
+                                                          rel=1e-5)
 
 
 def test_general_rejects_bad_arguments(norm_pair, norm_grid):
