@@ -276,8 +276,35 @@ def _typed(values) -> tuple:
     return arr.tolist(), "%s" if kind == "U" else "%d" if kind in "biu" else "%.17g"
 
 
+# json.dumps takes its pure-Python encoder for any indent, so the JSON text is
+# laid out here: each column list goes through the C encoder in one call, with
+# the item separator indent=1 puts between the items of a list at depth 3.
+_JSON = json.JSONEncoder(separators=(",\n   ", ": "))
+
+
+def _json_object(members: dict, pad: str) -> str:
+    """A key-sorted JSON object of already encoded values, laid out as
+    json.dumps(..., indent=1) lays out an object whose keys sit at indent
+    len(pad)."""
+    if not members:
+        return "{}"
+    body = (",\n" + pad).join(f"{_JSON.encode(k)}: {v}" for k, v in sorted(members.items()))
+    return "{\n" + pad + body + "\n" + pad[:-1] + "}"
+
+
+def _json_column(values: list, nan: bool) -> str:
+    """One column as indent=1 writes it at depth 2, NaN as null."""
+    if not values:
+        return "[]"
+    if nan:
+        values = [None if x != x else x for x in values]
+    return "[\n   " + _JSON.encode(values)[1:-1] + "\n  ]"
+
+
 def _render(fmt: str, meta: dict, columns: dict) -> str:
-    """CSV or JSON text of one result table."""
+    """CSV or JSON text of one result table.  The JSON text is the one
+    json.dumps({"meta": ..., "columns": ...}, sort_keys=True, indent=1)
+    writes, with NaN as null."""
     head = {k: _typed(v) for k, v in meta.items()}
     cols = {k: _typed(v) for k, v in columns.items()}
     if fmt == "csv":
@@ -286,12 +313,13 @@ def _render(fmt: str, meta: dict, columns: dict) -> str:
         template = ",".join(f for _, f in cols.values())
         lines.extend(template % row for row in zip(*(v for v, _ in cols.values())))
         return "\n".join(lines) + "\n"
-    payload = {
-        "meta": {k: None if v != v else v for k, (v, _) in head.items()},
-        "columns": {k: [None if x != x else x for x in v] if f == "%.17g" else v
-                    for k, (v, f) in cols.items()},
+    text = {
+        "meta": _json_object({k: _JSON.encode(None if v != v else v)
+                              for k, (v, _) in head.items()}, "  "),
+        "columns": _json_object({k: _json_column(v, f == "%.17g" and np.isnan(columns[k]).any())
+                                 for k, (v, f) in cols.items()}, "  "),
     }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return _json_object(text, " ") + "\n"
 
 
 def _solution_table(sol: RobustSolution):

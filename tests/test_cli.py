@@ -490,6 +490,89 @@ def test_solve_csv_round_trips_the_solution(anchor_config, mix_solution, capsys)
     assert set(cols["region"]) == {"1", "2", "3"}
 
 
+def test_solve_json_round_trips_the_solution(anchor_config, mix_solution, capsys):
+    code, out, err = run_main(["--config", anchor_config, "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    cols = json.loads(out)["columns"]
+    sol = mix_solution
+    l = density.ratio_values(sol.f0_values, sol.f1_values)
+    expected = {
+        "y": sol.grid.points, "f0": sol.f0_values, "f1": sol.f1_values, "l": l,
+        "g0_hat": sol.g0_hat.values, "g1_hat": sol.g1_hat.values,
+        "delta_hat": sol.delta_hat.values, "l_hat": sol.l_hat.values,
+    }
+    assert set(cols) == {*expected, "region"}
+    for name, values in expected.items():
+        parsed = np.array(cols[name], dtype=float)
+        assert parsed.tobytes() == np.asarray(values, dtype=float).tobytes(), name
+    assert cols["region"] == partition(l, 1.0, sol.thresholds).tolist()
+
+
+def _indent1_json(meta, columns):
+    """The JSON text the writer must reproduce byte for byte."""
+    arrays = {k: np.asarray(v) for k, v in columns.items()}
+    payload = {
+        "meta": {k: None if v != v else v for k, v in meta.items()},
+        "columns": {k: [None if x != x else x for x in a.tolist()]
+                    if a.dtype.kind == "f" else a.tolist() for k, a in arrays.items()},
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+JSON_TABLES = {
+    "nan": ({"z": math.nan, "a": 1.5, "k": 3},
+            {"p": [0.25, math.nan, 1e-300], "all_nan": np.full(2, math.nan)}),
+    "inf": ({"hi": math.inf, "lo": -math.inf},
+            {"l": np.array([0.0, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])}),
+    "empty-column": ({"mode": "general"}, {"y": np.array([], dtype=float), "x": [1.0]}),
+    "no-columns": ({"alpha": 0.5}, {}),
+    "no-meta": ({}, {"x": [2.0]}),
+    "typed": ({"mode": 'say "é"', "ok": True},
+              {"region": np.array([3, 1, 2], dtype=np.int8),
+               "feasible": np.array([True, False, True]),
+               "rule": ['a "quoted" name', "naïve Ωmega", "back\\slash"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_TABLES))
+def test_json_writer_matches_json_dumps_indent1(case):
+    meta, columns = JSON_TABLES[case]
+    assert cli._render("json", meta, columns) == _indent1_json(meta, columns)
+
+
+def test_json_writer_matches_json_dumps_on_a_40k_solution(norm_solution_40k):
+    meta, columns = cli._solution_table(norm_solution_40k)
+    text = cli._render("json", meta, columns)
+    assert text == _indent1_json(meta, columns)
+    assert text.startswith('{\n "columns": {\n  "delta_hat": [\n   ')
+
+
+def test_json_writes_infinite_ratio_as_bare_infinity(tmp_path, capsys):
+    # f0 underflows to 0 where f1 does not (37.7 <= y <= 39.6), so l is +inf
+    # there: JSON writes Python's Infinity token, CSV writes inf
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(
+        "command = solve\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"
+        "alpha = 2\neps0 = 0.05\neps1 = 0.05\ngrid = -40:40:801\n")
+    code, text, err = run_main(["--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert "\n   Infinity,\n" in text and "NaN" not in text and "null" not in text
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    with pytest.raises(ValueError, match="Infinity"):
+        json.loads(text, parse_constant=refuse)
+    cols = json.loads(text)["columns"]
+    inf_rows = [i for i, v in enumerate(cols["l"]) if v == math.inf]
+    assert len(inf_rows) == 20
+    assert all(cols["f0"][i] == 0.0 < cols["f1"][i] for i in inf_rows)
+    code, text, _ = run_main(["--config", str(cfg)], capsys)
+    assert code == 0
+    _, names, rows = read_csv(text)
+    assert [rows[i][names.index("l")] for i in inf_rows] == ["inf"] * 20
+
+
 def test_closed_form_limits_writes_nan_multipliers(capsys):
     code, out, _ = run_main(LIMITS_ARGS, capsys)
     assert code == 0
