@@ -8,8 +8,8 @@ error probabilities by quadrature or Monte Carlo.
 
 The grid kernels that every threshold search integrates with are plain
 vectorized numpy (``robustlrt.kernels``), and one bracket-and-Brent search
-(``robustlrt.roots``) solves every scalar equation; numpy is the only
-run-time dependency.
+(``robustlrt.roots``) solves every scalar equation outside the discrete
+oracle; numpy is the only run-time dependency.
 """
 
 from .density import (

@@ -1,13 +1,13 @@
 """Independent brute-force verification on small discretized instances.
 
 Everything here works on plain probability vectors over m equal-width bins
-and shares only the generic scalar root finder (``roots``) with the
-continuous solver: the ball maximizer is re-derived from the Lagrangian of
-the constrained linear program, and the saddle point is approached by
-alternating best responses.
+and shares no numerical routine with the continuous solver: the ball
+maximizer solves the Lagrange dual of the constrained linear program with
+its own Newton iteration, and the saddle point is approached by alternating
+best responses.
 Agreement between these routines and the continuous solver is evidence that
-both are right; they share no thresholds, no normalization constants, and
-no quadrature shortcuts.
+both are right; they share no thresholds, no normalization constants, no
+root finder and no quadrature shortcuts.
 
 The divergence ball around a bin vector f is {g in the simplex:
 D(g, f; alpha) <= eps} with the same order-alpha divergence as the
@@ -23,10 +23,10 @@ import numpy as np
 
 from .density import QuadratureGrid, values_on
 from .divergence import DivergenceSpec, check_alpha
-from .roots import bracket, brent
 
-_LOG2 = math.log(2.0)
-_LOG4 = math.log(4.0)
+# Newton iterations per ball and the largest step in log x
+_NEWTON_ITERS = 100
+_MAX_STEP = 8.0
 
 __all__ = [
     "OracleError",
@@ -68,12 +68,7 @@ class DiscreteProblem:
     eps1: float
 
     def __post_init__(self):
-        check_alpha(self.alpha)
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
-            raise ValueError(
-                f"radii must be finite and nonnegative, got ({self.eps0}, {self.eps1})")
+        DivergenceSpec(self.alpha, self.rho, self.eps0, self.eps1)
         for name, v in (("f0", self.f0), ("f1", self.f1)):
             if v.ndim != 1 or v.size != self.m:
                 raise ValueError(f"{name} must be a length-{self.m} vector")
@@ -131,112 +126,91 @@ def discrete_divergence(g: np.ndarray, f: np.ndarray, alpha: float) -> float:
     return (1.0 - s) / (alpha * (1.0 - alpha))
 
 
-def _tilt_family(w: np.ndarray, f: np.ndarray, alpha: float, lam: float):
-    """The maximizer of <w, g> - lam*D(g, f) over the simplex, given lam.
-
-    Stationarity of the Lagrangian gives g = f * base^(1/(alpha-1)) with
-    base = 1 + (1-alpha)*(mu - w)/lam, where the normalization multiplier
-    mu makes g sum to one.  For alpha > 1 bins with nonpositive base sit on
-    the g >= 0 boundary and are clamped to zero; for alpha < 1 every bin
-    stays strictly positive and base must stay positive everywhere.
-    Returns the normalized g.
-    """
-    beta = alpha - 1.0
-
-    def g_of(mu: float) -> np.ndarray:
-        base = 1.0 - beta * (mu - w) / lam
-        return f * np.maximum(base, 0.0) ** (1.0 / beta)
-
-    try:
-        if beta > 0.0:
-            # sum(g) is continuous and strictly decreasing in mu on this
-            # bracket, from >= 2^(1/beta) down to 0
-            lo = float(np.min(w)) - lam / beta
-            hi = float(np.max(w)) + lam / beta
-            mu = brent(lambda t: float(np.sum(g_of(t))) - 1.0, lo, hi,
-                       xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        else:
-            # mu > mu_min keeps every base positive; solve in
-            # u = log(mu - mu_min), where sum(g) falls as u grows, from
-            # mu - mu_min = lam/(1 - alpha) over factors up to 2^(+-200).
-            # A base rounded to 0 gives g = inf, on the right side of 1.
-            mu_min = float(np.max(w)) - lam / (1.0 - alpha)
-
-            def excess(u: float) -> float:
-                return float(np.sum(g_of(mu_min + math.exp(u)))) - 1.0
-
-            u0 = math.log(lam / (1.0 - alpha))
-            with np.errstate(divide="ignore"):
-                e0 = excess(u0)
-                span = bracket(excess, u0, e0, math.copysign(_LOG2, e0), 200.0 * _LOG2)
-                if span is None:
-                    raise ValueError("sum(g) - 1 keeps its sign or is NaN within "
-                                     "factors 2^(+-200) of mu - mu_min = lam/(1 - alpha)")
-                mu = mu_min + math.exp(brent(excess, *span, xtol=1e-14, maxiter=200))
-    except (ValueError, RuntimeError) as exc:
-        raise OracleError(
-            f"normalization multiplier search failed at lam = {lam:.6g}: {exc}") from None
-
-    g = g_of(mu)
-    return g / float(np.sum(g))
-
-
 def maximize_over_ball(weights, f, alpha: float, eps: float) -> np.ndarray:
     """Maximize <weights, g> over the radius-eps ball around f.
 
-    Solves the one-dimensional dual: for each multiplier lam the inner
-    maximizer has the closed parametric form of `_tilt_family`; lam is then
-    solved for so that the divergence constraint is active within 1e-8.  The
-    returned vector lies on the simplex exactly and inside the ball up to
-    that activation tolerance.  Raises OracleError when even a vanishing
-    multiplier cannot reach the radius (the ball covers every direction of
-    improvement, so the constraint cannot be activated), and when a root
-    search fails, naming the search and its multiplier.
+    Solves the Lagrange dual of the problem: lam >= 0 prices the divergence
+    constraint and mu the unit mass.  With beta = alpha - 1, s = sign(beta)
+    and mu = max(w) - s*nu for an offset nu > 0, the Lagrangian's maximizer
+    is g = f (|beta| d/lam)^(1/beta) with d = max(s (w - max w) + nu, 0).
+    Unit mass fixes lam in closed form, so the normalized g depends on
+    x = 1/nu alone, g ~ f max(1 + x s (w - max w), 0)^(1/beta), and its
+    divergence rises strictly from 0 at x = 0 towards a reach at x = inf.
+    Newton solves D(g, f) = eps in log x and falls back to bisecting the
+    bracket its iterates have found.  The reach is closed form: with F the
+    mass of f on the bins of largest weight (within the support of f when
+    alpha > 1), it is (1 - F^(1-alpha))/(alpha (1-alpha)), or inf when
+    alpha < 0 and F < 1.
+
+    The returned vector lies on the simplex exactly and inside the ball up to
+    the activation tolerance 1e-8.  Raises ValueError for malformed or
+    non-finite input, and OracleError when eps is at or beyond the reach (the
+    ball then holds every maximizer of <weights, g>, so the constraint cannot
+    be activated) or when the search misses the activation tolerance, naming
+    the multipliers where it stopped.
     """
     w = np.asarray(weights, dtype=float)
     f = np.asarray(f, dtype=float)
+    beta = check_alpha(alpha) - 1.0
     if w.shape != f.shape or w.ndim != 1:
         raise ValueError("weights and f must be equal-length vectors")
-    if np.any(f < 0.0) or abs(float(np.sum(f)) - 1.0) > 1e-10:
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if not (np.all(f >= 0.0) and abs(float(np.sum(f)) - 1.0) <= 1e-10):
         raise ValueError("f must be a probability vector")
-    if eps < 0.0:
-        raise ValueError(f"ball radius must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"ball radius must be finite and nonnegative, got {eps}")
     spread = float(np.max(w) - np.min(w))
     if eps == 0.0 or spread < 1e-14 * max(1.0, float(np.max(np.abs(w)))):
         return f.copy()
-
-    def achieved(lam: float) -> float:
-        return discrete_divergence(_tilt_family(w, f, alpha, lam), f, alpha)
-
-    def excess(u: float) -> float:
-        return achieved(math.exp(u)) - eps
-
-    # the achieved divergence falls as lam grows: bracket the active
-    # multiplier in u = log(lam) from lam = spread over factors up to 4^(+-32)
-    u0 = math.log(spread)
-    e0 = excess(u0)
-    reach = 32.0 * _LOG4
-    span = bracket(excess, u0, e0, math.copysign(_LOG4, e0), reach)
-    if span is None and e0 > 0.0:
+    # for alpha > 1 the ball holds only g with g = 0 where f = 0
+    top = float(np.max(w[f > 0.0] if beta > 0.0 else w))
+    at_top = float(np.sum(f[w == top]))
+    if alpha < 0.0 and at_top < 1.0:
+        reach = math.inf
+    else:
+        reach = (1.0 - at_top ** (1.0 - alpha)) / (alpha * (1.0 - alpha))
+    if not eps < reach:
         raise OracleError(
-            f"divergence constraint stayed above the radius at multipliers up to "
-            f"lam = {math.exp(u0 + reach):.3e}")
-    if span is None:
-        d_lo = achieved(math.exp(u0 - reach))
+            f"constraint cannot be activated: f restricted to its best bins lies at "
+            f"divergence {reach:.3e}, inside the radius-{eps} ball, so the maximum "
+            f"of <w, g> is not unique in the ball")
+
+    off = math.copysign(1.0, beta) * (w - top)
+    mean = float(np.dot(w, f))
+    var = float(np.dot(f, (w - mean) ** 2))
+    # start from the small-radius limit D ~ x^2 var/(2 beta^2)
+    u = math.log(abs(beta)) + 0.5 * (math.log(2.0 * eps) - math.log(max(var, 1e-300)))
+    lo, hi, moved = -math.inf, math.inf, math.inf
+    for _ in range(_NEWTON_ITERS):
+        # D has reached its limits, 0 and the reach, long before e^-700 and e^700
+        x = math.exp(min(max(u, -700.0), 700.0))
+        e = np.maximum(1.0 + x * off, 0.0)
+        t = f * e ** (1.0 / beta)
+        g = t / float(np.sum(t))
+        d = discrete_divergence(g, f, alpha)
+        a = float(np.dot(g, off))
+        # unit mass, through sum g^alpha f^(1-alpha) = 1 - alpha (1-alpha) D
+        lam = abs(beta) * (1.0 + x * a) / (x * (1.0 - alpha * (1.0 - alpha) * d))
+        if abs(d - eps) <= 1e-14 * max(1.0, eps) or moved <= 1e-13 * (1.0 + abs(u)):
+            break
+        if d < eps:
+            lo = u
+        else:
+            hi = u
+        act = e > 0.0
+        # |beta| lam dD/du, positive wherever D is not flat
+        gain = a - float(np.dot(g[act], off[act] / e[act])) * (1.0 + x * a)
+        nxt = math.nan
+        if gain > 0.0:
+            nxt = u + max(-_MAX_STEP, min(_MAX_STEP, (eps - d) * abs(beta) * lam / gain))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if math.isfinite(lo + hi) else u + math.copysign(_MAX_STEP, eps - d)
+        moved, u = abs(nxt - u), nxt
+    if not abs(d - eps) <= 1e-8:
         raise OracleError(
-            f"constraint cannot be activated: the whole improvement family stays "
-            f"inside the radius-{eps} ball (reachable divergence {d_lo:.3e}); "
-            f"the unconstrained maximum is not unique in the ball")
-    try:
-        lam = math.exp(brent(excess, *span, xtol=1e-13, maxiter=200))
-    except (ValueError, RuntimeError) as exc:
-        raise OracleError(
-            f"dual multiplier search failed between lam = {math.exp(span[0]):.6g} and "
-            f"{math.exp(span[1]):.6g}: {exc}") from None
-    g = _tilt_family(w, f, alpha, lam)
-    d = discrete_divergence(g, f, alpha)
-    if abs(d - eps) > 1e-8:
-        raise OracleError(f"activation tolerance missed: |D - eps| = {abs(d - eps):.2e}")
+            f"dual search failed at lam = {lam:.6g}, nu = {1.0 / x:.6g}: activation "
+            f"tolerance missed, |D - eps| = {abs(d - eps):.2e}")
     if float(np.dot(w, g)) < float(np.dot(w, f)) - 1e-12:
         raise OracleError("maximizer failed the improvement property")
     return g

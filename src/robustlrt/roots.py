@@ -1,12 +1,12 @@
 """Scalar root finding: grow a bracket, then Brent's method inside it.
 
-Every scalar equation in the package (the mass balance at rho != 1, the
-symmetric threshold equation in log l_u, the touching point of the two
-balls at a fixed radius or along a ray, the tilt of a ball member and the
-oracle's dual multipliers) is solved by these two functions.  `brent` is
-Brent's method (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4) in the classic variant with a hyperbolic
-extrapolation step: it stops once the bracket is shorter than
+Every scalar equation of the threshold solver and the radius limits (the
+mass balance at rho != 1, the symmetric threshold equation in log l_u, the
+touching point of the two balls at a fixed radius or along a ray) is solved
+by these two functions; the discrete oracle, which checks them, has its own
+Newton iteration.  `brent` is Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4) in the classic variant with
+a hyperbolic extrapolation step: it stops once the bracket is shorter than
 xtol + rtol*|x|, takes at most maxiter steps, and compares signs rather
 than multiplying values, so values whose products underflow still bracket.
 """

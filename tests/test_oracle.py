@@ -175,20 +175,109 @@ def test_maximize_over_ball_unreachable_radius():
         maximize_over_ball(w, f, 2.0, 5.0)
 
 
+def test_maximize_over_ball_rejects_non_finite_input(norm_bins):
+    f = norm_bins.f0
+    w = np.random.default_rng(7).uniform(size=norm_bins.m)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            maximize_over_ball(w, f, 0.5, eps)
+    for bad in (math.nan, math.inf):
+        w_bad = w.copy()
+        w_bad[3] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            maximize_over_ball(w_bad, f, 0.5, 0.02)
+    f_bad = f.copy()
+    f_bad[3] = math.nan
+    with pytest.raises(ValueError, match="probability"):
+        maximize_over_ball(w, f_bad, 0.5, 0.02)
+
+
+def _dual_minimum(w, f, alpha, eps):
+    """scipy's Nelder-Mead minimum of the Lagrange dual
+    q(lam, mu) = sup over g >= 0 of <w, g> - lam (D(g, f) - eps) - mu (sum g - 1),
+    over (log lam, log |mu - max w|), with the supremum's maximizer.  Every
+    q(lam, mu) bounds the ball maximum from above (weak duality)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    beta = alpha - 1.0
+
+    def sup(v):
+        lam, gap = np.exp(v)
+        mu = w.max() - math.copysign(gap, beta)
+        g = f * np.maximum(beta * (w - mu) / lam, 0.0) ** (1.0 / beta)
+        div = (1.0 - np.sum(g**alpha * f**(1.0 - alpha))) / (alpha * (1.0 - alpha))
+        return float((w - mu) @ g - lam * (div - eps) + mu), g
+
+    res = optimize.minimize(lambda v: sup(v)[0], [0.0, 0.0], method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000})
+    return sup(res.x)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("kind", ["uniform", "zero-one"])
+def test_maximize_over_ball_meets_scipy_dual_minimum(alpha, kind):
+    rng = np.random.default_rng(3)
+    f = rng.dirichlet(np.full(12, 2.0))
+    # zero-one weights at alpha > 1: once the zero-weight bins are clamped,
+    # D sits flat at the reach and Newton has no slope (alpha 4, eps 0.1
+    # steps there), so the bracket has to take over
+    w = rng.uniform(size=12) if kind == "uniform" else (np.arange(12) % 3 == 0).astype(float)
+    for eps in (0.01, 0.1):
+        g = maximize_over_ball(w, f, alpha, eps)
+        upper, g_dual = _dual_minimum(w, f, alpha, eps)
+        assert discrete_divergence(g, f, alpha) == pytest.approx(eps, abs=1e-8)
+        assert upper - 1e-9 <= float(w @ g) <= upper + 1e-12
+        np.testing.assert_allclose(g, g_dual, atol=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_maximize_over_ball_activates_just_below_reach(alpha):
+    # the reach is f restricted to the best bins, at divergence
+    # (1 - F^(1-alpha))/(alpha(1-alpha)) with F their mass under f
+    f = np.random.default_rng(8).dirichlet(np.full(12, 2.0))
+    for w in (np.linspace(0.0, 1.0, 12), (np.arange(12) % 3 == 0).astype(float)):
+        mass = float(np.sum(f[w == 1.0]))
+        reach = (1.0 - mass ** (1.0 - alpha)) / (alpha * (1.0 - alpha))
+        eps = reach * (1.0 - 1e-2)
+        g = maximize_over_ball(w, f, alpha, eps)
+        assert discrete_divergence(g, f, alpha) == pytest.approx(eps, abs=1e-8)
+        assert float(np.sum(g)) == pytest.approx(1.0, abs=1e-12)
+        assert float(w @ maximize_over_ball(w, f, alpha, 0.5 * eps)) < float(w @ g) < 1.0
+        with pytest.raises(OracleError, match="cannot be activated"):
+            maximize_over_ball(w, f, alpha, reach)
+
+
+def test_ball_with_tiny_mass_on_the_best_bins_activates(mix_nominals, mix_grid):
+    # 60 bins at alpha = -1: in round 8 the best bins of the averaged rule
+    # hold f1-mass near 1e-11, and the active ball member's tilt base there
+    # is near 1e-23; the saddle runs all its rounds
+    spec = DivergenceSpec(alpha=-1.0, rho=0.8, eps0=0.031, eps1=0.046)
+    problem = discretize(mix_nominals, mix_grid, 60, spec)
+    with pytest.raises(OscillationError) as info:
+        alternating_saddle(problem, iters=8, gap_tol=2e-4)
+    assert len(info.value.trace) == 8
+
+
 @pytest.mark.parametrize("m,rho", [(40, 0.85), (60, 0.8), (60, 0.85)])
-def test_failed_dual_search_raises_oracle_error(mix_nominals, mix_grid, m, rho):
-    # the anchor pair at alpha = -1, where the dual searches cannot always
-    # resolve the multipliers in floating point: either the saddle settles
-    # or the failing search is named with its multiplier, never a bare
-    # ValueError from the root finder
+def test_alpha_minus_one_balls_activate_while_saddle_oscillates(
+        mix_nominals, mix_grid, m, rho, monkeypatch):
+    # the anchor pair at alpha = -1 near the prior where the trivial rule
+    # takes over: every ball maximization meets the activation tolerance,
+    # and fictitious play does not settle within gap_tol
     spec = DivergenceSpec(alpha=-1.0, rho=rho, eps0=0.031, eps1=0.046)
     problem = discretize(mix_nominals, mix_grid, m, spec)
-    try:
-        rule, _, _, trace = alternating_saddle(problem, gap_tol=2e-4)
-    except OracleError as exc:
-        assert "search failed" in str(exc) and "lam = " in str(exc)
-    else:
-        assert worst_case_error(rule, problem)[2] == pytest.approx(min(trace), rel=1e-12)
+    misses = []
+    real = oracle.maximize_over_ball
+
+    def checked(w, f, alpha, eps):
+        g = real(w, f, alpha, eps)
+        misses.append(abs(discrete_divergence(g, f, alpha) - eps))
+        return g
+
+    monkeypatch.setattr(oracle, "maximize_over_ball", checked)
+    with pytest.raises(OscillationError, match="after 400 rounds") as info:
+        alternating_saddle(problem, gap_tol=2e-4)
+    assert len(info.value.trace) == 400
+    assert len(misses) == 800 and max(misses) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
