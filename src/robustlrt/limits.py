@@ -13,7 +13,12 @@ closed forms (`hellinger_root_a`, `hellinger_eps_max`).  The prior ratio
 plays no part: the admissible region is a property of the two balls.
 
 All integrals run on the caller's quadrature grid in log space, so very
-large or very negative alpha stay finite.
+large or very negative alpha stay finite.  Each job builds the family of its
+nominal pair once (`_family`): the scaled log nominals, the cells where a
+nominal vanishes, the grid weights and the closed-form ends.  The family
+also remembers every member it has evaluated, keyed by v, so a root search,
+its bracket and a sweep of roots on one family never evaluate a trial point
+twice.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from .divergence import check_alpha, x_of
 from .roots import bracket, brent
 
 EPS_MAX_A0 = 4.0 - 2.0 * math.sqrt(2.0)
+
+_LOG2 = math.log(2.0)
 
 # l range beyond which the full-range assumption of the boundary system is
 # considered honored; tighter ranges trigger a truncation warning.
@@ -150,70 +158,136 @@ def _moment_alpha(lf0: np.ndarray, lf1: np.ndarray, alpha: float, w: np.ndarray)
     return float(np.dot(np.exp(lm), w))
 
 
-def _touching(lf0: np.ndarray, lf1: np.ndarray, w: np.ndarray, alpha: float, v: float):
+def _logaddexp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log(e^x + e^y) elementwise in whole-array passes, as a new array.
+
+    max(x, y) + log1p(exp(-|x - y|)) runs numpy's vectorised exp and log1p,
+    where numpy's own logaddexp calls libm once per element.  A tie, equal
+    infinities included, gives x + log 2 as that ufunc does, and NaN stays
+    NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.subtract(x, y)
+        np.abs(out, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += np.maximum(x, y)
+        np.add(x, _LOG2, out=out, where=np.equal(x, y))
+    return out
+
+
+class _Family(NamedTuple):
+    """The touching family of one nominal pair, built once by `_family`.
+
+    blf0 and blf1 are b log f0 and b log f1 on the grid (b = 1 - alpha);
+    vanish0 and vanish1 mark the cells where f0 or f1 is zero, or are None
+    when no cell is; w holds the grid weights.  ends[-1] (g = f0) and
+    ends[1] (g = f1) are (eps0, eps1, lambda0, lambda1).  seen maps every v
+    evaluated so far to `_touching`'s result there; `_at` reads through it.
+    Each family gets its own seen dict, so nothing outlives the family.
+    """
+
+    blf0: np.ndarray
+    blf1: np.ndarray
+    vanish0: np.ndarray | None
+    vanish1: np.ndarray | None
+    w: np.ndarray
+    alpha: float
+    ends: dict
+    seen: dict
+
+
+def _touching(family: _Family, v: float):
     """Log normaliser and both radii of the touching density g_v.
 
     g_v = h_v / integral(h_v) with h_v = (f0^(1-a) + e^v f1^(1-a))^(1/(1-a))
     and v = log(lambda1/lambda0); returns (log integral(h_v), D(g_v, f0),
-    D(g_v, f1)).  A cell where f_i vanishes adds nothing to the moment of
-    f_i, for every sign of alpha.
+    D(g_v, f1)).  Works from the family's precomputed b log f_i and masks in
+    whole-array passes; callers read it through `_at`, which memoises it by
+    v on the family.  A cell where f_i vanishes adds nothing to the moment
+    of f_i, for every sign of alpha.
     """
+    alpha, w = family.alpha, family.w
     b = 1.0 - alpha
-    lh = np.logaddexp(b * lf0, v + b * lf1) / b
+    lh = _logaddexp(family.blf0, v + family.blf1)
+    lh /= b
     top = float(lh.max())
-    log_norm = top + math.log(float(np.dot(np.exp(lh - top), w)))
-    lg_a = alpha * (lh - log_norm)
+    t = np.subtract(lh, top)
+    np.exp(t, out=t)
+    log_norm = top + math.log(float(np.dot(t, w)))
+    lh -= log_norm
+    lh *= alpha
     radii = []
     with np.errstate(invalid="ignore"):
-        for lf in (lf0, lf1):
-            terms = np.where(np.isneginf(lf), 0.0, np.exp(lg_a + b * lf))
-            radii.append((1.0 - float(np.dot(terms, w))) / (alpha * b))
+        for blf, vanish in ((family.blf0, family.vanish0), (family.blf1, family.vanish1)):
+            np.add(lh, blf, out=t)
+            np.exp(t, out=t)
+            if vanish is not None:
+                t[vanish] = 0.0
+            radii.append((1.0 - float(np.dot(t, w))) / (alpha * b))
     return log_norm, radii[0], radii[1]
 
 
-def _family(nominals, alpha: float, grid: QuadratureGrid):
-    """The touching family of one nominal pair: (lf0, lf1, w, alpha, ends).
+def _at(family: _Family, v: float):
+    """`_touching` at v, evaluated at most once per family."""
+    got = family.seen.get(v)
+    if got is None:
+        got = family.seen[v] = _touching(family, v)
+    return got
 
-    lf0, lf1 are the log nominals on the grid and w its weights; ends[-1]
-    (g = f0) and ends[1] (g = f1) are (eps0, eps1, lambda0, lambda1).
+
+def _family(nominals, alpha: float, grid: QuadratureGrid) -> _Family:
+    """The touching family of one nominal pair on the grid.
+
+    Precomputes what every member needs: b log f_i (b = 1 - alpha), the
+    cells where each nominal vanishes, and the closed-form ends.  The record
+    memoises the members evaluated on it by v (see `_at`), and lives only as
+    long as the boundary job that built it.
     """
     lf0, lf1 = (_log_values(f, grid) for f in nominals)
     _warn_if_bounded_ratio(lf0, lf1)
     w = grid.weights
-    aa = alpha * (1.0 - alpha)
-    lam = abs(1.0 - alpha)
+    b = 1.0 - alpha
+    aa, lam = alpha * b, abs(b)
     ends = {-1.0: (0.0, (1.0 - _moment_alpha(lf0, lf1, alpha, w)) / aa, lam, 0.0),
             1.0: ((1.0 - _moment_alpha(lf1, lf0, alpha, w)) / aa, 0.0, 0.0, lam)}
-    return lf0, lf1, w, alpha, ends
+    vanish0, vanish1 = (np.isneginf(lf) for lf in (lf0, lf1))
+    return _Family(blf0=b * lf0, blf1=b * lf1,
+                   vanish0=vanish0 if vanish0.any() else None,
+                   vanish1=vanish1 if vanish1.any() else None,
+                   w=w, alpha=alpha, ends=ends, seen={})
 
 
-def _touching_root(family, h):
+def _touching_root(family: _Family, h):
     """(eps0, eps1, lambda0, lambda1) at the g_v where h(eps0, eps1) = 0.
 
     h must rise with v, as D(g_v, f0) does while D(g_v, f1) falls.  Brent's
     method refines a bracket grown outward from v = 0; with no sign change
     within |v| <= _V_MAX this returns the end of the family h points to.
+    Every member is read through the family's memo, so Brent's two starting
+    points, the root itself and, over a sweep of roots on one family, v = 0
+    and the shared bracket points are evaluated once.
     """
-    lf0, lf1, w, alpha, ends = family
 
     def r(v):
-        return h(*_touching(lf0, lf1, w, alpha, v)[1:])
+        return h(*_at(family, v)[1:])
 
     r0 = r(0.0)
     step = 1.0 if r0 < 0.0 else -1.0
     span = bracket(r, 0.0, r0, step, _V_MAX)
     if span is None:
-        return ends[step]
+        return family.ends[step]
     v = brent(r, *span, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    log_norm, e0, e1 = _touching(lf0, lf1, w, alpha, v)
-    lam = abs(1.0 - alpha)
-    return (e0, e1, lam * math.exp(-(1.0 - alpha) * log_norm),
-            lam * math.exp(v - (1.0 - alpha) * log_norm))
+    log_norm, e0, e1 = _at(family, v)
+    b = 1.0 - family.alpha
+    lam = abs(b)
+    return (e0, e1, lam * math.exp(-b * log_norm), lam * math.exp(v - b * log_norm))
 
 
 def _partner(family, idx: int, val: float):
     """`max_eps_general` on a built family, for a valid index and radius."""
-    alpha, ends = family[3:]
+    alpha, ends = family.alpha, family.ends
     # D(g_v, f0) rises and D(g_v, f1) falls with v, so h below rises with v
     sign = 1.0 if idx == 0 else -1.0
     axis_max = ends[sign][idx]
@@ -325,7 +399,7 @@ def validate_eps(nominals, spec, grid: QuadratureGrid):
     s_req = math.hypot(eps0, eps1)
     u0, u1 = (eps0 / s_req, eps1 / s_req) if s_req > 0.0 else (math.sqrt(0.5),) * 2
     family = _family(nominals, spec.alpha, grid)
-    ends = family[-1]
+    ends = family.ends
     if u0 == 0.0:
         s_star = ends[-1.0][1]
     elif u1 == 0.0:

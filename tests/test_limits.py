@@ -6,7 +6,9 @@ and a frozen boundary partner computed independently, and the general
 solver is cross-validated against the closed form at ten boundary points.
 Its printed multipliers are checked by rebuilding the touching density
 with plain trapezoid sums, and its two axes against each other on the
-mirror-symmetric Gaussian pair.
+mirror-symmetric Gaussian pair.  The touching family's whole-array member
+is checked against the plain per-call formula, and its memo against trial
+points evaluated twice.
 """
 
 import math
@@ -194,6 +196,92 @@ def test_touching_point_takes_few_evaluations(count_calls, mix_nominals, mix_gri
         e1, _, _ = limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.02))
     assert e1 == pytest.approx(ANCHOR_PARTNER_AT_002, rel=1e-9)
     assert 0 < calls[0] < 100
+
+
+def test_logaddexp_matches_numpy():
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-800.0, 800.0, 20000)
+    # far pairs, and near pairs whose sum can cancel towards 0
+    y = np.concatenate([rng.uniform(-800.0, 800.0, 10000),
+                        x[10000:] + rng.normal(0.0, 3.0, 10000)])
+    want, got = np.logaddexp(x, y), limits._logaddexp(x, y)
+    # the ulp of max(x, y) + log1p(...) is set by its larger operand: where
+    # the sum cancels near 0, np.logaddexp's own result is no better
+    scale = np.maximum(np.abs(want), np.abs(np.maximum(x, y)))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale))
+
+    ties = rng.uniform(-800.0, 800.0, 1000)
+    assert np.array_equal(limits._logaddexp(ties, ties), np.logaddexp(ties, ties))
+
+    special = np.array([-np.inf, np.inf, np.nan, -800.0, -1.0, 0.0, 2.5, 800.0])
+    sx, sy = np.meshgrid(special, special)
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(sx, sy)
+    assert np.array_equal(limits._logaddexp(sx, sy), want, equal_nan=True)
+
+
+def _touching_reference(lf0, lf1, w, alpha, v):
+    # the touching member as computed before the family precomputed its
+    # arrays: one libm logaddexp per cell and masks found on every call
+    b = 1.0 - alpha
+    lh = np.logaddexp(b * lf0, v + b * lf1) / b
+    top = float(lh.max())
+    log_norm = top + math.log(float(np.dot(np.exp(lh - top), w)))
+    lg_a = alpha * (lh - log_norm)
+    radii = []
+    with np.errstate(invalid="ignore"):
+        for lf in (lf0, lf1):
+            terms = np.where(np.isneginf(lf), 0.0, np.exp(lg_a + b * lf))
+            radii.append((1.0 - float(np.dot(terms, w))) / (alpha * b))
+    return log_norm, radii[0], radii[1]
+
+
+@pytest.mark.parametrize("pair", ["mix", "wide"])
+@pytest.mark.parametrize("alpha", [-20.0, -1.0, 0.5, 2.0, 4.0, 30.0])
+def test_touching_matches_the_plain_formula(request, norm_pair, pair, alpha):
+    # on the wide grid each Gaussian underflows to 0 in 30 cells, so the
+    # masks of vanishing nominals are exercised for every sign of alpha
+    if pair == "mix":
+        nominals = request.getfixturevalue("mix_nominals")
+        grid = request.getfixturevalue("mix_grid")
+    else:
+        nominals, grid = norm_pair, density.make_grid(-40.0, 40.0, 801)
+    with np.errstate(divide="ignore"):
+        lf0, lf1 = (np.log(density.evaluate(f, grid.points)) for f in nominals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        family = limits._family(nominals, alpha, grid)
+    if pair == "wide":
+        assert family.vanish0.sum() == family.vanish1.sum() == 30
+    for v in (-8.0, -1.0, 0.0, 0.37, 1.0, 8.0, 100.0):
+        want = _touching_reference(lf0, lf1, grid.weights, alpha, v)
+        assert limits._touching(family, v) == pytest.approx(want, rel=0, abs=1e-14)
+
+
+def test_no_trial_point_is_evaluated_twice(monkeypatch, mix_nominals, mix_grid, mix_spec):
+    # a bracket's ends are Brent's starting points, and a sweep of roots on
+    # one family shares v = 0 and its bracket points; each is computed once
+    real = limits._touching
+    calls = []
+
+    def recorded(*args):
+        # the first argument identifies the family; keeping it alive keeps
+        # its id unique
+        calls.append((args[0], args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(limits, "_touching", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        limits.eps_surface(4.0, 9, nominals=mix_nominals, grid=mix_grid)
+        limits.max_eps_general(mix_nominals, 4.0, mix_grid, (0, 0.02))
+        limits.validate_eps(mix_nominals, mix_spec, mix_grid)
+    per_family = {}
+    for family, v in calls:
+        per_family.setdefault(id(family), []).append(v)
+    assert len(per_family) == 3
+    for vs in per_family.values():
+        assert len(vs) == len(set(vs)), sorted(vs)
 
 
 def test_fixed_radius_beyond_axis_maximum_names_it(mix_nominals, mix_grid):
