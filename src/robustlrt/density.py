@@ -10,7 +10,8 @@ Analytic models are truncated to a finite support chosen wide enough that the
 discarded tail mass is negligible (below 1e-10).  Tabulated models are
 renormalized at construction so that their trapezoid integral over their own
 grid equals one; downstream formulas assume unit mass.  Table lookups, both
-here and for the solver's tabulated rule, go through ``interp``.
+here and for the solver's tabulated rule, go through ``interp``, and a
+table's sampler sorts its uniforms in the same blocks (``_block_sorts``).
 """
 
 from __future__ import annotations
@@ -205,35 +206,67 @@ def grid_for(*models: DensityModel, n: int = 4001) -> QuadratureGrid:
     return make_grid(lo, hi, n)
 
 
+def _block_sorts(x: np.ndarray):
+    """Yield (start, order) for each block of ``_INTERP_BLOCK`` values of the flat array x.
+
+    order is the argsort of x[start:start + _INTERP_BLOCK], or None when the
+    block is in order (non-decreasing) already.  A NaN fails every
+    comparison, so a block holding one among other values is sorted, and
+    the NaN moves to the block's end.
+    """
+    for s in range(0, x.size, _INTERP_BLOCK):
+        xb = x[s:s + _INTERP_BLOCK]
+        yield s, None if xb.size < 2 or np.all(xb[1:] >= xb[:-1]) else np.argsort(xb)
+
+
 def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
     """``np.interp(x, xp, fp, left, right)`` as an array, fast on unordered x.
 
     np.interp bisects afresh for every query that does not lie near the one
     before it, so a million samples in random order cost a bisection each.
-    Here the queries are sorted in blocks of ``_INTERP_BLOCK``, looked up in
-    order and scattered back.  np.interp's value at a query depends only on
-    that query (the knot j with xp[j] <= x < xp[j+1] is unique), so the
-    result equals np.interp's element for element, ends and NaNs included.
+    Here the queries go in blocks of ``_INTERP_BLOCK`` (``_block_sorts``):
+    a block in random order is sorted, looked up in order and scattered
+    back, and a block already in order, such as a table's Monte Carlo draws
+    from ``_sample_in_block_order``, is looked up directly.  np.interp's
+    value at a query depends only on that query (the knot j with
+    xp[j] <= x < xp[j+1] is unique), so the result equals np.interp's
+    element for element, ends and NaNs included.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     out = np.empty_like(flat)
-    for s in range(0, flat.size, _INTERP_BLOCK):
-        xb = flat[s:s + _INTERP_BLOCK]
-        order = np.argsort(xb)
-        out[s:s + _INTERP_BLOCK][order] = np.interp(xb[order], xp, fp, left, right)
+    for s, order in _block_sorts(flat):
+        xb, ob = flat[s:s + _INTERP_BLOCK], out[s:s + _INTERP_BLOCK]
+        if order is None:
+            ob[:] = np.interp(xb, xp, fp, left, right)
+        else:
+            ob[order] = np.interp(xb[order], xp, fp, left, right)
     return out.reshape(x.shape)
 
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
+    # in place, in the operation order of w * exp(-0.5 * z * z) / c, so the
+    # values are those of that expression bit for bit
     if isinstance(model, Gaussian):
-        z = (y - model.mean) / model.stddev
-        out = np.exp(-0.5 * z * z) / (model.stddev * math.sqrt(2.0 * math.pi))
+        z = y - model.mean
+        z /= model.stddev
+        out = -0.5 * z
+        out *= z
+        np.exp(out, out=out)
+        out /= model.stddev * math.sqrt(2.0 * math.pi)
     elif isinstance(model, GaussianMixture):
         out = np.zeros_like(y)
+        z = np.empty_like(y)
+        t = np.empty_like(y)
         for w, m, s in model.components:
-            z = (y - m) / s
-            out += w * np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+            np.subtract(y, m, out=z)
+            z /= s
+            np.multiply(z, -0.5, out=t)
+            t *= z
+            np.exp(t, out=t)
+            t *= w
+            t /= s * math.sqrt(2.0 * math.pi)
+            out += t
     elif isinstance(model, Shifted):
         return _pdf(model.base, y - model.shift)
     elif isinstance(model, Tabulated):
@@ -292,10 +325,11 @@ def ratio_values(f0_values: np.ndarray, f1_values: np.ndarray) -> np.ndarray:
     """Pointwise f1/f0 with the 0-denominator conventions of likelihood_ratio."""
     out = np.empty_like(f1_values)
     pos = f0_values > 0.0
-    out[pos] = f1_values[pos] / f0_values[pos]
-    zero_den = ~pos
-    out[zero_den & (f1_values > 0.0)] = np.inf
-    out[zero_den & (f1_values == 0.0)] = 1.0
+    np.divide(f1_values, f0_values, out=out, where=pos)
+    if not pos.all():
+        zero_den = ~pos
+        out[zero_den & (f1_values > 0.0)] = np.inf
+        out[zero_den & (f1_values == 0.0)] = 1.0
     return out
 
 
@@ -308,15 +342,32 @@ def sample(model: DensityModel, n: int, seed: int) -> np.ndarray:
 
 
 def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from the model using rng.
+    """n draws from the model using rng, in the order the generator made them."""
+    y, order = _sample_in_block_order(model, n, rng)
+    if order is None:
+        return y
+    out = np.empty_like(y)
+    out[order] = y
+    return out
 
-    A mixture draws its component labels, then one standard normal per
-    sample scaled and shifted in place.  A table inverts its trapezoid CDF
-    through ``interp``, which looks the uniforms up in sorted blocks and
-    gives np.interp's values.
+
+def _sample_in_block_order(model: DensityModel, n: int,
+                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """n draws from the model using rng, and the order they are returned in.
+
+    Returns (y, order): y[i] is the draw the generator made order[i]-th, and
+    order None means y is in generator order.  A mixture draws its component
+    labels, then one standard normal per sample scaled and shifted in place;
+    analytic models return their draws in generator order.  A table inverts
+    its trapezoid CDF at uniforms sorted by ``_block_sorts`` and keeps that
+    order, so its draws come sorted within each block of ``_INTERP_BLOCK``
+    and ``interp`` reads them without sorting again.  ``_sample`` scatters
+    them back, so the stream of `sample` is the inverse CDF at the uniforms
+    in generator order.  A shift keeps the order, since rounding y + c is
+    monotone in y.
     """
     if isinstance(model, Gaussian):
-        return rng.normal(model.mean, model.stddev, n)
+        return rng.normal(model.mean, model.stddev, n), None
     if isinstance(model, GaussianMixture):
         w = np.array([c[0] for c in model.components])
         means = np.array([c[1] for c in model.components])
@@ -325,9 +376,11 @@ def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray
         y = rng.standard_normal(n)
         y *= stds[idx]
         y += means[idx]
-        return y
+        return y, None
     if isinstance(model, Shifted):
-        return _sample(model.base, n, rng) + model.shift
+        y, order = _sample_in_block_order(model.base, n, rng)
+        y += model.shift
+        return y, order
     if isinstance(model, Tabulated):
         # inverse CDF on the tabulation grid with linear interpolation
         pts, val = model.points, model.values
@@ -335,5 +388,11 @@ def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray
         cdf = np.concatenate(([0.0], inc))
         cdf /= cdf[-1]
         u = rng.uniform(0.0, 1.0, n)
-        return interp(u, cdf, pts)
+        order = np.arange(n)
+        for s, ob in _block_sorts(u):
+            if ob is not None:
+                ub = u[s:s + ob.size]
+                ub[:] = ub[ob]
+                np.add(ob, s, out=order[s:s + ob.size])
+        return np.interp(u, cdf, pts), order
     raise TypeError(f"not a density model: {model!r}")

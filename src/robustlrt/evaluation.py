@@ -173,6 +173,22 @@ def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
     return ErrorReport(p_f, p_m, _bayes(p_f, p_m, rho), method="quadrature")
 
 
+def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Randomized decisions for the alternative on n draws of model.
+
+    The draws come from `density._sample_in_block_order`, which returns a
+    table's draws sorted within blocks.  The decision uniforms are drawn
+    right after the draws in the stream and get the draws' permutation, so
+    each draw meets the uniform drawn at its own place in generator order;
+    only the order of the pairs differs.
+    """
+    y, order = density._sample_in_block_order(model, n, rng)
+    u = rng.uniform(0.0, 1.0, n)
+    if order is not None:
+        u = u[order]
+    return u < _rule_at(delta, y)
+
+
 def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
                        rho: float, n: int, seed: int) -> ErrorReport:
     """Monte Carlo error probabilities with per-sample randomization.
@@ -181,22 +197,19 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     rule by comparing one auxiliary uniform per sample against delta(y),
     and reports 95% normal-approximation confidence half-widths.  The two
     hypotheses use disjoint deterministic substreams of the seed, so
-    results are reproducible and uncorrelated across hypotheses.
+    results are reproducible and uncorrelated across hypotheses.  Each
+    draw is paired with the uniform drawn at its place in the stream
+    (`_decisions`); a table's pairs come in block-sorted order, which lets
+    a tabulated rule read them without sorting, and the count of
+    u < delta(y), an exact integer sum, does not depend on that order.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")
     n = int(n)
     p0, p1 = priors(rho)
 
-    rng0 = np.random.default_rng([seed, 0])
-    y0 = density._sample(model0, n, rng0)
-    d0 = rng0.uniform(0.0, 1.0, n) < _rule_at(delta, y0)
-    p_f = float(np.mean(d0))
-
-    rng1 = np.random.default_rng([seed, 1])
-    y1 = density._sample(model1, n, rng1)
-    d1 = rng1.uniform(0.0, 1.0, n) < _rule_at(delta, y1)
-    p_m = float(np.mean(~d1))
+    p_f = float(np.mean(_decisions(delta, model0, n, np.random.default_rng([seed, 0]))))
+    p_m = float(np.mean(~_decisions(delta, model1, n, np.random.default_rng([seed, 1]))))
 
     hw_f = 1.96 * math.sqrt(p_f * (1.0 - p_f) / n)
     hw_m = 1.96 * math.sqrt(p_m * (1.0 - p_m) / n)

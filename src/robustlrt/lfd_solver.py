@@ -85,9 +85,10 @@ class TabulatedFunction:
     """Piecewise-linear function of y given by its values on grid points.
 
     Outside the points it holds the end values.  A call looks y up through
-    ``density.interp``, which runs the lookups on sorted blocks of the
-    queries and gives np.interp's values, so Monte Carlo samples in random
-    order do not pay a bisection each.
+    ``density.interp``, which gives np.interp's values: it sorts queries in
+    random order in blocks, so Monte Carlo samples do not pay a bisection
+    each, and reads queries already in block order, such as a table's
+    draws in `monte_carlo_errors`, directly.
     """
 
     points: np.ndarray

@@ -113,13 +113,21 @@ def discretize(nominals, grid: QuadratureGrid, m: int,
 
 
 def discrete_divergence(g: np.ndarray, f: np.ndarray, alpha: float) -> float:
-    """Order-alpha divergence between bin vectors, (1 - sum g^a f^(1-a))/(a(1-a))."""
+    """Order-alpha divergence between bin vectors, (1 - sum g^a f^(1-a))/(a(1-a)).
+
+    Each term is formed as f (g/f)^a, one power of a ratio near 1 where the
+    ball is small, so no bin's f^(1-a) overflows on its own at large a.  A
+    bin with f = 0 adds 0 when g = 0, and when g > 0 it adds inf for a > 1
+    and 0 for a < 1.
+    """
     check_alpha(alpha)
-    g = np.asarray(g, dtype=float)
-    f = np.asarray(f, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where((g == 0.0) & (f == 0.0), 0.0,
-                         g**alpha * f**(1.0 - alpha))
+    g, f = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(f, dtype=float))
+    pos = f > 0.0
+    terms = np.zeros(f.shape)
+    with np.errstate(divide="ignore"):
+        terms[pos] = f[pos] * (g[pos] / f[pos]) ** alpha
+    if alpha > 1.0:
+        terms[~pos & (g > 0.0)] = math.inf
     s = float(np.sum(terms))
     if not math.isfinite(s):
         return math.inf

@@ -93,6 +93,35 @@ def test_likelihood_ratio_matches_pointwise_division():
                                rtol=1e-12)
 
 
+def _pdf_by_expression(model, y):
+    # the allocating form of density._pdf, before it worked in place
+    if isinstance(model, density.Gaussian):
+        z = (y - model.mean) / model.stddev
+        return np.exp(-0.5 * z * z) / (model.stddev * math.sqrt(2.0 * math.pi))
+    if isinstance(model, density.GaussianMixture):
+        out = np.zeros_like(y)
+        for w, m, s in model.components:
+            z = (y - m) / s
+            out += w * np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+        return out
+    return _pdf_by_expression(model.base, y - model.shift)
+
+
+_MIX = density.gaussian_mixture([(0.3, -1.5, 0.5), (0.7, 2.0, 1.5)])
+
+
+@pytest.mark.parametrize("model", [
+    density.gaussian(0.3, 1.1), _MIX, density.shifted(_MIX, 1.0),
+    density.shifted(density.gaussian(-1.0, 0.7), -0.25)])
+def test_pdf_equals_the_plain_expression_bit_for_bit(model):
+    # +-60 reaches far past the point where exp underflows to 0, through the
+    # subnormals
+    y = np.linspace(-60.0, 60.0, 40001)
+    got = density.evaluate(model, y)
+    assert np.array_equal(got, _pdf_by_expression(model, y))
+    assert (got == 0.0).any() and ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+
+
 def test_ratio_values_zero_density_conventions():
     f0 = np.array([0.0, 0.0, 1.0, 2.0])
     f1 = np.array([0.0, 3.0, 0.0, 1.0])
@@ -101,6 +130,32 @@ def test_ratio_values_zero_density_conventions():
     assert l[1] == np.inf          # f1 > 0 = f0
     assert l[2] == 0.0
     assert l[3] == 0.5
+
+
+def _ratio_values_by_masks(f0, f1):
+    # the boolean-index form the in-place ratio_values replaced
+    out = np.empty_like(f1)
+    pos = f0 > 0.0
+    out[pos] = f1[pos] / f0[pos]
+    zero_den = ~pos
+    out[zero_den & (f1 > 0.0)] = np.inf
+    out[zero_den & (f1 == 0.0)] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_ratio_values_equals_the_masked_division(zeros):
+    rng = np.random.default_rng(4)
+    f0 = rng.uniform(0.0, 1.0, 40001) * np.exp(-rng.uniform(0.0, 700.0, 40001))
+    f1 = rng.uniform(0.0, 1.0, 40001) * np.exp(-rng.uniform(0.0, 700.0, 40001))
+    if zeros:
+        f0[::7] = 0.0          # x/0 -> inf
+        f1[::21] = 0.0         # 0/0 -> 1 where both vanish, 0 elsewhere
+    with np.errstate(over="ignore"):
+        got = density.ratio_values(f0, f1)
+        want = _ratio_values_by_masks(f0, f1)
+    assert np.array_equal(got, want)
+    assert (np.isinf(got).any() and (got == 1.0).any()) == zeros
 
 
 def test_sampling_is_deterministic_and_unbiased():
@@ -134,6 +189,22 @@ def test_tabulated_sampling_is_the_inverse_cdf_stream():
     cdf /= cdf[-1]
     u = np.random.default_rng(11).uniform(0.0, 1.0, 200_000)
     assert np.array_equal(density.sample(t, 200_000, seed=11), np.interp(u, cdf, pts))
+    assert np.array_equal(density.sample(density.shifted(t, -0.5), 200_000, seed=11),
+                          np.interp(u, cdf, pts) - 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 1000, density._INTERP_BLOCK + 1, 3 * density._INTERP_BLOCK + 5])
+def test_table_draws_in_block_order_are_the_stream_permuted(n):
+    t = density.tabulated(np.linspace(-3.0, 3.0, 601), np.exp(-np.linspace(-3.0, 3.0, 601) ** 2))
+    for model in (t, density.shifted(t, 0.75)):
+        y, order = density._sample_in_block_order(model, n, np.random.default_rng(2))
+        stream = density.sample(model, n, seed=2)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(y, stream[order])
+        assert _in_order(y)
+    y, order = density._sample_in_block_order(density.gaussian(0.0, 1.0), n,
+                                              np.random.default_rng(2))
+    assert order is None and np.array_equal(y, density.sample(density.gaussian(0.0, 1.0), n, 2))
 
 
 def test_tabulated_sampling_matches_cdf():
@@ -212,3 +283,42 @@ def test_interp_at_block_edge_sizes(size):
     fp = xp * xp
     x = np.random.default_rng(size).uniform(-0.1, 1.1, size)
     _assert_interp_is_np_interp(x, xp, fp)
+
+
+def _in_order(x):
+    # every block of x is looked up directly, with nothing sorted or moved
+    return all(order is None for _, order in density._block_sorts(x))
+
+
+def _ordered_queries(xp):
+    rng = np.random.default_rng(12)
+    return np.sort(rng.uniform(xp[0] - 0.5, xp[-1] + 0.5, 3 * density._INTERP_BLOCK + 7))
+
+
+def test_interp_reads_sorted_queries_directly():
+    xp = np.linspace(-2.0, 3.0, 1001)
+    fp = np.sin(3.0 * xp) + 2.0
+    x = _ordered_queries(xp)
+    ties = np.repeat(x[::4], 4)
+    with_inf = np.concatenate([[-np.inf, -np.inf], x, [np.inf]])
+    for q in (x, ties, with_inf):
+        assert _in_order(q)
+        _assert_interp_is_np_interp(q, xp, fp)
+
+
+def test_interp_sorts_descending_and_nan_holding_blocks():
+    xp = np.linspace(-2.0, 3.0, 1001)
+    fp = np.sin(3.0 * xp) + 2.0
+    x = _ordered_queries(xp)
+    b = density._INTERP_BLOCK
+    with_nan = x.copy()
+    with_nan[b + 100] = np.nan
+    unsorted_after_sorted = x.copy()
+    np.random.default_rng(13).shuffle(unsorted_after_sorted[b:])
+    for q in (x[::-1], with_nan, unsorted_after_sorted):
+        assert not _in_order(q)
+        _assert_interp_is_np_interp(q, xp, fp)
+    # only the NaN's block is sorted, and the NaN goes to its end
+    orders = [order for _, order in density._block_sorts(with_nan)]
+    assert [order is None for order in orders] == [True, False, True, True]
+    assert orders[1][-1] == 100

@@ -28,6 +28,7 @@ from robustlrt.evaluation import (
     snr_of,
     snr_sweep,
 )
+from robustlrt.lfd_solver import TabulatedFunction
 
 # quadrature errors of the LRT at rho = 1 on N(-1,1) vs N(+1,1), grid_for n=4001
 LRT_GAUSS_PF = 0.15865576652829622
@@ -148,6 +149,38 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
         want = monte_carlo_errors(lambda y: np.interp(y, pts, vals),
                                   sol.g0_hat, sol.g1_hat, 1.0, 200_000, seed=5)
     assert got == want
+
+
+def _monte_carlo_in_generator_order(delta, model0, model1, n, seed):
+    # reference in generator order: per hypothesis h the stream [seed, h]
+    # gives the n draws, then one uniform per draw, and a table rule is read
+    # through plain np.interp
+    rule = delta
+    if isinstance(delta, TabulatedFunction):
+        rule = lambda y: np.interp(y, delta.points, delta.values)  # noqa: E731
+    decided = []
+    for h, model in enumerate((model0, model1)):
+        rng = np.random.default_rng([seed, h])
+        y = density._sample(model, n, rng)
+        decided.append(rng.uniform(0.0, 1.0, n) < np.clip(rule(y), 0.0, 1.0))
+    return float(np.mean(decided[0])), float(np.mean(~decided[1]))
+
+
+@pytest.mark.parametrize("n", [1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_nominals,
+                                                          norm_pair):
+    sol = mix_solution
+    pairs = {
+        "tables": (sol.g0_hat, sol.g1_hat),
+        "mixture": mix_nominals,
+        "shifted tables": (density.shifted(sol.g0_hat, 0.25), density.shifted(sol.g1_hat, -0.25)),
+        "gaussian": norm_pair,
+    }
+    for name, (m0, m1) in pairs.items():
+        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0)):
+            got = monte_carlo_errors(rule, m0, m1, 1.0, n, seed=n + 17)
+            assert (got.p_false_alarm, got.p_miss) == \
+                _monte_carlo_in_generator_order(rule, m0, m1, n, n + 17), name
 
 
 def test_monte_carlo_input_validation(norm_pair, norm_grid):

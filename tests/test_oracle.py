@@ -9,6 +9,7 @@ alternating-saddle error, all on 50 bins of the anchor solution grid.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,28 @@ def test_discrete_divergence_zero_bins():
                                np.array([0.0, 0.5, 0.5]), 2.0) == math.inf
     with pytest.raises(ValueError):
         discrete_divergence(g, f, 1.0)
+
+
+def test_discrete_divergence_at_order_100_with_a_small_bin():
+    # f^(1-alpha) alone overflows at f = 5e-4 ((5e-4)^-99 > 1e326); the term
+    # f (g/f)^alpha does not
+    rng = np.random.default_rng(21)
+    f = rng.dirichlet(np.ones(20))
+    f[0] = 5e-4
+    f /= f.sum()
+    g = f * rng.uniform(0.97, 1.03, 20)
+    g /= g.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(discrete_divergence(f, f, 100.0)) <= 1e-15
+        d = discrete_divergence(g, f, 100.0)
+    s = math.fsum(math.exp(100.0 * math.log(gi) - 99.0 * math.log(fi)) for gi, fi in zip(g, f))
+    assert d == pytest.approx((1.0 - s) / (100.0 * (1.0 - 100.0)), rel=1e-12)
+    # zero reference bins keep their conventions at large and negative orders
+    g0, f0 = np.array([0.2, 0.4, 0.4]), np.array([0.0, 0.5, 0.5])
+    assert discrete_divergence(g0, f0, 100.0) == math.inf
+    assert discrete_divergence(g0, f0, -1.0) == pytest.approx(
+        (1.0 - 2.0 * 0.4**-1 * 0.5**2) / -2.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
