@@ -100,28 +100,22 @@ class Tabulated:
 DensityModel = Union[Gaussian, GaussianMixture, Shifted, Tabulated]
 
 
-def gaussian(mean: float, stddev: float, support: tuple[float, float] | None = None) -> Gaussian:
-    """Build a Gaussian model, choosing a wide-enough support when not given."""
-    if support is None:
-        if not (stddev > 0.0):
-            raise ValueError(f"stddev must be positive, got {stddev}")
-        r = _SUPPORT_RADIUS_SIGMA * stddev
-        support = (mean - r, mean + r)
-    return Gaussian(float(mean), float(stddev), _as_support(*support))
+def gaussian(mean: float, stddev: float) -> Gaussian:
+    """Build a Gaussian model with a wide-enough support."""
+    if not (stddev > 0.0):
+        raise ValueError(f"stddev must be positive, got {stddev}")
+    r = _SUPPORT_RADIUS_SIGMA * stddev
+    return Gaussian(float(mean), float(stddev), _as_support(mean - r, mean + r))
 
 
-def gaussian_mixture(
-    components, support: tuple[float, float] | None = None
-) -> GaussianMixture:
+def gaussian_mixture(components) -> GaussianMixture:
     """Build a Gaussian mixture from (weight, mean, stddev) triples."""
     comps = tuple((float(w), float(m), float(s)) for w, m, s in components)
-    if support is None:
-        if any(s <= 0.0 for _, _, s in comps):
-            raise ValueError("stddev must be positive")
-        lo = min(m - _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
-        hi = max(m + _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
-        support = (lo, hi)
-    return GaussianMixture(comps, _as_support(*support))
+    if any(s <= 0.0 for _, _, s in comps):
+        raise ValueError("stddev must be positive")
+    lo = min(m - _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
+    hi = max(m + _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
+    return GaussianMixture(comps, _as_support(lo, hi))
 
 
 def shifted(base: DensityModel, shift: float) -> Shifted:

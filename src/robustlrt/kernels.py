@@ -7,12 +7,17 @@ are split at the linear crossing point of l, which keeps the integrals
 O(h^2)-accurate and smooth in the thresholds.  Ties (l exactly lo or hi)
 belong to I2.
 
-Both kernels are vectorized numpy.  Cells whose two ends lie in the same
-region are summed with masks.  On a crossing cell l is linear in the cell
-coordinate t in [0, 1], so the regions meet it in three consecutive
-intervals [0, t1], [t1, t2], [t2, 1]: I1, I2, I3 where l increases and
-I3, I2, I1 where it decreases.  Each piece is integrated in closed form.  A
-cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout.
+All kernels work in whole-array numpy passes.  Cells whose two ends lie in
+the same region are summed with masks.  On a crossing cell l is linear in
+the cell coordinate t in [0, 1], so the regions meet it in three
+consecutive intervals [0, t1], [t1, t2], [t2, 1]: I1, I2, I3 where l
+increases and I3, I2, I1 where it decreases.  Each piece is integrated in
+closed form.  A cell with an infinite end (f0 = 0 < f1 there) lies in I3
+throughout.
+
+One rule decides where the thresholds cut the grid: `region_split` finds
+the crossing cells and their pieces, and every other step takes them from
+it, the solution tables' knots included.
 
 Each kernel is a composition of steps that the solver also runs one by one.
 `cell_sums` gives each nominal's trapezoid cell sums once per grid.
@@ -24,8 +29,10 @@ trapezoid weights times f0 and f1 and the k-independent parts of the
 bracket, once per threshold pair.  `i2_powers` then gives (S, T0, T1) for
 one balance power K with a few vector operations and a dot product per
 integral, and `i2_s` gives S alone, the one integral the off-centre mass
-balance in k needs.  `i2_power_derivatives` adds the derivatives of
+balance in k needs.  `i2_power_derivatives` gives the derivatives of
 (S, T0, T1) and of the region masses that the solver's Newton step needs.
+`augment_with_crossings` inserts the ends of the split's I2 pieces that
+lie inside their cells as knots of the solution tables.
 `region_masses` runs the mass steps for one threshold pair.
 """
 
@@ -182,8 +189,8 @@ def i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub):
     k = np.flatnonzero(w)
     # both ends of each crossing cell's I2 piece, weighted by its length;
     # an end inside the cell is a threshold crossing and gets l exactly.
-    # A piece narrower than the float spacing of y is empty, as it is on
-    # the grid of `augment_with_crossings`
+    # A piece narrower than the float spacing of y is empty: its ends are
+    # one knot on the grid of `augment_with_crossings`
     piece = points[sp.j] + sp.t2 * h[sp.j] > points[sp.j] + sp.t1 * h[sp.j]
     j, up, t1, t2 = sp.j[piece], sp.up[piece], sp.t1[piece], sp.t2[piece]
     wj = h[j] * (t2 - t1)
@@ -235,10 +242,10 @@ def i2_powers(geo, kb):
 
 
 def i2_power_derivatives(geo, kb):
-    """(S, T0, T1) of `i2_powers`, their partial derivatives, and those of the
+    """The partial derivatives of (S, T0, T1) of `i2_powers` and those of the
     region masses, all on the region split of the geometry `geo`.
 
-    The second item is a 3x5 array: row i holds the derivatives of the i-th
+    The first item is a 3x5 array: row i holds the derivatives of the i-th
     integral in L, U and K with the knots held fixed, then in log lo and
     log hi with L, U and K held fixed.  With D = L - K*U + (K - 1)*t,
 
@@ -258,15 +265,13 @@ def i2_power_derivatives(geo, kb):
     piece (h*(t2 - t1)/2)*(P_e*f_e + P_o*f_o) by
     (h/2)*(P_e*(f_o - 2*f_e) - P_o*f_o)*dt, with f interpolated and P the
     integrand's power at each end, and the neighbouring region's piece by
-    h*f_e*dt.  The third item holds the latter: the derivatives of (A0, B0)
+    h*f_e*dt.  The second item holds the latter: the derivatives of (A0, B0)
     and (A1, B1), each in (log lo, log hi).  In the continuum the crossing
     terms of an integral and of the region mass next to it cancel, because
     the branches meet continuously (at t = L the bracket is 1, at t = U it
     is K); on the grid they leave the quadrature's share.
     """
     logbr, powers = _i2_integrands(geo, kb)
-    ps, p0, p1 = powers
-    values = 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
     w, p = np.array((geo.w1, geo.w0, geo.w1)), np.array(powers)
     order = np.array((1.0, geo.alpha, geo.alpha)) / geo.beta
     br = np.exp(logbr)
@@ -299,59 +304,32 @@ def i2_power_derivatives(geo, kb):
     cols = np.column_stack((ends[:, at_lo].sum(axis=1), ends[:, ~at_lo].sum(axis=1)))
     masses = np.array(((moved[1, at_lo].sum(), moved[1, ~at_lo].sum()),
                        (moved[0, at_lo].sum(), moved[0, ~at_lo].sum())))
-    return values, np.hstack((fixed, cols)), masses
+    return np.hstack((fixed, cols)), masses
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):
-    """Insert the linear crossing points of l with lo and hi as extra knots.
+    """The grid `points` with the threshold crossings of its split at lo <= hi
+    inserted as knots: (points_aug, l_aug, arrays_aug).
 
-    Inserted knots get l exactly equal to the crossed threshold and linear
-    interpolation of every array in `arrays`.  With these knots, plain
-    trapezoid integration over the returned grid reproduces the split-cell
-    region integrals exactly.
-
-    Returns (points_aug, l_aug, arrays_aug, inserted_mask).
+    The knots are the ends of the crossing cells' I2 pieces (`region_split`)
+    that lie strictly inside their cell, both in the cell coordinate t and
+    in floating point; a piece narrower than the float spacing of y gives
+    one knot.  Each knot gets l exactly equal to the threshold crossed there
+    and every array in `arrays` interpolated linearly, so that plain
+    trapezoid sums over the returned grid, each cell in the region of its
+    midpoint l, reproduce the split-cell region integrals.
     """
-    # a cell with an infinite end (f0 = 0 < f1 there) lies in I3 throughout,
-    # so it is not split, and leaving it out keeps inf out of the arithmetic
-    cells = np.flatnonzero(np.isfinite(l[:-1]) & np.isfinite(l[1:]))
-    la, lb = l[cells], l[cells + 1]
-    ys = [points]
-    ls = [l]
-    vs = [list(arrays)]
-    taus = (lo,) if hi <= lo else (lo, hi)
-    span = float(points[-1] - points[0])
-    for tau in taus:
-        cross = (la - tau) * (lb - tau) < 0.0
-        idx = cells[cross]
-        if idx.size == 0:
-            continue
-        theta = (tau - la[cross]) / (lb[cross] - la[cross])
-        ynew = points[idx] + theta * (points[idx + 1] - points[idx])
-        # drop crossings that collide with an existing knot
-        keep = (
-            (np.abs(ynew - points[idx]) > 1e-13 * span)
-            & (np.abs(ynew - points[idx + 1]) > 1e-13 * span)
-        )
-        if not np.any(keep):
-            continue
-        idx, theta, ynew = idx[keep], theta[keep], ynew[keep]
-        ys.append(ynew)
-        ls.append(np.full(ynew.shape, tau))
-        vs.append([a[idx] + theta * (a[idx + 1] - a[idx]) for a in arrays])
-    y_all = np.concatenate(ys)
-    order = np.argsort(y_all, kind="stable")
-    y_aug = y_all[order]
-    l_aug = np.concatenate(ls)[order]
-    arrays_aug = [np.concatenate([v[i] for v in vs])[order] for i in range(len(arrays))]
-    inserted = np.concatenate(
-        [np.zeros(points.shape, dtype=bool)] + [np.ones(y.shape, dtype=bool) for y in ys[1:]]
-    )[order]
-    # guard against duplicate knots from a tau sitting on top of another crossing
-    if y_aug.size > 1 and np.any(np.diff(y_aug) <= 0.0):
-        keep = np.concatenate(([True], np.diff(y_aug) > 0.0))
-        y_aug = y_aug[keep]
-        l_aug = l_aug[keep]
-        arrays_aug = [a[keep] for a in arrays_aug]
-        inserted = inserted[keep]
-    return y_aug, l_aug, arrays_aug, inserted
+    sp = region_split(l, points, lo, hi)
+    j = sp.j
+    a, b = points[j], points[j + 1]
+    y1, y2 = a + sp.t1 * sp.h[j], a + sp.t2 * sp.h[j]
+    # a clipped end (t = 1) can land inside the cell in floating point too
+    ends = np.concatenate(((sp.t1 < 1.0) & (a < y1) & (y1 < b),
+                           (sp.t2 < 1.0) & (y1 < y2) & (y2 < b)))
+    cell = np.concatenate((j, j))[ends]
+    t = np.concatenate((sp.t1, sp.t2))[ends]
+    # np.insert keeps a cell's first end before its second
+    at = cell + 1
+    return (np.insert(points, at, np.concatenate((y1, y2))[ends]),
+            np.insert(l, at, np.where(np.concatenate((sp.up, ~sp.up))[ends], lo, hi)),
+            [np.insert(v, at, v[cell] + t * (v[cell + 1] - v[cell])) for v in arrays])

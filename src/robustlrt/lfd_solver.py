@@ -173,7 +173,7 @@ class _EvalState:
         a0, _, b0, a1, _, b1 = self.masses
         alpha, beta, k, l_l, l_u = self.alpha, self.alpha - 1.0, self.k, self.l_l, self.l_u
         kb = _pow(k, beta)
-        _, dq, ((da0, db0), (da1, db1)) = i2_power_derivatives(self.geo, kb)
+        dq, ((da0, db0), (da1, db1)) = i2_power_derivatives(self.geo, kb)
         # (S, T0, T1) in (u, v, k) = (log l_l, log l_u, k): dL/du = beta*L,
         # dU/dv = beta*U, dK/dk = beta*K/k, and d log lo/du = d log hi/dv = 1
         ds, dt0, dt1 = np.column_stack((beta * self.geo.lb * dq[:, 0] + dq[:, 3],
@@ -375,8 +375,8 @@ def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
     rho, alpha = spec.rho, spec.alpha
     lo, hi = rho * t.l_l, rho * t.l_u
     if aug is None:
-        y_aug, l_aug, (f0a, f1a), _ = augment_with_crossings(gv.points, gv.l, [gv.f0, gv.f1],
-                                                             lo, hi)
+        y_aug, l_aug, (f0a, f1a) = augment_with_crossings(gv.points, gv.l, [gv.f0, gv.f1],
+                                                          lo, hi)
     else:
         y_aug, l_aug, f0a, f1a = aug
     lab = partition(l_aug, rho, t)

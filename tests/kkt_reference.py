@@ -119,7 +119,7 @@ def solve_raw_kkt(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> KktPa
         if n_const <= 0.0:
             return bad
         lo, hi = rho * ll, rho * lu
-        y_aug, l_aug, (f0a, f1a), _ = augment_with_crossings(points, l, [f0v, f1v], lo, hi)
+        y_aug, l_aug, (f0a, f1a) = augment_with_crossings(points, l, [f0v, f1v], lo, hi)
         w = trapezoid_weights(y_aug)
         lab = np.where(l_aug < lo, 1, np.where(l_aug > hi, 3, 2))
         in1, in2, in3 = lab == 1, lab == 2, lab == 3

@@ -1,16 +1,19 @@
 """Grid kernels: region quadrature, interior power integrals, crossing knots.
 
-The kernels are checked against an independent reference: plain trapezoid
-sums over the grid that `augment_with_crossings` returns, with each cell
-assigned to the region of its midpoint l, and for the interior integrals
-the bracket in its docstring form Br = K(L - U)/(L - KU + (K - 1)t).  A
-random-grid test draws 200 grids and densities from seeded numpy
-generators (so that no literal in the package changes its cases),
-including ties between the thresholds, thresholds on knot values of l,
-and f0 = 0.  The solver's path, one region split shared by the masses and
-an I2 geometry reused for every K, must match `region_masses` and a fresh
-geometry per K exactly, and the derivatives of the power integrals and
-region masses must match central differences.
+The kernels are checked against a reference: plain trapezoid sums over the
+grid that `augment_with_crossings` returns, with each cell assigned to the
+region of its midpoint l, and for the interior integrals the bracket in
+its docstring form Br = K(L - U)/(L - KU + (K - 1)t).  That grid takes its
+crossing points from `region_split`, as the kernels do, so tests with
+exact knots pin those points: one knot for a piece narrower than the float
+spacing of y or for equal thresholds, none for a crossing that rounds onto
+a knot or for a clipped end.  A random-grid test draws 200 grids and
+densities from seeded numpy generators (so that no literal in the package
+changes its cases), including ties between the thresholds, thresholds on
+knot values of l, and f0 = 0.  The solver's path, one region split shared
+by the masses and an I2 geometry reused for every K, must match
+`region_masses` and a fresh geometry per K exactly, and the derivatives of
+the power integrals and region masses must match central differences.
 """
 
 import math
@@ -32,7 +35,7 @@ def _random_instance(seed, n=257):
 
 def _reference_cells(l, f0, f1, pts, lo, hi):
     """Augmented knots, their l, f0, f1 and each cell's region by its midpoint l."""
-    y, l_aug, (g0, g1), _ = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
+    y, l_aug, (g0, g1) = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
     mid = 0.5 * (l_aug[:-1] + l_aug[1:])
     region = np.where(mid < lo, 1, np.where(mid > hi, 3, 2))
     return y, l_aug, g0, g1, region
@@ -174,9 +177,8 @@ def test_power_derivatives_match_central_differences(seed):
         masses = np.array(kernels.split_masses(sp, f0, f1, *cells))[[0, 2, 3, 5]]
         return geo, np.array(kernels.i2_powers(geo, kb)), masses
 
-    geo, powers, _ = state()
-    values, d, dm = kernels.i2_power_derivatives(geo, kb)
-    assert values == tuple(powers)
+    geo = state()[0]
+    d, dm = kernels.i2_power_derivatives(geo, kb)
     got = np.column_stack((beta * ll ** beta * d[:, 0] + d[:, 3],
                            beta * lu ** beta * d[:, 1] + d[:, 4], kb * d[:, 2]))
     h = 1e-6
@@ -304,9 +306,9 @@ def test_augment_inserts_exact_threshold_knots():
     pts, f0, f1, l = _random_instance(3, n=301)
     lo = float(np.quantile(l, 0.35))
     hi = float(np.quantile(l, 0.75))
-    y_aug, l_aug, (f0a, f1a), inserted = kernels.augment_with_crossings(
-        pts, l, [f0, f1], lo, hi)
+    y_aug, l_aug, (f0a, f1a) = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
     assert np.all(np.diff(y_aug) > 0.0)
+    inserted = ~np.isin(y_aug, pts)
     assert inserted.sum() == y_aug.size - pts.size
     new_l = l_aug[inserted]
     assert np.all((new_l == lo) | (new_l == hi))
@@ -328,7 +330,8 @@ def test_augment_skips_cells_with_infinite_ratio_without_warnings():
     l = density.ratio_values(f0, f1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y_aug, l_aug, _, inserted = kernels.augment_with_crossings(pts, l, [f0, f1], 0.5, 1.0)
+        y_aug, l_aug, _ = kernels.augment_with_crossings(pts, l, [f0, f1], 0.5, 1.0)
+    inserted = ~np.isin(y_aug, pts)
     np.testing.assert_allclose(y_aug[inserted], [1.5, 2.0 + 1.0 / 6.0, 2.0 + 4.0 / 9.0],
                                rtol=1e-15)
     np.testing.assert_array_equal(l_aug[inserted], [0.5, 0.5, 1.0])
@@ -338,7 +341,7 @@ def test_augment_preserves_trapezoid_integrals():
     pts, f0, f1, l = _random_instance(4, n=301)
     lo = float(np.quantile(l, 0.4))
     hi = float(np.quantile(l, 0.7))
-    y_aug, _, (f0a, f1a), _ = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
+    y_aug, _, (f0a, f1a) = kernels.augment_with_crossings(pts, l, [f0, f1], lo, hi)
     assert np.trapezoid(f0a, y_aug) == pytest.approx(np.trapezoid(f0, pts), rel=1e-13)
     assert np.trapezoid(f1a, y_aug) == pytest.approx(np.trapezoid(f1, pts), rel=1e-13)
 
@@ -346,8 +349,62 @@ def test_augment_preserves_trapezoid_integrals():
 def test_augment_no_crossings_is_identity():
     pts, f0, f1, l = _random_instance(5, n=101)
     lo, hi = float(l.min()) / 2.0, float(l.max()) * 2.0
-    y_aug, l_aug, (f0a,), inserted = kernels.augment_with_crossings(
-        pts, l, [f0], lo, hi)
-    assert not inserted.any()
+    y_aug, l_aug, (f0a,) = kernels.augment_with_crossings(pts, l, [f0], lo, hi)
     np.testing.assert_array_equal(y_aug, pts)
     np.testing.assert_array_equal(f0a, f0)
+
+
+def test_augment_gives_a_piece_narrower_than_y_spacing_one_knot():
+    # both thresholds cross the middle cell, one float of l apart: the two
+    # ends of its I2 piece round to one y, which becomes one knot
+    pts = np.array([99.0, 100.0, 101.0, 102.0])
+    l = np.array([-1.0, 0.0, 1.0, 2.0])
+    lo = 0.5
+    hi = float(np.nextafter(lo, 1.0))
+    y_aug, l_aug, (v,) = kernels.augment_with_crossings(pts, l, [l], lo, hi)
+    assert np.all(np.diff(y_aug) > 0.0)
+    np.testing.assert_array_equal(y_aug, [99.0, 100.0, 100.5, 101.0, 102.0])
+    np.testing.assert_array_equal(l_aug, [-1.0, 0.0, lo, 1.0, 2.0])
+    assert v[2] == 0.5
+
+
+def test_augment_with_equal_thresholds_gives_one_knot_per_crossing_cell():
+    pts = np.arange(5.0)
+    l = np.array([0.5, 2.0, 0.5, 2.0, 0.5])
+    y_aug, l_aug, _ = kernels.augment_with_crossings(pts, l, [], 1.0, 1.0)
+    inserted = ~np.isin(y_aug, pts)
+    np.testing.assert_allclose(y_aug[inserted], [1.0 / 3.0, 5.0 / 3.0, 7.0 / 3.0, 11.0 / 3.0],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(l_aug[inserted], 1.0)
+
+
+def test_augment_drops_a_crossing_that_rounds_onto_a_knot():
+    # t = 1e-20 from the left knot, or one float of l short of the right
+    # one: 0 < t < 1, but y rounds onto the cell's end
+    pts = np.array([100.0, 101.0])
+    below_one = float(np.nextafter(1.0, 0.0))
+    for l, lo, hi, knots in ((np.array([0.0, 1e20]), 1.0, 1e30, []),
+                             (np.array([0.0, 1.0]), below_one, 1e30, []),
+                             (np.array([0.0, 1.0]), 0.25, below_one, [(100.25, 0.25)])):
+        y_aug, l_aug, (v,) = kernels.augment_with_crossings(pts, l, [l], lo, hi)
+        y_new, l_new = np.array(knots).reshape(-1, 2).T
+        np.testing.assert_array_equal(y_aug, np.insert(pts, 1, y_new))
+        np.testing.assert_array_equal(l_aug, np.insert(l, 1, l_new))
+        np.testing.assert_array_equal(v, np.insert(l, 1, l_new))
+
+
+def test_augment_drops_a_clipped_end_inside_the_cell():
+    # there points[0] + h[0] = 2.78e-17 falls short of points[1] = 3e-17.
+    # hi = 10 is not crossed, so the first cell's I2 piece ends at t2 = 1;
+    # l falling from 3 onto hi = 2 puts both ends of the piece at t = 1
+    pts = np.array([-0.1, 3e-17, 1.0, 2.0])
+    h = np.diff(pts)
+    assert pts[0] < pts[0] + h[0] < pts[1]
+    l = np.array([0.5, 1.5, 1.6, 1.7])
+    y_aug, l_aug, _ = kernels.augment_with_crossings(pts, l, [], 1.0, 10.0)
+    np.testing.assert_array_equal(y_aug, np.insert(pts, 1, pts[0] + 0.5 * h[0]))
+    np.testing.assert_array_equal(l_aug, np.insert(l, 1, 1.0))
+    l = np.array([3.0, 2.0, 1.6, 1.7])
+    y_aug, l_aug, _ = kernels.augment_with_crossings(pts, l, [], 0.5, 2.0)
+    np.testing.assert_array_equal(y_aug, pts)
+    np.testing.assert_array_equal(l_aug, l)

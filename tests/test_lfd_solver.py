@@ -127,9 +127,30 @@ def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix
     lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=0.8, eps0=0.011, eps1=0.014),
                                 mix_nominals, mix_grid)
     assert evals[0] > 0
-    assert [c[0] for c in grid_wide] == [evals[0], evals[0]]
+    # and one more split places the crossing knots of the returned tables
+    assert [c[0] for c in grid_wide] == [evals[0] + 1, evals[0] + 1]
     assert geometries[0] == evals[0]
     assert trials[0] > 3 * evals[0]
+
+
+@pytest.mark.parametrize("n", [4001, 40001])
+@pytest.mark.parametrize("rho", [1.0, 0.8, 1.2])
+def test_table_masses_are_the_split_cell_masses(mix_nominals, n, rho):
+    # plain trapezoid sums over the solution's cells, each cell in the region
+    # of its midpoint l, give the region masses the residual zeroed
+    grid = density.make_grid(-8.0, 9.0, n)
+    sol = lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=rho, eps0=0.02, eps1=0.03),
+                                      mix_nominals, grid)
+    l = density.ratio_values(sol.f0_values, sol.f1_values)
+    lo, hi = rho * sol.thresholds.l_l, rho * sol.thresholds.l_u
+    mid = 0.5 * (l[:-1] + l[1:])
+    region = np.where(mid < lo, 0, np.where(mid > hi, 2, 1))
+    h = np.diff(sol.grid.points)
+    got = [float(np.where(region == r, 0.5 * h * (f[:-1] + f[1:]), 0.0).sum())
+           for f in (sol.f0_values, sol.f1_values) for r in range(3)]
+    f0, f1 = (density.values_on(f, grid) for f in mix_nominals)
+    want = kernels.region_masses(density.ratio_values(f0, f1), f0, f1, grid.points, lo, hi)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_anchor_constraints_attained(mix_solution, mix_spec):
