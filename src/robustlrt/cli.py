@@ -2,12 +2,12 @@
 
 Parses a flat key=value config (plus command-line overrides), dispatches one
 of the solve/limits/evaluate/sweep commands, and writes machine-readable
-CSV or JSON tables.  Each command handler returns (meta, columns), a dict of
-scalars and a dict of 1-D columns; `run` renders them and writes the text
-in one place.  Exit codes: 0 on success, 1 on configuration problems (bad
-flags, unknown density specs, malformed tables, an unwritable output file),
-2 when the requested uncertainty radii are infeasible, 3 when the solver
-fails to converge.
+CSV (floats exactly as '%.17g' writes them) or JSON tables.  Each command
+handler returns (meta, columns), a dict of scalars and a dict of 1-D
+columns; `run` renders them and writes the text in one place.  Exit codes:
+0 on success, 1 on configuration problems (bad flags, unknown density
+specs, malformed tables, an unwritable output file), 2 when the requested
+uncertainty radii are infeasible, 3 when the solver fails to converge.
 
 Density spec grammar (for the nominal0/nominal1 config keys):
 
@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import density, evaluation, limits
+from . import csvtext, density, evaluation, limits
 from .density import QuadratureGrid
 from .divergence import DivergenceSpec
 from .lfd_solver import (
@@ -265,15 +265,14 @@ def _spec(cfg, alpha: float) -> DivergenceSpec:
 
 # ---------------------------------------------------------------------------
 # output
-
-
-def _typed(values) -> tuple:
-    """Python scalars of one column (or meta value) and its %-format, read
-    once from the dtype: strings as is, ints and bools as integers, the
-    rest as %.17g floats, which round-trip exactly."""
-    arr = np.asarray(values)
-    kind = arr.dtype.kind
-    return arr.tolist(), "%s" if kind == "U" else "%d" if kind in "biu" else "%.17g"
+#
+# Both formats carry every value exactly.  CSV writes floats as '%.17g' (large
+# tables a block of cells at a time, in csvtext), ints and bools as integers,
+# NaN as nan and +-inf as inf, and refuses columns of different lengths.
+# JSON writes floats by their shortest round-trip repr, bools as true/false,
+# NaN as null and +-inf as Infinity, which is not standard JSON but which
+# Python's json module reads back, and every item of every column, whatever
+# their lengths.
 
 
 # json.dumps takes its pure-Python encoder for any indent, so the JSON text is
@@ -302,17 +301,18 @@ def _json_column(values: list, nan: bool) -> str:
 
 
 def _render(fmt: str, meta: dict, columns: dict) -> str:
-    """CSV or JSON text of one result table.  The JSON text is the one
+    """CSV or JSON text of one result table.  The CSV text is a '# key=value'
+    line per meta value, then a header line and csvtext.rows, each value
+    as csvtext.typed formats it.  The JSON text is the one
     json.dumps({"meta": ..., "columns": ...}, sort_keys=True, indent=1)
     writes, with NaN as null."""
-    head = {k: _typed(v) for k, v in meta.items()}
-    cols = {k: _typed(v) for k, v in columns.items()}
+    head = {k: csvtext.typed(v) for k, v in meta.items()}
     if fmt == "csv":
         lines = [f"# {k}={f % v}" for k, (v, f) in head.items()]
-        lines.append(",".join(cols))
-        template = ",".join(f for _, f in cols.values())
-        lines.extend(template % row for row in zip(*(v for v, _ in cols.values())))
-        return "\n".join(lines) + "\n"
+        lines.append(",".join(columns))
+        lines.append(csvtext.rows(columns))
+        return "\n".join(lines)
+    cols = {k: csvtext.typed(v) for k, v in columns.items()}
     text = {
         "meta": _json_object({k: _JSON.encode(None if v != v else v)
                               for k, (v, _) in head.items()}, "  "),

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import robustlrt
-from robustlrt import cli, density
+from robustlrt import cli, csvtext, density
 from robustlrt.cli import ConfigError, parse_density
 from robustlrt.lfd_solver import NonConvergenceError, partition
 
@@ -545,6 +545,219 @@ def test_json_writer_matches_json_dumps_on_a_40k_solution(norm_solution_40k):
     text = cli._render("json", meta, columns)
     assert text == _indent1_json(meta, columns)
     assert text.startswith('{\n "columns": {\n  "delta_hat": [\n   ')
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: every float exactly '%.17g', formatted in whole-array passes
+
+
+def _loop_typed(values):
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    return arr.tolist(), "%s" if kind == "U" else "%d" if kind in "biu" else "%.17g"
+
+
+def _loop_csv(meta, columns):
+    """The CSV text as the per-row loop writes it, the writer's reference."""
+    head = {k: _loop_typed(v) for k, v in meta.items()}
+    cols = {k: _loop_typed(v) for k, v in columns.items()}
+    lines = [f"# {k}={f % v}" for k, (v, f) in head.items()]
+    lines.append(",".join(cols))
+    template = ",".join(f for _, f in cols.values())
+    lines.extend(template % row for row in zip(*(v for v, _ in cols.values())))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(params=["as-is", "passes"])
+def csv_path(request, monkeypatch):
+    """The writer as it is, and with every table, however small, formatted
+    by the whole-array passes."""
+    if request.param == "passes":
+        monkeypatch.setattr(csvtext, "_MIN_CELLS", 0)
+
+
+@pytest.fixture
+def format_column(monkeypatch):
+    """The lines the whole-array passes write for one float column."""
+    monkeypatch.setattr(csvtext, "_MIN_CELLS", 0)
+    return lambda values: csvtext.rows({"v": values}).splitlines()
+
+
+def _neighbours(values):
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    with np.errstate(over="ignore"):
+        return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def _hard_near_ties():
+    """Doubles x >= 1e39 whose x·10^-u in [1e16, 1e17) (u = 23, 24) lies
+    (2i + 1) / (2·5^u) < 4e-15 from a rounding tie: inside the error bound
+    of the double-double product, so only the fallback rounds them right."""
+    out = []
+    for u in (23, 24):
+        mod = 5 ** u
+        for shift in range(50, 62):
+            inv = pow(2 ** shift, -1, mod)
+            for i in range(40):
+                for res in ((mod - 2 * i - 1) // 2, (mod + 2 * i + 1) // 2):
+                    m = res * inv % mod
+                    if (2 ** 52 <= m < 2 ** 53
+                            and 10 ** 16 * mod <= m * 2 ** shift < 10 ** 17 * mod):
+                        out.append(float(m * 2 ** (shift + u)))
+    return np.array(out)
+
+
+def _float_cases():
+    rng = np.random.default_rng(20)
+    # every biased exponent (0: subnormals, 2047: inf and NaN), random mantissas and signs
+    exps = np.repeat(np.arange(2048, dtype=np.uint64), 16)
+    mant = rng.integers(0, 2 ** 52, exps.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, exps.size, dtype=np.uint64)
+    digits17 = rng.integers(10 ** 16, 10 ** 17, 5000).tolist()
+    exp10 = rng.integers(-340, 300, 5000).tolist()
+    odd = np.arange(1, 40, 2, dtype=float)
+    return {
+        "random-bits": rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+        "every-exponent": ((sign << 63) | (exps << 52) | mant).view(np.float64),
+        "powers-of-ten": _neighbours([float(f"1e{j}") for j in range(-320, 308)]),
+        "near-ties": np.array([float(f"{n}5e{e}") for n, e in zip(digits17, exp10)]),
+        "hard-near-ties": _hard_near_ties(),
+        # exact ties: 10^s times these is N + 1/2 for s = 1, 23, 24
+        "dyadic-ties": np.concatenate([1e15 + np.arange(0.25, 100, 0.5), odd * 2.0 ** -24,
+                                       odd * 2.0 ** -25]),
+        "integers": np.concatenate([np.arange(-3000.0, 3000.0), _neighbours(2.0 ** 53),
+                                    rng.integers(-2 ** 63, 2 ** 63, 5000).astype(float)]),
+        "powers-of-two": _neighbours(2.0 ** np.arange(-1074, 1024)),
+        "layout-edges": _neighbours([1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16, 1e17, -1e17]),
+        "specials": np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]),
+    }
+
+
+FLOAT_CASES = _float_cases()
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_csv_floats_are_exactly_percent_17g(case, format_column):
+    values = FLOAT_CASES[case]
+    assert format_column(values) == ["%.17g" % x for x in values.tolist()]
+
+
+def test_csv_float32_column_is_formatted_widened(format_column):
+    values = np.random.default_rng(3).standard_normal(2000).astype(np.float32)
+    values[0] = 0.1
+    lines = format_column(values)
+    assert lines == ["%.17g" % x for x in values.tolist()]
+    assert lines[0] == "0.10000000149011612"
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_decimal_digits_are_those_of_percent_e(case):
+    # the certified (N, X) are the digits and exponent '%.16e' prints
+    values = FLOAT_CASES[case]
+    n, x, slow = csvtext._decimal(values)
+    printed = ["%.16e" % abs(v) for v in values[~slow].tolist()]
+    assert n[~slow].tolist() == [int(p[:1] + p[2:18]) for p in printed]
+    assert x[~slow].tolist() == [int(p[19:]) for p in printed]
+    if case == "random-bits":
+        assert not slow[np.isfinite(values)].any()
+
+
+def test_decimal_moves_the_exponent_where_log10_misses():
+    values = np.array([1e23, np.nextafter(1e3, 0), np.nextafter(1e-5, 0),
+                       np.nextafter(1e300, 0), 9.999999999999999e-200])
+    exponents = [int(("%.16e" % v)[19:]) for v in values.tolist()]
+    assert (np.floor(np.log10(values)) != exponents).all()
+    n, x, slow = csvtext._decimal(values)
+    assert not slow.any()
+    assert x.tolist() == exponents
+
+
+def test_fallback_takes_what_the_product_cannot_resolve(format_column):
+    # ties the product cannot certify go to '%.17g'; exact ones need not
+    values = np.concatenate([_hard_near_ties(), [3 * 2.0 ** -24, 2.0 ** -25],
+                             FLOAT_CASES["specials"][2:]])
+    assert csvtext._decimal(values)[2].all()
+    assert format_column(values) == ["%.17g" % x for x in values.tolist()]
+    n, x, slow = csvtext._decimal(np.array([1e15 + 0.25, 1e15 + 0.75]))
+    assert not slow.any() and n.tolist() == [10 ** 16 + 2, 10 ** 16 + 8]
+
+
+RAGGED = {k for k, (_, cols) in JSON_TABLES.items() if len({len(v) for v in cols.values()}) > 1}
+
+
+@pytest.mark.parametrize("case", sorted(set(JSON_TABLES) - RAGGED))
+def test_csv_writer_matches_the_row_loop(case, csv_path):
+    meta, columns = JSON_TABLES[case]
+    assert cli._render("csv", meta, columns) == _loop_csv(meta, columns)
+
+
+def test_csv_writer_matches_the_row_loop_on_solutions(mix_solution, norm_solution_40k):
+    for sol in (mix_solution, norm_solution_40k):
+        meta, columns = cli._solution_table(sol)
+        assert cli._render("csv", meta, columns) == _loop_csv(meta, columns)
+
+
+CSV_COMMANDS = {
+    # l and l_hat are inf where f0 underflows to 0
+    "solve-inf-ratio": {"command": "solve", "nominal0": "gaussian(-1,1)",
+                        "nominal1": "gaussian(1,1)", "alpha": "2", "eps0": "0.05",
+                        "eps1": "0.05", "grid": "-40:40:801"},
+    "closed-form-limits": {"command": "limits", "alpha": "0.5", "eps0": "0.2"},
+    "surface": {"command": "surface", "alpha": "0.5", "n": "33"},
+    "evaluate": {"command": "evaluate", "nominal0": "gaussian(-1,1)",
+                 "nominal1": "gaussian(1,1)", "alpha": "0.5", "eps0": "0.02",
+                 "eps1": "0.02", "grid": "-9:9:1001", "mc": "2000:5"},
+    # eps1 = 0.40 is infeasible at alpha 4, so that order's row is NaN
+    "sweep-alpha-failed": {"command": "sweep-alpha", "nominal0": MIX0, "nominal1": MIX1,
+                           "alphas": "2, 4", "eps0": "0.02", "eps1": "0.40",
+                           "grid": "-8:9:4001"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_COMMANDS))
+def test_csv_writer_matches_the_row_loop_on_commands(case, csv_path):
+    cfg = CSV_COMMANDS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        meta, columns = cli._HANDLERS[cfg["command"]](cfg)
+    text = cli._render("csv", meta, columns)
+    assert text == _loop_csv(meta, columns)
+    if case == "sweep-alpha-failed":
+        assert text.endswith("\n4,nan,nan,nan\n")
+
+
+@pytest.mark.parametrize("cells", [csvtext._MIN_CELLS - 1, csvtext._MIN_CELLS])
+def test_csv_writer_matches_the_row_loop_either_side_of_the_crossover(
+        cells, mix_solution, monkeypatch):
+    blocks = []
+    block = csvtext._block
+    monkeypatch.setattr(csvtext, "_block", lambda *a: blocks.append(a) or block(*a))
+    tables = [{"delta_hat": mix_solution.delta_hat.values[:cells]}]
+    if cells % 4 == 0:
+        rows = cells // 4
+        tables.append({"y": mix_solution.grid.points[:rows].astype(np.float32),
+                       "region": np.arange(rows, dtype=np.int8) % 3 + 1,
+                       "feasible": np.arange(rows) % 2 == 0,
+                       "rule": np.where(np.arange(rows) % 2 == 0, "robust", "lrt")})
+    for columns in tables:
+        blocks.clear()
+        assert cli._render("csv", {"n": cells}, columns) == _loop_csv({"n": cells}, columns)
+        assert bool(blocks) == (cells >= csvtext._MIN_CELLS)
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": [1.0, 2.0, 3.0], "y": [4.0]},
+    {"x": np.arange(700.0), "y": [4.0]},
+    *(JSON_TABLES[k][1] for k in sorted(RAGGED)),
+], ids=["short", "long", *sorted(RAGGED)])
+def test_csv_refuses_columns_of_different_lengths(columns, csv_path):
+    lengths = ", ".join(f"{k} has {len(v)}" for k, v in columns.items())
+    with pytest.raises(ValueError, match=f"CSV columns differ in length: {lengths}"):
+        cli._render("csv", {"a": 1.0}, columns)
+    # JSON writes every item of every column
+    payload = json.loads(cli._render("json", {"a": 1.0}, columns))
+    assert {k: len(v) for k, v in payload["columns"].items()} == {
+        k: len(v) for k, v in columns.items()}
 
 
 def test_json_writes_infinite_ratio_as_bare_infinity(tmp_path, capsys):
