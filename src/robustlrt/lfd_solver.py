@@ -22,13 +22,15 @@ Jacobian that of the discrete residual.  A Newton step costs one residual
 evaluation per line-search trial and none for its Jacobian.  The
 module also offers a one-dimensional fast path for symmetric problems at
 rho = 1 (``solve_symmetric``): the same residuals restricted to
-l_l = 1/l_u, summed into one scalar equation in log l_u.  The interior
-bracket and the rule come from one kernel helper, and ``robust_rule``,
-``robust_lr`` and the materialized tables share one branch form.  Both
-solvers refuse radii through one feasibility check, `limits.validate_eps`.
+l_l = 1/l_u, summed into one scalar equation in log l_u, so its thresholds
+multiply to 1 exactly.  The interior bracket and the rule come from one
+kernel helper, and ``robust_rule``, ``robust_lr`` and the materialized
+tables share one branch form.  Both solvers refuse radii through one
+feasibility check, `limits.validate_eps`.
 
-The returned tables live on the quadrature grid augmented with the exact
-region crossing points, so trapezoid sums over the tables reproduce the
+Both solvers return tables on the quadrature grid augmented with the
+region crossing points of `kernels.augment_with_crossings`, the one rule
+that places table knots, so trapezoid sums over the tables reproduce the
 solver's split-cell integrals to machine precision.
 """
 
@@ -298,6 +300,15 @@ def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState:
     return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo)
 
 
+def _state_or_none(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState | None:
+    """`_eval_state`, or None where the thresholds have no residual: a region
+    degenerates, the branch form is infeasible or a power overflows."""
+    try:
+        return _eval_state(l_l, l_u, alpha, rho, gv, x0, x1)
+    except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
+        return None
+
+
 def _on_values(fn, l):
     """fn applied to l as a 1-d float array, shaped back like l (a float for a scalar)."""
     arr = np.asarray(l, dtype=np.float64)
@@ -371,14 +382,10 @@ def robust_lr(l, solution: RobustSolution):
                                            solution.spec.rho, solution.k)[1], l)
 
 
-def _materialize(spec, t, st, gv, resid_norm, aug=None) -> RobustSolution:
+def _materialize(spec, t, st, gv, resid_norm) -> RobustSolution:
     rho, alpha = spec.rho, spec.alpha
-    lo, hi = rho * t.l_l, rho * t.l_u
-    if aug is None:
-        y_aug, l_aug, (f0a, f1a) = augment_with_crossings(gv.points, gv.l, [gv.f0, gv.f1],
-                                                          lo, hi)
-    else:
-        y_aug, l_aug, f0a, f1a = aug
+    y_aug, l_aug, (f0a, f1a) = augment_with_crossings(gv.points, gv.l, [gv.f0, gv.f1],
+                                                      rho * t.l_l, rho * t.l_u)
     lab = partition(l_aug, rho, t)
     in2, in3 = lab == 2, lab == 3
     k, z = st.k, st.z
@@ -506,10 +513,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> Ro
             r, t0, t1 = rho ** (p - 1.0), x0, x1
 
         def try_eval(u, v):
-            try:
-                return _eval_state(math.exp(u), math.exp(v), alpha, r, gv, t0, t1)
-            except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
-                return None
+            return _state_or_none(math.exp(u), math.exp(v), alpha, r, gv, t0, t1)
 
         box = (math.log(max(l_min / r, 1e-300)) * 0.98, math.log(l_max / r) * 0.98)
         return try_eval, box
@@ -610,10 +614,18 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     ratio; then at rho = 1 l_l = 1/l_u, and the sum of the two activation
     residuals of solve_thresholds is a single scalar equation in
     u = log l_u.  Its root is bracketed outward from u = 0 and found by
-    Brent's method.  The materialized solution matches solve_thresholds on
-    the same problem, which solves rho != 1 and eps = 0 here.  Without a
-    bracket, infeasible radii raise InfeasibleEpsError and feasible ones
-    NonConvergenceError.
+    Brent's method, so l_l = exp(-u) and l_u = exp(u) multiply to 1
+    exactly.  On a grid the two residuals differ slightly, because the
+    linear crossing of the tabulated ratio with l_l is not the mirror image
+    of its crossing with 1/l_l: the root leaves the general residual pair
+    off zero (``residual_norm`` is its larger entry), and the thresholds
+    differ from solve_thresholds' by a few parts in 1e9 at 4001 points.
+    The table is materialized as solve_thresholds' is, so it reproduces
+    the split-cell masses the residual zeroed; the mirror defect
+    g1_hat(y) - g0_hat(-y) and the achieved radii show the same discrete
+    asymmetry.  rho != 1 and eps = 0 go to solve_thresholds.
+    Without a bracket, infeasible radii raise InfeasibleEpsError and
+    feasible ones NonConvergenceError.
     """
     spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
     gv = _grid_values(nominals, grid)
@@ -637,11 +649,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
 
     def resid(u):
         if u not in states:
-            try:
-                states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps,
-                                        x_eps)
-            except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
-                states[u] = None
+            states[u] = _state_or_none(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
         st = states[u]
         return math.nan if st is None else st.r0 + st.r1
 
@@ -655,7 +663,6 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
         )
     st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER)]
     ll, lu = st.l_l, st.l_u
-    aug = _mirrored_augmentation(points, l, f0v, f1v, core, ll, lu)
     if abs(st.k - ll) > 1e-6 * ll:
         warnings.warn(
             "symmetric-case balance factor %g deviates from l_l = %g" % (st.k, ll),
@@ -669,27 +676,4 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             RuntimeWarning,
             stacklevel=2,
         )
-    return _materialize(spec, ThresholdPair(ll, lu), st, gv, nrm, aug=aug)
-
-
-def _mirrored_augmentation(points, l, f0v, f1v, core, ll, lu):
-    """Crossing knots snapped to an exact mirror pair for symmetric problems.
-
-    Independently interpolated crossings of the two thresholds land a few
-    grid-cell curvatures apart from perfect mirror symmetry, which shows up
-    as a localized kink mismatch between g1(y) and g0(-y).  With a strictly
-    increasing ratio there is one crossing per threshold, so place them at
-    exactly -y_u and +y_u instead.
-    """
-    y_up = float(np.interp(lu, l[core], points[core]))
-    span = points[-1] - points[0]
-    if np.min(np.abs(points - y_up)) <= 1e-13 * span:
-        return None  # crossing sits on a grid knot; mirror knot does too
-    knots = np.array([-y_up, y_up])
-    y_aug = np.concatenate([points, knots])
-    order = np.argsort(y_aug, kind="stable")
-    y_aug = y_aug[order]
-    l_aug = np.concatenate([l, [ll, lu]])[order]
-    f0a = np.concatenate([f0v, np.interp(knots, points, f0v)])[order]
-    f1a = np.concatenate([f1v, np.interp(knots, points, f1v)])[order]
-    return y_aug, l_aug, f0a, f1a
+    return _materialize(spec, ThresholdPair(ll, lu), st, gv, nrm)

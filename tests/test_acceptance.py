@@ -112,7 +112,7 @@ def test_04_symmetric_fast_path_agrees_with_general_solver(norm_pair,
             density.evaluate(sym.g1_hat, pts)
             - density.evaluate(sym.g0_hat, -pts))))
         assert dt <= 1e-6
-        assert prod <= 1e-8
+        assert prod <= 1e-15
         assert mirror <= 1e-6
         worst_t, worst_prod, worst_mirror = (max(worst_t, dt),
                                              max(worst_prod, prod),

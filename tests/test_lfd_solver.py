@@ -41,6 +41,9 @@ ANCHOR_L_U = 1.6180169369866289
 ANCHOR_K = 0.5838991944010262
 ANCHOR_Z = 0.7355474187056334
 
+# (alpha, eps) of the benchmark's solve-symmetric jobs on N(-1,1) vs N(1,1)
+SYMMETRIC_CASES = [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2), (4.0, 0.475)]
+
 
 # ---------------------------------------------------------------------------
 # small value objects
@@ -134,13 +137,22 @@ def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix
 
 
 @pytest.mark.parametrize("n", [4001, 40001])
-@pytest.mark.parametrize("rho", [1.0, 0.8, 1.2])
-def test_table_masses_are_the_split_cell_masses(mix_nominals, n, rho):
+@pytest.mark.parametrize("case", [
+    *(pytest.param(rho, id=str(rho)) for rho in (1.0, 0.8, 1.2)),
+    *(pytest.param(c, id="symmetric-%g-%g" % c) for c in SYMMETRIC_CASES)])
+def test_table_masses_are_the_split_cell_masses(mix_nominals, norm_pair, n, case):
     # plain trapezoid sums over the solution's cells, each cell in the region
-    # of its midpoint l, give the region masses the residual zeroed
-    grid = density.make_grid(-8.0, 9.0, n)
-    sol = lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=rho, eps0=0.02, eps1=0.03),
-                                      mix_nominals, grid)
+    # of its midpoint l, give the region masses the residual zeroed; the
+    # symmetric fast path places its table knots by the same crossing rule
+    if isinstance(case, tuple):
+        alpha, eps = case
+        nominals, grid = norm_pair, density.make_grid(-9.0, 9.0, n)
+        sol = lfd_solver.solve_symmetric(eps, alpha, 1.0, nominals, grid)
+    else:
+        nominals, grid = mix_nominals, density.make_grid(-8.0, 9.0, n)
+        sol = lfd_solver.solve_thresholds(
+            DivergenceSpec(alpha=4.0, rho=case, eps0=0.02, eps1=0.03), nominals, grid)
+    rho = sol.spec.rho
     l = density.ratio_values(sol.f0_values, sol.f1_values)
     lo, hi = rho * sol.thresholds.l_l, rho * sol.thresholds.l_u
     mid = 0.5 * (l[:-1] + l[1:])
@@ -148,7 +160,7 @@ def test_table_masses_are_the_split_cell_masses(mix_nominals, n, rho):
     h = np.diff(sol.grid.points)
     got = [float(np.where(region == r, 0.5 * h * (f[:-1] + f[1:]), 0.0).sum())
            for f in (sol.f0_values, sol.f1_values) for r in range(3)]
-    f0, f1 = (density.values_on(f, grid) for f in mix_nominals)
+    f0, f1 = (density.values_on(f, grid) for f in nominals)
     want = kernels.region_masses(density.ratio_values(f0, f1), f0, f1, grid.points, lo, hi)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -480,7 +492,7 @@ def test_symmetric_matches_general_solver(norm_pair, norm_grid):
     assert sym.thresholds.l_l == pytest.approx(gen.thresholds.l_l, abs=1e-6)
     assert sym.thresholds.l_u == pytest.approx(gen.thresholds.l_u, abs=1e-6)
     # mirror symmetry pins the reciprocal product and the balance factor
-    assert sym.thresholds.l_l * sym.thresholds.l_u == pytest.approx(1.0, abs=1e-8)
+    assert sym.thresholds.l_l * sym.thresholds.l_u == pytest.approx(1.0, abs=1e-15)
     assert sym.k == pytest.approx(sym.thresholds.l_l, rel=1e-10)
 
 
@@ -520,8 +532,7 @@ def test_symmetric_off_center_prior_is_the_general_solve(norm_pair, norm_grid, r
     assert sym.achieved_eps1 == pytest.approx(0.2, abs=1e-9)
 
 
-@pytest.mark.parametrize("alpha, eps", [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2),
-                                        (4.0, 0.475)])
+@pytest.mark.parametrize("alpha, eps", SYMMETRIC_CASES)
 def test_symmetric_solve_takes_few_residual_evaluations(count_calls, norm_pair, norm_grid,
                                                         alpha, eps):
     # one evaluation of the shared residual per bracket or Brent step
