@@ -266,38 +266,28 @@ def _spec(cfg, alpha: float) -> DivergenceSpec:
 # ---------------------------------------------------------------------------
 # output
 #
-# Both formats carry every value exactly.  CSV writes floats as '%.17g' (large
-# tables a block of cells at a time, in csvtext), ints and bools as integers,
-# NaN as nan and +-inf as inf, and refuses columns of different lengths.
-# JSON writes floats by their shortest round-trip repr, bools as true/false,
-# NaN as null and +-inf as Infinity, which is not standard JSON but which
-# Python's json module reads back, and every item of every column, whatever
-# their lengths.
+# Both formats carry every value exactly, and csvtext writes the columns of
+# both, large ones a block of cells at a time.  CSV writes floats as '%.17g',
+# ints and bools as integers, NaN as nan and +-inf as inf, and refuses
+# columns of different lengths.  JSON is the text json.dumps(...,
+# sort_keys=True, indent=1) writes: floats by their shortest round-trip repr,
+# bools as true/false, NaN as null and +-inf as Infinity, which is not
+# standard JSON but which Python's json module reads back, and every item of
+# every column, whatever their lengths.
 
 
-# json.dumps takes its pure-Python encoder for any indent, so the JSON text is
-# laid out here: each column list goes through the C encoder in one call, with
-# the item separator indent=1 puts between the items of a list at depth 3.
-_JSON = json.JSONEncoder(separators=(",\n   ", ": "))
-
-
-def _json_object(members: dict, pad: str) -> str:
-    """A key-sorted JSON object of already encoded values, laid out as
-    json.dumps(..., indent=1) lays out an object whose keys sit at indent
-    len(pad)."""
+def _json_object(members: dict, pad: str) -> list:
+    """The pieces of a key-sorted JSON object whose values are lists of
+    encoded pieces, laid out as json.dumps(..., indent=1) lays out an
+    object whose keys sit at indent len(pad).  Pieces, joined once, spare
+    copying each column's text at every level."""
     if not members:
-        return "{}"
-    body = (",\n" + pad).join(f"{_JSON.encode(k)}: {v}" for k, v in sorted(members.items()))
-    return "{\n" + pad + body + "\n" + pad[:-1] + "}"
-
-
-def _json_column(values: list, nan: bool) -> str:
-    """One column as indent=1 writes it at depth 2, NaN as null."""
-    if not values:
-        return "[]"
-    if nan:
-        values = [None if x != x else x for x in values]
-    return "[\n   " + _JSON.encode(values)[1:-1] + "\n  ]"
+        return ["{}"]
+    out = ["{"]
+    for k, v in sorted(members.items()):
+        out += [",\n", pad, json.dumps(k), ": ", *v]
+    out[1] = "\n"
+    return out + ["\n", pad[:-1], "}"]
 
 
 def _render(fmt: str, meta: dict, columns: dict) -> str:
@@ -305,21 +295,19 @@ def _render(fmt: str, meta: dict, columns: dict) -> str:
     line per meta value, then a header line and csvtext.rows, each value
     as csvtext.typed formats it.  The JSON text is the one
     json.dumps({"meta": ..., "columns": ...}, sort_keys=True, indent=1)
-    writes, with NaN as null."""
+    writes, with NaN as null, its columns from csvtext.json_items."""
     head = {k: csvtext.typed(v) for k, v in meta.items()}
     if fmt == "csv":
         lines = [f"# {k}={f % v}" for k, (v, f) in head.items()]
         lines.append(",".join(columns))
         lines.append(csvtext.rows(columns))
         return "\n".join(lines)
-    cols = {k: csvtext.typed(v) for k, v in columns.items()}
-    text = {
-        "meta": _json_object({k: _JSON.encode(None if v != v else v)
-                              for k, (v, _) in head.items()}, "  "),
-        "columns": _json_object({k: _json_column(v, f == "%.17g" and np.isnan(columns[k]).any())
-                                 for k, (v, f) in cols.items()}, "  "),
-    }
-    return _json_object(text, " ") + "\n"
+    # a column at depth 2
+    cols = {k: ["[\n   ", csvtext.json_items(v), "\n  ]"] if len(v) else ["[]"]
+            for k, v in columns.items()}
+    meta = {k: [json.dumps(None if v != v else v)] for k, (v, _) in head.items()}
+    text = {"meta": _json_object(meta, "  "), "columns": _json_object(cols, "  ")}
+    return "".join(_json_object(text, " ") + ["\n"])
 
 
 def _solution_table(sol: RobustSolution):

@@ -366,7 +366,15 @@ def _sample_in_block_order(model: DensityModel, n: int,
         w = np.array([c[0] for c in model.components])
         means = np.array([c[1] for c in model.components])
         stds = np.array([c[2] for c in model.components])
-        idx = rng.choice(len(w), size=n, p=w / w.sum())
+        # the labels Generator.choice(len(w), n, p=w / w.sum()) draws: the
+        # count of its normalised cumulative weights at or below a uniform,
+        # found here without its searchsorted
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        idx = np.zeros(n, dtype=np.min_scalar_type(len(w) - 1))
+        for c in cdf[:-1].tolist():
+            idx += u >= c
         y = rng.standard_normal(n)
         y *= stds[idx]
         y += means[idx]

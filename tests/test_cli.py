@@ -630,6 +630,14 @@ def _float_cases():
         "powers-of-two": _neighbours(2.0 ** np.arange(-1074, 1024)),
         "layout-edges": _neighbours([1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16, 1e17, -1e17]),
         "specials": np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]),
+        "subnormals": np.concatenate([
+            rng.integers(1, 2 ** 52, 5000, dtype=np.uint64).view(np.float64),
+            np.arange(1, 200, dtype=np.uint64).view(np.float64), _neighbours(2.0 ** -1022)]),
+        # from 2^53 on the spacing is 2 or more, so the ends of a value's
+        # rounding interval are integers
+        "integral-1e15-1e17": _neighbours(np.concatenate([
+            rng.integers(10 ** 15, 10 ** 17, 5000).astype(float),
+            2.0 ** np.arange(50, 57), 10.0 ** np.arange(15, 17)])),
     }
 
 
@@ -680,6 +688,93 @@ def test_fallback_takes_what_the_product_cannot_resolve(format_column):
     assert format_column(values) == ["%.17g" % x for x in values.tolist()]
     n, x, slow = csvtext._decimal(np.array([1e15 + 0.25, 1e15 + 0.75]))
     assert not slow.any() and n.tolist() == [10 ** 16 + 2, 10 ** 16 + 8]
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: every float exactly repr, formatted in whole-array passes
+
+
+def _json_float(x):
+    """The text json.dumps writes for the float x."""
+    if x != x:
+        return "null"
+    return "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else repr(float(x))
+
+
+@pytest.fixture
+def json_column(monkeypatch):
+    """The items the whole-array passes write for one JSON column."""
+    monkeypatch.setattr(csvtext, "_MIN_CELLS", 0)
+    return lambda values: csvtext.json_items(values).split(",\n   ")
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_json_floats_are_exactly_repr(case, json_column):
+    values = FLOAT_CASES[case]
+    assert json_column(values) == [_json_float(x) for x in values.tolist()]
+
+
+def test_json_float32_column_is_formatted_widened(json_column):
+    values = np.random.default_rng(3).standard_normal(2000).astype(np.float32)
+    values[0] = 0.1
+    items = json_column(values)
+    assert items == [repr(x) for x in values.tolist()]
+    assert items[0] == "0.10000000149011612"
+
+
+def test_shortest_digits_leave_few_values_to_repr():
+    # the passes certify all but a few values and take their text from repr
+    values = FLOAT_CASES["random-bits"]
+    slow = csvtext._shortest(values)[2][np.isfinite(values)]
+    assert slow.mean() < 0.005
+    # interval ends on integers are exact and decided by the mantissa's parity
+    # (the neighbours x.25 and x.75 below 2^51 tie between two candidates)
+    values = FLOAT_CASES["integral-1e15-1e17"]
+    assert not csvtext._shortest(values[values == np.rint(values)])[2].any()
+    assert not csvtext._shortest(FLOAT_CASES["subnormals"][:5000])[2].any()
+
+
+@pytest.mark.parametrize("case", sorted(JSON_TABLES))
+def test_json_passes_match_json_dumps_indent1(case, monkeypatch):
+    monkeypatch.setattr(csvtext, "_MIN_CELLS", 0)
+    meta, columns = JSON_TABLES[case]
+    assert cli._render("json", meta, columns) == _indent1_json(meta, columns)
+
+
+@pytest.mark.parametrize("rows", [csvtext._MIN_CELLS - 1, csvtext._MIN_CELLS,
+                                  csvtext._MIN_CELLS + 1])
+def test_json_writer_matches_json_dumps_either_side_of_the_crossover(
+        rows, mix_solution, monkeypatch):
+    blocks = []
+    block = csvtext._block
+    monkeypatch.setattr(csvtext, "_block", lambda *a: blocks.append(a) or block(*a))
+    i = np.arange(rows)
+    l = mix_solution.l_hat.values[:rows].copy()
+    l[::7], l[1::11], l[2::13] = math.nan, math.inf, -math.inf
+    columns = {"l": l, "y": mix_solution.grid.points[:rows].astype(np.float32),
+               "region": (i % 3 + 1).astype(np.int8), "n": i * 1001 - 7,
+               "feasible": i % 2 == 0, "rule": np.where(i % 3 == 0, "robust", 'say "é"')}
+    meta = {"alpha": 4.0, "mode": "general", "z": math.nan}
+    assert cli._render("json", meta, columns) == _indent1_json(meta, columns)
+    assert len(blocks) == (len(columns) if rows >= csvtext._MIN_CELLS else 0)
+
+
+def test_json_writer_certifies_every_float_of_a_40k_solution(norm_solution_40k, monkeypatch):
+    # every float goes through the passes and none falls back to repr
+    counts = []
+    shortest = csvtext._shortest
+
+    def counted(values):
+        n, x, slow = shortest(values)
+        counts.append((values.size, int(slow.sum())))
+        return n, x, slow
+
+    monkeypatch.setattr(csvtext, "_shortest", counted)
+    meta, columns = cli._solution_table(norm_solution_40k)
+    cli._render("json", meta, columns)
+    floats = sum(v.size for v in columns.values() if v.dtype.kind == "f")
+    assert sum(size for size, _ in counts) == floats > 8 * 40000
+    assert sum(slow for _, slow in counts) == 0
 
 
 RAGGED = {k for k, (_, cols) in JSON_TABLES.items() if len({len(v) for v in cols.values()}) > 1}

@@ -180,6 +180,23 @@ def test_mixture_sampling_is_the_normal_stream(seed):
     assert np.array_equal(density.sample(m, 50_000, seed), reference)
 
 
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.1, 0.2, 0.7), (1 / 3, 1 / 3, 1 / 3),
+                                     (0.15, 0.35, 0.2, 0.3)])
+def test_mixture_labels_are_those_of_generator_choice(weights):
+    # components far apart, so each draw shows its label; the generator then
+    # stands where Generator.choice and the normals leave it
+    m = density.gaussian_mixture([(w, 100.0 * i, 0.5 + i) for i, w in enumerate(weights)])
+    w, means, stds = (np.array(c) for c in zip(*m.components))
+    for seed in (0, 7, 12345):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        y, order = density._sample_in_block_order(m, 20_000, rng)
+        idx = ref.choice(len(w), size=20_000, p=w / w.sum())
+        assert order is None
+        assert np.array_equal(np.rint(y / 100.0), idx)
+        assert np.array_equal(y, ref.normal(means[idx], stds[idx]))
+        assert np.array_equal(rng.random(5), ref.random(5))
+
+
 def test_tabulated_sampling_is_the_inverse_cdf_stream():
     pts = np.linspace(-4.0, 4.0, 801)
     vals = np.exp(-0.5 * pts * pts)
