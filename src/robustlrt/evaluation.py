@@ -173,20 +173,27 @@ def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
     return ErrorReport(p_f, p_m, _bayes(p_f, p_m, rho), method="quadrature")
 
 
-def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Randomized decisions for the alternative on n draws of model.
+def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> int:
+    """Count of randomized decisions for the alternative on n draws of model.
 
     The draws come from `density._sample_in_block_order`, which returns a
-    table's draws sorted within blocks.  The decision uniforms are drawn
-    right after the draws in the stream and get the draws' permutation, so
+    table's draws sorted within blocks of ``density._INTERP_BLOCK``.  The
+    decision uniforms follow the draws in the stream and are drawn one such
+    block at a time, which gives the same values as one call for all n.
+    Each block's uniforms get that block's permutation of the draws, so
     each draw meets the uniform drawn at its own place in generator order;
-    only the order of the pairs differs.
+    only the order of the pairs differs.  Counting block by block keeps the
+    uniforms, the rule values and the comparisons to one block's size.
     """
     y, order = density._sample_in_block_order(model, n, rng)
-    u = rng.uniform(0.0, 1.0, n)
-    if order is not None:
-        u = u[order]
-    return u < _rule_at(delta, y)
+    hits = 0
+    for s in range(0, n, density._INTERP_BLOCK):
+        yb = y[s:s + density._INTERP_BLOCK]
+        u = rng.uniform(0.0, 1.0, yb.size)
+        if order is not None:
+            u = u[order[s:s + yb.size] - s]
+        hits += int(np.count_nonzero(u < _rule_at(delta, yb)))
+    return hits
 
 
 def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
@@ -200,16 +207,20 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     results are reproducible and uncorrelated across hypotheses.  Each
     draw is paired with the uniform drawn at its place in the stream
     (`_decisions`); a table's pairs come in block-sorted order, which lets
-    a tabulated rule read them without sorting, and the count of
-    u < delta(y), an exact integer sum, does not depend on that order.
+    a tabulated rule read them without sorting.  `_decisions` counts
+    u < delta(y) one block at a time; the count, an exact integer sum,
+    depends neither on the order of the pairs nor on the blocks, and
+    count / n is the mean of the decisions bit for bit.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")
     n = int(n)
     p0, p1 = priors(rho)
 
-    p_f = float(np.mean(_decisions(delta, model0, n, np.random.default_rng([seed, 0]))))
-    p_m = float(np.mean(~_decisions(delta, model1, n, np.random.default_rng([seed, 1]))))
+    hits0 = _decisions(delta, model0, n, np.random.default_rng([seed, 0]))
+    hits1 = _decisions(delta, model1, n, np.random.default_rng([seed, 1]))
+    p_f = hits0 / n
+    p_m = (n - hits1) / n
 
     hw_f = 1.96 * math.sqrt(p_f * (1.0 - p_f) / n)
     hw_m = 1.96 * math.sqrt(p_m * (1.0 - p_m) / n)

@@ -8,6 +8,7 @@ confidence half-widths.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_n
         "gaussian": norm_pair,
     }
     for name, (m0, m1) in pairs.items():
-        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0)):
+        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0), lambda y: 0.25):
             got = monte_carlo_errors(rule, m0, m1, 1.0, n, seed=n + 17)
             assert (got.p_false_alarm, got.p_miss) == \
                 _monte_carlo_in_generator_order(rule, m0, m1, n, n + 17), name
@@ -190,6 +191,35 @@ def test_monte_carlo_input_validation(norm_pair, norm_grid):
     with pytest.raises(TypeError, match="callable"):
         monte_carlo_errors(np.zeros(norm_grid.points.shape), f0, f1, 1.0,
                            2000, seed=1)
+
+
+@pytest.mark.parametrize("h", [0, 1])
+def test_monte_carlo_checks_the_rule_on_the_last_partial_block(h, mix_solution, norm_pair):
+    # the rule leaves [0, 1] only at the draws of the last, partial block of
+    # hypothesis h, so the range check must see every block
+    seed, full = 11, 3 * density._INTERP_BLOCK
+    n = full + 5
+    for models in (norm_pair, (mix_solution.g0_hat, mix_solution.g1_hat)):
+        y = density._sample(models[h], n, np.random.default_rng([seed, h]))
+        last = y[full:]
+        assert not np.isin(y[:full], last).any()
+        rule = lambda v: np.where(np.isin(v, last), 1.5, 0.5)  # noqa: E731
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            monte_carlo_errors(rule, *models, 1.0, n, seed=seed)
+
+
+def test_monte_carlo_memory_is_the_draws_and_one_block(norm_pair, norm_solution_40k):
+    # 10^6 draws take 7.6 MiB; the bound leaves room for one block's
+    # uniforms, rule values and comparisons, not for 10^6 of each (30-40 MiB)
+    f0, f1 = norm_pair
+    for rule in (lrt_rule(norm_pair, 1.0), norm_solution_40k.delta_hat):
+        tracemalloc.start()
+        try:
+            monte_carlo_errors(rule, f0, f1, 1.0, 1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (rule, peak / 2**20)
 
 
 def test_monte_carlo_agrees_with_quadrature(mix_solution, mix_nominals):
