@@ -273,13 +273,19 @@ def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(model: DensityModel, y) -> np.ndarray | float:
-    """Density value at y (scalar or array)."""
+def _pointwise(fn, y):
+    """fn applied to y as a float array of at least one dimension, shaped back
+    like y: a Python float for a scalar or 0-d y."""
     arr = np.asarray(y, dtype=np.float64)
-    out = _pdf(model, np.atleast_1d(arr))
+    out = fn(np.atleast_1d(arr))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
+
+
+def evaluate(model: DensityModel, y) -> np.ndarray | float:
+    """Density value at y (scalar or array)."""
+    return _pointwise(lambda yv: _pdf(model, yv), y)
 
 
 def values_on(d, grid: QuadratureGrid) -> np.ndarray:
@@ -305,14 +311,7 @@ def integrate(values_on_grid, grid: QuadratureGrid) -> float:
 
 def likelihood_ratio(f0: DensityModel, f1: DensityModel, y) -> np.ndarray | float:
     """Ratio f1(y)/f0(y) with conventions +inf for f0=0<f1 and 1 for 0/0."""
-    arr = np.asarray(y, dtype=np.float64)
-    y1 = np.atleast_1d(arr)
-    v0 = _pdf(f0, y1)
-    v1 = _pdf(f1, y1)
-    out = ratio_values(v0, v1)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _pointwise(lambda yv: ratio_values(_pdf(f0, yv), _pdf(f1, yv)), y)
 
 
 def ratio_values(f0_values: np.ndarray, f1_values: np.ndarray) -> np.ndarray:

@@ -87,36 +87,21 @@ def _bayes(p_f: float, p_m: float, rho: float) -> float:
     return p0 * p_f + p1 * p_m
 
 
-def _rule_on(delta, grid: QuadratureGrid) -> np.ndarray:
-    """Rule values on the grid from a tabulated rule, callable, or array."""
-    if callable(delta):
-        v = np.asarray(delta(grid.points), dtype=float)
-        if v.shape == ():
-            v = np.full(grid.points.shape, float(v))
-    else:
-        v = np.asarray(delta, dtype=float)
-    if v.shape != grid.points.shape:
-        raise ValueError(
-            f"rule values have shape {v.shape}, grid has {grid.points.shape}")
-    if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
-        bad = v[(v < -1e-9) | (v > 1.0 + 1e-9)]
-        raise ValueError(
-            f"decision rule values must lie in [0, 1]; found {bad[:3]}")
-    return np.clip(v, 0.0, 1.0)
-
-
-def _rule_at(delta, y: np.ndarray) -> np.ndarray:
-    """Rule values at arbitrary sample locations (Monte Carlo use)."""
+def _rule_values(delta, y: np.ndarray) -> np.ndarray:
+    """Values at the points y, clipped to [0, 1], of a rule given as a callable
+    (a scalar result holds everywhere) or as an array of values at y."""
     if callable(delta):
         v = np.asarray(delta(y), dtype=float)
         if v.shape == ():
             v = np.full(y.shape, float(v))
     else:
-        raise TypeError(
-            "Monte Carlo evaluation needs a rule that can be evaluated at "
-            "sample points: a TabulatedFunction or a callable, not an array")
+        v = np.asarray(delta, dtype=float)
+    if v.shape != y.shape:
+        raise ValueError(f"rule values have shape {v.shape}, points have {y.shape}")
     if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
-        raise ValueError("decision rule values must lie in [0, 1]")
+        bad = v[(v < -1e-9) | (v > 1.0 + 1e-9)]
+        raise ValueError(
+            f"decision rule values must lie in [0, 1]; found {bad[:3]}")
     return np.clip(v, 0.0, 1.0)
 
 
@@ -128,7 +113,7 @@ def error_probs(delta, g0, g1, rho: float, grid: QuadratureGrid) -> ErrorReport:
     Bayes error satisfies P_E = (rho*P_F + P_M)/(1+rho) exactly by
     construction.
     """
-    dv = _rule_on(delta, grid)
+    dv = _rule_values(delta, grid.points)
     g0v = density.values_on(g0, grid)
     g1v = density.values_on(g1, grid)
     w = grid.weights
@@ -192,7 +177,7 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
         u = rng.uniform(0.0, 1.0, yb.size)
         if order is not None:
             u = u[order[s:s + yb.size] - s]
-        hits += int(np.count_nonzero(u < _rule_at(delta, yb)))
+        hits += int(np.count_nonzero(u < _rule_values(delta, yb)))
     return hits
 
 
@@ -214,6 +199,10 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")
+    if not callable(delta):
+        raise TypeError(
+            "Monte Carlo evaluation needs a rule that can be evaluated at "
+            "sample points: a TabulatedFunction or a callable, not an array")
     n = int(n)
     p0, p1 = priors(rho)
 

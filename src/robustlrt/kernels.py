@@ -17,7 +17,8 @@ throughout.
 
 One rule decides where the thresholds cut the grid: `region_split` finds
 the crossing cells and their pieces, and every other step takes them from
-it, the solution tables' knots included.
+it, the solution tables' knots included; `lfd_solver.partition` labels the
+tables' knots with its `_labels`.
 
 Each kernel is a composition of steps that the solver also runs one by one.
 `cell_sums` gives each nominal's trapezoid cell sums once per grid.

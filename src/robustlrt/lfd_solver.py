@@ -19,14 +19,17 @@ branches meet continuously there, so the Jacobian is the threshold powers,
 the interior integrals' derivatives and dk from the mass balance; on the
 grid the crossing cells add the quadrature's share, which keeps the
 Jacobian that of the discrete residual.  A Newton step costs one residual
-evaluation per line-search trial and none for its Jacobian.  The
+evaluation per line-search trial and none for its Jacobian.  A residual
+evaluation is None where a region degenerates; the searches take it as a
+failed trial, and the zero-radius solve raises DegenerateRegionError.  The
 module also offers a one-dimensional fast path for symmetric problems at
 rho = 1 (``solve_symmetric``): the same residuals restricted to
 l_l = 1/l_u, summed into one scalar equation in log l_u, so its thresholds
 multiply to 1 exactly.  The interior bracket and the rule come from one
-kernel helper, and ``robust_rule``, ``robust_lr`` and the materialized
-tables share one branch form.  Both solvers refuse radii through one
-feasibility check, `limits.validate_eps`.
+kernel helper, ``robust_rule``, ``robust_lr`` and the materialized
+tables share one branch form, and ``partition`` takes the grid kernels'
+region labels.  Both solvers refuse radii through one feasibility check,
+`limits.validate_eps`.
 
 Both solvers return tables on the quadrature grid augmented with the
 region crossing points of `kernels.augment_with_crossings`, the one rule
@@ -44,12 +47,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import limits
-from .density import (QuadratureGrid, evaluate, interp, ratio_values, tabulated,
-                      trapezoid_weights, values_on)
+from .density import (QuadratureGrid, _pointwise, evaluate, interp, ratio_values,
+                      tabulated, trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import (I2Geometry, _interior_bracket, augment_with_crossings, cell_sums,
-                      i2_geometry, i2_power_derivatives, i2_powers, i2_s, region_split,
-                      split_masses)
+from .kernels import (I2Geometry, _interior_bracket, _labels, augment_with_crossings,
+                      cell_sums, i2_geometry, i2_power_derivatives, i2_powers, i2_s,
+                      region_split, split_masses)
 from .roots import bracket, brent
 
 
@@ -97,7 +100,7 @@ class TabulatedFunction:
     values: np.ndarray
 
     def __call__(self, y):
-        return _on_values(lambda yv: interp(yv, self.points, self.values), y)
+        return _pointwise(lambda yv: interp(yv, self.points, self.values), y)
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,9 @@ class RobustSolution:
 
 
 def partition(l_values, rho: float, t: ThresholdPair) -> np.ndarray:
-    """Region labels 1/2/3 for each l value; threshold ties belong to I2."""
-    l = np.asarray(l_values, dtype=np.float64)
-    lo, hi = rho * t.l_l, rho * t.l_u
-    return np.where(l < lo, 1, np.where(l > hi, 3, 2)).astype(np.int8)
+    """Region labels 1/2/3 for each l value, the grid kernels' `_labels` plus
+    one: threshold ties belong to I2, and a NaN to I1."""
+    return _labels(np.asarray(l_values, dtype=np.float64), rho * t.l_l, rho * t.l_u) + 1
 
 
 class _GridValues(NamedTuple):
@@ -206,116 +208,75 @@ def _pow(x, p):
         return math.inf
 
 
-def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState:
+def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState | None:
+    """The residual pair and what its Jacobian needs at thresholds (l_l, l_u);
+    None where a region carries no mass, the mass balance has no positive
+    root, or a power or z is not positive and finite (NaN included)."""
     # one region split of the grid gives the masses and the I2 geometry;
     # only the bracket powers depend on k, so off centre each trial k of the
     # mass balance psi(k) costs a few vector operations and one dot product
     split = region_split(gv.l, gv.points, rho * l_l, rho * l_u)
     masses = split_masses(split, gv.f0, gv.f1, gv.c0, gv.c1)
     a0, m0, b0, a1, m1, b1 = masses
-    if a0 + a1 <= 0.0:
-        raise DegenerateRegionError(
-            "region below rho*l_l carries no mass at thresholds (%g, %g)" % (l_l, l_u)
-        )
-    if b0 + b1 <= 0.0:
-        raise DegenerateRegionError(
-            "region above rho*l_u carries no mass at thresholds (%g, %g)" % (l_l, l_u)
-        )
-    beta = alpha - 1.0
-    big_l = _pow(l_l, beta)
-    big_u = _pow(l_u, beta)
     num, den = a1 - l_l * a0, l_u * b0 - b1
-    if den == 0.0:
-        raise DegenerateRegionError("vanishing upper-region balance at these thresholds")
+    if a0 + a1 <= 0.0 or b0 + b1 <= 0.0 or den == 0.0:
+        return None
+    beta = alpha - 1.0
 
     # equal thresholds leave I2 a tie band, where the bracket is 0/0 and
     # the I2 integrals are plain masses
     geo = None
     if l_l != l_u:
-        if not (np.isfinite(big_l) and big_l > 0.0 and np.isfinite(big_u) and big_u > 0.0):
-            raise ParametricInfeasibleError(
-                "threshold powers left the representable range at (%g, %g)" % (l_l, l_u))
+        big_l, big_u = _pow(l_l, beta), _pow(l_u, beta)
+        if not (0.0 < big_l < math.inf and 0.0 < big_u < math.inf):
+            return None
         geo = i2_geometry(split, gv.f0, gv.f1, rho, beta, alpha, big_l, big_u)
 
     def s_of(k):
         if geo is None:
             return m1
         kb = _pow(k, beta)
-        if not (np.isfinite(kb) and kb > 0.0):
-            return math.nan
-        return i2_s(geo, kb)
+        return i2_s(geo, kb) if 0.0 < kb < math.inf else math.nan
 
-    if rho == 1.0:
-        k = num / den
-    else:
+    k = num / den
+    if not 0.0 < k < math.inf:
+        return None
+    if rho != 1.0:
         c = 1.0 - 1.0 / rho
 
         def psi(k):
             return k * den - num - c * s_of(k)
 
-        k_lit = num / den
-        if not (np.isfinite(k_lit) and k_lit > 0.0):
-            raise DegenerateRegionError(
-                "literal threshold-balance ratio is not positive at (%g, %g)" % (l_l, l_u)
-            )
-        # psi falls as k grows: from k_lit search k_lit * 2^u upward where
-        # psi is positive and downward where it is negative
-        p_lit = psi(k_lit)
+        # psi falls as k grows: from the literal ratio k_lit = num/den search
+        # k_lit * 2^u upward where psi is positive and downward where it is
+        # negative
+        k_lit, p_lit = k, psi(k)
         span = bracket(lambda u: psi(k_lit * 2.0 ** u), 0.0, p_lit,
                        1.0 if p_lit > 0.0 else -1.0, 64.0)
         if span is None:
-            raise DegenerateRegionError(
-                "no positive mass-balancing k within 2^64 of its literal ratio at "
-                "(%g, %g)" % (l_l, l_u))
+            return None
         try:
             k = brent(psi, k_lit * 2.0 ** span[0], k_lit * 2.0 ** span[1], xtol=1e-14,
                       rtol=8.9e-16, maxiter=200)
         except ValueError:
-            raise DegenerateRegionError(
-                "mass-balancing k bracket failed at (%g, %g)" % (l_l, l_u)
-            ) from None
-
-    if not (np.isfinite(k) and k > 0.0):
-        raise DegenerateRegionError(
-            "threshold balance factor k = %r is not positive; a region is "
-            "degenerate at (%g, %g)" % (k, l_l, l_u)
-        )
+            return None
+        if not 0.0 < k < math.inf:
+            return None
 
     if geo is None:
         s_int, t0_int, t1_int = m1, _pow(l_l, alpha) * m0, m1
     else:
         kb = _pow(k, beta)
-        if not (np.isfinite(kb) and kb > 0.0):
-            raise ParametricInfeasibleError(
-                "balance power k^beta left the representable range at (%g, %g)"
-                % (l_l, l_u)
-            )
+        if not 0.0 < kb < math.inf:
+            return None
         s_int, t0_int, t1_int = i2_powers(geo, kb)
     z = a1 + s_int + k * b1
-    if not (np.isfinite(z) and z > 0.0):
-        raise ParametricInfeasibleError("normalizer z = %r is not positive" % (z,))
+    if not 0.0 < z < math.inf:
+        return None
     za = _pow(z, alpha)
     r0 = (_pow(l_l, alpha) * a0 + t0_int + _pow(k * l_u, alpha) * b0) / za - x0
     r1 = (a1 + t1_int + _pow(k, alpha) * b1) / za - x1
     return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo)
-
-
-def _state_or_none(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState | None:
-    """`_eval_state`, or None where the thresholds have no residual: a region
-    degenerates, the branch form is infeasible or a power overflows."""
-    try:
-        return _eval_state(l_l, l_u, alpha, rho, gv, x0, x1)
-    except (DegenerateRegionError, ParametricInfeasibleError, OverflowError):
-        return None
-
-
-def _on_values(fn, l):
-    """fn applied to l as a 1-d float array, shaped back like l (a float for a scalar)."""
-    arr = np.asarray(l, dtype=np.float64)
-    out = fn(np.atleast_1d(arr))
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
 
 
 def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
@@ -334,7 +295,7 @@ def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):
                                          t.l_u ** beta)
         return _interior_factor(logbr, t, alpha, z)
 
-    return _on_values(factor, l)
+    return _pointwise(factor, l)
 
 
 def _interior_factor(logbr, t: ThresholdPair, alpha: float, z: float):
@@ -372,13 +333,13 @@ def _branches(lv, t: ThresholdPair, alpha: float, rho: float, k: float):
 
 def robust_rule(l, solution: RobustSolution):
     """Probability of deciding for the alternative at ratio value(s) l."""
-    return _on_values(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
+    return _pointwise(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
                                            solution.spec.rho, solution.k)[0], l)
 
 
 def robust_lr(l, solution: RobustSolution):
     """Robust likelihood ratio: l/l_l below, rho inside, l/l_u above."""
-    return _on_values(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
+    return _pointwise(lambda lv: _branches(lv, solution.thresholds, solution.spec.alpha,
                                            solution.spec.rho, solution.k)[1], l)
 
 
@@ -492,6 +453,10 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> Ro
     if spec.eps0 == 0.0 and spec.eps1 == 0.0:
         t = ThresholdPair(1.0, 1.0)
         st = _eval_state(1.0, 1.0, alpha, rho, gv, x0, x1)
+        if st is None:
+            raise DegenerateRegionError(
+                "the zero-radius thresholds (1, 1) have no residual at rho = %g: "
+                "a region is degenerate" % rho)
         return _materialize(spec, t, st, gv, max(abs(st.r0), abs(st.r1)))
 
     _preflight(spec, gv, grid)
@@ -513,7 +478,7 @@ def solve_thresholds(spec: DivergenceSpec, nominals, grid: QuadratureGrid) -> Ro
             r, t0, t1 = rho ** (p - 1.0), x0, x1
 
         def try_eval(u, v):
-            return _state_or_none(math.exp(u), math.exp(v), alpha, r, gv, t0, t1)
+            return _eval_state(math.exp(u), math.exp(v), alpha, r, gv, t0, t1)
 
         box = (math.log(max(l_min / r, 1e-300)) * 0.98, math.log(l_max / r) * 0.98)
         return try_eval, box
@@ -649,7 +614,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
 
     def resid(u):
         if u not in states:
-            states[u] = _state_or_none(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
+            states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
         st = states[u]
         return math.nan if st is None else st.r0 + st.r1
 

@@ -160,6 +160,18 @@ def test_solve_csv_output(anchor_config, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_solve_at_zero_radii(anchor_config, tmp_path, capsys):
+    # zero radii solve without a search: thresholds (1, 1), and the region
+    # column labels the crossing knots, where l is 1, as the band I2
+    out = tmp_path / "zero.csv"
+    code, _, err = run_main(["--config", anchor_config, "--eps0", "0", "--eps1", "0",
+                             "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    meta, names, rows = read_csv(out.read_text())
+    assert (meta["l_l"], meta["l_u"]) == ("1", "1")
+    assert {row[-1] for row in rows} == {"1", "2", "3"}
+
+
 def test_grid_flag_with_negative_minimum(anchor_config, tmp_path, capsys):
     # a flag value starting with '-' must be joined to its flag with '='
     cfg = tmp_path / "narrow.cfg"

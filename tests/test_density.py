@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from robustlrt import density
+from robustlrt import density, lfd_solver
 
 
 def test_gaussian_evaluates_to_normal_pdf():
@@ -13,6 +13,40 @@ def test_gaussian_evaluates_to_normal_pdf():
     y = np.array([-1.0, 1.5, 4.0])
     expected = np.exp(-0.5 * ((y - 1.5) / 2.0) ** 2) / (2.0 * math.sqrt(2.0 * math.pi))
     np.testing.assert_allclose(density.evaluate(g, y), expected, rtol=1e-14)
+
+
+# each pointwise function of the package as (function, six points where it is
+# defined), built from the anchor solution and its nominals
+_POINTWISE = {
+    "evaluate": lambda sol, f: (lambda y: density.evaluate(f[0], y),
+                                np.linspace(-3.0, 3.0, 6)),
+    "likelihood_ratio": lambda sol, f: (lambda y: density.likelihood_ratio(*f, y),
+                                        np.linspace(-3.0, 3.0, 6)),
+    "TabulatedFunction": lambda sol, f: (sol.delta_hat, np.linspace(-3.0, 3.0, 6)),
+    "robust_rule": lambda sol, f: (lambda l: lfd_solver.robust_rule(l, sol),
+                                   np.linspace(0.3, 3.0, 6)),
+    "robust_lr": lambda sol, f: (lambda l: lfd_solver.robust_lr(l, sol),
+                                 np.linspace(0.3, 3.0, 6)),
+    "phi1": lambda sol, f: (
+        lambda l: lfd_solver.phi1(l, sol.thresholds, sol.spec.alpha, sol.spec.rho, sol.k,
+                                  sol.z),
+        np.linspace(sol.thresholds.l_l, sol.thresholds.l_u, 6) * sol.spec.rho),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_pointwise_functions_keep_the_shape_of_their_input(name, mix_solution,
+                                                            mix_nominals):
+    fn, pts = _POINTWISE[name](mix_solution, mix_nominals)
+    flat = fn(pts)
+    assert flat.shape == pts.shape
+    for i, x in enumerate(pts):
+        for arg in (float(x), np.array(x)):
+            got = fn(arg)
+            assert type(got) is float and got == flat[i]
+    grid = fn(pts.reshape(2, 3))
+    assert grid.shape == (2, 3)
+    np.testing.assert_array_equal(grid, flat.reshape(2, 3))
 
 
 def test_gaussian_rejects_bad_scale():

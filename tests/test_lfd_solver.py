@@ -8,6 +8,8 @@ and the materialized densities attain the requested divergences under the
 generic quadrature of the divergence module.
 """
 
+import functools
+import itertools
 import math
 import types
 import warnings
@@ -43,6 +45,11 @@ ANCHOR_Z = 0.7355474187056334
 
 # (alpha, eps) of the benchmark's solve-symmetric jobs on N(-1,1) vs N(1,1)
 SYMMETRIC_CASES = [(-1.0, 0.085), (0.5, 0.13), (2.0, 0.2), (4.0, 0.475)]
+
+# the nominal pairs' fixtures (nominals, grid), each with the direction of its
+# rays in the (eps0, eps1) plane
+_RAYS = {"mix": ("mix_nominals", "mix_grid", (2.0, 3.0)),
+         "norm": ("norm_pair", "norm_grid", (3.0, 2.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +477,37 @@ def test_solution_invariants_on_anchor_boxes(mix_nominals, mix_grid, saddle_boun
 # zero-radius reduction
 
 
-def test_zero_radii_reproduce_nominals(mix_nominals, mix_grid):
-    sol = lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0), mix_nominals,
-                                      mix_grid)
-    assert sol.thresholds.l_l == 1.0 and sol.thresholds.l_u == 1.0
-    assert np.max(np.abs(sol.g0_hat.values - sol.f0_values)) < 1e-9
-    assert np.max(np.abs(sol.g1_hat.values - sol.f1_values)) < 1e-9
+def test_zero_radii_reproduce_nominals(request):
+    # zero radii make the robust test the plain LRT between the nominals
+    for pair, alpha in itertools.product(sorted(_RAYS), (4.0, -1.0)):
+        nominals, grid = (request.getfixturevalue(name) for name in _RAYS[pair][:2])
+        solve = functools.partial(lfd_solver.solve_thresholds, DivergenceSpec(alpha=alpha),
+                                  nominals, grid)
+        if (pair, alpha) == ("mix", -1.0):
+            # the anchor pair's grid masses differ by about 5e-10, which
+            # puts both zero-radius divergences below zero at alpha = -1
+            with pytest.warns(UserWarning, match=r"alpha-divergence came out negative "
+                              r"\(-4\.940e-10\)") as caught:
+                sol = solve()
+            assert len(caught) == 2
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = solve()
+        assert (sol.thresholds.l_l, sol.thresholds.l_u) == (1.0, 1.0)
+        assert np.max(np.abs(sol.g0_hat.values - sol.f0_values)) < 1e-9
+        assert np.max(np.abs(sol.g1_hat.values - sol.f1_values)) < 1e-9
+        # the least favorable densities are the nominals over their masses
+        # on the table's grid
+        for g, f in ((sol.g0_hat, sol.f0_values), (sol.g1_hat, sol.f1_values)):
+            want = f / density.integrate(f, sol.grid)
+            assert np.max(np.abs(g.values - want)) <= 1e-12 * want.max()
+        # on the grid's own knots the rule is the LRT, 1/2 on its ties
+        knots = np.searchsorted(sol.grid.points, grid.points)
+        assert np.array_equal(sol.grid.points[knots], grid.points)
+        lrt = evaluation.lrt_rule(nominals, 1.0)(grid.points)
+        assert np.count_nonzero(lrt == 0.5) >= 1
+        np.testing.assert_array_equal(sol.delta_hat.values[knots], lrt)
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +651,12 @@ def test_infeasible_radii_report_boundary_partner(mix_nominals, mix_grid):
         0.02 * scale, 0.40 * scale, margin) in str(exc.value)
 
 
-# each pair with the direction of its rays in the (eps0, eps1) plane
-_RAYS = {"mix": ("mix_nominals", "mix_grid", (2.0, 3.0)),
-         "norm": ("norm_pair", "norm_grid", (3.0, 2.0))}
-
-
 @pytest.mark.parametrize("pair", sorted(_RAYS))
 @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 4.0])
 def test_solver_refuses_exactly_what_validate_eps_refuses(monkeypatch, request, pair, alpha):
     # a residual that never evaluates stalls the continuation at once, so
     # radii that pass the feasibility check end in NonConvergenceError
-    def no_state(*args):
-        raise DegenerateRegionError("stub")
-
-    monkeypatch.setattr(lfd_solver, "_eval_state", no_state)
+    monkeypatch.setattr(lfd_solver, "_eval_state", lambda *args: None)
     nominals, grid = (request.getfixturevalue(name) for name in _RAYS[pair][:2])
     d0, d1 = _RAYS[pair][2]
     with warnings.catch_warnings():
@@ -670,11 +694,18 @@ def test_prior_ratio_outside_likelihood_range_degenerates(norm_pair):
         lfd_solver.solve_thresholds(
             DivergenceSpec(alpha=4.0, rho=5000.0, eps0=0.01, eps1=0.01),
             norm_pair, tight)
-    # a residual evaluation reports the degenerate region directly: at
-    # rho = 100 the region above rho*l_u lies beyond the grid's largest ratio
-    with pytest.raises(DegenerateRegionError, match="above rho"):
-        _state_at(ThresholdPair(0.5, 2.0),
-                  DivergenceSpec(alpha=4.0, rho=100.0, eps0=0.01, eps1=0.01), norm_pair, tight)
+    # zero radii skip the preflight and the range check; their one residual
+    # evaluation finds the region above rho empty, the grid's ratios exp(2y)
+    # ending at e^4
+    with pytest.raises(DegenerateRegionError, match="zero-radius"):
+        lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=5000.0), norm_pair, tight)
+    # a residual evaluation has no residual where a region is empty: the
+    # grid's ratios exp(2y) span [e^-4, e^4], so at rho = 100 the region
+    # above rho*l_u = 200 is empty, and at rho = 0.01 the region below
+    # rho*l_l = 0.005
+    for rho in (100.0, 0.01):
+        spec = DivergenceSpec(alpha=4.0, rho=rho, eps0=0.01, eps1=0.01)
+        assert _state_at(ThresholdPair(0.5, 2.0), spec, norm_pair, tight) is None
 
 
 def test_stalled_path_is_nonconvergence(monkeypatch, norm_pair):
@@ -687,7 +718,7 @@ def test_stalled_path_is_nonconvergence(monkeypatch, norm_pair):
             shift = 0.0
             if s > 0.5 + 1e-9:
                 if mode == "degenerate":
-                    raise DegenerateRegionError("region above rho*l_u carries no mass")
+                    return None
                 shift = 1.0
             return types.SimpleNamespace(r0=math.log(l_l) + 0.3 * s,
                                          r1=math.log(l_u) - 0.3 * s + shift,
