@@ -14,7 +14,6 @@ oracle; numpy is the only run-time dependency.
 
 from .density import (
     DensityModel,
-    Gaussian,
     GaussianMixture,
     QuadratureGrid,
     Shifted,
@@ -97,7 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # density
-    "DensityModel", "Gaussian", "GaussianMixture", "Shifted", "Tabulated",
+    "DensityModel", "GaussianMixture", "Shifted", "Tabulated",
     "QuadratureGrid", "gaussian", "gaussian_mixture", "shifted", "tabulated",
     "make_grid", "grid_for", "trapezoid_weights", "evaluate", "integrate",
     "likelihood_ratio", "ratio_values", "sample",

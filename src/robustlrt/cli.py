@@ -133,9 +133,9 @@ def parse_density(spec: str) -> density.DensityModel:
             w_tok, g_tok = term.split("*", 1)
             w = _number(w_tok.strip(), "mixture weight")
             comp = parse_density(g_tok)
-            if not isinstance(comp, density.Gaussian):
+            if g_tok.split("(", 1)[0].strip() != "gaussian":
                 raise ConfigError(f"mixture components must be gaussians: {term!r}")
-            comps.append((w, comp.mean, comp.stddev))
+            comps.append((w, *comp.components[0][1:]))
         return density.gaussian_mixture(comps)
     if head == "shift":
         args = _split_top(body, ",")
@@ -151,10 +151,10 @@ def parse_density(spec: str) -> density.DensityModel:
                 header = next(reader, None)
                 if header is None or [h.strip() for h in header] != ["y", "value"]:
                     raise ConfigError(f"table {path!r} must have header 'y,value'")
-                rows = [(float(r[0]), float(r[1])) for r in reader if r]
+                rows = [(float(y), float(v)) for y, v in filter(None, reader)]
         except OSError as exc:
             raise ConfigError(f"cannot read table {path!r}: {exc}") from None
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"malformed table {path!r}: {exc}") from None
         if len(rows) < 3:
             raise ConfigError(f"table {path!r} needs at least 3 rows")

@@ -1,10 +1,12 @@
 """Probability densities on a shared one-dimensional quadrature grid.
 
-Four density representations are supported: a single Gaussian, a Gaussian
-mixture, a shifted copy of another density (signal-plus-noise models), and a
-tabulated density given by values on a grid of points.  Every representation
-evaluates pointwise, integrates by the composite trapezoid rule on a
-``QuadratureGrid``, and samples i.i.d. draws from an explicit seed.
+Three density representations are supported: a Gaussian mixture (a single
+Gaussian is the mixture of one component), a shifted copy of another density
+(signal-plus-noise models), and a tabulated density given by values on a grid
+of points.  Every representation evaluates pointwise, integrates by the
+composite trapezoid rule on a ``QuadratureGrid``, and samples i.i.d. draws
+from an explicit seed.  This module is the only one that tells the
+representations apart.
 
 Analytic models are truncated to a finite support chosen wide enough that the
 discarded tail mass is negligible (below 1e-10).  Tabulated models are
@@ -41,37 +43,11 @@ def _as_support(lo: float, hi: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class Gaussian:
-    """Normal density with the given mean and standard deviation."""
-
-    mean: float
-    stddev: float
-    support: tuple[float, float]
-
-    def __post_init__(self):
-        if not (self.stddev > 0.0 and math.isfinite(self.stddev)):
-            raise ValueError(f"stddev must be positive, got {self.stddev}")
-
-
-@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Convex combination of Gaussians; components are (weight, mean, stddev)."""
 
     components: tuple[tuple[float, float, float], ...]
     support: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.components) == 0:
-            raise ValueError("mixture needs at least one component")
-        total = 0.0
-        for w, _, s in self.components:
-            if w < 0.0:
-                raise ValueError(f"negative mixture weight {w}")
-            if not (s > 0.0 and math.isfinite(s)):
-                raise ValueError(f"stddev must be positive, got {s}")
-            total += w
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-10):
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +73,28 @@ class Tabulated:
     support: tuple[float, float]
 
 
-DensityModel = Union[Gaussian, GaussianMixture, Shifted, Tabulated]
+DensityModel = Union[GaussianMixture, Shifted, Tabulated]
 
 
-def gaussian(mean: float, stddev: float) -> Gaussian:
-    """Build a Gaussian model with a wide-enough support."""
-    if not (stddev > 0.0):
-        raise ValueError(f"stddev must be positive, got {stddev}")
-    r = _SUPPORT_RADIUS_SIGMA * stddev
-    return Gaussian(float(mean), float(stddev), _as_support(mean - r, mean + r))
+def gaussian(mean: float, stddev: float) -> GaussianMixture:
+    """Build a Gaussian model: the mixture of one component."""
+    return gaussian_mixture([(1.0, mean, stddev)])
 
 
 def gaussian_mixture(components) -> GaussianMixture:
     """Build a Gaussian mixture from (weight, mean, stddev) triples."""
     comps = tuple((float(w), float(m), float(s)) for w, m, s in components)
-    if any(s <= 0.0 for _, _, s in comps):
-        raise ValueError("stddev must be positive")
+    if not comps:
+        raise ValueError("mixture needs at least one component")
+    total = 0.0
+    for w, _, s in comps:
+        if w < 0.0:
+            raise ValueError(f"negative mixture weight {w}")
+        if not (s > 0.0 and math.isfinite(s)):
+            raise ValueError(f"stddev must be positive, got {s}")
+        total += w
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-10):
+        raise ValueError(f"mixture weights sum to {total}, expected 1")
     lo = min(m - _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
     hi = max(m + _SUPPORT_RADIUS_SIGMA * s for _, m, s in comps)
     return GaussianMixture(comps, _as_support(lo, hi))
@@ -130,6 +112,8 @@ def tabulated(points, values) -> Tabulated:
     val = np.ascontiguousarray(values, dtype=np.float64)
     if pts.ndim != 1 or pts.shape != val.shape or pts.size < 3:
         raise ValueError("points and values must be equal-length 1-D arrays, length >= 3")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"points must be finite, got [{pts[0]}, ..., {pts[-1]}]")
     if not np.all(np.diff(pts) > 0.0):
         raise ValueError("points must be strictly increasing")
     if np.any(val < 0.0) or not np.all(np.isfinite(val)):
@@ -240,15 +224,9 @@ def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     # in place, in the operation order of w * exp(-0.5 * z * z) / c, so the
-    # values are those of that expression bit for bit
-    if isinstance(model, Gaussian):
-        z = y - model.mean
-        z /= model.stddev
-        out = -0.5 * z
-        out *= z
-        np.exp(out, out=out)
-        out /= model.stddev * math.sqrt(2.0 * math.pi)
-    elif isinstance(model, GaussianMixture):
+    # values are those of that expression bit for bit; for one component of
+    # weight 1 the multiply and the sum into zeros are exact
+    if isinstance(model, GaussianMixture):
         out = np.zeros_like(y)
         z = np.empty_like(y)
         t = np.empty_like(y)
@@ -273,6 +251,26 @@ def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _std(model: DensityModel) -> float:
+    """Standard deviation of a model (an SNR's noise scale); a mixture's variance is
+    the centred sum w (s^2 + (m - mean)^2), which is s^2 for one component."""
+    if isinstance(model, GaussianMixture):
+        w, mu, sd = np.array(model.components).T
+        w = w / w.sum()
+        mean = float(np.sum(w * mu))
+        return math.sqrt(float(np.sum(w * (sd**2 + (mu - mean) ** 2))))
+    if isinstance(model, Shifted):
+        return _std(model.base)
+    if isinstance(model, Tabulated):
+        pts, val = model.points, model.values
+        w = trapezoid_weights(pts)
+        mass = float(np.sum(w * val))
+        mean = float(np.sum(w * pts * val)) / mass
+        var = float(np.sum(w * (pts - mean) ** 2 * val)) / mass
+        return math.sqrt(var)
+    raise TypeError(f"not a density model: {model!r}")
+
+
 def _pointwise(fn, y):
     """fn applied to y as a float array of at least one dimension, shaped back
     like y: a Python float for a scalar or 0-d y."""
@@ -290,7 +288,7 @@ def evaluate(model: DensityModel, y) -> np.ndarray | float:
 
 def values_on(d, grid: QuadratureGrid) -> np.ndarray:
     """Density values on the grid points, from a model or a matching array."""
-    if isinstance(d, (Gaussian, GaussianMixture, Shifted, Tabulated)):
+    if isinstance(d, (GaussianMixture, Shifted, Tabulated)):
         return evaluate(d, grid.points)
     v = np.asarray(d, dtype=np.float64)
     if v.shape != grid.points.shape:
@@ -349,31 +347,31 @@ def _sample_in_block_order(model: DensityModel, n: int,
     """n draws from the model using rng, and the order they are returned in.
 
     Returns (y, order): y[i] is the draw the generator made order[i]-th, and
-    order None means y is in generator order.  A mixture draws its component
-    labels, then one standard normal per sample scaled and shifted in place;
-    analytic models return their draws in generator order.  A table inverts
-    its trapezoid CDF at uniforms sorted by ``_block_sorts`` and keeps that
-    order, so its draws come sorted within each block of ``_INTERP_BLOCK``
-    and ``interp`` reads them without sorting again.  ``_sample`` scatters
-    them back, so the stream of `sample` is the inverse CDF at the uniforms
-    in generator order.  A shift keeps the order, since rounding y + c is
-    monotone in y.
+    order None means y is in generator order.  A mixture of two or more
+    components draws its component labels; every mixture then draws one
+    standard normal per sample, scaled and shifted in place, and returns its
+    draws in generator order.  A table inverts its trapezoid CDF at uniforms
+    sorted by ``_block_sorts`` and keeps that order, so its draws come sorted
+    within each block of ``_INTERP_BLOCK`` and ``interp`` reads them without
+    sorting again.  ``_sample`` scatters them back, so the stream of `sample`
+    is the inverse CDF at the uniforms in generator order.  A shift keeps the
+    order, since rounding y + c is monotone in y.
     """
-    if isinstance(model, Gaussian):
-        return rng.normal(model.mean, model.stddev, n), None
     if isinstance(model, GaussianMixture):
-        w = np.array([c[0] for c in model.components])
-        means = np.array([c[1] for c in model.components])
-        stds = np.array([c[2] for c in model.components])
+        w, means, stds = np.array(model.components).T
         # the labels Generator.choice(len(w), n, p=w / w.sum()) draws: the
         # count of its normalised cumulative weights at or below a uniform,
-        # found here without its searchsorted
-        cdf = (w / w.sum()).cumsum()
-        cdf /= cdf[-1]
-        u = rng.random(n)
-        idx = np.zeros(n, dtype=np.min_scalar_type(len(w) - 1))
-        for c in cdf[:-1].tolist():
-            idx += u >= c
+        # found here without its searchsorted.  One component draws no
+        # labels, and its scaled and shifted normals are those of
+        # Generator.normal(mean, stddev, n) bit for bit.
+        idx = 0
+        if len(w) > 1:
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            u = rng.random(n)
+            idx = np.zeros(n, dtype=np.min_scalar_type(len(w) - 1))
+            for c in cdf[:-1].tolist():
+                idx += u >= c
         y = rng.standard_normal(n)
         y *= stds[idx]
         y += means[idx]

@@ -252,40 +252,16 @@ class AlphaRow:
     error: str | None = None
 
 
-def _model_std(model: DensityModel) -> float:
-    """Standard deviation of a density model (noise scale for SNR)."""
-    if isinstance(model, density.Gaussian):
-        return model.stddev
-    if isinstance(model, density.GaussianMixture):
-        w = np.array([c[0] for c in model.components], dtype=float)
-        mu = np.array([c[1] for c in model.components], dtype=float)
-        sd = np.array([c[2] for c in model.components], dtype=float)
-        w = w / w.sum()
-        mean = float(np.sum(w * mu))
-        var = float(np.sum(w * (sd**2 + mu**2)) - mean**2)
-        return math.sqrt(var)
-    if isinstance(model, density.Shifted):
-        return _model_std(model.base)
-    if isinstance(model, density.Tabulated):
-        pts, val = model.points, model.values
-        w = density.trapezoid_weights(pts)
-        mass = float(np.sum(w * val))
-        mean = float(np.sum(w * pts * val)) / mass
-        var = float(np.sum(w * (pts - mean) ** 2 * val)) / mass
-        return math.sqrt(var)
-    raise TypeError(f"not a density model: {model!r}")
-
-
 def snr_of(amplitude: float, noise: DensityModel) -> float:
     """Signal-to-noise ratio 20*log10(A/std) in dB."""
     if amplitude <= 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    return 20.0 * math.log10(amplitude / _model_std(noise))
+    return 20.0 * math.log10(amplitude / density._std(noise))
 
 
 def amplitudes_from_snr(snr_db, noise: DensityModel) -> list[float]:
     """Signal amplitudes realizing the given SNR values (in dB)."""
-    s = _model_std(noise)
+    s = density._std(noise)
     return [s * 10.0 ** (float(v) / 20.0) for v in snr_db]
 
 

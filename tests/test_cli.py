@@ -64,8 +64,7 @@ def run_main(args, capsys):
 
 def test_parse_density_grammar():
     g = parse_density(" gaussian(0.5, 2) ")
-    assert isinstance(g, density.Gaussian)
-    assert (g.mean, g.stddev) == (0.5, 2.0)
+    assert g.components == ((1.0, 0.5, 2.0),)
     m = parse_density(MIX0)
     assert isinstance(m, density.GaussianMixture)
     s = parse_density(MIX1)
@@ -105,6 +104,20 @@ def test_parse_density_rejects_malformed(tmp_path):
     unsorted.write_text("y,value\n0,1\n2,1\n1,1\n")
     with pytest.raises(ConfigError, match="increasing"):
         parse_density(f"table({unsorted})")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("y,value\n0,1\n1,0.5,7\n2,1\n")
+    with pytest.raises(ConfigError, match="malformed table"):
+        parse_density(f"table({wide})")
+
+
+def test_table_with_an_infinite_point_exits_1(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("y,value\n0,0.1\n1,0.5\n2,0.3\ninf,0.1\n")
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"command = solve\nnominal0 = table({path})\nnominal1 = gaussian(1,1)\n"
+                   "alpha = 2\neps0 = 0.05\neps1 = 0.05\n")
+    code, _, err = run_main(["--config", str(cfg), "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 1 and "points must be finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,34 @@ def test_gaussian_rejects_bad_scale():
         density.gaussian(0.0, 0.0)
     with pytest.raises(ValueError):
         density.gaussian(0.0, -1.0)
+    # a scale that would make the support infinite or NaN is named as such
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="stddev"):
+            density.gaussian(0.0, bad)
+        with pytest.raises(ValueError, match="stddev"):
+            density.gaussian_mixture([(0.5, 0.0, 1.0), (0.5, 1.0, bad)])
+
+
+def test_gaussian_is_the_one_component_mixture():
+    g = density.gaussian(2.5, 0.3)
+    m = density.gaussian_mixture([(1.0, 2.5, 0.3)])
+    assert isinstance(g, density.GaussianMixture)
+    assert g.components == m.components == ((1.0, 2.5, 0.3),)
+    assert g.support == m.support
+
+
+@pytest.mark.parametrize("mean, stddev", [(0.0, 1.0), (2.5, 0.3), (-1.0, 1.7)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_one_component_sampling_is_generator_normal(mean, stddev, seed):
+    want = np.random.default_rng(seed).normal(mean, stddev, 20_001)
+    for model in (density.gaussian(mean, stddev),
+                  density.gaussian_mixture([(1.0, mean, stddev)])):
+        assert np.array_equal(density.sample(model, 20_001, seed), want)
+        # no label uniforms are drawn: the generator stands where normal() leaves it
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        density._sample(model, 20_001, rng)
+        ref.normal(mean, stddev, 20_001)
+        assert np.array_equal(rng.random(3), ref.random(3))
 
 
 def test_mixture_is_convex_combination():
@@ -86,6 +114,13 @@ def test_tabulated_interpolates_and_vanishes_outside():
     assert density.evaluate(t, 0.125) == pytest.approx(0.5, rel=1e-14)
     assert density.evaluate(t, -0.5) == 0.0
     assert density.evaluate(t, 1.5) == 0.0
+
+
+@pytest.mark.parametrize("points", [[0.0, 1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0, 3.0]])
+def test_tabulated_refuses_non_finite_points(points):
+    # an infinite end would give infinite trapezoid mass and all-zero values
+    with pytest.raises(ValueError, match="points must be finite"):
+        density.tabulated(points, [0.1, 0.5, 0.3, 0.1])
 
 
 def test_trapezoid_weights_reproduce_polynomial_integral():
@@ -129,9 +164,6 @@ def test_likelihood_ratio_matches_pointwise_division():
 
 def _pdf_by_expression(model, y):
     # the allocating form of density._pdf, before it worked in place
-    if isinstance(model, density.Gaussian):
-        z = (y - model.mean) / model.stddev
-        return np.exp(-0.5 * z * z) / (model.stddev * math.sqrt(2.0 * math.pi))
     if isinstance(model, density.GaussianMixture):
         out = np.zeros_like(y)
         for w, m, s in model.components:

@@ -10,6 +10,7 @@ confidence half-widths.
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,24 @@ def test_snr_conversions_roundtrip(mix_noise):
         assert snr_of(a, mix_noise) == pytest.approx(t, abs=1e-12)
     with pytest.raises(ValueError, match="positive"):
         snr_of(0.0, mix_noise)
+
+
+def test_snr_of_a_one_component_mixture_is_exact():
+    # the centred variance of one component is s^2, whose square root is s
+    for noise in (density.gaussian(2.5, 0.3), density.gaussian_mixture([(1.0, 2.5, 0.3)])):
+        assert snr_of(1.1, noise) == 20.0 * math.log10(1.1 / 0.3)
+        assert amplitudes_from_snr([0.0], noise) == [0.3]
+
+
+def test_std_of_an_asymmetric_mixture_is_its_closed_form():
+    # the variance sum w (s^2 + m^2) - mean^2, in exact rational arithmetic
+    w, m, s = (0.3, 0.7), (-1.5, 2.0), (0.5, 1.5)
+    wq, mq, sq = ([Fraction(x) for x in v] for v in (w, m, s))
+    mean = sum(wi * mi for wi, mi in zip(wq, mq)) / sum(wq)
+    var = sum(wi * (si**2 + mi**2) for wi, mi, si in zip(wq, mq, sq)) / sum(wq) - mean**2
+    noise = density.gaussian_mixture(zip(w, m, s))
+    assert density._std(noise) == pytest.approx(math.sqrt(var), rel=1e-15)
+    assert density._std(density.shifted(noise, 4.0)) == density._std(noise)
 
 
 def test_snr_sweep_rows_and_robustness_price():
