@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -121,9 +122,10 @@ def parse_density(spec: str) -> density.DensityModel:
         if len(args) != 2:
             raise ConfigError(f"gaussian takes (mu, sigma), got {spec!r}")
         mu, sigma = (_number(a, "gaussian parameter") for a in args)
-        if sigma <= 0.0:
-            raise ConfigError(f"gaussian needs sigma > 0, got {sigma}")
-        return density.gaussian(mu, sigma)
+        try:
+            return density.gaussian(mu, sigma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if head == "mixture":
         comps = []
         for term in _split_top(body, "+"):
@@ -453,11 +455,12 @@ def _cmd_sweep_alpha(cfg):
 
 def _cmd_sweep_snr(cfg):
     noise = parse_density(_need(cfg, "nominal0"))
+    snr_db = None
     if "amplitudes" in cfg:
         amps = _parse_list(cfg["amplitudes"], "amplitudes")
     elif "snr_db" in cfg:
-        amps = evaluation.amplitudes_from_snr(
-            _parse_list(cfg["snr_db"], "snr_db"), noise)
+        snr_db = _parse_list(cfg["snr_db"], "snr_db")
+        amps = evaluation.amplitudes_from_snr(snr_db, noise)
     else:
         raise ConfigError("sweep-snr needs amplitudes or snr_db")
     spec = DivergenceSpec(alpha=_get_float(cfg, "alpha", 0.5),
@@ -468,7 +471,7 @@ def _cmd_sweep_snr(cfg):
     n, seed = (0, 0)
     if "mc" in cfg:
         n, seed = _parse_mc(cfg["mc"])
-    rows = evaluation.snr_sweep(noise, amps, spec, grid, n,
+    rows = evaluation.snr_sweep(noise, amps, spec, grid, n, snr_db=snr_db,
                                 **({"seed": seed} if n else {}))
     return {"alpha": spec.alpha, "rho": spec.rho}, {
         "snr_db": [r.snr_db for r in rows], "test": [r.test for r in rows],
@@ -522,8 +525,13 @@ def run(cfg: dict[str, str]) -> int:
         return EXIT_CONFIG
 
 
-def main(argv=None) -> int:
-    """Entry point: merge --config file with command-line overrides."""
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call and kept: each
+    add_argument asks for the terminal width, which costs more than a small
+    job's parse, so a process that calls `main` many times builds it once.
+    Help and usage text are formatted when printed, at the terminal width
+    of that moment."""
     p = _Parser(prog="robustlrt", description=__doc__.splitlines()[0])
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--command", choices=COMMANDS)
@@ -535,7 +543,12 @@ def main(argv=None) -> int:
     p.add_argument("--mc", help="n:seed")
     p.add_argument("--out", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"))
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv=None) -> int:
+    """Entry point: merge --config file with command-line overrides."""
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config) if args.config else {}

@@ -267,13 +267,16 @@ def amplitudes_from_snr(snr_db, noise: DensityModel) -> list[float]:
 
 def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
               grid: QuadratureGrid | None = None, n: int = 0, *,
-              seed: int = 20260816) -> list[SnrRow]:
+              seed: int = 20260816, snr_db=None) -> list[SnrRow]:
     """Error probabilities versus signal level for nominal and robust tests.
 
     The observation is signal-plus-noise: under H0 the density is `noise`,
     under H1 it is `noise` shifted by the amplitude A, and
     SNR = 20*log10(A/std(noise)).  Use `amplitudes_from_snr` to start from
-    SNR values instead of amplitudes.
+    SNR values instead of amplitudes, and pass those values as `snr_db` to
+    label each amplitude's rows with its SNR as given: without them the rows
+    carry snr_of(A), and the round trip through 10^(v/20) can miss v in the
+    last bit (5 dB comes back as 4.9999999999999991 on N(0.3, 1.7)).
 
     For each amplitude the sweep emits one row for the plain
     likelihood-ratio test and one per radius pair for the robust test, all
@@ -295,7 +298,9 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
     rows: list[SnrRow] = []
     for i, amp in enumerate(amplitudes):
         amp = float(amp)
-        sdb = snr_of(amp, noise)
+        sdb = snr_of(amp, noise)  # also refuses a nonpositive amplitude
+        if snr_db is not None:
+            sdb = float(snr_db[i])
         f0 = noise
         f1 = density.shifted(noise, amp)
         g = grid if grid is not None else density.grid_for(f0, f1, n=4001)

@@ -11,6 +11,8 @@ bimodal nominals and solving from the tables reproduces the anchor
 thresholds.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 import robustlrt
-from robustlrt import cli, csvtext, density
+from robustlrt import cli, csvtext, density, evaluation
 from robustlrt.cli import ConfigError, parse_density
 from robustlrt.lfd_solver import NonConvergenceError, partition
 
@@ -58,6 +60,16 @@ def run_main(args, capsys):
     return code, out, err
 
 
+def child_env():
+    """The environment of a child interpreter that imports the same robustlrt
+    as this suite, from src/ or an install."""
+    package_root = str(Path(robustlrt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 # ---------------------------------------------------------------------------
 # density spec grammar
 
@@ -84,7 +96,8 @@ def test_parse_density_table(tmp_path):
 
 def test_parse_density_rejects_malformed(tmp_path):
     for bad in ("uniform(0,1)", "gaussian(0,1", "gaussian(0)",
-                "gaussian(a,1)", "gaussian(0,-1)", "shift(gaussian(0,1))",
+                "gaussian(a,1)", "gaussian(0,-1)", "gaussian(0,nan)", "gaussian(0,inf)",
+                "shift(gaussian(0,1))",
                 "mixture(0.5*uniform(0,1)+0.5*gaussian(0,1))",
                 "mixture(gaussian(0,1))", "42"):
         with pytest.raises(ConfigError):
@@ -108,6 +121,19 @@ def test_parse_density_rejects_malformed(tmp_path):
     wide.write_text("y,value\n0,1\n1,0.5,7\n2,1\n")
     with pytest.raises(ConfigError, match="malformed table"):
         parse_density(f"table({wide})")
+
+
+@pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
+def test_bad_gaussian_scale_is_one_config_error(capsys, sigma):
+    # the scale is checked once, by the model, and reported as its message
+    spec = f"gaussian(0,{sigma})"
+    with pytest.raises(ConfigError, match=r"^stddev must be positive, got "):
+        parse_density(spec)
+    code = cli.run({"command": "limits", "nominal0": spec, "nominal1": "gaussian(1,1)",
+                    "alpha": "4", "eps0": "0.01", "grid": "-5:5:101"})
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"configuration error: stddev must be positive, got {float(sigma)}\n"
 
 
 def test_table_with_an_infinite_point_exits_1(tmp_path, capsys):
@@ -492,6 +518,26 @@ def test_sweep_snr_command(tmp_path, capsys):
     for group in (rows[:3], rows[3:]):
         pf = [float(r[4]) for r in group]
         assert pf[0] < pf[1] < pf[2]
+
+
+def test_sweep_snr_echoes_the_requested_snr(capsys):
+    # 10^(5/20) and back gives 4.9999999999999991 dB on this noise, so the
+    # column carries the requested values, not snr_of(amplitude)
+    noise = parse_density("gaussian(0.3,1.7)")
+    amp = evaluation.amplitudes_from_snr([5.0], noise)[0]
+    assert evaluation.snr_of(amp, noise) != 5.0
+    code = cli.run({"command": "sweep-snr", "nominal0": "gaussian(0.3,1.7)",
+                    "snr_db": "-5,0,5", "mc": "2000:4"})
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    _, _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["-5"] * 3 + ["0"] * 3 + ["5"] * 3
+    # with amplitudes the column stays snr_of(amplitude)
+    code = cli.run({"command": "sweep-snr", "nominal0": "gaussian(0.3,1.7)",
+                    "amplitudes": repr(amp), "mc": "2000:4"})
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert {r[0] for r in read_csv(out)[2]} == {"%.17g" % evaluation.snr_of(amp, noise)}
 
 
 # ---------------------------------------------------------------------------
@@ -1028,10 +1074,90 @@ def test_each_command_refuses_the_keys_it_does_not_read(tmp_path, capsys, comman
     assert f"unknown config keys for {command}: {', '.join(sorted(stray))}" in err
 
 
-def test_exit_bad_flag_is_config_error():
-    with pytest.raises(SystemExit) as info:
+def test_exit_bad_flag_is_config_error(capsys):
+    # the usage text goes to the stderr of the failing call, and the parser,
+    # kept for the next call, still serves it
+    failing = io.StringIO()
+    with contextlib.redirect_stderr(failing), pytest.raises(SystemExit) as info:
         cli.main(["--no-such-flag"])
     assert info.value.code == 1
+    text = failing.getvalue()
+    assert text.startswith("usage: robustlrt [-h] [--config CONFIG]")
+    assert text.endswith("\nrobustlrt: error: unrecognized arguments: --no-such-flag\n")
+    assert capsys.readouterr() == ("", "")
+    code, out, err = run_main(LIMITS_ARGS, capsys)
+    assert code == 0 and err == ""
+    assert float(read_csv(out)[2][0][1]) == pytest.approx(LIMITS_A0_PARTNER_OF_02, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: `main` builds it on its first call and reuses it
+
+
+def test_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **k: (built.append(self), init(self, *a, **k))[1])
+    cli._parser.cache_clear()
+    for _ in range(4):
+        code, out, _ = run_main(LIMITS_ARGS, capsys)
+        assert code == 0 and out
+    assert len(built) == 1 and cli._parser() is built[0]
+
+
+# Counts the parsers and arguments built in a fresh interpreter: none at
+# import, one parser of 10 options (and its -h) at the first `main`, no
+# more at later calls.
+COUNT_BUILDS = """\
+import argparse, contextlib, io, sys
+counts = {"parsers": 0, "arguments": 0}
+init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+def counted_init(self, *a, **k):
+    counts["parsers"] += 1
+    init(self, *a, **k)
+def counted_add(self, *a, **k):
+    counts["arguments"] += 1
+    return add(self, *a, **k)
+argparse.ArgumentParser.__init__ = counted_init
+argparse.ArgumentParser.add_argument = counted_add
+from robustlrt import cli
+print(counts["parsers"], counts["arguments"])
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+    print(counts["parsers"], counts["arguments"])
+"""
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run([sys.executable, "-c", COUNT_BUILDS, *LIMITS_ARGS],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 0", "1 11", "1 11", "1 11"]
+
+
+def test_no_flag_leaks_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text("command = limits\nalpha = 0.5\neps0 = 0.2\n")
+    code, out, _ = run_main(["--config", str(cfg), "--eps0", "0.05"], capsys)
+    assert code == 0 and read_csv(out)[2][0][0] == "0.050000000000000003"
+    code, out, _ = run_main(["--config", str(cfg)], capsys)
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert rows[0][0] == "0.20000000000000001"
+    assert float(rows[0][1]) == pytest.approx(LIMITS_A0_PARTNER_OF_02, rel=1e-9)
+
+
+def test_help_is_a_fresh_parsers_help(capsys):
+    cli._parser()  # built before the help call, as in a long-lived process
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == cli._parser.__wrapped__().format_help()
+    assert out.startswith("usage: robustlrt ")
 
 
 def test_exit_nonconvergence(tmp_path, monkeypatch, capsys):
@@ -1135,14 +1261,9 @@ def test_console_script_runs():
     target = scripts.get("robustlrt")
     assert target == "robustlrt.cli:main"
 
-    # The child imports the same robustlrt as this suite, from src/ or an install.
-    package_root = str(Path(robustlrt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", WRAPPER, target, *LIMITS_ARGS],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert_limits_a0_output(proc)
 
     installed = shutil.which("robustlrt")
