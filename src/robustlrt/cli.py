@@ -110,6 +110,14 @@ def _number(tok: str, what: str) -> float:
         raise ConfigError(f"expected a number for {what}, got {tok!r}") from None
 
 
+def _model(spec: str, build, *args) -> density.DensityModel:
+    """build(*args), a model's ValueError reported as a ConfigError naming spec."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in density spec {spec!r}") from None
+
+
 def parse_density(spec: str) -> density.DensityModel:
     """Parse one density spec string (grammar in the module docstring)."""
     s = spec.strip()
@@ -138,13 +146,13 @@ def parse_density(spec: str) -> density.DensityModel:
             if g_tok.split("(", 1)[0].strip() != "gaussian":
                 raise ConfigError(f"mixture components must be gaussians: {term!r}")
             comps.append((w, *comp.components[0][1:]))
-        return density.gaussian_mixture(comps)
+        return _model(spec, density.gaussian_mixture, comps)
     if head == "shift":
         args = _split_top(body, ",")
         if len(args) < 2:
             raise ConfigError(f"shift takes (<spec>, A), got {spec!r}")
         shift_amount = _number(args[-1], "shift amount")
-        return density.shifted(parse_density(",".join(args[:-1])), shift_amount)
+        return _model(spec, density.shifted, parse_density(",".join(args[:-1])), shift_amount)
     if head == "table":
         path = body.strip()
         try:
@@ -164,7 +172,7 @@ def parse_density(spec: str) -> density.DensityModel:
         vs = np.array([r[1] for r in rows])
         if not np.all(np.diff(ys) > 0.0):
             raise ConfigError(f"table {path!r} must have strictly increasing y")
-        return density.tabulated(ys, vs)
+        return _model(spec, density.tabulated, ys, vs)
     raise ConfigError(f"unknown density spec: {spec!r}")
 
 

@@ -102,8 +102,11 @@ def gaussian_mixture(components) -> GaussianMixture:
 
 def shifted(base: DensityModel, shift: float) -> Shifted:
     """Model of ``Y = base + shift``; pdf(y) = base pdf at y - shift."""
+    shift = float(shift)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     lo, hi = base.support
-    return Shifted(base, float(shift), _as_support(lo + shift, hi + shift))
+    return Shifted(base, shift, _as_support(lo + shift, hi + shift))
 
 
 def tabulated(points, values) -> Tabulated:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +49,9 @@ from . import limits
 from .density import (QuadratureGrid, _pointwise, evaluate, interp, ratio_values,
                       tabulated, trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import (I2Geometry, _interior_bracket, _labels, augment_with_crossings,
-                      cell_sums, i2_geometry, i2_power_derivatives, i2_powers, i2_s,
-                      region_split, split_masses)
+from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
+                      augment_with_crossings, grid_values, i2_geometry, i2_power_derivatives,
+                      i2_powers, i2_s, region_split, split_masses)
 from .roots import bracket, brent
 
 
@@ -129,22 +128,11 @@ def partition(l_values, rho: float, t: ThresholdPair) -> np.ndarray:
     return _labels(np.asarray(l_values, dtype=np.float64), rho * t.l_l, rho * t.l_u) + 1
 
 
-class _GridValues(NamedTuple):
-    """What every residual evaluation of one solve reads: the grid points, the
-    nominals on them, their likelihood ratio and their `cell_sums`."""
-
-    points: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
-    l: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-
-
-def _grid_values(nominals, grid: QuadratureGrid) -> _GridValues:
+def _grid_values(nominals, grid: QuadratureGrid) -> GridValues:
+    """What every residual evaluation of one solve reads (`kernels.grid_values`),
+    with the label part of its last region split."""
     f0v, f1v = (values_on(f, grid) for f in nominals)
-    return _GridValues(grid.points, f0v, f1v, ratio_values(f0v, f1v),
-                       cell_sums(grid.points, f0v), cell_sums(grid.points, f1v))
+    return grid_values(grid.points, f0v, f1v, ratio_values(f0v, f1v))
 
 
 @dataclass
@@ -177,26 +165,29 @@ class _EvalState:
         a0, _, b0, a1, _, b1 = self.masses
         alpha, beta, k, l_l, l_u = self.alpha, self.alpha - 1.0, self.k, self.l_l, self.l_u
         kb = _pow(k, beta)
-        dq, ((da0, db0), (da1, db1)) = i2_power_derivatives(self.geo, kb)
+        dq, dm = i2_power_derivatives(self.geo, kb)
+        (da0, db0), (da1, db1) = dm.tolist()
         # (S, T0, T1) in (u, v, k) = (log l_l, log l_u, k): dL/du = beta*L,
         # dU/dv = beta*U, dK/dk = beta*K/k, and d log lo/du = d log hi/dv = 1
-        ds, dt0, dt1 = np.column_stack((beta * self.geo.lb * dq[:, 0] + dq[:, 3],
-                                        beta * self.geo.ub * dq[:, 1] + dq[:, 4],
-                                        (beta * kb / k) * dq[:, 2]))
+        bl, bu, bk = beta * self.geo.lb, beta * self.geo.ub, beta * kb / k
+        ds, dt0, dt1 = ((bl * d[0] + d[3], bu * d[1] + d[4], bk * d[2]) for d in dq.tolist())
         lower, upper, kpow = _pow(l_l, alpha), _pow(k * l_u, alpha), _pow(k, alpha)
         c = 1.0 - 1.0 / self.rho
-        # rows n0, n1, z, psi of r0 = n0/z^alpha - x0, r1 = n1/z^alpha - x1
-        p = np.array((
+        # rows n0, n1, z, psi of r0 = n0/z^alpha - x0, r1 = n1/z^alpha - x1, in
+        # (u, v, k), in Python floats
+        p = [[x + y for x, y in zip(row, dx)] for row, dx in zip((
             (alpha * lower * a0 + lower * da0, alpha * upper * b0 + upper * db0,
              alpha * upper * b0 / k),
             (da1, kpow * db1, alpha * kpow * b1 / k),
             (da1, k * db1, b1),
             (l_l * (a0 + da0) - da1, k * (l_u * (b0 + db0) - db1), l_u * b0 - b1),
-        )) + np.array((dt0, dt1, ds, -c * ds))
-        dk = -p[3, :2] / p[3, 2]
-        tot = p[:3, :2] + np.outer(p[:3, 2], dk)
-        n = np.array((lower * a0 + self.t0_int + upper * b0, a1 + self.t1_int + kpow * b1))
-        return (tot[:2] - np.outer(alpha * n / self.z, tot[2])) / _pow(self.z, alpha)
+        ), (dt0, dt1, ds, [-c * x for x in ds]))]
+        dk = [_div(-x, p[3][2]) for x in p[3][:2]]
+        tot = [[row[m] + row[2] * dk[m] for m in (0, 1)] for row in p[:3]]
+        n = (lower * a0 + self.t0_int + upper * b0, a1 + self.t1_int + kpow * b1)
+        za = _pow(self.z, alpha)
+        return np.array([[_div(row[m] - alpha * n_i / self.z * tot[2][m], za) for m in (0, 1)]
+                         for row, n_i in zip(tot, n)])
 
 
 def _pow(x, p):
@@ -208,15 +199,16 @@ def _pow(x, p):
         return math.inf
 
 
-def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState | None:
+def _eval_state(l_l, l_u, alpha, rho, gv: GridValues, x0, x1) -> _EvalState | None:
     """The residual pair and what its Jacobian needs at thresholds (l_l, l_u);
     None where a region carries no mass, the mass balance has no positive
     root, or a power or z is not positive and finite (NaN included)."""
-    # one region split of the grid gives the masses and the I2 geometry;
+    # one region split of the grid gives the masses and the I2 geometry,
+    # and its label part is the last split's while the knot labels repeat;
     # only the bracket powers depend on k, so off centre each trial k of the
     # mass balance psi(k) costs a few vector operations and one dot product
-    split = region_split(gv.l, gv.points, rho * l_l, rho * l_u)
-    masses = split_masses(split, gv.f0, gv.f1, gv.c0, gv.c1)
+    split = region_split(gv, rho * l_l, rho * l_u)
+    masses = split_masses(split)
     a0, m0, b0, a1, m1, b1 = masses
     num, den = a1 - l_l * a0, l_u * b0 - b1
     if a0 + a1 <= 0.0 or b0 + b1 <= 0.0 or den == 0.0:
@@ -230,7 +222,7 @@ def _eval_state(l_l, l_u, alpha, rho, gv: _GridValues, x0, x1) -> _EvalState | N
         big_l, big_u = _pow(l_l, beta), _pow(l_u, beta)
         if not (0.0 < big_l < math.inf and 0.0 < big_u < math.inf):
             return None
-        geo = i2_geometry(split, gv.f0, gv.f1, rho, beta, alpha, big_l, big_u)
+        geo = i2_geometry(split, rho, beta, alpha, big_l, big_u)
 
     def s_of(k):
         if geo is None:
@@ -392,7 +384,7 @@ def _materialize(spec, t, st, gv, resid_norm) -> RobustSolution:
     )
 
 
-def _preflight(spec: DivergenceSpec, gv: _GridValues, grid: QuadratureGrid) -> None:
+def _preflight(spec: DivergenceSpec, gv: GridValues, grid: QuadratureGrid) -> None:
     """Refuse radii that `limits.validate_eps` does not find strictly inside the
     admissible boundary, judged on the solver's own grid values."""
     try:

@@ -121,6 +121,33 @@ def test_parse_density_rejects_malformed(tmp_path):
     wide.write_text("y,value\n0,1\n1,0.5,7\n2,1\n")
     with pytest.raises(ConfigError, match="malformed table"):
         parse_density(f"table({wide})")
+    # the models' own checks come back as configuration errors that name the spec
+    negative = tmp_path / "neg.csv"
+    negative.write_text("y,value\n0,1\n1,-1\n2,1\n")
+    for bad, message in MODEL_ERRORS + [(f"table({negative})",
+                                         "values must be finite and nonnegative")]:
+        with pytest.raises(ConfigError) as err:
+            parse_density(bad)
+        assert str(err.value) == f"{message} in density spec {bad!r}"
+
+
+# specs the grammar accepts but the density models refuse, with the models' messages
+MODEL_ERRORS = [
+    ("mixture(0.5*gaussian(0,1)+0.6*gaussian(1,1))", "mixture weights sum to 1.1, expected 1"),
+    ("mixture(-0.5*gaussian(0,1)+1.5*gaussian(1,1))", "negative mixture weight -0.5"),
+    ("shift(gaussian(0,1),nan)", "shift must be finite, got nan"),
+    ("shift(gaussian(0,1),inf)", "shift must be finite, got inf"),
+    ("shift(gaussian(0,1),1e308)", "invalid support [1e+308, 1e+308]"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MODEL_ERRORS)
+def test_model_error_is_a_config_error_naming_the_spec(capsys, spec, message):
+    code = cli.run({"command": "limits", "nominal0": spec, "nominal1": "gaussian(1,1)",
+                    "alpha": "4", "eps0": "0.01", "grid": "-5:5:101"})
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"configuration error: {message} in density spec {spec!r}\n"
 
 
 @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])

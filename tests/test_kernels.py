@@ -64,8 +64,8 @@ def reference_i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb
 
 def _i2_powers(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
     """(S, T0, T1) on a fresh region split and I2 geometry."""
-    sp = kernels.region_split(l, points, lo, hi)
-    return kernels.i2_powers(kernels.i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub), kb)
+    sp = kernels.region_split(kernels.grid_values(points, f0, f1, l), lo, hi)
+    return kernels.i2_powers(kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub), kb)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -137,10 +137,9 @@ def test_backend_twins_agree_on_interior_power_integrals(seed):
 
 def _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub):
     """Masses and I2 geometry from one shared region split, geometry first."""
-    sp = kernels.region_split(l, pts, lo, hi)
-    geo = kernels.i2_geometry(sp, f0, f1, rho, beta, alpha, lb_, ub)
-    cells = kernels.cell_sums(pts, f0), kernels.cell_sums(pts, f1)
-    return kernels.split_masses(sp, f0, f1, *cells), geo
+    sp = kernels.region_split(kernels.grid_values(pts, f0, f1, l), lo, hi)
+    geo = kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub)
+    return kernels.split_masses(sp), geo
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -171,10 +170,9 @@ def test_power_derivatives_match_central_differences(seed):
     beta = alpha - 1.0
 
     def state(ll=ll, lu=lu, kb=kb):
-        sp = kernels.region_split(l, pts, rho * ll, rho * lu)
-        geo = kernels.i2_geometry(sp, f0, f1, rho, beta, alpha, ll ** beta, lu ** beta)
-        cells = kernels.cell_sums(pts, f0), kernels.cell_sums(pts, f1)
-        masses = np.array(kernels.split_masses(sp, f0, f1, *cells))[[0, 2, 3, 5]]
+        sp = kernels.region_split(kernels.grid_values(pts, f0, f1, l), rho * ll, rho * lu)
+        geo = kernels.i2_geometry(sp, rho, beta, alpha, ll ** beta, lu ** beta)
+        masses = np.array(kernels.split_masses(sp))[[0, 2, 3, 5]]
         return geo, np.array(kernels.i2_powers(geo, kb)), masses
 
     geo = state()[0]
@@ -191,6 +189,89 @@ def test_power_derivatives_match_central_differences(seed):
     want_m = np.column_stack([(states[i][2] - states[i + 1][2]) / (2 * h) for i in (0, 2)])
     got_m = np.array(((dm[0, 0], 0.0), (0.0, dm[0, 1]), (dm[1, 0], 0.0), (0.0, dm[1, 1])))
     np.testing.assert_allclose(got_m, want_m, rtol=1e-7, atol=1e-9 * np.abs(want_m).max())
+
+
+def reference_power_derivatives(geo, kb):
+    """`kernels.i2_power_derivatives` in whole-array form: the crossing-cell
+    terms as numpy arrays over the piece ends, summed by numpy."""
+    logbr, powers = kernels._i2_integrands(geo, kb)
+    w, p = np.array((geo.w1, geo.w0, geo.w1)), np.array(powers)
+    order = np.array((1.0, geo.alpha, geo.alpha)) / geo.beta
+    br = np.exp(logbr)
+    inv_ul = math.exp(-geo.log_ul)
+    c = math.copysign(inv_ul, geo.beta)
+    dlog = np.array((c * (br / kb - 1.0), c * (1.0 - br), (inv_ul / (kb * kb)) * geo.tl * br))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = w * p
+        fixed = 0.5 * order[:, None] * (q @ dlog.T)
+        up, t1, t2 = geo.up, geo.t1, geo.t2
+        n = up.size
+        e = np.arange(w.shape[1] - 2 * n, w.shape[1])
+        o = np.concatenate((e[n:], e[:n]))
+        at_lo = np.concatenate((up, ~up))
+        rate = np.tile(0.5 / (np.abs(geo.dl) * (t2 - t1)), 2)
+        move = np.where(at_lo, geo.lo, -geo.hi) * rate * np.concatenate((t1 > 0.0, t2 < 1.0))
+        own_l = np.where(at_lo, -geo.beta * geo.lb * dlog[0, e], -geo.beta * geo.ub * dlog[1, e])
+        own_l = order[:, None] * own_l + np.array((0.0, geo.alpha, 0.0))[:, None]
+        ends = (move * (p[:, e] * (w[:, o] - 2.0 * w[:, e]) - q[:, o])
+                + 0.5 * q[:, e] * own_l * (move != 0.0))
+        moved = 2.0 * move * w[:2, e]
+    cols = np.column_stack((ends[:, at_lo].sum(axis=1), ends[:, ~at_lo].sum(axis=1)))
+    masses = np.array(((moved[1, at_lo].sum(), moved[1, ~at_lo].sum()),
+                       (moved[0, at_lo].sum(), moved[0, ~at_lo].sum())))
+    return np.hstack((fixed, cols)), masses
+
+
+def test_power_derivatives_equal_the_array_form():
+    # the crossing-cell terms, worked in Python floats, are bit for bit those
+    # of the whole-array form, on random grids and on a pair whose ratio
+    # crosses the thresholds in 26 cells each
+    seven = density.gaussian_mixture([(1.0 / 7.0, m, 0.6) for m in range(-6, 7, 2)])
+    pts = np.linspace(-10.0, 11.0, 4001)
+    f0, f1 = density.evaluate(seven, pts), density.evaluate(density.shifted(seven, 0.7), pts)
+    cases = [(pts, f0, f1, density.ratio_values(f0, f1), 0.7 * rho, 1.4 * rho, rho, alpha, k)
+             for rho, alpha, k in ((1.0, 4.0, 0.7), (0.8, 0.5, 1.3), (1.2, -1.0, 0.9))]
+    for seed in range(200):
+        rng = np.random.default_rng([7, seed])
+        pts, f0, f1, l, lo, hi = _random_kernel_problem(rng)
+        rho, k = rng.uniform(0.5, 2.0), rng.uniform(0.25, 4.0)
+        cases.append((pts, f0, f1, l, lo, hi, rho, float(rng.choice([-3.0, 0.5, 4.0])), k))
+    most = 0
+    for pts, f0, f1, l, lo, hi, rho, alpha, k in cases:
+        if lo == hi:
+            continue
+        beta = alpha - 1.0
+        sp = kernels.region_split(kernels.grid_values(pts, f0, f1, l), lo, hi)
+        geo = kernels.i2_geometry(sp, rho, beta, alpha, (lo / rho) ** beta, (hi / rho) ** beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = kernels.i2_power_derivatives(geo, k ** beta)
+            want = reference_power_derivatives(geo, k ** beta)
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+        most = max(most, geo.up.size)
+    assert most == 26
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 52, 127, 128, 129, 300, 1001])
+def test_float_sums_take_numpy_order(n):
+    # the crossing-cell terms' sums: from the left as numpy sums each row of
+    # a column-major array, pairwise as it sums a 1-D array; signed zeros,
+    # infinities and NaN included
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        a = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
+        if n and trial % 4 == 1:
+            a[:, rng.integers(0, n, 3)] = -0.0
+        if n and trial % 4 == 2:
+            a[:, rng.integers(0, n)] = rng.choice([np.inf, -np.inf, np.nan])
+        keep = rng.random(n) < 0.6
+        rows = a[:, keep]
+        for got, want in zip([kernels._sum_in_order(r) for r in rows.tolist()],
+                             rows.sum(axis=1).tolist()):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (np.float64(kernels._pairwise_sum(a[0].tolist())).tobytes()
+                == a[0].sum().tobytes())
 
 
 def _random_kernel_problem(rng):

@@ -8,6 +8,7 @@ and the materialized densities attain the requested divergences under the
 generic quadrature of the divergence module.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -126,19 +127,131 @@ def test_off_centre_anchors_are_frozen(mix_nominals, mix_grid, rho, eps0, eps1):
     assert got == pytest.approx(FD_JACOBIAN_ANCHORS[rho, eps0, eps1], rel=1e-12)
 
 
+# (pair, alpha, rho, l_l, l_u) -> (r0, r1, k, z, then the Jacobian's entries
+# row by row) of one residual evaluation at radii (0.02, 0.03), frozen bit
+# for bit: which work an evaluation redoes per label vector and per threshold
+# pair, and how the Jacobian adds up its crossing-cell terms, must not move
+# any of them.  The 7-component "seven" pair has 26 crossing pieces at
+# (0.7, 1.4), so 26 piece ends move with each threshold
+EVALUATION_ANCHORS = {
+    ('mix', 4.0, 1.0, 0.605, 1.618): (
+        -0.00016450890325603318, 0.00027911070315211894, 0.5837848192011756,
+        0.7354613462658705, 2.013692038664626, 2.946073300672005, -3.8017467245758843,
+        -2.5677017565725824),
+    ('mix', 4.0, 0.8, 0.6355, 1.2953): (
+        -0.10791194284468064, -0.19206700478251704, 0.6856590052105285, 0.7609508485115714,
+        0.7282626240477408, 2.63895364868398, -1.7093913532774794, -2.338839401155835),
+    ('mix', 4.0, 1.2, 0.6711, 1.9215): (
+        0.00011311759152587975, -0.0001689470906693913, 0.5495821869064945,
+        0.7754205596780356, 3.3905783600841075, 1.7706042755770437, -4.811650217070058,
+        -1.136273428917979),
+    ('mix', 0.5, 1.0, 0.6, 1.7): (
+        -0.0016378875203035825, 0.0027721649959512318, 0.6208085999540089,
+        0.7443863698891048, -0.042515034299390374, -0.06206998342763696,
+        0.05204090426982204, 0.036272868897635833),
+    ('mix', -1.0, 1.0, 0.6, 1.7): (
+        0.009635995515781648, -0.0245897437887328, 0.6208085999540089, 0.7347058904199719,
+        0.31913344112427383, 0.46098787960390697, -0.38573173794335014, -0.2713266061873338),
+    ('mix', 2.0, 1.0, 0.6, 1.6): (
+        -0.010660472873438964, 0.001880045266178465, 0.5604428781250123, 0.7067874925758302,
+        0.26237024315925783, 0.38144451429805865, -0.5731849782976809, -0.38125854735898396),
+    ('norm', 2.0, 1.2, 0.55, 1.8): (
+        -0.00045830154730719386, 0.019554989096521647, 0.5156074740422814,
+        0.6040927591172569, 0.05896710240463236, 0.197644071919111, -0.35607049093140297,
+        -0.05712903414983331),
+    ('norm', -1.0, 1.0, 0.6, 1.6): (
+        -0.016234377040688308, -0.02957443080389699, 0.5929504019149728, 0.6520991377966798,
+        0.030289313556602592, 0.12395451273830689, -0.13859957218707705,
+        -0.03331954213250345),
+    ('seven', 4.0, 1.0, 0.7, 1.4): (
+        -0.1500893483381911, -0.14738286081824326, 0.6587692596690562, 0.7943268218312964,
+        2.084871244384234, 2.5932480705397896, -4.267847177651437, -3.2917585947443424),
+    ('seven', 0.5, 0.8, 0.7, 1.4): (
+        -0.03264898315266551, 0.0003243340141892981, 2.033269773252344, 1.7504091719642334,
+        -0.03757110951151131, -0.4439468395572397, -0.026869131901516984,
+        -0.15623085366301206),
+    ('seven', -1.0, 1.2, 0.7, 1.4): (
+        0.028120040720338357, 0.33695491660638166, 0.24642443535192501, 0.6114333329305784,
+        -1.890326309232991, -0.4215096696260317, -6.647930158530614, -0.7105681158868038),
+    ('seven', 4.0, 1.0, 0.4, 1.3): (
+        3.3520474376897447, 32.847701697579865, 0.08962255034409349, 0.14029919376736025,
+        -14.706005064656676, -45.810593737221666, -227.8835887982074, -373.7774541695971),
+}
+
+
+def _seven_pair():
+    """sum of (1/7)*N(m, 0.6^2), m = -6, -4, ..., 6, against its shift by 0.7."""
+    seven = density.gaussian_mixture([(1.0 / 7.0, m, 0.6) for m in range(-6, 7, 2)])
+    return (seven, density.shifted(seven, 0.7)), density.make_grid(-10.0, 11.0, 4001)
+
+
+@pytest.fixture(scope="module")
+def anchor_pairs(mix_nominals, mix_grid, norm_pair, norm_grid):
+    return {"mix": (mix_nominals, mix_grid), "norm": (norm_pair, norm_grid),
+            "seven": _seven_pair()}
+
+
+def test_residual_evaluations_are_frozen(anchor_pairs):
+    # each state on a fresh grid record, and every state of a pair in turn on
+    # one record, which hands its last label part from one state to the next
+    warm = {name: lfd_solver._grid_values(*pair) for name, pair in anchor_pairs.items()}
+    ends = []
+    for (name, alpha, rho, ll, lu), want in EVALUATION_ANCHORS.items():
+        x0, x1 = divergence.x_of(alpha, 0.02), divergence.x_of(alpha, 0.03)
+        for gv in (lfd_solver._grid_values(*anchor_pairs[name]), warm[name]):
+            st = lfd_solver._eval_state(ll, lu, alpha, rho, gv, x0, x1)
+            got = (st.r0, st.r1, st.k, st.z, *st.jacobian().ravel().tolist())
+            assert got == want, (name, alpha, rho, ll, lu)
+        ends.append(st.geo.up.size)
+    assert max(ends) >= 9
+
+
+def _bits(st):
+    """Every field of a residual evaluation, its geometry's and its Jacobian as bytes."""
+    values = [getattr(st, f.name) for f in dataclasses.fields(st) if f.name != "geo"]
+    return [np.asarray(v).tobytes() for v in [*values, *st.geo, st.jacobian()]]
+
+
+def test_reused_label_part_gives_the_fresh_evaluation(mix_nominals, mix_grid):
+    # an evaluation that takes the last split's label part equals one on a
+    # fresh grid record bit for bit: while the thresholds move and the knot
+    # labels stay, after rho moves them, and after the labels change
+    alpha, x0, x1 = 4.0, divergence.x_of(4.0, 0.011), divergence.x_of(4.0, 0.014)
+    ll, lu, rho = 0.6355, 1.2953, 0.8
+    gv = lfd_solver._grid_values(mix_nominals, mix_grid)
+    path = [(ll, lu, rho), (ll * (1.0 + 1e-9), lu, rho), (ll, lu * (1.0 - 1e-9), rho),
+            (ll, lu, rho * (1.0 + 1e-9)), (ll, lu, rho), (0.62, 1.31, rho), (0.62, 1.31, 0.9)]
+    parts = []
+    for ll, lu, rho in path:
+        warm = lfd_solver._eval_state(ll, lu, alpha, rho, gv, x0, x1)
+        fresh = lfd_solver._eval_state(ll, lu, alpha, rho,
+                                       lfd_solver._grid_values(mix_nominals, mix_grid), x0, x1)
+        assert _bits(warm) == _bits(fresh), (ll, lu, rho)
+        parts.append(gv.last[0])
+        # the powers of l/rho at the whole I2 knots are those of this rho
+        assert parts[-1].powered[0] == (rho, alpha - 1.0, alpha)
+    # the first five share one label part; new labels replace it
+    assert all(part is parts[0] for part in parts[:5])
+    assert parts[5] is not parts[4] and parts[6] is not parts[5]
+
+
 def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix_grid):
     # one region split per residual evaluation serves the masses and the I2
     # geometry; each trial k of the off-centre mass balance only reweighs
-    # the I2 knots of that geometry
+    # the I2 knots of that geometry.  Every split labels the grid's knots,
+    # but it rebuilds its label part (crossing cells, whole-cell sums, whole
+    # I2 knots) only when the labels differ from the last split's
     evals = count_calls(lfd_solver, "_eval_state")
     geometries = count_calls(lfd_solver, "i2_geometry")
     trials = count_calls(lfd_solver, "i2_s")
-    grid_wide = [count_calls(kernels, name) for name in ("_labels", "_crossing_cells")]
+    labels = count_calls(kernels, "_labels")
+    parts = count_calls(kernels, "_label_part")
     lfd_solver.solve_thresholds(DivergenceSpec(alpha=4.0, rho=0.8, eps0=0.011, eps1=0.014),
                                 mix_nominals, mix_grid)
     assert evals[0] > 0
-    # and one more split places the crossing knots of the returned tables
-    assert [c[0] for c in grid_wide] == [evals[0] + 1, evals[0] + 1]
+    # and one more labelling places the crossing knots of the returned tables
+    assert labels[0] == evals[0] + 1
+    assert 0 < parts[0] < evals[0]
     assert geometries[0] == evals[0]
     assert trials[0] > 3 * evals[0]
 
