@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -130,10 +131,7 @@ def parse_density(spec: str) -> density.DensityModel:
         if len(args) != 2:
             raise ConfigError(f"gaussian takes (mu, sigma), got {spec!r}")
         mu, sigma = (_number(a, "gaussian parameter") for a in args)
-        try:
-            return density.gaussian(mu, sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _model(spec, density.gaussian, mu, sigma)
     if head == "mixture":
         comps = []
         for term in _split_top(body, "+"):
@@ -498,39 +496,48 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(cfg: dict[str, str]) -> int:
     """Dispatch one parsed configuration, write its table; returns the exit code."""
-    try:
-        command = _need(cfg, "command")
-        if command not in COMMANDS:
-            raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-        _check_keys(command, cfg)
-        fmt = cfg.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {fmt!r}")
-        text = _render(fmt, *_HANDLERS[command](cfg))
-        out = cfg.get("out", "-")
-        if out == "-":
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {out!r}: {exc}") from None
-        return EXIT_OK
-    except (InfeasibleEpsError, limits.NoBoundaryPointError) as exc:
-        print(f"infeasible radii: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NonConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # a warning the command raises is one stderr line, like an error;
+        # the filters stay the caller's
+        warnings.showwarning = _print_warning
+        try:
+            command = _need(cfg, "command")
+            if command not in COMMANDS:
+                raise ConfigError(
+                    f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+            _check_keys(command, cfg)
+            fmt = cfg.get("format", "csv")
+            if fmt not in ("csv", "json"):
+                raise ConfigError(f"format must be csv or json, got {fmt!r}")
+            text = _render(fmt, *_HANDLERS[command](cfg))
+            out = cfg.get("out", "-")
+            if out == "-":
+                sys.stdout.write(text)
+            else:
+                try:
+                    with open(out, "w") as fh:
+                        fh.write(text)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {out!r}: {exc}") from None
+            return EXIT_OK
+        except (InfeasibleEpsError, limits.NoBoundaryPointError) as exc:
+            print(f"infeasible radii: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except NonConvergenceError as exc:
+            print(f"solver did not converge: {exc}", file=sys.stderr)
+            return EXIT_NONCONVERGENCE
+        except ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 @functools.cache

@@ -12,12 +12,15 @@ Analytic models are truncated to a finite support chosen wide enough that the
 discarded tail mass is negligible (below 1e-10).  Tabulated models are
 renormalized at construction so that their trapezoid integral over their own
 grid equals one; downstream formulas assume unit mass.  Table lookups, both
-here and for the solver's tabulated rule, go through ``interp``, and a
-table's sampler sorts its uniforms in the same blocks (``_block_sorts``).
+here and for the solver's tabulated rule, go through a ``TableLookup`` that
+the table's owner keeps: np.interp's values at queries in any order, from
+a bucket index built once per table, so Monte Carlo draws are looked up in
+the order the generator made them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -30,8 +33,8 @@ PEAK_CUTOFF = 1e-16
 
 _SUPPORT_RADIUS_SIGMA = math.sqrt(-2.0 * math.log(PEAK_CUTOFF)) + 0.5  # ~9.1
 
-# Queries per sorted block in `interp`: enough to amortize the sort, few
-# enough that the block's index and value arrays stay small.
+# Queries per block of a `TableLookup`, and draws per block of the Monte
+# Carlo decision count: few enough that a block's temporaries stay small.
 _INTERP_BLOCK = 1 << 16
 
 
@@ -65,12 +68,28 @@ class Tabulated:
 
     Values are renormalized at construction so the trapezoid integral over
     the points equals one.  Evaluation interpolates linearly between points
-    and is zero outside of them.
+    and is zero outside of them.  The model keeps a `TableLookup` of each
+    table it reads: its pdf, and the inverse of its trapezoid CDF for
+    sampling.
     """
 
     points: np.ndarray
     values: np.ndarray
     support: tuple[float, float]
+
+    @functools.cached_property
+    def _pdf_lookup(self) -> "TableLookup":
+        return TableLookup(self.points, self.values, 0.0, 0.0)
+
+    @functools.cached_property
+    def _inverse_cdf(self) -> "TableLookup":
+        # the trapezoid CDF at the points, inverted by linear interpolation
+        pts, val = self.points, self.values
+        inc = np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))
+        cdf = np.concatenate(([0.0], inc))
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return TableLookup(cdf, pts)
 
 
 DensityModel = Union[GaussianMixture, Shifted, Tabulated]
@@ -187,42 +206,122 @@ def grid_for(*models: DensityModel, n: int = 4001) -> QuadratureGrid:
     return make_grid(lo, hi, n)
 
 
-def _block_sorts(x: np.ndarray):
-    """Yield (start, order) for each block of ``_INTERP_BLOCK`` values of the flat array x.
+class _BucketIndex:
+    """Guide table of one table (xp, fp): np.interp's value at queries in any order.
 
-    order is the argsort of x[start:start + _INTERP_BLOCK], or None when the
-    block is in order (non-decreasing) already.  A NaN fails every
-    comparison, so a block holding one among other values is sorted, and
-    the NaN moves to the block's end.
+    The span of xp is cut into M = 2 len(xp) equal buckets (Chen & Asau,
+    *Computing* 13, 1974; Devroye, *Non-Uniform Random Variate Generation*,
+    1986, III.2.4), and a value's bucket is the same rounded arithmetic for
+    knots and queries, so it is monotone in the value.  Every knot of a
+    lower bucket then lies at or below a query, and every knot of a higher
+    one above it: a query whose bucket holds at most one knot finds np.interp's
+    knot j (the last with xp[j] <= x) by one comparison with the first knot
+    at or above its bucket, and the few queries whose bucket holds more
+    (CDF tails, duplicate knots) bisect.  The value is
+    slope[j] * (x - xp[j]) + fp[j], np.interp's own arithmetic.  It differs
+    from np.interp's only at np.interp's special cases: x = xp[j] (it returns
+    fp[j]), a NaN retried from the cell's other end, and the last knot.  On
+    a table whose values, slopes and span are finite and whose values hold
+    no -0.0, the arithmetic gives those same values; on any other table the
+    queries at a knot or with a NaN value are handed to np.interp.
     """
-    for s in range(0, x.size, _INTERP_BLOCK):
-        xb = x[s:s + _INTERP_BLOCK]
-        yield s, None if xb.size < 2 or np.all(xb[1:] >= xb[:-1]) else np.argsort(xb)
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray, left, right):
+        n = xp.size
+        self.xp, self.fp = xp, fp
+        self.xp0, self.xpn = float(xp[0]), float(xp[-1])
+        self.left = fp[0] if left is None else left
+        self.right = fp[-1] if right is None else right
+        self.top = float(2 * n - 1)
+        with np.errstate(all="ignore"):
+            self.scale = self.top / (self.xpn - self.xp0)
+            buckets = self._buckets(xp)
+            first = np.searchsorted(buckets, np.arange(2 * n), "left")
+            crowded = np.searchsorted(buckets, np.arange(2 * n), "right") - first >= 2
+            first = np.minimum(first, n - 1)
+            # a crowded bucket's queries compare with NaN, stay at -2 and bisect
+            self.below = np.where(crowded, -2, first - 1)
+            self.edge = np.where(crowded, np.nan, xp[first])
+            self.crowded = bool(crowded.any())
+            # the last knot's slope only multiplies x - xp[-1], which is 0 there
+            self.slope = np.append(np.diff(fp) / np.diff(xp), 1.0)
+            cells = self.slope[:-1][np.diff(xp) > 0.0]
+            self.plain = bool(math.isfinite(self.xpn - self.xp0)
+                              and np.all(np.isfinite(fp)) and np.all(np.isfinite(cells))
+                              and not np.any(np.signbit(fp) & (fp == 0.0)))
+
+    def _buckets(self, v: np.ndarray) -> np.ndarray:
+        # fmax and fmin send a NaN to bucket 0, where its value comes out NaN
+        t = v - self.xp0
+        t *= self.scale
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, self.top, out=t)
+        return t.astype(np.intp)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write np.interp(x, xp, fp, left, right) into out, which may be x."""
+        with np.errstate(all="ignore"):
+            if not self.plain:
+                x = x.copy()  # the fix-up reads x after out, which may be x, is written
+            k = self._buckets(x)
+            j = self.below.take(k)
+            j += x >= self.edge.take(k)
+            if self.crowded:
+                bisect = np.flatnonzero(j == -2)
+                j[bisect] = np.searchsorted(self.xp, x[bisect], "right") - 1
+            below, above = x < self.xp0, x > self.xpn
+            xj = self.xp.take(j)
+            at_knot = None if self.plain else x == xj
+            np.subtract(x, xj, out=out)
+            out *= self.slope.take(j)
+            out += self.fp.take(j)
+            np.copyto(out, self.left, where=below)
+            np.copyto(out, self.right, where=above)
+            if at_knot is not None:
+                redo = np.flatnonzero(at_knot | np.isnan(out))
+                out[redo] = np.interp(x[redo], self.xp, self.fp, self.left, self.right)
 
 
-def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
-    """``np.interp(x, xp, fp, left, right)`` as an array, fast on unordered x.
+class TableLookup:
+    """``np.interp(x, xp, fp, left, right)`` on one table, fast on queries in any order.
 
     np.interp bisects afresh for every query that does not lie near the one
     before it, so a million samples in random order cost a bisection each.
-    Here the queries go in blocks of ``_INTERP_BLOCK`` (``_block_sorts``):
-    a block in random order is sorted, looked up in order and scattered
-    back, and a block already in order, such as a table's Monte Carlo draws
-    from ``_sample_in_block_order``, is looked up directly.  np.interp's
-    value at a query depends only on that query (the knot j with
-    xp[j] <= x < xp[j+1] is unique), so the result equals np.interp's
-    element for element, ends and NaNs included.
+    Here the queries go in blocks of ``_INTERP_BLOCK``: a block in order
+    (non-decreasing), such as a quadrature grid, goes to np.interp, and any
+    other block to a bucket index of the table (`_BucketIndex`), built on
+    the first such block and kept.  np.interp's value at a query depends
+    only on that query (the knot j with xp[j] <= x < xp[j+1] is unique), so
+    the result equals np.interp's element for element, ends, NaNs and signs
+    of zero included.  The object keeping a lookup keeps xp and fp unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    for s, order in _block_sorts(flat):
-        xb, ob = flat[s:s + _INTERP_BLOCK], out[s:s + _INTERP_BLOCK]
-        if order is None:
-            ob[:] = np.interp(xb, xp, fp, left, right)
-        else:
-            ob[order] = np.interp(xb[order], xp, fp, left, right)
-    return out.reshape(x.shape)
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray, left=None, right=None):
+        self.xp, self.fp, self.left, self.right = xp, fp, left, right
+        self._index = None
+
+    def __call__(self, x, out: np.ndarray | None = None) -> np.ndarray:
+        """Values at x, shaped like x; a flat float array out, which may be x
+        itself, receives them."""
+        x = np.asarray(x, dtype=np.float64)
+        flat = x.ravel()
+        res = np.empty_like(flat) if out is None else out
+        for s in range(0, flat.size, _INTERP_BLOCK):
+            xb, ob = flat[s:s + _INTERP_BLOCK], res[s:s + _INTERP_BLOCK]
+            if xb.size < 2 or np.all(xb[1:] >= xb[:-1]):
+                ob[:] = np.interp(xb, self.xp, self.fp, self.left, self.right)
+            else:
+                if self._index is None:
+                    self._index = _BucketIndex(self.xp, self.fp, self.left, self.right)
+                self._index(xb, ob)
+        return res.reshape(x.shape)
+
+
+def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
+    """``np.interp(x, xp, fp, left, right)`` as an array, through a `TableLookup`
+    made for this call; a table read many times keeps its own lookup."""
+    return TableLookup(np.asarray(xp, dtype=np.float64), np.asarray(fp, dtype=np.float64),
+                       left, right)(x)
 
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
@@ -245,7 +344,7 @@ def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     elif isinstance(model, Shifted):
         return _pdf(model.base, y - model.shift)
     elif isinstance(model, Tabulated):
-        out = interp(y, model.points, model.values, left=0.0, right=0.0)
+        out = model._pdf_lookup(y)
     else:
         raise TypeError(f"not a density model: {model!r}")
     # analytic models are evaluated exactly everywhere; `support` only sets
@@ -336,29 +435,13 @@ def sample(model: DensityModel, n: int, seed: int) -> np.ndarray:
 
 
 def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from the model using rng, in the order the generator made them."""
-    y, order = _sample_in_block_order(model, n, rng)
-    if order is None:
-        return y
-    out = np.empty_like(y)
-    out[order] = y
-    return out
+    """n draws from the model using rng, in the order the generator made them.
 
-
-def _sample_in_block_order(model: DensityModel, n: int,
-                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """n draws from the model using rng, and the order they are returned in.
-
-    Returns (y, order): y[i] is the draw the generator made order[i]-th, and
-    order None means y is in generator order.  A mixture of two or more
-    components draws its component labels; every mixture then draws one
-    standard normal per sample, scaled and shifted in place, and returns its
-    draws in generator order.  A table inverts its trapezoid CDF at uniforms
-    sorted by ``_block_sorts`` and keeps that order, so its draws come sorted
-    within each block of ``_INTERP_BLOCK`` and ``interp`` reads them without
-    sorting again.  ``_sample`` scatters them back, so the stream of `sample`
-    is the inverse CDF at the uniforms in generator order.  A shift keeps the
-    order, since rounding y + c is monotone in y.
+    A mixture of two or more components draws its component labels; every
+    mixture then draws one standard normal per sample, scaled and shifted
+    in place.  A table draws n uniforms and writes over them its inverse
+    CDF at each, looked up in generator order.  A shift adds its amount in
+    place.
     """
     if isinstance(model, GaussianMixture):
         w, means, stds = np.array(model.components).T
@@ -378,23 +461,12 @@ def _sample_in_block_order(model: DensityModel, n: int,
         y = rng.standard_normal(n)
         y *= stds[idx]
         y += means[idx]
-        return y, None
+        return y
     if isinstance(model, Shifted):
-        y, order = _sample_in_block_order(model.base, n, rng)
+        y = _sample(model.base, n, rng)
         y += model.shift
-        return y, order
+        return y
     if isinstance(model, Tabulated):
-        # inverse CDF on the tabulation grid with linear interpolation
-        pts, val = model.points, model.values
-        inc = np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))
-        cdf = np.concatenate(([0.0], inc))
-        cdf /= cdf[-1]
         u = rng.uniform(0.0, 1.0, n)
-        order = np.arange(n)
-        for s, ob in _block_sorts(u):
-            if ob is not None:
-                ub = u[s:s + ob.size]
-                ub[:] = ub[ob]
-                np.add(ob, s, out=order[s:s + ob.size])
-        return np.interp(u, cdf, pts), order
+        return model._inverse_cdf(u, out=u)
     raise TypeError(f"not a density model: {model!r}")

@@ -161,22 +161,19 @@ def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
 def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> int:
     """Count of randomized decisions for the alternative on n draws of model.
 
-    The draws come from `density._sample_in_block_order`, which returns a
-    table's draws sorted within blocks of ``density._INTERP_BLOCK``.  The
-    decision uniforms follow the draws in the stream and are drawn one such
-    block at a time, which gives the same values as one call for all n.
-    Each block's uniforms get that block's permutation of the draws, so
-    each draw meets the uniform drawn at its own place in generator order;
-    only the order of the pairs differs.  Counting block by block keeps the
-    uniforms, the rule values and the comparisons to one block's size.
+    The n draws come first in the stream, in generator order
+    (`density._sample`).  The decision uniforms follow them and are drawn
+    one block of ``density._INTERP_BLOCK`` at a time, which gives the same
+    values as one call for all n, so each draw meets the uniform drawn at
+    its own place.  Counting block by block keeps the uniforms, the rule
+    values and the comparisons to one block's size; a tabulated rule looks
+    every block up through the one index it keeps.
     """
-    y, order = density._sample_in_block_order(model, n, rng)
+    y = density._sample(model, n, rng)
     hits = 0
     for s in range(0, n, density._INTERP_BLOCK):
         yb = y[s:s + density._INTERP_BLOCK]
         u = rng.uniform(0.0, 1.0, yb.size)
-        if order is not None:
-            u = u[order[s:s + yb.size] - s]
         hits += int(np.count_nonzero(u < _rule_values(delta, yb)))
     return hits
 
@@ -190,12 +187,11 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     and reports 95% normal-approximation confidence half-widths.  The two
     hypotheses use disjoint deterministic substreams of the seed, so
     results are reproducible and uncorrelated across hypotheses.  Each
-    draw is paired with the uniform drawn at its place in the stream
-    (`_decisions`); a table's pairs come in block-sorted order, which lets
-    a tabulated rule read them without sorting.  `_decisions` counts
+    draw is paired with the uniform drawn at its place in the stream, and
+    the pairs stay in generator order (`_decisions`).  `_decisions` counts
     u < delta(y) one block at a time; the count, an exact integer sum,
-    depends neither on the order of the pairs nor on the blocks, and
-    count / n is the mean of the decisions bit for bit.
+    does not depend on the blocks, and count / n is the mean of the
+    decisions bit for bit.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")

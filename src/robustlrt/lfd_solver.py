@@ -39,6 +39,7 @@ solver's split-cell integrals to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .density import (QuadratureGrid, _pointwise, evaluate, interp, ratio_values,
+from .density import (QuadratureGrid, TableLookup, _pointwise, evaluate, ratio_values,
                       tabulated, trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
@@ -89,17 +90,28 @@ class TabulatedFunction:
     """Piecewise-linear function of y given by its values on grid points.
 
     Outside the points it holds the end values.  A call looks y up through
-    ``density.interp``, which gives np.interp's values: it sorts queries in
-    random order in blocks, so Monte Carlo samples do not pay a bisection
-    each, and reads queries already in block order, such as a table's
-    draws in `monte_carlo_errors`, directly.
+    the function's one ``density.TableLookup``, which gives np.interp's
+    values: queries in order go to np.interp, and others, such as the
+    Monte Carlo draws of `monte_carlo_errors`, to a bucket index built on
+    the first call that needs it and kept for the next.  The points and
+    values are made read-only, so the index stays that of the table.
     """
 
     points: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        for name in ("points", "values"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def _lookup(self) -> TableLookup:
+        return TableLookup(self.points, self.values)
+
     def __call__(self, y):
-        return _pointwise(lambda yv: interp(yv, self.points, self.values), y)
+        return _pointwise(self._lookup, y)
 
 
 @dataclass(frozen=True)

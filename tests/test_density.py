@@ -1,6 +1,7 @@
 """Density models, quadrature grids, and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,9 +256,8 @@ def test_mixture_labels_are_those_of_generator_choice(weights):
     w, means, stds = (np.array(c) for c in zip(*m.components))
     for seed in (0, 7, 12345):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        y, order = density._sample_in_block_order(m, 20_000, rng)
+        y = density._sample(m, 20_000, rng)
         idx = ref.choice(len(w), size=20_000, p=w / w.sum())
-        assert order is None
         assert np.array_equal(np.rint(y / 100.0), idx)
         assert np.array_equal(y, ref.normal(means[idx], stds[idx]))
         assert np.array_equal(rng.random(5), ref.random(5))
@@ -277,17 +277,21 @@ def test_tabulated_sampling_is_the_inverse_cdf_stream():
 
 
 @pytest.mark.parametrize("n", [1, 1000, density._INTERP_BLOCK + 1, 3 * density._INTERP_BLOCK + 5])
-def test_table_draws_in_block_order_are_the_stream_permuted(n):
-    t = density.tabulated(np.linspace(-3.0, 3.0, 601), np.exp(-np.linspace(-3.0, 3.0, 601) ** 2))
-    for model in (t, density.shifted(t, 0.75)):
-        y, order = density._sample_in_block_order(model, n, np.random.default_rng(2))
-        stream = density.sample(model, n, seed=2)
-        assert np.array_equal(np.sort(order), np.arange(n))
-        assert np.array_equal(y, stream[order])
-        assert _in_order(y)
-    y, order = density._sample_in_block_order(density.gaussian(0.0, 1.0), n,
-                                              np.random.default_rng(2))
-    assert order is None and np.array_equal(y, density.sample(density.gaussian(0.0, 1.0), n, 2))
+def test_table_draws_come_in_generator_order(n):
+    # the draws are the inverse CDF at the uniforms, in the order drawn, and
+    # the generator stands where those n uniforms leave it
+    pts = np.linspace(-3.0, 3.0, 601)
+    t = density.tabulated(pts, np.exp(-pts**2))
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (t.values[1:] + t.values[:-1]) * np.diff(pts))))
+    cdf /= cdf[-1]
+    for model, shift in ((t, 0.0), (density.shifted(t, 0.75), 0.75)):
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        y = density._sample(model, n, rng)
+        want = np.interp(ref.uniform(0.0, 1.0, n), cdf, pts)
+        assert np.array_equal(y, want + shift)
+        assert np.array_equal(rng.random(5), ref.random(5))
+    assert np.array_equal(density.sample(density.gaussian(0.0, 1.0), n, 2),
+                          np.random.default_rng(2).normal(0.0, 1.0, n))
 
 
 def test_tabulated_sampling_matches_cdf():
@@ -368,28 +372,46 @@ def test_interp_at_block_edge_sizes(size):
     _assert_interp_is_np_interp(x, xp, fp)
 
 
-def _in_order(x):
-    # every block of x is looked up directly, with nothing sorted or moved
-    return all(order is None for _, order in density._block_sorts(x))
-
-
 def _ordered_queries(xp):
     rng = np.random.default_rng(12)
     return np.sort(rng.uniform(xp[0] - 0.5, xp[-1] + 0.5, 3 * density._INTERP_BLOCK + 7))
 
 
-def test_interp_reads_sorted_queries_directly():
+def _counted_np_interp(monkeypatch):
+    calls = []
+    real = np.interp
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
+def test_interp_reads_sorted_queries_directly(monkeypatch):
+    # a block in order goes to np.interp whole, and no index is built
     xp = np.linspace(-2.0, 3.0, 1001)
     fp = np.sin(3.0 * xp) + 2.0
     x = _ordered_queries(xp)
     ties = np.repeat(x[::4], 4)
     with_inf = np.concatenate([[-np.inf, -np.inf], x, [np.inf]])
     for q in (x, ties, with_inf):
-        assert _in_order(q)
+        want = np.interp(q, xp, fp)
+        calls = _counted_np_interp(monkeypatch)
+        lookup = density.TableLookup(xp, fp)
+        assert np.array_equal(lookup(q), want)
+        monkeypatch.undo()
+        b = density._INTERP_BLOCK
+        assert calls == [min(b, q.size - s) for s in range(0, q.size, b)]
+        assert lookup._index is None
         _assert_interp_is_np_interp(q, xp, fp)
 
 
-def test_interp_sorts_descending_and_nan_holding_blocks():
+def test_interp_looks_other_blocks_up_through_one_kept_index(monkeypatch):
+    # descending, NaN-holding and shuffled blocks go to the bucket index,
+    # built on the first of them and kept; blocks in order still go to
+    # np.interp, and on a table with finite values no query goes there else
     xp = np.linspace(-2.0, 3.0, 1001)
     fp = np.sin(3.0 * xp) + 2.0
     x = _ordered_queries(xp)
@@ -398,10 +420,63 @@ def test_interp_sorts_descending_and_nan_holding_blocks():
     with_nan[b + 100] = np.nan
     unsorted_after_sorted = x.copy()
     np.random.default_rng(13).shuffle(unsorted_after_sorted[b:])
-    for q in (x[::-1], with_nan, unsorted_after_sorted):
-        assert not _in_order(q)
+    lookup = density.TableLookup(xp, fp)
+    assert lookup._index is None
+    kept = []
+    for q, in_order in ((x[::-1], 0), (with_nan, 3), (unsorted_after_sorted, 1)):
+        want = np.interp(q, xp, fp)
+        calls = _counted_np_interp(monkeypatch)
+        got = lookup(q)
+        monkeypatch.undo()
+        assert np.array_equal(got, want, equal_nan=True)
+        assert len(calls) == in_order
+        kept.append(lookup._index)
         _assert_interp_is_np_interp(q, xp, fp)
-    # only the NaN's block is sorted, and the NaN goes to its end
-    orders = [order for _, order in density._block_sorts(with_nan)]
-    assert [order is None for order in orders] == [True, False, True, True]
-    assert orders[1][-1] == 100
+    assert kept[0] is not None and all(index is kept[0] for index in kept)
+
+
+def _adversarial_tables(rng):
+    """(name, xp, fp) tables that meet np.interp's special cases."""
+    geometric = np.geomspace(1e-6, 1e3, 500) - 2.0
+    gaps = rng.exponential(1.0, 400) ** 4
+    ragged = np.concatenate(([0.0], np.cumsum(gaps)))
+    dup = np.sort(np.concatenate([np.linspace(0.0, 1.0, 300), np.full(5, 0.25),
+                                  np.full(3, 0.5), np.linspace(0.7, 0.8, 7).repeat(2)]))
+    smooth = np.cos(np.linspace(0.0, 7.0, 300))
+    with_zeros = smooth.copy()
+    with_zeros[::7] = -0.0
+    with_zeros[-1] = -0.0
+    with_inf = smooth.copy()
+    with_inf[[3, 4, 50, 120, 121, 299]] = [np.inf, np.inf, -np.inf, np.inf, 1.0, -np.inf]
+    return [("geometric", geometric, np.sin(geometric)),
+            ("exponential^4 gaps", ragged, rng.standard_normal(ragged.size)),
+            ("duplicate knots", dup, rng.standard_normal(dup.size)),
+            ("-0.0 values", np.linspace(-1.0, 1.0, 300), with_zeros),
+            ("infinite values", np.linspace(-1.0, 1.0, 300), with_inf),
+            ("cdf of a table with zero cells", *_flat_cdf())]
+
+
+def _flat_cdf():
+    pts = np.linspace(-3.0, 3.0, 601)
+    val = np.exp(-pts * pts)
+    val[:40] = 0.0
+    val[100:180] = 0.0
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))))
+    return cdf / cdf[-1], pts
+
+
+def test_lookup_equals_np_interp_on_adversarial_tables():
+    rng = np.random.default_rng(14)
+    for name, xp, fp in _adversarial_tables(rng):
+        span = xp[-1] - xp[0]
+        x = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                            rng.uniform(xp[0] - 0.1 * span, xp[-1] + 0.1 * span, 20_000),
+                            [-np.inf, np.inf, np.nan, np.nan, -1e308, 1e308]])
+        rng.shuffle(x)
+        for left, right in ((None, None), (0.0, 0.0), (np.nan, np.nan)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = density.TableLookup(xp, fp, left, right)(x)
+            want = np.interp(x, xp, fp, left, right)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name

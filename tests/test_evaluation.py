@@ -211,16 +211,35 @@ def test_monte_carlo_checks_the_rule_on_the_last_partial_block(h, mix_solution, 
 
 def test_monte_carlo_memory_is_the_draws_and_one_block(norm_pair, norm_solution_40k):
     # 10^6 draws take 7.6 MiB; the bound leaves room for one block's
-    # uniforms, rule values and comparisons, not for 10^6 of each (30-40 MiB)
-    f0, f1 = norm_pair
-    for rule in (lrt_rule(norm_pair, 1.0), norm_solution_40k.delta_hat):
+    # uniforms, rule values and comparisons, not for 10^6 of each (30-40 MiB).
+    # A table's draws are written over its uniforms, so sampling the LFD
+    # tables keeps to the same bound
+    sol = norm_solution_40k
+    runs = [(lrt_rule(norm_pair, 1.0), norm_pair), (sol.delta_hat, norm_pair),
+            (sol.delta_hat, (sol.g0_hat, sol.g1_hat))]
+    for rule, (f0, f1) in runs:
         tracemalloc.start()
         try:
             monte_carlo_errors(rule, f0, f1, 1.0, 1_000_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, (rule, peak / 2**20)
+        assert peak < 16 * 2**20, (rule, f0, peak / 2**20)
+
+
+def test_monte_carlo_builds_each_table_index_once(count_calls, mix_solution):
+    # the rule is read once per block, so it keeps its index across blocks
+    # and runs; each LFD table keeps the index of its inverse CDF
+    sol = mix_solution
+    rule = TabulatedFunction(sol.delta_hat.points, sol.delta_hat.values)
+    models = [density.tabulated(m.points, m.values) for m in (sol.g0_hat, sol.g1_hat)]
+    built = count_calls(density, "_BucketIndex")
+    n = 3 * density._INTERP_BLOCK + 5
+    first = monte_carlo_errors(rule, *models, 1.0, n, seed=4)
+    assert built[0] == 3
+    assert monte_carlo_errors(rule, *models, 1.0, n, seed=4) == first
+    assert built[0] == 3
+    assert not rule.points.flags.writeable and not rule.values.flags.writeable
 
 
 def test_monte_carlo_agrees_with_quadrature(mix_solution, mix_nominals):
