@@ -290,7 +290,9 @@ class TableLookup:
     Here the queries go in blocks of ``_INTERP_BLOCK``: a block in order
     (non-decreasing), such as a quadrature grid, goes to np.interp, and any
     other block to a bucket index of the table (`_BucketIndex`), built on
-    the first such block and kept.  np.interp's value at a query depends
+    the first such block and kept.  A block's first pair is compared before
+    the whole block is checked for order, so about half of the unordered
+    blocks skip that pass.  np.interp's value at a query depends
     only on that query (the knot j with xp[j] <= x < xp[j+1] is unique), so
     the result equals np.interp's element for element, ends, NaNs and signs
     of zero included.  The object keeping a lookup keeps xp and fp unchanged.
@@ -308,7 +310,7 @@ class TableLookup:
         res = np.empty_like(flat) if out is None else out
         for s in range(0, flat.size, _INTERP_BLOCK):
             xb, ob = flat[s:s + _INTERP_BLOCK], res[s:s + _INTERP_BLOCK]
-            if xb.size < 2 or np.all(xb[1:] >= xb[:-1]):
+            if xb.size < 2 or (xb[1] >= xb[0] and np.all(xb[1:] >= xb[:-1])):
                 ob[:] = np.interp(xb, self.xp, self.fp, self.left, self.right)
             else:
                 if self._index is None:
@@ -326,21 +328,25 @@ def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     # in place, in the operation order of w * exp(-0.5 * z * z) / c, so the
-    # values are those of that expression bit for bit; for one component of
-    # weight 1 the multiply and the sum into zeros are exact
+    # values are those of that expression bit for bit; the first term is
+    # written straight into the output, which equals adding it to zeros
+    # (a term is never -0.0), and a weight of 1 is not multiplied
     if isinstance(model, GaussianMixture):
-        out = np.zeros_like(y)
+        out = t = np.empty_like(y)
         z = np.empty_like(y)
-        t = np.empty_like(y)
-        for w, m, s in model.components:
+        for i, (w, m, s) in enumerate(model.components):
+            if i == 1:
+                t = np.empty_like(y)
             np.subtract(y, m, out=z)
             z /= s
             np.multiply(z, -0.5, out=t)
             t *= z
             np.exp(t, out=t)
-            t *= w
+            if w != 1.0:
+                t *= w
             t /= s * math.sqrt(2.0 * math.pi)
-            out += t
+            if t is not out:
+                out += t
     elif isinstance(model, Shifted):
         return _pdf(model.base, y - model.shift)
     elif isinstance(model, Tabulated):
@@ -437,36 +443,46 @@ def sample(model: DensityModel, n: int, seed: int) -> np.ndarray:
 def _sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the model using rng, in the order the generator made them.
 
-    A mixture of two or more components draws its component labels; every
-    mixture then draws one standard normal per sample, scaled and shifted
-    in place.  A table draws n uniforms and writes over them its inverse
-    CDF at each, looked up in generator order.  A shift adds its amount in
-    place.
+    A mixture of two or more components first draws its n component labels,
+    one block of ``_INTERP_BLOCK`` uniforms at a time, so only the labels
+    and one block of uniforms are held.  Every mixture then draws one
+    standard normal per sample and scales and shifts it in place, block by
+    block for two or more components.  A table draws n uniforms and writes
+    over them its inverse CDF at each, looked up in generator order.  A
+    shift adds its amount in place.
     """
     if isinstance(model, GaussianMixture):
         w, means, stds = np.array(model.components).T
+        if len(w) == 1:
+            # Generator.normal(mean, stddev, n) bit for bit
+            y = rng.standard_normal(n)
+            y *= stds[0]
+            y += means[0]
+            return y
         # the labels Generator.choice(len(w), n, p=w / w.sum()) draws: the
         # count of its normalised cumulative weights at or below a uniform,
-        # found here without its searchsorted.  One component draws no
-        # labels, and its scaled and shifted normals are those of
-        # Generator.normal(mean, stddev, n) bit for bit.
-        idx = 0
-        if len(w) > 1:
-            cdf = (w / w.sum()).cumsum()
-            cdf /= cdf[-1]
-            u = rng.random(n)
-            idx = np.zeros(n, dtype=np.min_scalar_type(len(w) - 1))
-            for c in cdf[:-1].tolist():
-                idx += u >= c
+        # found here without its searchsorted.  Blocks of uniforms give the
+        # values of one call for all n.
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        cuts = cdf[:-1].tolist()
+        idx = np.zeros(n, dtype=np.min_scalar_type(len(w) - 1))
+        for s in range(0, n, _INTERP_BLOCK):
+            ib = idx[s:s + _INTERP_BLOCK]
+            u = rng.random(ib.size)
+            for c in cuts:
+                ib += u >= c
         y = rng.standard_normal(n)
-        y *= stds[idx]
-        y += means[idx]
+        for s in range(0, n, _INTERP_BLOCK):
+            yb, ib = y[s:s + _INTERP_BLOCK], idx[s:s + _INTERP_BLOCK]
+            yb *= stds.take(ib)
+            yb += means.take(ib)
         return y
     if isinstance(model, Shifted):
         y = _sample(model.base, n, rng)
         y += model.shift
         return y
     if isinstance(model, Tabulated):
-        u = rng.uniform(0.0, 1.0, n)
+        u = rng.random(n)
         return model._inverse_cdf(u, out=u)
     raise TypeError(f"not a density model: {model!r}")

@@ -88,8 +88,9 @@ def _bayes(p_f: float, p_m: float, rho: float) -> float:
 
 
 def _rule_values(delta, y: np.ndarray) -> np.ndarray:
-    """Values at the points y, clipped to [0, 1], of a rule given as a callable
-    (a scalar result holds everywhere) or as an array of values at y."""
+    """Values at the points y of a rule given as a callable (a scalar result
+    holds everywhere) or as an array of values at y, checked to lie in
+    [0, 1] up to 1e-9 and not clipped; a NaN passes the check."""
     if callable(delta):
         v = np.asarray(delta(y), dtype=float)
         if v.shape == ():
@@ -98,11 +99,13 @@ def _rule_values(delta, y: np.ndarray) -> np.ndarray:
         v = np.asarray(delta, dtype=float)
     if v.shape != y.shape:
         raise ValueError(f"rule values have shape {v.shape}, points have {y.shape}")
-    if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
+    # the range by the extremes first; a NaN fails it and goes elementwise
+    if not (v.min() >= -1e-9 and v.max() <= 1.0 + 1e-9):
         bad = v[(v < -1e-9) | (v > 1.0 + 1e-9)]
-        raise ValueError(
-            f"decision rule values must lie in [0, 1]; found {bad[:3]}")
-    return np.clip(v, 0.0, 1.0)
+        if bad.size:
+            raise ValueError(
+                f"decision rule values must lie in [0, 1]; found {bad[:3]}")
+    return v
 
 
 def error_probs(delta, g0, g1, rho: float, grid: QuadratureGrid) -> ErrorReport:
@@ -113,7 +116,7 @@ def error_probs(delta, g0, g1, rho: float, grid: QuadratureGrid) -> ErrorReport:
     Bayes error satisfies P_E = (rho*P_F + P_M)/(1+rho) exactly by
     construction.
     """
-    dv = _rule_values(delta, grid.points)
+    dv = np.clip(_rule_values(delta, grid.points), 0.0, 1.0)
     g0v = density.values_on(g0, grid)
     g1v = density.values_on(g1, grid)
     w = grid.weights
@@ -163,17 +166,20 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
 
     The n draws come first in the stream, in generator order
     (`density._sample`).  The decision uniforms follow them and are drawn
+    with Generator.random, which gives the doubles of uniform(0.0, 1.0),
     one block of ``density._INTERP_BLOCK`` at a time, which gives the same
     values as one call for all n, so each draw meets the uniform drawn at
     its own place.  Counting block by block keeps the uniforms, the rule
     values and the comparisons to one block's size; a tabulated rule looks
-    every block up through the one index it keeps.
+    every block up through the one index it keeps.  The rule values are
+    compared unclipped: a uniform u lies in [0, 1), so u < v and
+    u < clip(v, 0, 1) agree for every v, NaN included.
     """
     y = density._sample(model, n, rng)
     hits = 0
     for s in range(0, n, density._INTERP_BLOCK):
         yb = y[s:s + density._INTERP_BLOCK]
-        u = rng.uniform(0.0, 1.0, yb.size)
+        u = rng.random(yb.size)
         hits += int(np.count_nonzero(u < _rule_values(delta, yb)))
     return hits
 

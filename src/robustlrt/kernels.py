@@ -41,8 +41,9 @@ threshold pair, and `split_masses` integrates the region masses on that
 split.  The interior power integrals take two more steps.  `i2_geometry`
 gathers the I2 knots of the split with their trapezoid weights times f0
 and f1 and the k-independent parts of the bracket, once per threshold
-pair.  `i2_powers` then gives (S, T0, T1) for one balance power K with a
-few vector operations and a dot product per integral, and `i2_s` gives S
+pair.  `_i2_integrands` works the integrands for one balance power K with
+a few vector operations, `i2_powers` gives (S, T0, T1) from them with a
+dot product per integral, and `i2_s` gives S
 alone, the one integral the off-centre mass balance in k needs.
 `i2_power_derivatives` gives the derivatives of (S, T0, T1) and of the
 region masses that the solver's Newton step needs; it works the few
@@ -328,8 +329,9 @@ def _i2_integrands(geo, kb):
         return logbr, (np.exp(logbr / geo.beta), np.exp(pw + geo.alog), np.exp(pw))
 
 
-def i2_powers(geo, kb):
-    """(S, T0, T1) bracket-power integrals over I2 on the geometry `geo` for K = kb.
+def i2_powers(geo, integrands):
+    """(S, T0, T1) bracket-power integrals over I2 on the geometry `geo`, from
+    its integrands `_i2_integrands(geo, kb)` for K = kb.
 
     S  = integral of Br^(1/beta) * f1,
     T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
@@ -337,13 +339,14 @@ def i2_powers(geo, kb):
     with the interior bracket Br of `_interior_bracket`, evaluated in its
     rearranged all-nonnegative form to avoid cancellation.
     """
-    _, (ps, p0, p1) = _i2_integrands(geo, kb)
+    _, (ps, p0, p1) = integrands
     return 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
 
 
-def i2_power_derivatives(geo, kb):
+def i2_power_derivatives(geo, kb, integrands):
     """The partial derivatives of (S, T0, T1) of `i2_powers` and those of the
-    region masses, all on the region split of the geometry `geo`.
+    region masses, all on the region split of the geometry `geo`, for K = kb
+    and its integrands `_i2_integrands(geo, kb)`.
 
     The first item is a 3x5 array: row i holds the derivatives of the i-th
     integral in L, U and K with the knots held fixed, then in log lo and
@@ -371,7 +374,7 @@ def i2_power_derivatives(geo, kb):
     the branches meet continuously (at t = L the bracket is 1, at t = U it
     is K); on the grid they leave the quadrature's share.
     """
-    logbr, powers = _i2_integrands(geo, kb)
+    logbr, powers = integrands
     w, p = np.array((geo.w1, geo.w0, geo.w1)), np.array(powers)
     alpha, beta = geo.alpha, geo.beta
     order = (1.0 / beta, alpha / beta, alpha / beta)

@@ -480,3 +480,57 @@ def test_lookup_equals_np_interp_on_adversarial_tables():
             want = np.interp(x, xp, fp, left, right)
             assert np.array_equal(got, want, equal_nan=True), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("n", [1, density._INTERP_BLOCK, density._INTERP_BLOCK + 3])
+def test_generator_random_is_uniform_on_the_unit_interval(n):
+    # the samplers and the decision count draw their uniforms with random(n)
+    # for uniform(0.0, 1.0, n): the same doubles, and the stream left at the
+    # same place
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(a.random(n).view(np.uint64), b.uniform(0.0, 1.0, n).view(np.uint64))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def _edge_blocks(xp, rng):
+    """(name, block) pairs of unsorted blocks at a table's edges, and a sorted
+    block whose first two values tie."""
+    inner = rng.uniform(xp[0], xp[-1], 2000)
+    blocks = {"ends exactly at xp[0] and xp[-1]": np.concatenate([inner, xp[[0, -1, 0, -1]]]),
+              "one value just below": np.append(inner, np.nextafter(xp[0], -np.inf)),
+              "one value just above": np.append(inner, np.nextafter(xp[-1], np.inf))}
+    for name, v in (("NaN", np.nan), ("+inf", np.inf), ("-inf", -np.inf)):
+        blocks[f"one {name}"] = np.append(inner, v)
+    for block in blocks.values():
+        rng.shuffle(block)
+    tie = np.sort(inner)
+    tie[1] = tie[0]
+    blocks["sorted, first two tied"] = tie
+    return blocks
+
+
+def test_lookup_equals_np_interp_on_blocks_at_the_table_edges():
+    # values exactly at the table's ends, just outside it and not finite
+    # look up as np.interp's.  The first table's span times its bucket
+    # scale rounds one ulp above the top bucket
+    rng = np.random.default_rng(15)
+    xp = np.linspace(-1.097256479952076, 2.3488601759804593, 3571)
+    tables = [("rounded-up span", xp, np.cos(xp)), ("uniform", np.linspace(-8.0, 9.0, 4001),
+                                                   np.exp(-np.linspace(-8.0, 9.0, 4001) ** 2))]
+    tables += _adversarial_tables(rng)
+    plain = []
+    for name, xp, fp in tables:
+        for block_name, x in _edge_blocks(xp, rng).items():
+            for left, right in ((None, None), (0.0, 0.0), (np.nan, np.nan)):
+                lookup = density.TableLookup(xp, fp, left, right)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = lookup(x)
+                want = np.interp(x, xp, fp, left, right)
+                assert np.array_equal(got, want, equal_nan=True), (name, block_name)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (name, block_name)
+                # a sorted block goes to np.interp, its tied first pair too
+                assert (lookup._index is None) == block_name.startswith("sorted"), block_name
+                if lookup._index is not None:
+                    plain.append(lookup._index.plain)
+    assert any(plain) and not all(plain)

@@ -178,8 +178,13 @@ def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_n
         "shifted tables": (density.shifted(sol.g0_hat, 0.25), density.shifted(sol.g1_hat, -0.25)),
         "gaussian": norm_pair,
     }
+    # rule values a little outside [0, 1] and NaN values are compared
+    # unclipped against the uniforms, and count as the clipped values would
+    def edges(y):
+        return np.where(y > 0.5, 1.0 + 5e-10, np.where(y < -0.5, -5e-10, np.nan))
+
     for name, (m0, m1) in pairs.items():
-        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0), lambda y: 0.25):
+        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0), lambda y: 0.25, edges):
             got = monte_carlo_errors(rule, m0, m1, 1.0, n, seed=n + 17)
             assert (got.p_false_alarm, got.p_miss) == \
                 _monte_carlo_in_generator_order(rule, m0, m1, n, n + 17), name
@@ -209,14 +214,18 @@ def test_monte_carlo_checks_the_rule_on_the_last_partial_block(h, mix_solution, 
             monte_carlo_errors(rule, *models, 1.0, n, seed=seed)
 
 
-def test_monte_carlo_memory_is_the_draws_and_one_block(norm_pair, norm_solution_40k):
+def test_monte_carlo_memory_is_the_draws_and_one_block(norm_pair, norm_solution_40k,
+                                                       mix_nominals, mix_solution):
     # 10^6 draws take 7.6 MiB; the bound leaves room for one block's
     # uniforms, rule values and comparisons, not for 10^6 of each (30-40 MiB).
-    # A table's draws are written over its uniforms, so sampling the LFD
-    # tables keeps to the same bound
+    # A table's draws are written over its uniforms, and a mixture holds its
+    # 10^6 one-byte labels and one block of their uniforms, so sampling the
+    # LFD tables or the anchor mixture keeps to the same bound
     sol = norm_solution_40k
     runs = [(lrt_rule(norm_pair, 1.0), norm_pair), (sol.delta_hat, norm_pair),
-            (sol.delta_hat, (sol.g0_hat, sol.g1_hat))]
+            (sol.delta_hat, (sol.g0_hat, sol.g1_hat)),
+            (lrt_rule(mix_nominals, 1.0), mix_nominals),
+            (mix_solution.delta_hat, mix_nominals)]
     for rule, (f0, f1) in runs:
         tracemalloc.start()
         try:

@@ -65,7 +65,8 @@ def reference_i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb
 def _i2_powers(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
     """(S, T0, T1) on a fresh region split and I2 geometry."""
     sp = kernels.region_split(kernels.grid_values(points, f0, f1, l), lo, hi)
-    return kernels.i2_powers(kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub), kb)
+    geo = kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub)
+    return kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -156,7 +157,7 @@ def test_one_geometry_serves_every_k(seed):
     for k in (0.3, 0.55, 0.8, 1.7, 0.55):
         kb = k ** beta
         one_shot = _i2_powers(l, f0, f1, pts, lo, hi, rho, beta, alpha, kb, lb_, ub)
-        assert kernels.i2_powers(geo, kb) == one_shot
+        assert kernels.i2_powers(geo, kernels._i2_integrands(geo, kb)) == one_shot
         assert kernels.i2_s(geo, kb) == one_shot[0]
 
 
@@ -173,10 +174,10 @@ def test_power_derivatives_match_central_differences(seed):
         sp = kernels.region_split(kernels.grid_values(pts, f0, f1, l), rho * ll, rho * lu)
         geo = kernels.i2_geometry(sp, rho, beta, alpha, ll ** beta, lu ** beta)
         masses = np.array(kernels.split_masses(sp))[[0, 2, 3, 5]]
-        return geo, np.array(kernels.i2_powers(geo, kb)), masses
+        return geo, np.array(kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))), masses
 
     geo = state()[0]
-    d, dm = kernels.i2_power_derivatives(geo, kb)
+    d, dm = kernels.i2_power_derivatives(geo, kb, kernels._i2_integrands(geo, kb))
     got = np.column_stack((beta * ll ** beta * d[:, 0] + d[:, 3],
                            beta * lu ** beta * d[:, 1] + d[:, 4], kb * d[:, 2]))
     h = 1e-6
@@ -245,7 +246,8 @@ def test_power_derivatives_equal_the_array_form():
         geo = kernels.i2_geometry(sp, rho, beta, alpha, (lo / rho) ** beta, (hi / rho) ** beta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = kernels.i2_power_derivatives(geo, k ** beta)
+            kb = k ** beta
+            got = kernels.i2_power_derivatives(geo, kb, kernels._i2_integrands(geo, kb))
             want = reference_power_derivatives(geo, k ** beta)
         for g, r in zip(got, want):
             assert g.tobytes() == r.tobytes()
@@ -330,7 +332,7 @@ def _check_kernels_against_reference(case, pts, f0, f1, l, lo, hi, rho, alpha, k
         # the solver's path: one split for the masses and the geometry
         shared_masses, geo = _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub)
         assert shared_masses == masses, case
-        powers = kernels.i2_powers(geo, kb)
+        powers = kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))
         np.testing.assert_allclose(powers, want, rtol=1e-10, atol=1e-14, err_msg=case)
         assert kernels.i2_s(geo, kb) == powers[0], case
 
