@@ -34,7 +34,6 @@ from .density import (
 from .divergence import (
     DivergenceSpec,
     alpha_divergence,
-    bhattacharyya,
     check_alpha,
     moment_integral,
     x_of,
@@ -102,7 +101,7 @@ __all__ = [
     "likelihood_ratio", "ratio_values", "sample",
     # divergence
     "DivergenceSpec", "check_alpha", "x_of", "moment_integral",
-    "alpha_divergence", "bhattacharyya",
+    "alpha_divergence",
     # lfd_solver
     "ThresholdPair", "TabulatedFunction", "RobustSolution",
     "DegenerateRegionError", "ParametricInfeasibleError", "InfeasibleEpsError",

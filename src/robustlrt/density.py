@@ -319,13 +319,6 @@ class TableLookup:
         return res.reshape(x.shape)
 
 
-def interp(x, xp, fp, left=None, right=None) -> np.ndarray:
-    """``np.interp(x, xp, fp, left, right)`` as an array, through a `TableLookup`
-    made for this call; a table read many times keeps its own lookup."""
-    return TableLookup(np.asarray(xp, dtype=np.float64), np.asarray(fp, dtype=np.float64),
-                       left, right)(x)
-
-
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     # in place, in the operation order of w * exp(-0.5 * z * z) / c, so the
     # values are those of that expression bit for bit; the first term is

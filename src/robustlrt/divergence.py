@@ -115,9 +115,3 @@ def alpha_divergence(g, f, alpha: float, grid: QuadratureGrid) -> float:
         )
     return d
 
-
-def bhattacharyya(f0, f1, grid: QuadratureGrid) -> float:
-    """Coefficient integral sqrt(f0 * f1); 1 for identical densities, 0 for disjoint."""
-    v0 = values_on(f0, grid)
-    v1 = values_on(f1, grid)
-    return integrate(np.sqrt(v0 * v1), grid)

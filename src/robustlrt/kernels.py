@@ -41,14 +41,14 @@ threshold pair, and `split_masses` integrates the region masses on that
 split.  The interior power integrals take two more steps.  `i2_geometry`
 gathers the I2 knots of the split with their trapezoid weights times f0
 and f1 and the k-independent parts of the bracket, once per threshold
-pair.  `_i2_integrands` works the integrands for one balance power K with
-a few vector operations, `i2_powers` gives (S, T0, T1) from them with a
-dot product per integral, and `i2_s` gives S
-alone, the one integral the off-centre mass balance in k needs.
-`i2_power_derivatives` gives the derivatives of (S, T0, T1) and of the
-region masses that the solver's Newton step needs; it works the few
-crossing-cell terms in Python floats and sums them in the orders numpy
-takes over whole arrays, so they equal their whole-array form bit for bit.
+pair.  `i2_powers(geo, kb)` then gives (S, T0, T1) for one balance power
+K = kb with a few vector operations and a dot product per integral, and
+`i2_s` gives S alone, the one integral the off-centre mass balance in k
+needs.  `i2_power_derivatives(geo, kb)` gives the derivatives of
+(S, T0, T1) and of the region masses that the solver's Newton step needs;
+it works the few crossing-cell terms in Python floats and sums them in the
+orders numpy takes over whole arrays, so they equal their whole-array form
+bit for bit.
 `augment_with_crossings` inserts the ends of the split's I2 pieces
 that lie inside their cells as knots of the solution tables.
 `region_masses` runs the mass steps for one threshold pair.
@@ -329,9 +329,8 @@ def _i2_integrands(geo, kb):
         return logbr, (np.exp(logbr / geo.beta), np.exp(pw + geo.alog), np.exp(pw))
 
 
-def i2_powers(geo, integrands):
-    """(S, T0, T1) bracket-power integrals over I2 on the geometry `geo`, from
-    its integrands `_i2_integrands(geo, kb)` for K = kb.
+def i2_powers(geo, kb):
+    """(S, T0, T1) bracket-power integrals over I2 on the geometry `geo` for K = kb.
 
     S  = integral of Br^(1/beta) * f1,
     T0 = integral of Br^(alpha/beta) * (l/rho)^alpha * f0,
@@ -339,14 +338,13 @@ def i2_powers(geo, integrands):
     with the interior bracket Br of `_interior_bracket`, evaluated in its
     rearranged all-nonnegative form to avoid cancellation.
     """
-    _, (ps, p0, p1) = integrands
+    _, (ps, p0, p1) = _i2_integrands(geo, kb)
     return 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w0 @ p0), 0.5 * float(geo.w1 @ p1)
 
 
-def i2_power_derivatives(geo, kb, integrands):
+def i2_power_derivatives(geo, kb):
     """The partial derivatives of (S, T0, T1) of `i2_powers` and those of the
-    region masses, all on the region split of the geometry `geo`, for K = kb
-    and its integrands `_i2_integrands(geo, kb)`.
+    region masses, all on the region split of the geometry `geo`, for K = kb.
 
     The first item is a 3x5 array: row i holds the derivatives of the i-th
     integral in L, U and K with the knots held fixed, then in log lo and
@@ -374,7 +372,7 @@ def i2_power_derivatives(geo, kb, integrands):
     the branches meet continuously (at t = L the bracket is 1, at t = U it
     is K); on the grid they leave the quadrature's share.
     """
-    logbr, powers = integrands
+    logbr, powers = _i2_integrands(geo, kb)
     w, p = np.array((geo.w1, geo.w0, geo.w1)), np.array(powers)
     alpha, beta = geo.alpha, geo.beta
     order = (1.0 / beta, alpha / beta, alpha / beta)
@@ -418,9 +416,9 @@ def i2_power_derivatives(geo, kb, integrands):
             terms[side].append(2.0 * move * we[i][e])
     # each side's terms summed in the orders numpy takes for the same sums
     # over whole arrays: from the left for the integrals (the rows of a
-    # column-major array), pairwise for the masses (a 1-D array)
+    # column-major array), and by numpy's own 1-D sum for the masses
     cols = [row + [_sum_in_order(side) for side in terms] for row, terms in zip(fixed, ends)]
-    return np.array(cols), np.array([[_pairwise_sum(side) for side in moved[i]] for i in (1, 0)])
+    return np.array(cols), np.array([[np.add.reduce(side) for side in moved[i]] for i in (1, 0)])
 
 
 def _div(a, b):
@@ -437,32 +435,6 @@ def _sum_in_order(xs):
     for x in xs:
         s += x
     return s
-
-
-def _pairwise_sum(xs):
-    """The float sum of xs as numpy sums a contiguous 1-D array: 0.0 plus the
-    pairwise sum, which adds fewer than 8 terms in order, up to 128 in 8
-    interleaved accumulators, and more as two halves split at a multiple of 8."""
-
-    def pairwise(xs):
-        n = len(xs)
-        if n < 8:
-            s = -0.0
-            for x in xs:
-                s += x
-            return s
-        if n > 128:
-            m = n // 2 - n // 2 % 8
-            return pairwise(xs[:m]) + pairwise(xs[m:])
-        r, stop = xs[:8], n - n % 8
-        for i in range(8, stop, 8):
-            r = [a + b for a, b in zip(r, xs[i:i + 8])]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[stop:]:
-            s += x
-        return s
-
-    return 0.0 + pairwise(xs)
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):

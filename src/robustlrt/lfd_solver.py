@@ -50,9 +50,9 @@ from . import limits
 from .density import (QuadratureGrid, TableLookup, _pointwise, evaluate, ratio_values,
                       tabulated, trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
-from .kernels import (GridValues, I2Geometry, _div, _i2_integrands, _interior_bracket,
-                      _labels, augment_with_crossings, grid_values, i2_geometry,
-                      i2_power_derivatives, i2_powers, i2_s, region_split, split_masses)
+from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
+                      augment_with_crossings, grid_values, i2_geometry, i2_power_derivatives,
+                      i2_powers, i2_s, region_split, split_masses)
 from .roots import bracket, brent
 
 
@@ -162,7 +162,6 @@ class _EvalState:
     alpha: float
     rho: float
     geo: I2Geometry | None  # None for equal thresholds
-    integrands: tuple | None  # `_i2_integrands(geo, k^beta)`; None when geo is
 
     def jacobian(self):
         """d(r0, r1)/d(log l_l, log l_u) as a 2x2 array, None for equal thresholds.
@@ -178,7 +177,7 @@ class _EvalState:
         a0, _, b0, a1, _, b1 = self.masses
         alpha, beta, k, l_l, l_u = self.alpha, self.alpha - 1.0, self.k, self.l_l, self.l_u
         kb = _pow(k, beta)
-        dq, dm = i2_power_derivatives(self.geo, kb, self.integrands)
+        dq, dm = i2_power_derivatives(self.geo, kb)
         (da0, db0), (da1, db1) = dm.tolist()
         # (S, T0, T1) in (u, v, k) = (log l_l, log l_u, k): dL/du = beta*L,
         # dU/dv = beta*U, dK/dk = beta*K/k, and d log lo/du = d log hi/dv = 1
@@ -268,24 +267,20 @@ def _eval_state(l_l, l_u, alpha, rho, gv: GridValues, x0, x1) -> _EvalState | No
         if not 0.0 < k < math.inf:
             return None
 
-    integrands = None
     if geo is None:
         s_int, t0_int, t1_int = m1, _pow(l_l, alpha) * m0, m1
     else:
         kb = _pow(k, beta)
         if not 0.0 < kb < math.inf:
             return None
-        # kept for the Jacobian, which reads the same integrands
-        integrands = _i2_integrands(geo, kb)
-        s_int, t0_int, t1_int = i2_powers(geo, integrands)
+        s_int, t0_int, t1_int = i2_powers(geo, kb)
     z = a1 + s_int + k * b1
     if not 0.0 < z < math.inf:
         return None
     za = _pow(z, alpha)
     r0 = (_pow(l_l, alpha) * a0 + t0_int + _pow(k * l_u, alpha) * b0) / za - x0
     r1 = (a1 + t1_int + _pow(k, alpha) * b1) / za - x1
-    return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo,
-                      integrands)
+    return _EvalState(l_l, l_u, k, z, masses, s_int, t0_int, t1_int, r0, r1, alpha, rho, geo)
 
 
 def phi1(l, t: ThresholdPair, alpha: float, rho: float, k: float, z: float):

@@ -7,14 +7,16 @@ splits into three disjoint intervals), so most integration tests share one
 session-scoped solve of it.  `norm_solution_40k` solves N(-1,1) against
 N(1,1) at alpha = 0.5 on 40001 points, where the tails of g0_hat leave
 flat runs in its CDF.  `count_calls` counts the calls a test makes
-to a module-level function, and `saddle_bounds` brackets a solution's
-saddle value exactly on its own grid.
+to a module-level function, `saddle_bounds` brackets a solution's
+saddle value exactly on its own grid, and `mc_in_generator_order`
+recounts a Monte Carlo error estimate in generator order.
 """
 
 import numpy as np
 import pytest
 
 from robustlrt import DivergenceSpec, density, lfd_solver, oracle
+from robustlrt.lfd_solver import TabulatedFunction
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +107,26 @@ def saddle_bounds():
         return lower / (1.0 + rho), saddle / (1.0 + rho), upper / (1.0 + rho)
 
     return bounds
+
+
+@pytest.fixture(scope="session")
+def mc_in_generator_order():
+    """recount(delta, model0, model1, n, seed) -> (p_fa, p_miss) at rho = 1.
+
+    The reference for `evaluation.monte_carlo_errors`, in generator order:
+    per hypothesis h the stream [seed, h] gives the n draws, then one
+    uniform per draw, and a table rule is read through plain np.interp.
+    """
+
+    def recount(delta, model0, model1, n, seed):
+        rule = delta
+        if isinstance(delta, TabulatedFunction):
+            rule = lambda y: np.interp(y, delta.points, delta.values)  # noqa: E731
+        decided = []
+        for h, model in enumerate((model0, model1)):
+            rng = np.random.default_rng([seed, h])
+            y = density._sample(model, n, rng)
+            decided.append(rng.uniform(0.0, 1.0, n) < np.clip(rule(y), 0.0, 1.0))
+        return float(np.mean(decided[0])), float(np.mean(~decided[1]))
+
+    return recount

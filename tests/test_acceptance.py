@@ -19,12 +19,12 @@ import pytest
 from robustlrt import (
     DivergenceSpec,
     alpha_divergence,
-    bhattacharyya,
     cli,
     density,
     evaluation,
     lfd_solver,
     limits,
+    moment_integral,
     oracle,
 )
 from robustlrt.density import gaussian, shifted
@@ -129,7 +129,7 @@ def test_05_closed_form_radius_limits_cross_checked(norm_pair, norm_grid):
     for a, want in expected.items():
         assert limits.hellinger_eps_max(a) == pytest.approx(want, abs=1e-6)
     # the overlap value itself is reproduced by quadrature
-    a_quad = bhattacharyya(norm_pair[0], norm_pair[1], norm_grid)
+    a_quad = moment_integral(norm_pair[0], norm_pair[1], 0.5, norm_grid)
     assert a_quad == pytest.approx(a_mid, abs=1e-8)
     # round trip radius -> overlap -> radius on the diagonal
     rt = 0.0

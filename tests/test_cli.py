@@ -26,9 +26,10 @@ import numpy as np
 import pytest
 
 import robustlrt
-from robustlrt import cli, csvtext, density, evaluation
+from robustlrt import DivergenceSpec, cli, csvtext, density, evaluation
 from robustlrt.cli import ConfigError, parse_density
-from robustlrt.lfd_solver import NonConvergenceError, partition
+from robustlrt.lfd_solver import (NonConvergenceError, partition, solve_symmetric,
+                                  solve_thresholds)
 
 ANCHOR_L_L = 0.6050401521115419
 ANCHOR_L_U = 1.6180169369866289
@@ -477,7 +478,8 @@ def test_surface_widest_case(tmp_path, capsys):
 # evaluate and sweep commands
 
 
-def test_evaluate_rows(tmp_path, capsys):
+def test_evaluate_rows(tmp_path, capsys, anchor_config, mix_solution, mix_nominals,
+                       mc_in_generator_order):
     cfg = tmp_path / "ev.cfg"
     cfg.write_text(
         "command = evaluate\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"
@@ -509,6 +511,23 @@ def test_evaluate_rows(tmp_path, capsys):
     assert [r[2] for r in rows[3:]] == ["monte_carlo"] * 3
     for r in rows[3:]:
         assert float(r[6]) > 0.0 and float(r[7]) > 0.0
+
+    # on the anchor problem, 200003 draws per hypothesis (three blocks of
+    # 2^16 and a partial one): the Monte Carlo rows run at seeds seed,
+    # seed + 1 and seed + 2, each the recount in generator order
+    code, out, err = run_main(["--config", anchor_config, "--command", "evaluate",
+                               "--mc", "200003:3"], capsys)
+    assert code == 0 and err == ""
+    _, _, rows = read_csv(out)
+    sol, lrt = mix_solution, evaluation.lrt_rule(mix_nominals, 1.0)
+    runs = [(sol.delta_hat, (sol.g0_hat, sol.g1_hat)), (sol.delta_hat, mix_nominals),
+            (lrt, mix_nominals)]
+    assert [(r[0], r[1], r[2]) for r in rows[3:]] == [
+        ("robust", "lfd", "monte_carlo"), ("robust", "nominal", "monte_carlo"),
+        ("lrt", "nominal", "monte_carlo")]
+    for i, (row, (rule, models)) in enumerate(zip(rows[3:], runs)):
+        assert (float(row[3]), float(row[4])) == \
+            mc_in_generator_order(rule, *models, 200003, 3 + i), row
 
 
 def test_sweep_alpha_command(tmp_path, capsys):
@@ -562,6 +581,7 @@ def test_sweep_snr_echoes_the_requested_snr(capsys):
     assert code == 0 and err == ""
     _, _, rows = read_csv(out)
     assert [r[0] for r in rows] == ["-5"] * 3 + ["0"] * 3 + ["5"] * 3
+    assert [r[1] for r in rows] == ["nominal", "robust", "robust"] * 3
     # with amplitudes the column stays snr_of(amplitude)
     code = cli.run({"command": "sweep-snr", "nominal0": "gaussian(0.3,1.7)",
                     "amplitudes": repr(amp), "mc": "2000:4"})
@@ -641,11 +661,14 @@ def test_json_writer_matches_json_dumps_indent1(case):
     assert cli._render("json", meta, columns) == _indent1_json(meta, columns)
 
 
-def test_json_writer_matches_json_dumps_on_a_40k_solution(norm_solution_40k):
-    meta, columns = cli._solution_table(norm_solution_40k)
-    text = cli._render("json", meta, columns)
-    assert text == _indent1_json(meta, columns)
-    assert text.startswith('{\n "columns": {\n  "delta_hat": [\n   ')
+def test_json_writer_matches_json_dumps_on_a_40k_solution(norm_solution_40k, norm_pair):
+    spec = DivergenceSpec(alpha=-1.0, eps0=0.085, eps1=0.1)
+    for sol in (norm_solution_40k,
+                solve_thresholds(spec, norm_pair, density.make_grid(-9.0, 9.0, 40001))):
+        meta, columns = cli._solution_table(sol)
+        text = cli._render("json", meta, columns)
+        assert text == _indent1_json(meta, columns)
+        assert text.startswith('{\n "columns": {\n  "delta_hat": [\n   ')
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +910,14 @@ def test_csv_writer_matches_the_row_loop(case, csv_path):
     assert cli._render("csv", meta, columns) == _loop_csv(meta, columns)
 
 
-def test_csv_writer_matches_the_row_loop_on_solutions(mix_solution, norm_solution_40k):
-    for sol in (mix_solution, norm_solution_40k):
+def test_csv_writer_matches_the_row_loop_on_solutions(mix_solution, norm_solution_40k,
+                                                      mix_spec, mix_nominals, norm_pair,
+                                                      norm_grid):
+    # the anchor also on 40001 points, and a symmetric solve's table
+    anchor_40k = solve_thresholds(mix_spec, mix_nominals, density.make_grid(-8.0, 9.0, 40001))
+    symmetric = solve_symmetric(0.2, 2.0, 1.0, norm_pair, norm_grid)
+    assert symmetric.thresholds.l_l * symmetric.thresholds.l_u == pytest.approx(1.0, abs=1e-15)
+    for sol in (mix_solution, norm_solution_40k, anchor_40k, symmetric):
         meta, columns = cli._solution_table(sol)
         assert cli._render("csv", meta, columns) == _loop_csv(meta, columns)
 
@@ -907,6 +936,11 @@ CSV_COMMANDS = {
     "sweep-alpha-failed": {"command": "sweep-alpha", "nominal0": MIX0, "nominal1": MIX1,
                            "alphas": "2, 4", "eps0": "0.02", "eps1": "0.40",
                            "grid": "-8:9:4001"},
+    # the general boundary of the anchor pair
+    "surface-anchor": {"command": "surface", "nominal0": MIX0, "nominal1": MIX1,
+                       "grid": "-8:9:4001", "alpha": "4", "n": "9"},
+    "limits-anchor": {"command": "limits", "nominal0": MIX0, "nominal1": MIX1,
+                      "grid": "-8:9:4001", "alpha": "4", "eps0": "0.02"},
 }
 
 

@@ -1,5 +1,6 @@
 """Density models, quadrature grids, and sampling."""
 
+import itertools
 import math
 import warnings
 
@@ -251,13 +252,14 @@ def test_mixture_sampling_is_the_normal_stream(seed):
                                      (0.15, 0.35, 0.2, 0.3)])
 def test_mixture_labels_are_those_of_generator_choice(weights):
     # components far apart, so each draw shows its label; the generator then
-    # stands where Generator.choice and the normals leave it
+    # stands where Generator.choice and the normals leave it, also after
+    # several blocks of labels
     m = density.gaussian_mixture([(w, 100.0 * i, 0.5 + i) for i, w in enumerate(weights)])
     w, means, stds = (np.array(c) for c in zip(*m.components))
-    for seed in (0, 7, 12345):
+    for seed, n in itertools.product((0, 7, 12345), (20_000, 3 * density._INTERP_BLOCK + 5)):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        y = density._sample(m, 20_000, rng)
-        idx = ref.choice(len(w), size=20_000, p=w / w.sum())
+        y = density._sample(m, n, rng)
+        idx = ref.choice(len(w), size=n, p=w / w.sum())
         assert np.array_equal(np.rint(y / 100.0), idx)
         assert np.array_equal(y, ref.normal(means[idx], stds[idx]))
         assert np.array_equal(rng.random(5), ref.random(5))
@@ -305,12 +307,12 @@ def test_tabulated_sampling_matches_cdf():
 
 
 # ---------------------------------------------------------------------------
-# table lookup: density.interp against np.interp
+# table lookup: density.TableLookup against np.interp
 
 
 def _assert_interp_is_np_interp(x, xp, fp):
     for ends in ({}, {"left": 0.0, "right": 0.0}):
-        got = density.interp(x, xp, fp, **ends)
+        got = density.TableLookup(xp, fp, **ends)(x)
         want = np.interp(x, xp, fp, **ends)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)

@@ -116,11 +116,13 @@ def test_extreme_orders_do_not_overflow():
 
 
 def test_bhattacharyya_unit_for_identical_and_closed_form_apart():
+    # the Bhattacharyya coefficient, integral of sqrt(f0 * f1), is the
+    # moment integral of order 1/2
     f = density.gaussian(0.0, 1.0)
     grid = density.grid_for(f, n=4001)
-    assert divergence.bhattacharyya(f, f, grid) == pytest.approx(1.0, abs=1e-10)
+    assert divergence.moment_integral(f, f, 0.5, grid) == pytest.approx(1.0, abs=1e-10)
     g = density.gaussian(-1.0, 1.0)
     h = density.gaussian(1.0, 1.0)
     grid2 = density.grid_for(g, h, n=4001)
-    assert divergence.bhattacharyya(g, h, grid2) == pytest.approx(
+    assert divergence.moment_integral(g, h, 0.5, grid2) == pytest.approx(
         math.exp(-0.5), abs=1e-10)

@@ -153,30 +153,21 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
     assert got == want
 
 
-def _monte_carlo_in_generator_order(delta, model0, model1, n, seed):
-    # reference in generator order: per hypothesis h the stream [seed, h]
-    # gives the n draws, then one uniform per draw, and a table rule is read
-    # through plain np.interp
-    rule = delta
-    if isinstance(delta, TabulatedFunction):
-        rule = lambda y: np.interp(y, delta.points, delta.values)  # noqa: E731
-    decided = []
-    for h, model in enumerate((model0, model1)):
-        rng = np.random.default_rng([seed, h])
-        y = density._sample(model, n, rng)
-        decided.append(rng.uniform(0.0, 1.0, n) < np.clip(rule(y), 0.0, 1.0))
-    return float(np.mean(decided[0])), float(np.mean(~decided[1]))
-
-
 @pytest.mark.parametrize("n", [1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
 def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_nominals,
-                                                          norm_pair):
+                                                          norm_pair, mc_in_generator_order):
     sol = mix_solution
+    # the anchor nominals tabulated on unevenly spaced points, as `table(...)`
+    # reads them; their plain likelihood-ratio rule looks both tables up
+    y = np.concatenate([np.linspace(-8.0, -3.0, 101)[:-1], np.linspace(-3.0, 4.0, 1401)[:-1],
+                        np.linspace(4.0, 9.0, 101)])
+    nominal_tables = tuple(density.tabulated(y, density.evaluate(m, y)) for m in mix_nominals)
     pairs = {
         "tables": (sol.g0_hat, sol.g1_hat),
         "mixture": mix_nominals,
         "shifted tables": (density.shifted(sol.g0_hat, 0.25), density.shifted(sol.g1_hat, -0.25)),
         "gaussian": norm_pair,
+        "nominal tables": nominal_tables,
     }
     # rule values a little outside [0, 1] and NaN values are compared
     # unclipped against the uniforms, and count as the clipped values would
@@ -184,10 +175,11 @@ def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_n
         return np.where(y > 0.5, 1.0 + 5e-10, np.where(y < -0.5, -5e-10, np.nan))
 
     for name, (m0, m1) in pairs.items():
-        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0), lambda y: 0.25, edges):
+        for rule in (sol.delta_hat, lrt_rule(mix_nominals, 1.0), lrt_rule(nominal_tables, 1.0),
+                     lambda y: 0.25, edges):
             got = monte_carlo_errors(rule, m0, m1, 1.0, n, seed=n + 17)
             assert (got.p_false_alarm, got.p_miss) == \
-                _monte_carlo_in_generator_order(rule, m0, m1, n, n + 17), name
+                mc_in_generator_order(rule, m0, m1, n, n + 17), name
 
 
 def test_monte_carlo_input_validation(norm_pair, norm_grid):

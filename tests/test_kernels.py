@@ -65,8 +65,7 @@ def reference_i2_power_integrals(l, f0, f1, points, lo, hi, rho, beta, alpha, kb
 def _i2_powers(l, f0, f1, points, lo, hi, rho, beta, alpha, kb, lb_, ub):
     """(S, T0, T1) on a fresh region split and I2 geometry."""
     sp = kernels.region_split(kernels.grid_values(points, f0, f1, l), lo, hi)
-    geo = kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub)
-    return kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))
+    return kernels.i2_powers(kernels.i2_geometry(sp, rho, beta, alpha, lb_, ub), kb)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -157,7 +156,7 @@ def test_one_geometry_serves_every_k(seed):
     for k in (0.3, 0.55, 0.8, 1.7, 0.55):
         kb = k ** beta
         one_shot = _i2_powers(l, f0, f1, pts, lo, hi, rho, beta, alpha, kb, lb_, ub)
-        assert kernels.i2_powers(geo, kernels._i2_integrands(geo, kb)) == one_shot
+        assert kernels.i2_powers(geo, kb) == one_shot
         assert kernels.i2_s(geo, kb) == one_shot[0]
 
 
@@ -174,10 +173,10 @@ def test_power_derivatives_match_central_differences(seed):
         sp = kernels.region_split(kernels.grid_values(pts, f0, f1, l), rho * ll, rho * lu)
         geo = kernels.i2_geometry(sp, rho, beta, alpha, ll ** beta, lu ** beta)
         masses = np.array(kernels.split_masses(sp))[[0, 2, 3, 5]]
-        return geo, np.array(kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))), masses
+        return geo, np.array(kernels.i2_powers(geo, kb)), masses
 
     geo = state()[0]
-    d, dm = kernels.i2_power_derivatives(geo, kb, kernels._i2_integrands(geo, kb))
+    d, dm = kernels.i2_power_derivatives(geo, kb)
     got = np.column_stack((beta * ll ** beta * d[:, 0] + d[:, 3],
                            beta * lu ** beta * d[:, 1] + d[:, 4], kb * d[:, 2]))
     h = 1e-6
@@ -246,8 +245,7 @@ def test_power_derivatives_equal_the_array_form():
         geo = kernels.i2_geometry(sp, rho, beta, alpha, (lo / rho) ** beta, (hi / rho) ** beta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            kb = k ** beta
-            got = kernels.i2_power_derivatives(geo, kb, kernels._i2_integrands(geo, kb))
+            got = kernels.i2_power_derivatives(geo, k ** beta)
             want = reference_power_derivatives(geo, k ** beta)
         for g, r in zip(got, want):
             assert g.tobytes() == r.tobytes()
@@ -258,8 +256,7 @@ def test_power_derivatives_equal_the_array_form():
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 52, 127, 128, 129, 300, 1001])
 def test_float_sums_take_numpy_order(n):
     # the crossing-cell terms' sums: from the left as numpy sums each row of
-    # a column-major array, pairwise as it sums a 1-D array; signed zeros,
-    # infinities and NaN included
+    # a column-major array; signed zeros, infinities and NaN included
     rng = np.random.default_rng(n)
     for trial in range(20):
         a = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
@@ -272,8 +269,6 @@ def test_float_sums_take_numpy_order(n):
         for got, want in zip([kernels._sum_in_order(r) for r in rows.tolist()],
                              rows.sum(axis=1).tolist()):
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert (np.float64(kernels._pairwise_sum(a[0].tolist())).tobytes()
-                == a[0].sum().tobytes())
 
 
 def _random_kernel_problem(rng):
@@ -332,7 +327,7 @@ def _check_kernels_against_reference(case, pts, f0, f1, l, lo, hi, rho, alpha, k
         # the solver's path: one split for the masses and the geometry
         shared_masses, geo = _split_path(l, f0, f1, pts, lo, hi, rho, beta, alpha, lb_, ub)
         assert shared_masses == masses, case
-        powers = kernels.i2_powers(geo, kernels._i2_integrands(geo, kb))
+        powers = kernels.i2_powers(geo, kb)
         np.testing.assert_allclose(powers, want, rtol=1e-10, atol=1e-14, err_msg=case)
         assert kernels.i2_s(geo, kb) == powers[0], case
 
