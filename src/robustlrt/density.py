@@ -217,13 +217,17 @@ class _BucketIndex:
     one above it: a query whose bucket holds at most one knot finds np.interp's
     knot j (the last with xp[j] <= x) by one comparison with the first knot
     at or above its bucket, and the few queries whose bucket holds more
-    (CDF tails, duplicate knots) bisect.  The value is
-    slope[j] * (x - xp[j]) + fp[j], np.interp's own arithmetic.  It differs
-    from np.interp's only at np.interp's special cases: x = xp[j] (it returns
-    fp[j]), a NaN retried from the cell's other end, and the last knot.  On
-    a table whose values, slopes and span are finite and whose values hold
-    no -0.0, the arithmetic gives those same values; on any other table the
-    queries at a knot or with a NaN value are handed to np.interp.
+    (CDF tails, duplicate knots) bisect.  The index is built in linear time
+    from each bucket's knot count.  A lookup is two steps: `cells` finds
+    the knots, and `values` gives slope[j] * (x - xp[j]) + fp[j],
+    np.interp's own arithmetic, at queries whose knots are known, so a
+    caller that knows a query's knot already skips the search.  The value
+    differs from np.interp's only at np.interp's special cases: x = xp[j]
+    (it returns fp[j]), a NaN retried from the cell's other end, and the
+    last knot.  On a table whose values, slopes and span are finite and
+    whose values hold no -0.0 (`plain`), the arithmetic gives those same
+    values; on any other table the queries at a knot or with a NaN value
+    are handed to np.interp.
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray, left, right):
@@ -235,9 +239,12 @@ class _BucketIndex:
         self.top = float(2 * n - 1)
         with np.errstate(all="ignore"):
             self.scale = self.top / (self.xpn - self.xp0)
-            buckets = self._buckets(xp)
-            first = np.searchsorted(buckets, np.arange(2 * n), "left")
-            crowded = np.searchsorted(buckets, np.arange(2 * n), "right") - first >= 2
+            # the knots are in order, so a bucket's first knot is the count
+            # of knots in the buckets below it
+            count = np.bincount(self._buckets(xp), minlength=2 * n)
+            crowded = count >= 2
+            first = np.cumsum(count)
+            first -= count
             first = np.minimum(first, n - 1)
             # a crowded bucket's queries compare with NaN, stay at -2 and bisect
             self.below = np.where(crowded, -2, first - 1)
@@ -258,17 +265,25 @@ class _BucketIndex:
         np.fmin(t, self.top, out=t)
         return t.astype(np.intp)
 
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write np.interp(x, xp, fp, left, right) into out, which may be x."""
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """np.interp's knot of each query: the last j with xp[j] <= x for x in
+        [xp[0], xp[-1]]; off the table and at a NaN, a knot whose value
+        `values` overwrites."""
         with np.errstate(all="ignore"):
-            if not self.plain:
-                x = x.copy()  # the fix-up reads x after out, which may be x, is written
             k = self._buckets(x)
             j = self.below.take(k)
             j += x >= self.edge.take(k)
-            if self.crowded:
-                bisect = np.flatnonzero(j == -2)
-                j[bisect] = np.searchsorted(self.xp, x[bisect], "right") - 1
+        if self.crowded:
+            bisect = np.flatnonzero(j == -2)
+            j[bisect] = np.searchsorted(self.xp, x[bisect], "right") - 1
+        return j
+
+    def values(self, x: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write np.interp(x, xp, fp, left, right) into out, which may be x,
+        given the knots j of the queries, as `cells` finds them."""
+        with np.errstate(all="ignore"):
+            if not self.plain:
+                x = x.copy()  # the fix-up reads x after out, which may be x, is written
             below, above = x < self.xp0, x > self.xpn
             xj = self.xp.take(j)
             at_knot = None if self.plain else x == xj
@@ -280,6 +295,7 @@ class _BucketIndex:
             if at_knot is not None:
                 redo = np.flatnonzero(at_knot | np.isnan(out))
                 out[redo] = np.interp(x[redo], self.xp, self.fp, self.left, self.right)
+        return out
 
 
 class TableLookup:
@@ -313,10 +329,15 @@ class TableLookup:
             if xb.size < 2 or (xb[1] >= xb[0] and np.all(xb[1:] >= xb[:-1])):
                 ob[:] = np.interp(xb, self.xp, self.fp, self.left, self.right)
             else:
-                if self._index is None:
-                    self._index = _BucketIndex(self.xp, self.fp, self.left, self.right)
-                self._index(xb, ob)
+                index = self.index()
+                index.values(xb, index.cells(xb), ob)
         return res.reshape(x.shape)
+
+    def index(self) -> _BucketIndex:
+        """The table's bucket index, built on the first call and kept."""
+        if self._index is None:
+            self._index = _BucketIndex(self.xp, self.fp, self.left, self.right)
+        return self._index
 
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
@@ -409,19 +430,23 @@ def integrate(values_on_grid, grid: QuadratureGrid) -> float:
 
 
 def likelihood_ratio(f0: DensityModel, f1: DensityModel, y) -> np.ndarray | float:
-    """Ratio f1(y)/f0(y) with conventions +inf for f0=0<f1 and 1 for 0/0."""
+    """Ratio f1(y)/f0(y) with conventions +inf for f0=0<f1 and 1 for 0/0; NaN
+    where either density is NaN (at a NaN y)."""
     return _pointwise(lambda yv: ratio_values(_pdf(f0, yv), _pdf(f1, yv)), y)
 
 
 def ratio_values(f0_values: np.ndarray, f1_values: np.ndarray) -> np.ndarray:
-    """Pointwise f1/f0 with the 0-denominator conventions of likelihood_ratio."""
+    """Pointwise f1/f0 with the 0-denominator conventions of likelihood_ratio:
+    +inf for f0 = 0 < f1, 1 for 0/0, and NaN wherever either value is NaN."""
     out = np.empty_like(f1_values)
     pos = f0_values > 0.0
     np.divide(f1_values, f0_values, out=out, where=pos)
     if not pos.all():
-        zero_den = ~pos
-        out[zero_den & (f1_values > 0.0)] = np.inf
-        out[zero_den & (f1_values == 0.0)] = 1.0
+        rest = np.flatnonzero(~pos)
+        f0r, f1r = f0_values[rest], f1_values[rest]
+        r = np.where(f1r > 0.0, np.inf, np.where(f1r == 0.0, 1.0, np.nan))
+        r[np.isnan(f0r)] = np.nan
+        out[rest] = r
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import density, kernels
 from .density import DensityModel, QuadratureGrid
 from .divergence import DivergenceSpec
-from .lfd_solver import solve_thresholds
+from .lfd_solver import TabulatedFunction, solve_thresholds
 
 __all__ = [
     "ErrorReport",
@@ -89,8 +89,8 @@ def _bayes(p_f: float, p_m: float, rho: float) -> float:
 
 def _rule_values(delta, y: np.ndarray) -> np.ndarray:
     """Values at the points y of a rule given as a callable (a scalar result
-    holds everywhere) or as an array of values at y, checked to lie in
-    [0, 1] up to 1e-9 and not clipped; a NaN passes the check."""
+    holds everywhere) or as an array of values at y, checked by
+    `_in_unit_interval`."""
     if callable(delta):
         v = np.asarray(delta(y), dtype=float)
         if v.shape == ():
@@ -99,6 +99,12 @@ def _rule_values(delta, y: np.ndarray) -> np.ndarray:
         v = np.asarray(delta, dtype=float)
     if v.shape != y.shape:
         raise ValueError(f"rule values have shape {v.shape}, points have {y.shape}")
+    return _in_unit_interval(v)
+
+
+def _in_unit_interval(v: np.ndarray) -> np.ndarray:
+    """v, checked to lie in [0, 1] up to 1e-9 and not clipped; a NaN passes
+    the check."""
     # the range by the extremes first; a NaN fails it and goes elementwise
     if not (v.min() >= -1e-9 and v.max() <= 1.0 + 1e-9):
         bad = v[(v < -1e-9) | (v > 1.0 + 1e-9)]
@@ -129,18 +135,28 @@ def lrt_rule(nominals, rho: float):
     """The plain likelihood-ratio test l(y) > rho as a callable rule.
 
     Returns delta(y) = 1 where f1/f0 > rho, 0 where it is below, and 1/2 on
-    the boundary.  Exact at any y, so it suits Monte Carlo evaluation; for
+    the boundary and where the ratio is NaN (at a NaN y); a scalar y gives
+    a float.  The ratio is a plain division where f0 is positive at every
+    point of the call, and `density.ratio_values` with its conventions
+    otherwise, so f0 = 0 < f1 decides 1 and 0/0, a ratio of 1, ties at
+    rho = 1.  Exact at any y, so it suits Monte Carlo evaluation; for
     quadrature of this discontinuous rule prefer `lrt_errors`, which
     integrates the decision regions without smearing the jump.
     """
     f0, f1 = nominals
 
-    def rule(y):
-        yv = np.asarray(y, dtype=float)
-        l = density.likelihood_ratio(f0, f1, yv)
-        return np.where(l > rho, 1.0, np.where(l < rho, 0.0, 0.5))
+    def decide(y: np.ndarray) -> np.ndarray:
+        p0 = density._pdf(f0, y)
+        l = density._pdf(f1, y)
+        if p0.min(initial=math.inf) > 0.0:
+            np.divide(l, p0, out=l)
+        else:
+            l = density.ratio_values(p0, l)
+        d = (l > rho).astype(np.float64)
+        d[(l == rho) | np.isnan(l)] = 0.5
+        return d
 
-    return rule
+    return lambda y: density._pointwise(decide, y)
 
 
 def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
@@ -171,16 +187,52 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
     values as one call for all n, so each draw meets the uniform drawn at
     its own place.  Counting block by block keeps the uniforms, the rule
     values and the comparisons to one block's size; a tabulated rule looks
-    every block up through the one index it keeps.  The rule values are
-    compared unclipped: a uniform u lies in [0, 1), so u < v and
-    u < clip(v, 0, 1) agree for every v, NaN included.
+    every block up through the one index it keeps.  A tabulated rule on
+    the knots of a table model reads its values at the draws' own knots
+    instead (`_decisions_on_knots`).  The rule values are compared
+    unclipped: a uniform u lies in [0, 1), so u < v and u < clip(v, 0, 1)
+    agree for every v, NaN included.
     """
+    if isinstance(model, density.Tabulated) and isinstance(delta, TabulatedFunction) \
+            and np.array_equal(model.points, delta.points):
+        inverse, rule = model._inverse_cdf.index(), delta._lookup.index()
+        if inverse.plain and rule.plain:
+            return _decisions_on_knots(inverse, rule, n, rng)
     y = density._sample(model, n, rng)
     hits = 0
     for s in range(0, n, density._INTERP_BLOCK):
         yb = y[s:s + density._INTERP_BLOCK]
         u = rng.random(yb.size)
         hits += int(np.count_nonzero(u < _rule_values(delta, yb)))
+    return hits
+
+
+def _decisions_on_knots(inverse, rule, n: int, rng: np.random.Generator) -> int:
+    """`_decisions` for a table model, whose inverse CDF has the bucket index
+    `inverse`, and a rule tabulated on the table's knots, with index `rule`.
+
+    Both indexes are `plain`.  The n uniforms of the draws are drawn first,
+    as `density._sample` draws them, and each block of them becomes its
+    draws and then its rule values in place.  A uniform's inverse-CDF cell
+    j is a knot cell of the table, and its draw y = slope[j] * (u - cdf[j])
+    + x[j] lies at or above x[j], so j is the rule's knot for y unless y
+    rounds onto x[j + 1] or past it; those draws bisect.  The rule's value
+    is then its index's `values` at those knots, np.interp's value bit for
+    bit, without a second bucket search.
+    """
+    xp = rule.xp
+    next_knot = xp[1:]  # j <= len(xp) - 2, since u < 1 = cdf[-1]
+    y = rng.random(n)
+    hits = 0
+    for s in range(0, n, density._INTERP_BLOCK):
+        yb = y[s:s + density._INTERP_BLOCK]
+        j = inverse.cells(yb)
+        inverse.values(yb, j, yb)
+        past = np.flatnonzero(yb >= next_knot.take(j))
+        j[past] = np.searchsorted(xp, yb[past], "right") - 1
+        v = _in_unit_interval(rule.values(yb, j, yb))
+        u = rng.random(yb.size)
+        hits += int(np.count_nonzero(u < v))
     return hits
 
 

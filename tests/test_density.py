@@ -198,6 +198,10 @@ def test_ratio_values_zero_density_conventions():
     assert l[1] == np.inf          # f1 > 0 = f0
     assert l[2] == 0.0
     assert l[3] == 0.5
+    # a NaN on either side gives NaN, whatever the other value
+    l = density.ratio_values(np.array([np.nan, 0.0, 1.0, np.nan, -0.0]),
+                             np.array([np.nan, np.nan, 2.0, 3.0, np.nan]))
+    assert np.array_equal(l, [np.nan, np.nan, 2.0, np.nan, np.nan], equal_nan=True)
 
 
 def _ratio_values_by_masks(f0, f1):
@@ -318,6 +322,20 @@ def _assert_interp_is_np_interp(x, xp, fp):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def _assert_index_is_the_searchsorted_build(xp, fp):
+    # the guide as it was built before the bucket counts: each bucket's first
+    # knot and crowding from two searchsorted calls over the knots' buckets
+    index = density._BucketIndex(xp, fp, None, None)
+    n = xp.size
+    buckets = index._buckets(xp)
+    first = np.searchsorted(buckets, np.arange(2 * n), "left")
+    crowded = np.searchsorted(buckets, np.arange(2 * n), "right") - first >= 2
+    first = np.minimum(first, n - 1)
+    assert np.array_equal(index.below, np.where(crowded, -2, first - 1))
+    assert np.array_equal(index.edge, np.where(crowded, np.nan, xp[first]), equal_nan=True)
+    assert index.crowded == crowded.any()
+
+
 def test_interp_on_random_queries_over_a_solution_grid(norm_solution_40k):
     sol = norm_solution_40k
     xp = sol.grid.points
@@ -327,6 +345,7 @@ def test_interp_on_random_queries_over_a_solution_grid(norm_solution_40k):
     rng.shuffle(x)
     for fp in (sol.g0_hat.values, sol.delta_hat.values, sol.l_hat.values):
         _assert_interp_is_np_interp(x, xp, fp)
+    _assert_index_is_the_searchsorted_build(xp, sol.g0_hat.values)
 
 
 def test_interp_at_every_knot_and_its_neighbours(norm_solution_40k):
@@ -358,12 +377,14 @@ def test_interp_on_a_cdf_with_flat_runs():
     u = np.concatenate([rng.uniform(0.0, 1.0, 100_000), cdf])
     rng.shuffle(u)
     _assert_interp_is_np_interp(u, cdf, pts)
+    _assert_index_is_the_searchsorted_build(cdf, pts)
 
 
 def test_interp_on_a_three_knot_table():
     xp, fp = np.array([-1.0, 0.5, 2.0]), np.array([3.0, -1.0, 4.0])
     x = np.random.default_rng(10).uniform(-2.0, 3.0, 1000)
     _assert_interp_is_np_interp(np.concatenate([x, xp]), xp, fp)
+    _assert_index_is_the_searchsorted_build(xp, fp)
 
 
 @pytest.mark.parametrize("size", [0, 1, density._INTERP_BLOCK, density._INTERP_BLOCK + 1])

@@ -119,6 +119,19 @@ def test_lrt_rule_threshold_and_tie(norm_pair):
     # the ratio is exp(2y): below one left of zero, one at zero exactly
     out = rule(np.array([-1.0, 0.0, 0.5]))
     np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
+    # a NaN y has a NaN ratio, which ties; a scalar y gives a float
+    np.testing.assert_array_equal(rule(np.array([np.nan, 0.5])), [0.5, 1.0])
+    assert type(rule(0.5)) is float and rule(0.5) == 1.0 and rule(np.float64(0.0)) == 0.5
+    # nominals that vanish on part of the line: f0 = 0 < f1 decides 1, and
+    # 0/0 is a ratio of 1, which ties at rho = 1; a call where f0 is positive
+    # everywhere divides plainly and ties the same
+    f0 = density.tabulated([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    f1 = density.tabulated([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    y = np.array([-0.5, 0.5, 1.5, 5.0])
+    for rho, want in ((1.0, [0.0, 0.5, 1.0, 0.5]), (2.0, [0.0, 0.0, 1.0, 0.0]),
+                      (0.5, [0.0, 1.0, 1.0, 1.0])):
+        np.testing.assert_array_equal(lrt_rule((f0, f1), rho)(y), want)
+        np.testing.assert_array_equal(lrt_rule((f0, f1), rho)(y[:2]), want[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +153,48 @@ def test_monte_carlo_deterministic_per_seed(norm_pair):
         p0 * a.hw_false_alarm + p1 * a.hw_miss, rel=1e-15)
 
 
-def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40k):
+def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40k, count_calls,
+                                                               monkeypatch):
     # g0_hat's tails leave flat runs in its CDF, so the inverse-CDF lookups
-    # meet zero-width cells
+    # meet zero-width cells.  A rule on its models' knots reads its values at
+    # the draws' inverse-CDF cells.  On knots 1e-9 apart near 1e6 a draw
+    # often rounds onto the next knot, y == x[j + 1], and bisects; a rule
+    # on those knots that holds -0.0 is not `plain` and looks its draws up.
+    # Every rule value the count compares is np.interp's at the draw
     sol = norm_solution_40k
-    pts, vals = sol.delta_hat.points, sol.delta_hat.values
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = monte_carlo_errors(sol.delta_hat, sol.g0_hat, sol.g1_hat, 1.0, 200_000, seed=5)
-        want = monte_carlo_errors(lambda y: np.interp(y, pts, vals),
-                                  sol.g0_hat, sol.g1_hat, 1.0, 200_000, seed=5)
-    assert got == want
+    n, k = 200_000, np.arange(401)
+    pts = 1e6 + k * 1e-9
+    tables = tuple(density.tabulated(pts, 1.0 + 0.5 * np.sin(k + h)) for h in (0, 2))
+    # values of many magnitudes, so that a draw on x[j + 1] read from cell j
+    # would miss fp[j + 1] in the last bits
+    rule_values = np.random.default_rng(6).uniform(0.0, 1.0, k.size) ** 3
+    signed = rule_values.copy()
+    signed[::5] = -0.0
+    u = np.random.default_rng([5, 0]).random(n)
+    cdf = tables[0]._inverse_cdf.xp
+    j = np.searchsorted(cdf, u, "right") - 1
+    assert np.any(np.interp(u, cdf, pts) == pts[j + 1])
+    cases = [(sol.delta_hat, (sol.g0_hat, sol.g1_hat), 2),
+             (TabulatedFunction(pts, rule_values), tables, 2),
+             (TabulatedFunction(pts, signed), tables, 0)]
+    check = evaluation._in_unit_interval
+    for rule, models, on_knots in cases:
+        calls = count_calls(evaluation, "_decisions_on_knots")
+        seen = []
+        monkeypatch.setattr(evaluation, "_in_unit_interval",
+                            lambda v: seen.append(v.copy()) or check(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = monte_carlo_errors(rule, *models, 1.0, n, seed=5)
+            monkeypatch.setattr(evaluation, "_in_unit_interval", check)
+            want = monte_carlo_errors(lambda y, r=rule: np.interp(y, r.points, r.values),
+                                      *models, 1.0, n, seed=5)
+        assert got == want
+        assert calls[0] == on_knots
+        seen = np.concatenate(seen)
+        for h, model in enumerate(models):
+            y = density._sample(model, n, np.random.default_rng([5, h]))
+            assert np.array_equal(seen[h * n:(h + 1) * n], np.interp(y, rule.points, rule.values))
 
 
 @pytest.mark.parametrize("n", [1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
