@@ -18,6 +18,7 @@ from .density import (
     QuadratureGrid,
     Shifted,
     Tabulated,
+    TabulatedFunction,
     evaluate,
     gaussian,
     gaussian_mixture,
@@ -57,7 +58,6 @@ from .lfd_solver import (
     NonConvergenceError,
     ParametricInfeasibleError,
     RobustSolution,
-    TabulatedFunction,
     ThresholdPair,
     partition,
     phi1,
@@ -95,7 +95,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # density
-    "DensityModel", "GaussianMixture", "Shifted", "Tabulated",
+    "DensityModel", "GaussianMixture", "Shifted", "Tabulated", "TabulatedFunction",
     "QuadratureGrid", "gaussian", "gaussian_mixture", "shifted", "tabulated",
     "make_grid", "grid_for", "trapezoid_weights", "evaluate", "integrate",
     "likelihood_ratio", "ratio_values", "sample",
@@ -103,7 +103,7 @@ __all__ = [
     "DivergenceSpec", "check_alpha", "x_of", "moment_integral",
     "alpha_divergence",
     # lfd_solver
-    "ThresholdPair", "TabulatedFunction", "RobustSolution",
+    "ThresholdPair", "RobustSolution",
     "DegenerateRegionError", "ParametricInfeasibleError", "InfeasibleEpsError",
     "NonConvergenceError", "partition", "phi1", "robust_rule", "robust_lr",
     "solve_thresholds", "solve_symmetric",

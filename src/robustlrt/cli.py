@@ -570,10 +570,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for key in ("command", "alpha", "rho", "eps0", "eps1", "grid", "mc",
-                "out", "format"):
-        val = getattr(args, key)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key != "config" and val is not None:
             cfg[key] = val
     return run(cfg)
 

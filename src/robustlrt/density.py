@@ -11,11 +11,11 @@ representations apart.
 Analytic models are truncated to a finite support chosen wide enough that the
 discarded tail mass is negligible (below 1e-10).  Tabulated models are
 renormalized at construction so that their trapezoid integral over their own
-grid equals one; downstream formulas assume unit mass.  Table lookups, both
-here and for the solver's tabulated rule, go through a ``TableLookup`` that
-the table's owner keeps: np.interp's values at queries in any order, from
-a bucket index built once per table, so Monte Carlo draws are looked up in
-the order the generator made them.
+grid equals one; downstream formulas assume unit mass.  Every table of the
+package, a tabulated density's pdf and inverse CDF and the solver's rule
+and likelihood ratio, is a ``TabulatedFunction``: np.interp's values at
+queries in any order, from a bucket index built once per table, so Monte
+Carlo draws are looked up in the order the generator made them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ PEAK_CUTOFF = 1e-16
 
 _SUPPORT_RADIUS_SIGMA = math.sqrt(-2.0 * math.log(PEAK_CUTOFF)) + 0.5  # ~9.1
 
-# Queries per block of a `TableLookup`, and draws per block of the Monte
+# Queries per block of a `TabulatedFunction`, and draws per block of the Monte
 # Carlo decision count: few enough that a block's temporaries stay small.
 _INTERP_BLOCK = 1 << 16
 
@@ -68,9 +68,9 @@ class Tabulated:
 
     Values are renormalized at construction so the trapezoid integral over
     the points equals one.  Evaluation interpolates linearly between points
-    and is zero outside of them.  The model keeps a `TableLookup` of each
-    table it reads: its pdf, and the inverse of its trapezoid CDF for
-    sampling.
+    and is zero outside of them.  The model keeps each table it reads as a
+    `TabulatedFunction`: its pdf, zero outside the points, and the inverse
+    of its trapezoid CDF for sampling.
     """
 
     points: np.ndarray
@@ -78,18 +78,17 @@ class Tabulated:
     support: tuple[float, float]
 
     @functools.cached_property
-    def _pdf_lookup(self) -> "TableLookup":
-        return TableLookup(self.points, self.values, 0.0, 0.0)
+    def _pdf_table(self) -> "TabulatedFunction":
+        return TabulatedFunction(self.points, self.values, 0.0, 0.0)
 
     @functools.cached_property
-    def _inverse_cdf(self) -> "TableLookup":
+    def _inverse_cdf(self) -> "TabulatedFunction":
         # the trapezoid CDF at the points, inverted by linear interpolation
         pts, val = self.points, self.values
         inc = np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))
         cdf = np.concatenate(([0.0], inc))
         cdf /= cdf[-1]
-        cdf.setflags(write=False)
-        return TableLookup(cdf, pts)
+        return TabulatedFunction(cdf, pts)
 
 
 DensityModel = Union[GaussianMixture, Shifted, Tabulated]
@@ -224,10 +223,10 @@ class _BucketIndex:
     caller that knows a query's knot already skips the search.  The value
     differs from np.interp's only at np.interp's special cases: x = xp[j]
     (it returns fp[j]), a NaN retried from the cell's other end, and the
-    last knot.  On a table whose values, slopes and span are finite and
-    whose values hold no -0.0 (`plain`), the arithmetic gives those same
-    values; on any other table the queries at a knot or with a NaN value
-    are handed to np.interp.
+    last knot.  On a table whose values and slopes are finite, whose span
+    is positive and finite and whose values hold no -0.0 (`plain`), the
+    arithmetic gives those same values; on any other table the queries at
+    a knot or with a NaN value are handed to np.interp.
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray, left, right):
@@ -237,8 +236,10 @@ class _BucketIndex:
         self.left = fp[0] if left is None else left
         self.right = fp[-1] if right is None else right
         self.top = float(2 * n - 1)
+        span = self.xpn - self.xp0
+        # a table of one point or of equal points puts every value in bucket 0
+        self.scale = self.top / span if span > 0.0 else 0.0
         with np.errstate(all="ignore"):
-            self.scale = self.top / (self.xpn - self.xp0)
             # the knots are in order, so a bucket's first knot is the count
             # of knots in the buckets below it
             count = np.bincount(self._buckets(xp), minlength=2 * n)
@@ -253,7 +254,7 @@ class _BucketIndex:
             # the last knot's slope only multiplies x - xp[-1], which is 0 there
             self.slope = np.append(np.diff(fp) / np.diff(xp), 1.0)
             cells = self.slope[:-1][np.diff(xp) > 0.0]
-            self.plain = bool(math.isfinite(self.xpn - self.xp0)
+            self.plain = bool(0.0 < span < math.inf
                               and np.all(np.isfinite(fp)) and np.all(np.isfinite(cells))
                               and not np.any(np.signbit(fp) & (fp == 0.0)))
 
@@ -298,46 +299,58 @@ class _BucketIndex:
         return out
 
 
-class TableLookup:
-    """``np.interp(x, xp, fp, left, right)`` on one table, fast on queries in any order.
+@dataclass(frozen=True)
+class TabulatedFunction:
+    """Piecewise-linear function given by its values on points, read as np.interp.
 
-    np.interp bisects afresh for every query that does not lie near the one
-    before it, so a million samples in random order cost a bisection each.
-    Here the queries go in blocks of ``_INTERP_BLOCK``: a block in order
-    (non-decreasing), such as a quadrature grid, goes to np.interp, and any
-    other block to a bucket index of the table (`_BucketIndex`), built on
-    the first such block and kept.  A block's first pair is compared before
-    the whole block is checked for order, so about half of the unordered
-    blocks skip that pass.  np.interp's value at a query depends
-    only on that query (the knot j with xp[j] <= x < xp[j+1] is unique), so
-    the result equals np.interp's element for element, ends, NaNs and signs
-    of zero included.  The object keeping a lookup keeps xp and fp unchanged.
+    Outside the points it holds ``left`` and ``right``, by default the end
+    values, and a call gives np.interp(y, points, values, left, right)
+    element for element, ends, NaNs and signs of zero included.  np.interp
+    bisects afresh for every query that does not lie near the one before
+    it, so queries in random order, such as Monte Carlo draws, cost a
+    bisection each.  Here the queries go in blocks of ``_INTERP_BLOCK``: a
+    block in order (non-decreasing) goes to np.interp, and any other block
+    to the table's bucket `index`, built on first use and kept.  A block's
+    first pair is compared before the whole block is checked for order, so
+    about half of the unordered blocks skip that pass.  The points and
+    values are made read-only, so the index stays that of the table.
     """
 
-    def __init__(self, xp: np.ndarray, fp: np.ndarray, left=None, right=None):
-        self.xp, self.fp, self.left, self.right = xp, fp, left, right
-        self._index = None
+    points: np.ndarray
+    values: np.ndarray
+    left: float | None = None
+    right: float | None = None
 
-    def __call__(self, x, out: np.ndarray | None = None) -> np.ndarray:
-        """Values at x, shaped like x; a flat float array out, which may be x
-        itself, receives them."""
-        x = np.asarray(x, dtype=np.float64)
+    def __post_init__(self):
+        shape = np.shape(self.points)
+        if len(shape) != 1 or shape != np.shape(self.values) or shape == (0,):
+            raise ValueError("points and values must be nonempty 1-D arrays of one length, "
+                             f"got shapes {shape} and {np.shape(self.values)}")
+        for name in ("points", "values"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def index(self) -> _BucketIndex:
+        """The table's bucket index, built on first use and kept."""
+        return _BucketIndex(self.points, self.values, self.left, self.right)
+
+    def __call__(self, y, out: np.ndarray | None = None):
+        """Values at y: a float at a scalar y, else an array shaped like y; a
+        flat float array out, which may be y itself, receives them."""
+        return _pointwise(functools.partial(self._read, out=out), y)
+
+    def _read(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         flat = x.ravel()
         res = np.empty_like(flat) if out is None else out
         for s in range(0, flat.size, _INTERP_BLOCK):
             xb, ob = flat[s:s + _INTERP_BLOCK], res[s:s + _INTERP_BLOCK]
             if xb.size < 2 or (xb[1] >= xb[0] and np.all(xb[1:] >= xb[:-1])):
-                ob[:] = np.interp(xb, self.xp, self.fp, self.left, self.right)
+                ob[:] = np.interp(xb, self.points, self.values, self.left, self.right)
             else:
-                index = self.index()
-                index.values(xb, index.cells(xb), ob)
-        return res.reshape(x.shape)
-
-    def index(self) -> _BucketIndex:
-        """The table's bucket index, built on the first call and kept."""
-        if self._index is None:
-            self._index = _BucketIndex(self.xp, self.fp, self.left, self.right)
-        return self._index
+                self.index.values(xb, self.index.cells(xb), ob)
+        return res
 
 
 def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
@@ -364,7 +377,7 @@ def _pdf(model: DensityModel, y: np.ndarray) -> np.ndarray:
     elif isinstance(model, Shifted):
         return _pdf(model.base, y - model.shift)
     elif isinstance(model, Tabulated):
-        out = model._pdf_lookup(y)
+        out = model._pdf_table(y)
     else:
         raise TypeError(f"not a density model: {model!r}")
     # analytic models are evaluated exactly everywhere; `support` only sets

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density, kernels
-from .density import DensityModel, QuadratureGrid
+from .density import DensityModel, QuadratureGrid, TabulatedFunction
 from .divergence import DivergenceSpec
-from .lfd_solver import TabulatedFunction, solve_thresholds
+from .lfd_solver import solve_thresholds
 
 __all__ = [
     "ErrorReport",
@@ -181,56 +181,40 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
     """Count of randomized decisions for the alternative on n draws of model.
 
     The n draws come first in the stream, in generator order
-    (`density._sample`).  The decision uniforms follow them and are drawn
-    with Generator.random, which gives the doubles of uniform(0.0, 1.0),
-    one block of ``density._INTERP_BLOCK`` at a time, which gives the same
-    values as one call for all n, so each draw meets the uniform drawn at
-    its own place.  Counting block by block keeps the uniforms, the rule
-    values and the comparisons to one block's size; a tabulated rule looks
-    every block up through the one index it keeps.  A tabulated rule on
-    the knots of a table model reads its values at the draws' own knots
-    instead (`_decisions_on_knots`).  The rule values are compared
-    unclipped: a uniform u lies in [0, 1), so u < v and u < clip(v, 0, 1)
-    agree for every v, NaN included.
+    (`density._sample`).  The decision uniforms follow them, drawn with
+    Generator.random, the doubles of uniform(0.0, 1.0), one block of
+    ``density._INTERP_BLOCK`` at a time, which gives the values of one call
+    for all n, so each draw meets the uniform drawn at its own place.  Only
+    one block's uniforms, rule values and comparisons are held at a time.
+    The rule values are compared unclipped: a uniform u lies in [0, 1), so
+    u < v and u < clip(v, 0, 1) agree for every v, NaN included.
+
+    A `TabulatedFunction` rule on the knots of a table model, both bucket
+    indexes `plain`, is read on the knots: the draws' uniforms are drawn as
+    `density._sample` draws them, and each block becomes its draws in place.
+    A uniform's inverse-CDF cell j is a knot cell of the table, and its draw
+    y = slope[j] * (u - cdf[j]) + x[j] lies at or above x[j], so j is the
+    rule's knot for y, and the rule's `values` there are np.interp's bit for
+    bit, unless y rounds onto x[j + 1] or past it; those draws bisect.  Any
+    other rule is read by `_rule_values`.
     """
-    if isinstance(model, density.Tabulated) and isinstance(delta, TabulatedFunction) \
-            and np.array_equal(model.points, delta.points):
-        inverse, rule = model._inverse_cdf.index(), delta._lookup.index()
-        if inverse.plain and rule.plain:
-            return _decisions_on_knots(inverse, rule, n, rng)
-    y = density._sample(model, n, rng)
+    on_knots = (isinstance(model, density.Tabulated) and isinstance(delta, TabulatedFunction)
+                and np.array_equal(model.points, delta.points)
+                and model._inverse_cdf.index.plain and delta.index.plain)
+    y = rng.random(n) if on_knots else density._sample(model, n, rng)
     hits = 0
     for s in range(0, n, density._INTERP_BLOCK):
         yb = y[s:s + density._INTERP_BLOCK]
-        u = rng.random(yb.size)
-        hits += int(np.count_nonzero(u < _rule_values(delta, yb)))
-    return hits
-
-
-def _decisions_on_knots(inverse, rule, n: int, rng: np.random.Generator) -> int:
-    """`_decisions` for a table model, whose inverse CDF has the bucket index
-    `inverse`, and a rule tabulated on the table's knots, with index `rule`.
-
-    Both indexes are `plain`.  The n uniforms of the draws are drawn first,
-    as `density._sample` draws them, and each block of them becomes its
-    draws and then its rule values in place.  A uniform's inverse-CDF cell
-    j is a knot cell of the table, and its draw y = slope[j] * (u - cdf[j])
-    + x[j] lies at or above x[j], so j is the rule's knot for y unless y
-    rounds onto x[j + 1] or past it; those draws bisect.  The rule's value
-    is then its index's `values` at those knots, np.interp's value bit for
-    bit, without a second bucket search.
-    """
-    xp = rule.xp
-    next_knot = xp[1:]  # j <= len(xp) - 2, since u < 1 = cdf[-1]
-    y = rng.random(n)
-    hits = 0
-    for s in range(0, n, density._INTERP_BLOCK):
-        yb = y[s:s + density._INTERP_BLOCK]
-        j = inverse.cells(yb)
-        inverse.values(yb, j, yb)
-        past = np.flatnonzero(yb >= next_knot.take(j))
-        j[past] = np.searchsorted(xp, yb[past], "right") - 1
-        v = _in_unit_interval(rule.values(yb, j, yb))
+        if on_knots:
+            inverse, xp = model._inverse_cdf.index, delta.points
+            j = inverse.cells(yb)
+            inverse.values(yb, j, yb)
+            # j <= len(xp) - 2, since u < 1 = cdf[-1]
+            past = np.flatnonzero(yb >= xp[1:].take(j))
+            j[past] = np.searchsorted(xp, yb[past], "right") - 1
+            v = _in_unit_interval(delta.index.values(yb, j, yb))
+        else:
+            v = _rule_values(delta, yb)
         u = rng.random(yb.size)
         hits += int(np.count_nonzero(u < v))
     return hits
@@ -327,10 +311,11 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
     The observation is signal-plus-noise: under H0 the density is `noise`,
     under H1 it is `noise` shifted by the amplitude A, and
     SNR = 20*log10(A/std(noise)).  Use `amplitudes_from_snr` to start from
-    SNR values instead of amplitudes, and pass those values as `snr_db` to
-    label each amplitude's rows with its SNR as given: without them the rows
-    carry snr_of(A), and the round trip through 10^(v/20) can miss v in the
-    last bit (5 dB comes back as 4.9999999999999991 on N(0.3, 1.7)).
+    SNR values instead of amplitudes, and pass those values, one per
+    amplitude, as `snr_db` to label each amplitude's rows with its SNR as
+    given: without them the rows carry snr_of(A), and the round trip through
+    10^(v/20) can miss v in the last bit (5 dB comes back as
+    4.9999999999999991 on N(0.3, 1.7)).
 
     For each amplitude the sweep emits one row for the plain
     likelihood-ratio test and one per radius pair for the robust test, all
@@ -349,9 +334,11 @@ def snr_sweep(noise: DensityModel, amplitudes, spec: DivergenceSpec,
         radii = ((spec.eps0, spec.eps1),)
     else:
         radii = DEFAULT_EPS_SETTINGS
+    amplitudes = [float(a) for a in amplitudes]
+    if snr_db is not None and len(snr_db) != len(amplitudes):
+        raise ValueError(f"{len(snr_db)} snr_db values for {len(amplitudes)} amplitudes")
     rows: list[SnrRow] = []
     for i, amp in enumerate(amplitudes):
-        amp = float(amp)
         sdb = snr_of(amp, noise)  # also refuses a nonpositive amplitude
         if snr_db is not None:
             sdb = float(snr_db[i])

@@ -34,12 +34,13 @@ region labels.  Both solvers refuse radii through one feasibility check,
 Both solvers return tables on the quadrature grid augmented with the
 region crossing points of `kernels.augment_with_crossings`, the one rule
 that places table knots, so trapezoid sums over the tables reproduce the
-solver's split-cell integrals to machine precision.
+solver's split-cell integrals to machine precision.  The least favorable
+densities are `density.tabulated` models, and the rule and the robust
+likelihood ratio are `density.TabulatedFunction` tables on those knots.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .density import (QuadratureGrid, TableLookup, _pointwise, evaluate, ratio_values,
+from .density import (QuadratureGrid, TabulatedFunction, _pointwise, evaluate, ratio_values,
                       tabulated, trapezoid_weights, values_on)
 from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
@@ -83,35 +84,6 @@ class ThresholdPair:
                 "thresholds must satisfy 0 < l_l <= 1 <= l_u < inf, got "
                 "(%r, %r)" % (self.l_l, self.l_u)
             )
-
-
-@dataclass(frozen=True)
-class TabulatedFunction:
-    """Piecewise-linear function of y given by its values on grid points.
-
-    Outside the points it holds the end values.  A call looks y up through
-    the function's one ``density.TableLookup``, which gives np.interp's
-    values: queries in order go to np.interp, and others, such as the
-    Monte Carlo draws of `monte_carlo_errors`, to a bucket index built on
-    the first call that needs it and kept for the next.  The points and
-    values are made read-only, so the index stays that of the table.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("points", "values"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @functools.cached_property
-    def _lookup(self) -> TableLookup:
-        return TableLookup(self.points, self.values)
-
-    def __call__(self, y):
-        return _pointwise(self._lookup, y)
 
 
 @dataclass(frozen=True)

@@ -311,12 +311,12 @@ def test_tabulated_sampling_matches_cdf():
 
 
 # ---------------------------------------------------------------------------
-# table lookup: density.TableLookup against np.interp
+# table lookup: density.TabulatedFunction against np.interp
 
 
 def _assert_interp_is_np_interp(x, xp, fp):
     for ends in ({}, {"left": 0.0, "right": 0.0}):
-        got = density.TableLookup(xp, fp, **ends)(x)
+        got = density.TabulatedFunction(xp, fp, **ends)(x)
         want = np.interp(x, xp, fp, **ends)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
@@ -422,12 +422,12 @@ def test_interp_reads_sorted_queries_directly(monkeypatch):
     for q in (x, ties, with_inf):
         want = np.interp(q, xp, fp)
         calls = _counted_np_interp(monkeypatch)
-        lookup = density.TableLookup(xp, fp)
+        lookup = density.TabulatedFunction(xp, fp)
         assert np.array_equal(lookup(q), want)
         monkeypatch.undo()
         b = density._INTERP_BLOCK
         assert calls == [min(b, q.size - s) for s in range(0, q.size, b)]
-        assert lookup._index is None
+        assert "index" not in lookup.__dict__
         _assert_interp_is_np_interp(q, xp, fp)
 
 
@@ -443,8 +443,8 @@ def test_interp_looks_other_blocks_up_through_one_kept_index(monkeypatch):
     with_nan[b + 100] = np.nan
     unsorted_after_sorted = x.copy()
     np.random.default_rng(13).shuffle(unsorted_after_sorted[b:])
-    lookup = density.TableLookup(xp, fp)
-    assert lookup._index is None
+    lookup = density.TabulatedFunction(xp, fp)
+    assert "index" not in lookup.__dict__
     kept = []
     for q, in_order in ((x[::-1], 0), (with_nan, 3), (unsorted_after_sorted, 1)):
         want = np.interp(q, xp, fp)
@@ -453,7 +453,7 @@ def test_interp_looks_other_blocks_up_through_one_kept_index(monkeypatch):
         monkeypatch.undo()
         assert np.array_equal(got, want, equal_nan=True)
         assert len(calls) == in_order
-        kept.append(lookup._index)
+        kept.append(lookup.index)
         _assert_interp_is_np_interp(q, xp, fp)
     assert kept[0] is not None and all(index is kept[0] for index in kept)
 
@@ -490,8 +490,10 @@ def _flat_cdf():
 
 def test_lookup_equals_np_interp_on_adversarial_tables():
     rng = np.random.default_rng(14)
-    for name, xp, fp in _adversarial_tables(rng):
-        span = xp[-1] - xp[0]
+    zero_span = [("one knot", np.array([0.5]), np.array([2.0])),
+                 ("equal knots", np.full(4, 0.5), np.array([1.0, -0.0, 3.0, 2.0]))]
+    for name, xp, fp in _adversarial_tables(rng) + zero_span:
+        span = (xp[-1] - xp[0]) or 1.0
         x = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
                             rng.uniform(xp[0] - 0.1 * span, xp[-1] + 0.1 * span, 20_000),
                             [-np.inf, np.inf, np.nan, np.nan, -1e308, 1e308]])
@@ -499,10 +501,19 @@ def test_lookup_equals_np_interp_on_adversarial_tables():
         for left, right in ((None, None), (0.0, 0.0), (np.nan, np.nan)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = density.TableLookup(xp, fp, left, right)(x)
+                got = density.TabulatedFunction(xp, fp, left, right)(x)
             want = np.interp(x, xp, fp, left, right)
             assert np.array_equal(got, want, equal_nan=True), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+def test_tabulated_function_refuses_malformed_tables():
+    # np.interp refuses points and values of different lengths, and an
+    # empty table has no value to give
+    for points, values in ((np.arange(3.0), np.arange(2.0)), (np.arange(2.0), np.arange(3.0)),
+                           ([], []), (np.ones((2, 3)), np.ones((2, 3))), (1.0, 2.0)):
+        with pytest.raises(ValueError, match="nonempty 1-D arrays of one length"):
+            density.TabulatedFunction(points, values)
 
 
 @pytest.mark.parametrize("n", [1, density._INTERP_BLOCK, density._INTERP_BLOCK + 3])
@@ -545,7 +556,7 @@ def test_lookup_equals_np_interp_on_blocks_at_the_table_edges():
     for name, xp, fp in tables:
         for block_name, x in _edge_blocks(xp, rng).items():
             for left, right in ((None, None), (0.0, 0.0), (np.nan, np.nan)):
-                lookup = density.TableLookup(xp, fp, left, right)
+                lookup = density.TabulatedFunction(xp, fp, left, right)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     got = lookup(x)
@@ -553,7 +564,8 @@ def test_lookup_equals_np_interp_on_blocks_at_the_table_edges():
                 assert np.array_equal(got, want, equal_nan=True), (name, block_name)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (name, block_name)
                 # a sorted block goes to np.interp, its tied first pair too
-                assert (lookup._index is None) == block_name.startswith("sorted"), block_name
-                if lookup._index is not None:
-                    plain.append(lookup._index.plain)
+                indexed = "index" in lookup.__dict__
+                assert indexed != block_name.startswith("sorted"), block_name
+                if indexed:
+                    plain.append(lookup.index.plain)
     assert any(plain) and not all(plain)

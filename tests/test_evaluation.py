@@ -171,26 +171,28 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
     signed = rule_values.copy()
     signed[::5] = -0.0
     u = np.random.default_rng([5, 0]).random(n)
-    cdf = tables[0]._inverse_cdf.xp
+    cdf = tables[0]._inverse_cdf.points
     j = np.searchsorted(cdf, u, "right") - 1
     assert np.any(np.interp(u, cdf, pts) == pts[j + 1])
-    cases = [(sol.delta_hat, (sol.g0_hat, sol.g1_hat), 2),
-             (TabulatedFunction(pts, rule_values), tables, 2),
-             (TabulatedFunction(pts, signed), tables, 0)]
+    cases = [(sol.delta_hat, (sol.g0_hat, sol.g1_hat), 0),
+             (TabulatedFunction(pts, rule_values), tables, 0),
+             (TabulatedFunction(pts, signed), tables, 2)]
     check = evaluation._in_unit_interval
-    for rule, models, on_knots in cases:
-        calls = count_calls(evaluation, "_decisions_on_knots")
+    for rule, models, sampled in cases:
+        calls = count_calls(density, "_sample")
         seen = []
         monkeypatch.setattr(evaluation, "_in_unit_interval",
                             lambda v: seen.append(v.copy()) or check(v))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = monte_carlo_errors(rule, *models, 1.0, n, seed=5)
+            # the on-knots read draws its uniforms itself, and the general
+            # path samples each hypothesis through density._sample
+            assert calls[0] == sampled
             monkeypatch.setattr(evaluation, "_in_unit_interval", check)
             want = monte_carlo_errors(lambda y, r=rule: np.interp(y, r.points, r.values),
                                       *models, 1.0, n, seed=5)
         assert got == want
-        assert calls[0] == on_knots
         seen = np.concatenate(seen)
         for h, model in enumerate(models):
             y = density._sample(model, n, np.random.default_rng([5, h]))
@@ -350,13 +352,19 @@ def test_snr_sweep_rows_and_robustness_price():
         assert large.p_error > small.p_error
 
 
-def test_snr_sweep_uses_spec_radii_when_nonzero():
+def test_snr_sweep_uses_spec_radii_when_nonzero(count_calls):
     noise = density.gaussian(0.0, 1.0)
-    rows = snr_sweep(noise, amplitudes_from_snr([10.0], noise),
-                     DivergenceSpec(alpha=0.5, eps0=0.01, eps1=0.015))
+    spec = DivergenceSpec(alpha=0.5, eps0=0.01, eps1=0.015)
+    rows = snr_sweep(noise, amplitudes_from_snr([10.0], noise), spec)
     assert len(rows) == 2
     assert rows[1].test == "robust"
     assert (rows[1].eps0, rows[1].eps1) == (0.01, 0.015)
+    # one snr_db label per amplitude, refused before any row is solved
+    solves = count_calls(evaluation, "solve_thresholds")
+    for snr_db in ([10.0], [10.0, 20.0, 30.0]):
+        with pytest.raises(ValueError, match="snr_db values for 2 amplitudes"):
+            snr_sweep(noise, amplitudes_from_snr([10.0, 20.0], noise), spec, snr_db=snr_db)
+    assert solves[0] == 0
 
 
 def test_snr_sweep_records_infeasible_rows():
