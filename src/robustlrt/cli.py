@@ -48,24 +48,6 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NONCONVERGENCE = 3
 
-COMMANDS = ("solve", "solve-symmetric", "limits", "surface", "evaluate",
-            "sweep-alpha", "sweep-snr")
-
-# the keys each command reads besides command, format and out; limits and
-# surface accept rho without using it, since the admissible radii do not
-# depend on the prior
-_PAIR = {"nominal0", "nominal1", "grid"}
-_KEYS = {
-    "solve": _PAIR | {"alpha", "rho", "eps0", "eps1"},
-    "solve-symmetric": _PAIR | {"alpha", "rho", "eps"},
-    "limits": _PAIR | {"alpha", "rho", "eps0", "eps1", "a"},
-    "surface": _PAIR | {"alpha", "rho", "n", "a"},
-    "evaluate": _PAIR | {"alpha", "rho", "eps0", "eps1", "mc"},
-    "sweep-alpha": _PAIR | {"alphas", "rho", "eps0", "eps1"},
-    "sweep-snr": {"nominal0", "grid", "alpha", "rho", "eps0", "eps1", "mc", "amplitudes",
-                  "snr_db"},
-}
-
 
 class ConfigError(ValueError):
     """Configuration problem: unknown key, bad value, unparseable spec."""
@@ -111,12 +93,13 @@ def _number(tok: str, what: str) -> float:
         raise ConfigError(f"expected a number for {what}, got {tok!r}") from None
 
 
-def _model(spec: str, build, *args) -> density.DensityModel:
-    """build(*args), a model's ValueError reported as a ConfigError naming spec."""
+def _built(where: str, build, *args):
+    """build(*args), its ValueError reported as a ConfigError: the builder's
+    message followed by where."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"{exc} in density spec {spec!r}") from None
+        raise ConfigError(f"{exc}{where}") from None
 
 
 def parse_density(spec: str) -> density.DensityModel:
@@ -126,12 +109,13 @@ def parse_density(spec: str) -> density.DensityModel:
         raise ConfigError(f"unknown density spec: {spec!r}")
     head, body = s.split("(", 1)
     head, body = head.strip(), body[:-1]
+    where = f" in density spec {spec!r}"
     if head == "gaussian":
         args = _split_top(body, ",")
         if len(args) != 2:
             raise ConfigError(f"gaussian takes (mu, sigma), got {spec!r}")
         mu, sigma = (_number(a, "gaussian parameter") for a in args)
-        return _model(spec, density.gaussian, mu, sigma)
+        return _built(where, density.gaussian, mu, sigma)
     if head == "mixture":
         comps = []
         for term in _split_top(body, "+"):
@@ -144,13 +128,13 @@ def parse_density(spec: str) -> density.DensityModel:
             if g_tok.split("(", 1)[0].strip() != "gaussian":
                 raise ConfigError(f"mixture components must be gaussians: {term!r}")
             comps.append((w, *comp.components[0][1:]))
-        return _model(spec, density.gaussian_mixture, comps)
+        return _built(where, density.gaussian_mixture, comps)
     if head == "shift":
         args = _split_top(body, ",")
         if len(args) < 2:
             raise ConfigError(f"shift takes (<spec>, A), got {spec!r}")
         shift_amount = _number(args[-1], "shift amount")
-        return _model(spec, density.shifted, parse_density(",".join(args[:-1])), shift_amount)
+        return _built(where, density.shifted, parse_density(",".join(args[:-1])), shift_amount)
     if head == "table":
         path = body.strip()
         try:
@@ -164,13 +148,7 @@ def parse_density(spec: str) -> density.DensityModel:
             raise ConfigError(f"cannot read table {path!r}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"malformed table {path!r}: {exc}") from None
-        if len(rows) < 3:
-            raise ConfigError(f"table {path!r} needs at least 3 rows")
-        ys = np.array([r[0] for r in rows])
-        vs = np.array([r[1] for r in rows])
-        if not np.all(np.diff(ys) > 0.0):
-            raise ConfigError(f"table {path!r} must have strictly increasing y")
-        return _model(spec, density.tabulated, ys, vs)
+        return _built(where, density.tabulated, *np.reshape(rows, (-1, 2)).T)
     raise ConfigError(f"unknown density spec: {spec!r}")
 
 
@@ -197,7 +175,7 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _check_keys(command: str, cfg: dict[str, str]) -> None:
-    unknown = sorted(set(cfg) - _KEYS[command] - {"command", "format", "out"})
+    unknown = sorted(set(cfg) - _COMMANDS[command][1] - {"command", "format", "out"})
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
 
@@ -227,11 +205,7 @@ def _parse_grid(text: str) -> QuadratureGrid:
         n = int(parts[2])
     except ValueError:
         raise ConfigError(f"grid point count must be an integer, got {parts[2]!r}") from None
-    if n < 3:
-        raise ConfigError(f"grid needs at least 3 points, got {n}")
-    if not hi > lo:
-        raise ConfigError(f"empty grid range [{lo}, {hi}]")
-    return density.make_grid(lo, hi, n)
+    return _built("", density.make_grid, lo, hi, n)
 
 
 def _parse_mc(text: str) -> tuple[int, int]:
@@ -269,6 +243,25 @@ def _grid_or_default(cfg, models) -> QuadratureGrid:
 def _spec(cfg, alpha: float) -> DivergenceSpec:
     return DivergenceSpec(alpha=alpha, rho=_get_float(cfg, "rho", 1.0),
                           eps0=_get_float(cfg, "eps0"), eps1=_get_float(cfg, "eps1"))
+
+
+def _problem(cfg):
+    """(spec, nominals, grid) of solve and evaluate, solve_thresholds' arguments."""
+    nominals = _nominals(cfg)
+    spec = _spec(cfg, _get_float(cfg, "alpha"))
+    return spec, nominals, _grid_or_default(cfg, nominals)
+
+
+def _boundary_problem(cfg):
+    """(nominals, grid) of limits and surface, (None, None) without nominals."""
+    if "nominal0" not in cfg and "nominal1" not in cfg:
+        return None, None
+    # the nominals fix the boundary, so an overlap given beside them would go unread
+    if "a" in cfg:
+        raise ConfigError("the overlap a is read only without nominals; drop a or the "
+                          "nominals")
+    nominals = _nominals(cfg)
+    return nominals, _grid_or_default(cfg, nominals)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +334,7 @@ def _solution_table(sol: RobustSolution):
 
 
 def _cmd_solve(cfg):
-    nominals = _nominals(cfg)
-    spec = _spec(cfg, _get_float(cfg, "alpha"))
-    grid = _grid_or_default(cfg, nominals)
-    return _solution_table(solve_thresholds(spec, nominals, grid))
+    return _solution_table(solve_thresholds(*_problem(cfg)))
 
 
 def _cmd_solve_symmetric(cfg):
@@ -356,13 +346,6 @@ def _cmd_solve_symmetric(cfg):
     return _solution_table(solve_symmetric(eps, alpha, rho, nominals, grid))
 
 
-def _refuse_overlap(cfg):
-    # the nominals fix the boundary, so an overlap given beside them would go unread
-    if "a" in cfg:
-        raise ConfigError("the overlap a is read only without nominals; drop a or the "
-                          "nominals")
-
-
 def _cmd_limits(cfg):
     # the shared rho key is accepted but unused: the admissible radii are a
     # property of the two balls, not of the prior
@@ -372,10 +355,8 @@ def _cmd_limits(cfg):
         raise ConfigError("limits needs exactly one of eps0/eps1 (the fixed radius)")
     idx = 0 if has0 else 1
     val = _get_float(cfg, "eps0" if has0 else "eps1")
-    if "nominal0" in cfg or "nominal1" in cfg:
-        _refuse_overlap(cfg)
-        nominals = _nominals(cfg)
-        grid = _grid_or_default(cfg, nominals)
+    nominals, grid = _boundary_problem(cfg)
+    if nominals is not None:
         other, lam0, lam1 = limits.max_eps_general(nominals, alpha, grid, (idx, val))
         mode = "general"
     elif abs(alpha - 0.5) < 1e-12:
@@ -397,12 +378,7 @@ def _cmd_surface(cfg):
         n = int(cfg.get("n", "33"))
     except ValueError:
         raise ConfigError(f"surface point count n must be an integer, got {cfg['n']!r}") from None
-    nominals = None
-    grid = None
-    if "nominal0" in cfg or "nominal1" in cfg:
-        _refuse_overlap(cfg)
-        nominals = _nominals(cfg)
-        grid = _grid_or_default(cfg, nominals)
+    nominals, grid = _boundary_problem(cfg)
     a = _get_float(cfg, "a") if "a" in cfg else None
     report = limits.eps_surface(alpha, n, nominals=nominals, grid=grid, a=a)
     meta = {"alpha": report.alpha, "mode": report.mode,
@@ -413,29 +389,21 @@ def _cmd_surface(cfg):
 
 
 def _cmd_evaluate(cfg):
-    nominals = _nominals(cfg)
-    spec = _spec(cfg, _get_float(cfg, "alpha"))
-    grid = _grid_or_default(cfg, nominals)
+    spec, nominals, grid = _problem(cfg)
     mc = _parse_mc(cfg["mc"]) if "mc" in cfg else None
     sol = solve_thresholds(spec, nominals, grid)
-    lrt = evaluation.lrt_rule(nominals, spec.rho)
-    runs = [
-        ("robust", "lfd", evaluation.error_probs(
-            sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, sol.grid)),
-        ("robust", "nominal", evaluation.error_probs(
-            sol.delta_hat, nominals[0], nominals[1], spec.rho, sol.grid)),
-        ("lrt", "nominal", evaluation.lrt_errors(nominals, spec.rho, sol.grid)),
-    ]
+    # (rule, densities, rule function, density pair): a quadrature row each, the
+    # LRT's by lrt_errors at its jump, and with mc a Monte Carlo row each at seed + i
+    cases = [("robust", "lfd", sol.delta_hat, (sol.g0_hat, sol.g1_hat)),
+             ("robust", "nominal", sol.delta_hat, nominals),
+             ("lrt", "nominal", evaluation.lrt_rule(nominals, spec.rho), nominals)]
+    runs = [(rule, dens, evaluation.lrt_errors(pair, spec.rho, sol.grid) if rule == "lrt"
+             else evaluation.error_probs(delta, *pair, spec.rho, sol.grid))
+            for rule, dens, delta, pair in cases]
     if mc is not None:
         n, seed = mc
-        runs += [
-            ("robust", "lfd", evaluation.monte_carlo_errors(
-                sol.delta_hat, sol.g0_hat, sol.g1_hat, spec.rho, n, seed)),
-            ("robust", "nominal", evaluation.monte_carlo_errors(
-                sol.delta_hat, nominals[0], nominals[1], spec.rho, n, seed + 1)),
-            ("lrt", "nominal", evaluation.monte_carlo_errors(
-                lrt, nominals[0], nominals[1], spec.rho, n, seed + 2)),
-        ]
+        runs += [(rule, dens, evaluation.monte_carlo_errors(delta, *pair, spec.rho, n, seed + i))
+                 for i, (rule, dens, delta, pair) in enumerate(cases)]
     rules, dens, reps = zip(*runs)
     meta = {"alpha": spec.alpha, "rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1,
             "l_l": sol.thresholds.l_l, "l_u": sol.thresholds.l_u}
@@ -474,26 +442,29 @@ def _cmd_sweep_snr(cfg):
                           eps0=_get_float(cfg, "eps0", 0.0),
                           eps1=_get_float(cfg, "eps1", 0.0))
     grid = _parse_grid(cfg["grid"]) if "grid" in cfg else None
-    n, seed = (0, 0)
-    if "mc" in cfg:
-        n, seed = _parse_mc(cfg["mc"])
-    rows = evaluation.snr_sweep(noise, amps, spec, grid, n, snr_db=snr_db,
-                                **({"seed": seed} if n else {}))
+    n, seed = _parse_mc(cfg["mc"]) if "mc" in cfg else (0, 0)
+    rows = evaluation.snr_sweep(noise, amps, spec, grid, n, seed=seed, snr_db=snr_db)
     return {"alpha": spec.alpha, "rho": spec.rho}, {
         "snr_db": [r.snr_db for r in rows], "test": [r.test for r in rows],
         "eps0": [r.eps0 for r in rows], "eps1": [r.eps1 for r in rows],
         "p_fa": [r.p_false_alarm for r in rows], "p_miss": [r.p_miss for r in rows]}
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "solve-symmetric": _cmd_solve_symmetric,
-    "limits": _cmd_limits,
-    "surface": _cmd_surface,
-    "evaluate": _cmd_evaluate,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "sweep-snr": _cmd_sweep_snr,
+# each command's handler and the keys it reads besides command, format and
+# out; limits and surface accept rho without using it, since the admissible
+# radii do not depend on the prior
+_PAIR = {"nominal0", "nominal1", "grid"}
+_COMMANDS = {
+    "solve": (_cmd_solve, _PAIR | {"alpha", "rho", "eps0", "eps1"}),
+    "solve-symmetric": (_cmd_solve_symmetric, _PAIR | {"alpha", "rho", "eps"}),
+    "limits": (_cmd_limits, _PAIR | {"alpha", "rho", "eps0", "eps1", "a"}),
+    "surface": (_cmd_surface, _PAIR | {"alpha", "rho", "n", "a"}),
+    "evaluate": (_cmd_evaluate, _PAIR | {"alpha", "rho", "eps0", "eps1", "mc"}),
+    "sweep-alpha": (_cmd_sweep_alpha, _PAIR | {"alphas", "rho", "eps0", "eps1"}),
+    "sweep-snr": (_cmd_sweep_snr, {"nominal0", "grid", "alpha", "rho", "eps0", "eps1", "mc",
+                                   "amplitudes", "snr_db"}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -515,7 +486,7 @@ def run(cfg: dict[str, str]) -> int:
             fmt = cfg.get("format", "csv")
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"format must be csv or json, got {fmt!r}")
-            text = _render(fmt, *_HANDLERS[command](cfg))
+            text = _render(fmt, *_COMMANDS[command][0](cfg))
             out = cfg.get("out", "-")
             if out == "-":
                 sys.stdout.write(text)

@@ -45,6 +45,15 @@ def _as_support(lo: float, hi: float) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _frozen(a) -> np.ndarray:
+    """a as a read-only contiguous float64 array: a itself if it is one, else a copy."""
+    arr = np.ascontiguousarray(a, dtype=np.float64)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Convex combination of Gaussians; components are (weight, mean, stddev)."""
@@ -88,6 +97,7 @@ class Tabulated:
         inc = np.cumsum(0.5 * (val[1:] + val[:-1]) * np.diff(pts))
         cdf = np.concatenate(([0.0], inc))
         cdf /= cdf[-1]
+        cdf.setflags(write=False)
         return TabulatedFunction(cdf, pts)
 
 
@@ -129,10 +139,10 @@ def shifted(base: DensityModel, shift: float) -> Shifted:
 
 def tabulated(points, values) -> Tabulated:
     """Build a renormalized tabulated density from grid points and values."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
+    pts = _frozen(points)
     val = np.ascontiguousarray(values, dtype=np.float64)
     if pts.ndim != 1 or pts.shape != val.shape or pts.size < 3:
-        raise ValueError("points and values must be equal-length 1-D arrays, length >= 3")
+        raise ValueError("points and values must be equal-length 1-D arrays of at least 3 points")
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"points must be finite, got [{pts[0]}, ..., {pts[-1]}]")
     if not np.all(np.diff(pts) > 0.0):
@@ -144,7 +154,6 @@ def tabulated(points, values) -> Tabulated:
         raise ValueError("tabulated values integrate to zero")
     val = val / mass
     val.setflags(write=False)
-    pts.setflags(write=False)
     return Tabulated(pts, val, (float(pts[0]), float(pts[-1])))
 
 
@@ -299,7 +308,7 @@ class _BucketIndex:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedFunction:
     """Piecewise-linear function given by its values on points, read as np.interp.
 
@@ -313,7 +322,8 @@ class TabulatedFunction:
     to the table's bucket `index`, built on first use and kept.  A block's
     first pair is compared before the whole block is checked for order, so
     about half of the unordered blocks skip that pass.  The points and
-    values are made read-only, so the index stays that of the table.
+    values are kept read-only, so the index stays that of the table: a
+    read-only array as it is, a writeable one as a copy.
     """
 
     points: np.ndarray
@@ -327,9 +337,7 @@ class TabulatedFunction:
             raise ValueError("points and values must be nonempty 1-D arrays of one length, "
                              f"got shapes {shape} and {np.shape(self.values)}")
         for name in ("points", "values"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @functools.cached_property
     def index(self) -> _BucketIndex:

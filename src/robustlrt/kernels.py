@@ -46,9 +46,9 @@ K = kb with a few vector operations and a dot product per integral, and
 `i2_s` gives S alone, the one integral the off-centre mass balance in k
 needs.  `i2_power_derivatives(geo, kb)` gives the derivatives of
 (S, T0, T1) and of the region masses that the solver's Newton step needs;
-it works the few crossing-cell terms in Python floats and sums them in the
-orders numpy takes over whole arrays, so they equal their whole-array form
-bit for bit.
+it works the few crossing-cell terms in Python floats, adding each to its
+sum as it makes it, in the orders numpy takes over whole arrays, so they
+equal their whole-array form bit for bit.
 `augment_with_crossings` inserts the ends of the split's I2 pieces
 that lie inside their cells as knots of the solution tables.
 `region_masses` runs the mass steps for one threshold pair.
@@ -402,22 +402,22 @@ def i2_power_derivatives(geo, kb):
     # there (the bracket stays 1), likewise at hi with U (it stays K), and
     # (l/rho)^alpha of T0 adds alpha
     own_lo, own_hi, add = -beta * geo.lb, -beta * geo.ub, (0.0, alpha, 0.0)
-    ends = [([], []) for _ in range(3)]   # each integral's end terms at lo and at hi
-    moved = [([], []) for _ in range(2)]  # f1 and f0 at the ends, as weighted in w
+    # each side's terms summed in numpy's orders for the same whole-array sums:
+    # from 0.0 in end order for the integrals (the rows of a column-major
+    # array), and by numpy's own 1-D sum for the masses
+    ends = [[0.0, 0.0] for _ in range(3)]  # each integral's end terms at lo and at hi
+    moved = [([], []) for _ in range(2)]   # f1 and f0 at the ends, as weighted in w
     for e in range(2 * n):
         o = e + n if e < n else e - n
         side = 0 if at_lo[e] else 1
         move = (geo.lo if at_lo[e] else -geo.hi) * rate[e] * inside[e]
         own_l = own_lo * dlog_lo[e] if at_lo[e] else own_hi * dlog_hi[e]
-        for i, terms in enumerate(ends):
-            terms[side].append(move * (pe[i][e] * (we[i][o] - 2.0 * we[i][e]) - qe[i][o])
-                               + 0.5 * qe[i][e] * (order[i] * own_l + add[i]) * (move != 0.0))
+        for i, sums in enumerate(ends):
+            sums[side] += (move * (pe[i][e] * (we[i][o] - 2.0 * we[i][e]) - qe[i][o])
+                           + 0.5 * qe[i][e] * (order[i] * own_l + add[i]) * (move != 0.0))
         for i, terms in enumerate(moved):
             terms[side].append(2.0 * move * we[i][e])
-    # each side's terms summed in the orders numpy takes for the same sums
-    # over whole arrays: from the left for the integrals (the rows of a
-    # column-major array), and by numpy's own 1-D sum for the masses
-    cols = [row + [_sum_in_order(side) for side in terms] for row, terms in zip(fixed, ends)]
+    cols = [row + sums for row, sums in zip(fixed, ends)]
     return np.array(cols), np.array([[np.add.reduce(side) for side in moved[i]] for i in (1, 0)])
 
 
@@ -426,15 +426,6 @@ def _div(a, b):
     if b == 0.0:
         return math.copysign(math.inf, a) * math.copysign(1.0, b) if 0.0 != a == a else math.nan
     return a / b
-
-
-def _sum_in_order(xs):
-    """The float sum of xs from 0.0, left to right, as numpy sums each row of
-    a column-major array."""
-    s = 0.0
-    for x in xs:
-        s += x
-    return s
 
 
 def augment_with_crossings(points, l, arrays, lo, hi):

@@ -41,6 +41,7 @@ likelihood ratio are `density.TabulatedFunction` tables on those knots.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -340,6 +341,8 @@ def _materialize(spec, t, st, gv, resid_norm) -> RobustSolution:
     if g0.min() < 0.0 or g1.min() < 0.0:
         raise ParametricInfeasibleError("a least favorable density went negative")
 
+    for a in (y_aug, delta, l_hat_vals):  # tables take read-only arrays without a copy
+        a.setflags(write=False)
     aug_grid = QuadratureGrid(y_aug, trapezoid_weights(y_aug))
     ach0 = alpha_divergence(g0, f0a, alpha, aug_grid)
     ach1 = alpha_divergence(g1, f1a, alpha, aug_grid)
@@ -586,12 +589,15 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
         return solve_thresholds(spec, nominals, grid)
 
     x_eps = x_of(alpha, eps)
-    states = {}  # u -> _EvalState, or None where the regions degenerate
+
+    # the _EvalState at u, None where the regions degenerate; the last three
+    # are kept, and one evicted is computed again, bit for bit
+    @functools.lru_cache(maxsize=3)
+    def state(u):
+        return _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
 
     def resid(u):
-        if u not in states:
-            states[u] = _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
-        st = states[u]
+        st = state(u)
         return math.nan if st is None else st.r0 + st.r1
 
     # l_u moves like sqrt(eps) away from 1 and stays inside the ratio range
@@ -602,7 +608,7 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
             "no decision point solves the symmetric activation equation for "
             "eps = %g, although the radii are feasible" % eps
         )
-    st = states[brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER)]
+    st = state(brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER))
     ll, lu = st.l_l, st.l_u
     if abs(st.k - ll) > 1e-6 * ll:
         warnings.warn(

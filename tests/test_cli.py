@@ -949,7 +949,7 @@ def test_csv_writer_matches_the_row_loop_on_commands(case, csv_path):
     cfg = CSV_COMMANDS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        meta, columns = cli._HANDLERS[cfg["command"]](cfg)
+        meta, columns = cli._COMMANDS[cfg["command"]][0](cfg)
     text = cli._render("csv", meta, columns)
     assert text == _loop_csv(meta, columns)
     if case == "sweep-alpha-failed":

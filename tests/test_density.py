@@ -516,6 +516,22 @@ def test_tabulated_function_refuses_malformed_tables():
             density.TabulatedFunction(points, values)
 
 
+def test_tables_leave_the_callers_arrays_writeable():
+    # a table keeps read-only copies of writeable arrays and takes read-only
+    # arrays as they are; tables compare and hash by identity
+    points, values = np.linspace(0.0, 1.0, 5), np.ones(5)
+    tables = [density.TabulatedFunction(points, values), density.tabulated(points, values)]
+    assert points.flags.writeable and values.flags.writeable
+    for table in tables:
+        assert not table.points.flags.writeable and not table.values.flags.writeable
+    frozen = tables[0].points
+    assert density.TabulatedFunction(frozen, tables[0].values).points is frozen
+    assert density.tabulated(frozen, values).points is frozen
+    twin = density.TabulatedFunction(points, values)
+    assert tables[0] == tables[0] and tables[0] != twin
+    assert len({tables[0], twin, tables[0]}) == 2 and hash(tables[0]) == hash(tables[0])
+
+
 @pytest.mark.parametrize("n", [1, density._INTERP_BLOCK, density._INTERP_BLOCK + 3])
 def test_generator_random_is_uniform_on_the_unit_interval(n):
     # the samplers and the decision count draw their uniforms with random(n)

@@ -305,13 +305,19 @@ def test_monte_carlo_agrees_with_quadrature(mix_solution, mix_nominals):
 
 
 def test_snr_conversions_roundtrip(mix_noise):
-    targets = [-5.0, 0.0, 7.0]
-    amps = amplitudes_from_snr(targets, mix_noise)
-    assert amps[1] == pytest.approx(math.sqrt(5.0), rel=1e-12)  # mixture std
-    for t, a in zip(targets, amps):
-        assert snr_of(a, mix_noise) == pytest.approx(t, abs=1e-12)
-    with pytest.raises(ValueError, match="positive"):
-        snr_of(0.0, mix_noise)
+    # the mixture, and a tabulated copy of it whose trapezoid standard
+    # deviation is the mixture's within the trapezoid error, O(h^2)
+    points = np.linspace(-12.0, 12.0, 4801)
+    table = density.tabulated(points, density.evaluate(mix_noise, points))
+    h = points[1] - points[0]
+    for noise, rel in ((mix_noise, 1e-12), (table, h * h)):
+        targets = [-5.0, 0.0, 7.0]
+        amps = amplitudes_from_snr(targets, noise)
+        assert amps[1] == pytest.approx(math.sqrt(5.0), rel=rel)  # mixture std
+        for t, a in zip(targets, amps):
+            assert snr_of(a, noise) == pytest.approx(t, abs=1e-12)
+        with pytest.raises(ValueError, match="positive"):
+            snr_of(0.0, noise)
 
 
 def test_snr_of_a_one_component_mixture_is_exact():

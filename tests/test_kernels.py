@@ -253,24 +253,6 @@ def test_power_derivatives_equal_the_array_form():
     assert most == 26
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 52, 127, 128, 129, 300, 1001])
-def test_float_sums_take_numpy_order(n):
-    # the crossing-cell terms' sums: from the left as numpy sums each row of
-    # a column-major array; signed zeros, infinities and NaN included
-    rng = np.random.default_rng(n)
-    for trial in range(20):
-        a = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
-        if n and trial % 4 == 1:
-            a[:, rng.integers(0, n, 3)] = -0.0
-        if n and trial % 4 == 2:
-            a[:, rng.integers(0, n)] = rng.choice([np.inf, -np.inf, np.nan])
-        keep = rng.random(n) < 0.6
-        rows = a[:, keep]
-        for got, want in zip([kernels._sum_in_order(r) for r in rows.tolist()],
-                             rows.sum(axis=1).tolist()):
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 def _random_kernel_problem(rng):
     """2 to 40 knots 0.01 to 1 apart from a start in [-5, 5], density values 0
     (about a quarter of them) or in [0.5, 10], and thresholds lo <= hi in

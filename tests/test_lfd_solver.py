@@ -10,10 +10,12 @@ generic quadrature of the divergence module.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -685,6 +687,32 @@ def test_symmetric_solve_takes_few_residual_evaluations(count_calls, norm_pair, 
     sym = lfd_solver.solve_symmetric(eps, alpha, 1.0, norm_pair, norm_grid)
     assert sym.residual_norm < 1e-8
     assert 0 < calls[0] < 20
+
+
+def test_symmetric_solve_keeps_only_its_last_states(monkeypatch, norm_pair, norm_grid):
+    # the residual states of the root search die as the search moves on:
+    # when Brent's method returns, at most its last few are alive
+    # (a state is unhashable, so a weak reference each stands in for a WeakSet)
+    refs, counts = [], []
+    real_eval, real_brent = lfd_solver._eval_state, lfd_solver.brent
+
+    def tracked(*args):
+        st = real_eval(*args)
+        if st is not None:
+            refs.append(weakref.ref(st))
+        return st
+
+    def counted(*args, **kwargs):
+        root = real_brent(*args, **kwargs)
+        gc.collect()
+        counts.append(sum(r() is not None for r in refs))
+        return root
+
+    monkeypatch.setattr(lfd_solver, "_eval_state", tracked)
+    monkeypatch.setattr(lfd_solver, "brent", counted)
+    sym = lfd_solver.solve_symmetric(0.1, 2.0, 1.0, norm_pair, norm_grid)
+    assert sym.residual_norm < 1e-8
+    assert len(counts) == 1 and 0 < counts[0] <= 4
 
 
 def test_symmetric_matches_general_solver_near_the_boundary(norm_pair):

@@ -1,5 +1,6 @@
 """Static checks on the package source: every import and every module-level
-private name of `src/robustlrt` is used.
+private name of `src/robustlrt` is used, and every import is of the standard
+library, numpy or the package itself.
 
 A name moved from one module to another tends to leave its old imports
 behind; these checks find them by reading the modules with `ast`, without
@@ -8,6 +9,7 @@ importing them.
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -82,3 +84,20 @@ def test_every_module_level_private_name_is_used():
         private = {d for d in defined if d.startswith("_") and not d.startswith("__")}
         unused += [f"{name}: {d}" for d in sorted(private - _loaded_names(tree) - elsewhere)]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_numpy_and_the_package(path):
+    # numpy is the one run-time dependency; the test tools, scipy among
+    # them, are installed beside the package but must not be imported by it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "robustlrt"}
+    found = {}
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found |= {name: node.lineno for name in names if name.split(".")[0] not in allowed}
+    assert not found, f"{path.name}: imports outside the standard library and numpy {found}"
