@@ -144,7 +144,8 @@ def tabulated(points, values) -> Tabulated:
     if pts.ndim != 1 or pts.shape != val.shape or pts.size < 3:
         raise ValueError("points and values must be equal-length 1-D arrays of at least 3 points")
     if not np.all(np.isfinite(pts)):
-        raise ValueError(f"points must be finite, got [{pts[0]}, ..., {pts[-1]}]")
+        i = int(np.argmin(np.isfinite(pts)))
+        raise ValueError(f"points must be finite, got {pts[i]} at index {i}")
     if not np.all(np.diff(pts) > 0.0):
         raise ValueError("points must be strictly increasing")
     if np.any(val < 0.0) or not np.all(np.isfinite(val)):
@@ -200,6 +201,8 @@ def make_grid(y_min: float, y_max: float, n: int = 4001) -> QuadratureGrid:
         raise ValueError(f"grid needs at least 3 points, got {n}")
     if not (y_max > y_min):
         raise ValueError(f"empty grid range [{y_min}, {y_max}]")
+    if not math.isfinite(float(y_max) - float(y_min)):
+        raise ValueError(f"grid span [{y_min}, {y_max}] is not finite")
     pts = np.linspace(float(y_min), float(y_max), int(n))
     grid = QuadratureGrid(pts, trapezoid_weights(pts))
     pts.setflags(write=False)

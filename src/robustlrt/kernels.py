@@ -379,7 +379,7 @@ def i2_power_derivatives(geo, kb):
     br = np.exp(logbr)
     inv_ul = math.exp(-geo.log_ul)
     c = math.copysign(inv_ul, beta)
-    dlog = np.array((c * (br / kb - 1.0), c * (1.0 - br), (inv_ul / (kb * kb)) * geo.tl * br))
+    dlog = np.array((c * (br / kb - 1.0), c * (1.0 - br), _div(inv_ul, kb * kb) * geo.tl * br))
     with np.errstate(over="ignore", invalid="ignore"):
         q = w * p
         fixed = [[0.5 * o * x for x in row] for o, row in zip(order, (q @ dlog.T).tolist())]

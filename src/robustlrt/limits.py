@@ -8,7 +8,8 @@ Normalising g_v fixes the multipliers in closed form, so every boundary
 question is the root of one scalar equation in v on that family: the point
 where one radius takes a fixed value (`max_eps_general`, and pointwise on
 one shared family in `eps_surface`), or the point whose radii lie along a
-requested ray (`validate_eps`).  The Hellinger case alpha = 1/2 also has
+requested ray (`validate_eps`).  Newton's method finds each root, with the
+slopes in v that every member also gives.  The Hellinger case alpha = 1/2 has
 closed forms (`hellinger_root_a`, `hellinger_eps_max`).  The prior ratio
 plays no part: the admissible region is a property of the two balls.
 
@@ -16,9 +17,9 @@ All integrals run on the caller's quadrature grid in log space, so very
 large or very negative alpha stay finite.  Each job builds the family of its
 nominal pair once (`_family`): the scaled log nominals, the cells where a
 nominal vanishes, the grid weights and the closed-form ends.  The family
-also remembers every member it has evaluated, keyed by v, so a root search,
-its bracket and a sweep of roots on one family never evaluate a trial point
-twice.
+also remembers every member it has evaluated, keyed by v, so a sweep of
+roots on one family, each started at the root before, never evaluates a
+trial point twice.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .density import QuadratureGrid, values_on
 from .divergence import check_alpha, x_of
-from .roots import bracket, brent
+from .roots import newton
 
 EPS_MAX_A0 = 4.0 - 2.0 * math.sqrt(2.0)
 
@@ -43,7 +44,7 @@ _LOG2 = math.log(2.0)
 _L_RANGE_LO = 1e-6
 _L_RANGE_HI = 1e6
 
-# the bracket for v stops growing here: beyond it g_v is f0 or f1 to
+# the search for v goes no further out: beyond it g_v is f0 or f1 to
 # rounding unless |1-a| log(f1/f0) spans thousands on the grid, so a fixed
 # radius whose root lies further out gets that end
 _V_MAX = 2.0 ** 13
@@ -199,34 +200,48 @@ class _Family(NamedTuple):
 
 
 def _touching(family: _Family, v: float):
-    """Log normaliser and both radii of the touching density g_v.
+    """Log normaliser, both radii and their slopes in v of the touching density g_v.
 
     g_v = h_v / integral(h_v) with h_v = (f0^(1-a) + e^v f1^(1-a))^(1/(1-a))
     and v = log(lambda1/lambda0); returns (log integral(h_v), D(g_v, f0),
-    D(g_v, f1)).  Works from the family's precomputed b log f_i and masks in
+    D(g_v, f1), dD(g_v, f0)/dv, dD(g_v, f1)/dv).  With b = 1 - a and
+    s = e^v f1^b / h_v^b, d log h_v/dv = s/b, so with M_i = integral(g^a f_i^b)
+    dD(g_v, f_i)/dv = -(integral(g^a f_i^b s) - M_i E_g[s]) / b^2, from the
+    same passes.  Works from the family's precomputed b log f_i and masks in
     whole-array passes; callers read it through `_at`, which memoises it by
     v on the family.  A cell where f_i vanishes adds nothing to the moment
-    of f_i, for every sign of alpha.
+    of f_i, for every sign of alpha, and s is 0 where f1 vanishes.
     """
     alpha, w = family.alpha, family.w
     b = 1.0 - alpha
-    lh = _logaddexp(family.blf0, v + family.blf1)
+    sw = v + family.blf1
+    lh = _logaddexp(family.blf0, sw)
+    with np.errstate(invalid="ignore"):
+        sw -= lh
+    np.exp(sw, out=sw)
+    if family.vanish1 is not None:
+        sw[family.vanish1] = 0.0
+    sw *= w
     lh /= b
     top = float(lh.max())
     t = np.subtract(lh, top)
     np.exp(t, out=t)
-    log_norm = top + math.log(float(np.dot(t, w)))
+    mass = float(np.dot(t, w))
+    log_norm = top + math.log(mass)
+    mean_s = float(np.dot(t, sw)) / mass
     lh -= log_norm
     lh *= alpha
-    radii = []
+    radii, slopes = [], []
     with np.errstate(invalid="ignore"):
         for blf, vanish in ((family.blf0, family.vanish0), (family.blf1, family.vanish1)):
             np.add(lh, blf, out=t)
             np.exp(t, out=t)
             if vanish is not None:
                 t[vanish] = 0.0
-            radii.append((1.0 - float(np.dot(t, w))) / (alpha * b))
-    return log_norm, radii[0], radii[1]
+            moment = float(np.dot(t, w))
+            radii.append((1.0 - moment) / (alpha * b))
+            slopes.append((moment * mean_s - float(np.dot(t, sw))) / (b * b))
+    return log_norm, radii[0], radii[1], slopes[0], slopes[1]
 
 
 def _at(family: _Family, v: float):
@@ -259,41 +274,39 @@ def _family(nominals, alpha: float, grid: QuadratureGrid) -> _Family:
                    w=w, alpha=alpha, ends=ends, seen={})
 
 
-def _touching_root(family: _Family, h):
-    """(eps0, eps1, lambda0, lambda1) at the g_v where h(eps0, eps1) = 0.
+def _touching_root(family: _Family, lin, val: float, start: float = 0.0):
+    """(v, eps0, eps1, lambda0, lambda1) at the g_v where lin(eps0, eps1) = val.
 
-    h must rise with v, as D(g_v, f0) does while D(g_v, f1) falls.  Brent's
-    method refines a bracket grown outward from v = 0; with no sign change
-    within |v| <= _V_MAX this returns the end of the family h points to.
-    Every member is read through the family's memo, so Brent's two starting
-    points, the root itself and, over a sweep of roots on one family, v = 0
-    and the shared bracket points are evaluated once.
+    lin is linear and lin(D(g_v, f0), D(g_v, f1)) must rise with v, as
+    D(g_v, f0) does while D(g_v, f1) falls.  `roots.newton` takes v from
+    start with the members' slopes; with no sign change within |v| <= _V_MAX
+    this returns start and the end of the family lin points to.  Members are
+    read through the family's memo, so a start at an earlier root is free.
     """
 
     def r(v):
-        return h(*_at(family, v)[1:])
+        _, e0, e1, d0, d1 = _at(family, v)
+        return lin(e0, e1) - val, lin(d0, d1)
 
-    r0 = r(0.0)
-    step = 1.0 if r0 < 0.0 else -1.0
-    span = bracket(r, 0.0, r0, step, _V_MAX)
-    if span is None:
-        return family.ends[step]
-    v = brent(r, *span, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    log_norm, e0, e1 = _at(family, v)
+    v = newton(r, start, _V_MAX, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    if v is None:
+        return (start,) + family.ends[1.0 if r(start)[0] < 0.0 else -1.0]
+    log_norm, e0, e1, _, _ = _at(family, v)
     b = 1.0 - family.alpha
     lam = abs(b)
-    return (e0, e1, lam * math.exp(-b * log_norm), lam * math.exp(v - b * log_norm))
+    return (v, e0, e1, lam * math.exp(-b * log_norm), lam * math.exp(v - b * log_norm))
 
 
-def _partner(family, idx: int, val: float):
-    """`max_eps_general` on a built family, for a valid index and radius."""
+def _partner(family, idx: int, val: float, start: float = 0.0):
+    """`max_eps_general` on a built family for a valid index and radius, plus
+    the touching point's v: a root searched from start, or start at an end."""
     alpha, ends = family.alpha, family.ends
-    # D(g_v, f0) rises and D(g_v, f1) falls with v, so h below rises with v
+    # D(g_v, f0) rises and D(g_v, f1) falls with v, so lin below rises with v
     sign = 1.0 if idx == 0 else -1.0
     axis_max = ends[sign][idx]
     if val == 0.0:
         e0, e1, lam0, lam1 = ends[-sign]
-        return (e1 if idx == 0 else e0), lam0, lam1
+        return (e1 if idx == 0 else e0), lam0, lam1, start
     if x_of(alpha, val) <= 0.0:
         raise NoBoundaryPointError(
             "no boundary point: constraint constant x(alpha, eps) = %g is not "
@@ -303,10 +316,10 @@ def _partner(family, idx: int, val: float):
         raise NoBoundaryPointError(
             "no boundary point: fixed radius eps%d = %g is beyond its axis "
             "maximum D(f%d||f%d) = %.10g" % (idx, val, 1 - idx, idx, axis_max))
-    e0, e1, lam0, lam1 = ends[sign] if val == axis_max else _touching_root(
-        family, lambda e0, e1: sign * ((e0 if idx == 0 else e1) - val))
+    v, e0, e1, lam0, lam1 = (start,) + ends[sign] if val == axis_max else _touching_root(
+        family, lambda e0, e1: sign * (e0 if idx == 0 else e1), sign * val, start)
     # next to the far end the partner radius is 0 up to rounding
-    return max(e1 if idx == 0 else e0, 0.0), lam0, lam1
+    return max(e1 if idx == 0 else e0, 0.0), lam0, lam1, v
 
 
 def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
@@ -321,8 +334,8 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
     The ends of the family are closed forms: a fixed radius of 0 gives
     g = f_index and the partner D(f_index||f_other); a fixed radius equal
     to its axis maximum D(f_other||f_index) gives g = f_other and the
-    partner 0.  Between them Brent's method finds v on a bracket grown
-    outward from v = 0.
+    partner 0.  Between them Newton's method finds v from v = 0, with the
+    slope of D(g_v, f_index) that each member gives.
 
     Raises NoBoundaryPointError, naming the axis maximum, when the fixed
     radius lies beyond it.
@@ -333,7 +346,7 @@ def max_eps_general(nominals, alpha: float, grid: QuadratureGrid, eps_i_fixed):
         raise ValueError("eps_i_fixed index must be 0 or 1")
     if not (np.isfinite(val) and val >= 0.0):
         raise ValueError("fixed radius must be a finite nonnegative real")
-    return _partner(_family(nominals, alpha, grid), idx, val)
+    return _partner(_family(nominals, alpha, grid), idx, val)[:3]
 
 
 def eps_surface(alpha: float, n: int, nominals=None,
@@ -376,7 +389,11 @@ def eps_surface(alpha: float, n: int, nominals=None,
         raise ValueError("general mode needs nominals and a grid")
     family = _family(nominals, alpha, grid)
     sweep = [float(e0) for e0 in np.linspace(0.0, _partner(family, 1, 0.0)[0], n)]
-    partners = [_partner(family, 0, e0) for e0 in sweep]
+    # D(g_v, f0) rises with v, so each root is the lower end of the next
+    partners, v = [], 0.0
+    for e0 in sweep:
+        *partner, v = _partner(family, 0, e0, v)
+        partners.append(partner)
     _, lam0, lam1 = partners[n // 2]
     return FeasibilityReport(alpha=alpha, mode="general",
                              pairs=tuple((e0, p[0]) for e0, p in zip(sweep, partners)),
@@ -405,7 +422,7 @@ def validate_eps(nominals, spec, grid: QuadratureGrid):
     elif u1 == 0.0:
         s_star = ends[1.0][0]
     else:
-        e0, e1, _, _ = _touching_root(family, lambda e0, e1: u1 * e0 - u0 * e1)
+        _, e0, e1, _, _ = _touching_root(family, lambda e0, e1: u1 * e0 - u0 * e1, 0.0)
         s_star = u0 * e0 + u1 * e1
     margin = s_star - s_req
     return margin > 1e-9 * (1.0 + s_req), margin

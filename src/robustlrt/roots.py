@@ -1,10 +1,11 @@
-"""Scalar root finding: grow a bracket, then Brent's method inside it.
+"""Scalar root finding: grow a bracket, then Brent's method inside it, or
+Newton's method kept inside the bracket it has seen.
 
-Every scalar equation of the threshold solver and the radius limits (the
-mass balance at rho != 1, the symmetric threshold equation in log l_u, the
-touching point of the two balls at a fixed radius or along a ray) is solved
-by these two functions; the discrete oracle, which checks them, has its own
-Newton iteration.  `brent` is Brent's method (R. P. Brent, *Algorithms for
+The threshold solver's scalar equations (the mass balance at rho != 1, the
+symmetric threshold equation in log l_u) are solved by `bracket` and
+`brent`; the touching point of the two balls at a fixed radius or along a
+ray, whose members give their slopes too, by `newton`.  The discrete
+oracle, which checks them, has its own Newton iteration.  `brent` is Brent's method (R. P. Brent, *Algorithms for
 Minimization without Derivatives*, 1973, ch. 4) in the classic variant with
 a hyperbolic extrapolation step: it stops once the bracket is shorter than
 xtol + rtol*|x|, takes at most maxiter steps, and compares signs rather
@@ -104,3 +105,40 @@ def brent(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
         fcur = _value(f, xcur)
     raise RuntimeError("Brent's method did not converge in %d iterations; last x = %r"
                        % (maxiter, xcur))
+
+
+def newton(fdf, x0: float, limit: float, xtol: float, rtol: float, maxiter: int = 100):
+    """A root of a rising f by Newton's method inside the bracket seen so far.
+
+    fdf(x) gives (f(x), f'(x)).  Until f changes sign the steps go towards
+    the root, at most 1, 2, 4, ... long as in `bracket`, with |x| <= limit;
+    then a Newton step that would leave the bracket bisects it, so a start
+    where f < 0 is a lower end.  Returns an evaluated x once its Newton step
+    or half the bracket is below (xtol + rtol*|x|)/2, as `brent` stops, or
+    where f is 0; None when f keeps its sign up to |x| = limit or is NaN
+    before changing sign.  Raises ValueError when f is NaN inside a bracket
+    and RuntimeError when maxiter steps do not converge.
+    """
+    lo, hi, x, cap = -math.inf, math.inf, float(x0), 1.0
+    for _ in range(maxiter):
+        fx, dfx = fdf(x)
+        if math.isnan(fx):
+            if math.inf in (-lo, hi):
+                return None
+            raise ValueError("the function value at x = %r is NaN" % (x,))
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        delta = (xtol + rtol * abs(x)) / 2.0
+        s = -fx / dfx if 0.0 < dfx < math.inf else math.copysign(math.inf, -fx)
+        if abs(s) <= delta or hi - lo < 2.0 * delta:
+            return x
+        if math.inf not in (-lo, hi):
+            x = x + s if lo < x + s < hi else lo + (hi - lo) / 2.0
+        elif x == math.copysign(limit, s):
+            return None
+        else:
+            x = max(-limit, min(x + max(-cap, min(s, cap)), limit))
+            cap *= 2.0
+    raise RuntimeError("Newton's method did not converge in %d iterations; last x = %r"
+                       % (maxiter, x))

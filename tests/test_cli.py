@@ -1276,6 +1276,17 @@ def test_non_finite_grid_bounds_are_config_errors(tmp_path, capsys, grid):
     assert "configuration error" in err and "grid min and max must be finite" in err
 
 
+def test_grid_whose_span_overflows_is_a_config_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run({"command": "limits", "nominal0": "gaussian(-1,1)",
+                        "nominal1": "gaussian(1,1)", "alpha": "4", "eps0": "0.01",
+                        "grid": "-1e308:1e308:5"})
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "configuration error: grid span [-1e+308, 1e+308] is not finite\n"
+
+
 def test_unwritable_out_is_config_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_main([*LIMITS_ARGS, "--out", str(target)], capsys)

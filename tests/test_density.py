@@ -125,6 +125,11 @@ def test_tabulated_refuses_non_finite_points(points):
         density.tabulated(points, [0.1, 0.5, 0.3, 0.1])
 
 
+def test_tabulated_names_the_first_point_that_is_not_finite():
+    with pytest.raises(ValueError, match=r"points must be finite, got nan at index 2$"):
+        density.tabulated([0.0, 1.0, math.nan, 2.0, math.inf], [0.1, 0.5, 0.3, 0.1, 0.1])
+
+
 def test_trapezoid_weights_reproduce_polynomial_integral():
     # trapezoid rule is exact for piecewise-linear integrands
     pts = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, 40))
@@ -132,6 +137,14 @@ def test_trapezoid_weights_reproduce_polynomial_integral():
     assert float(np.sum(w)) == pytest.approx(pts[-1] - pts[0], rel=1e-14)
     assert float(np.sum(w * pts)) == pytest.approx(
         0.5 * (pts[-1] ** 2 - pts[0] ** 2), abs=1e-14)
+
+
+def test_make_grid_refuses_a_span_that_overflows():
+    # each end is finite, but the span is not: linspace would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"grid span \[-1e\+308, 1e\+308\] is not finite"):
+            density.make_grid(-1e308, 1e308, 5)
 
 
 def test_make_grid_shape_and_span():

@@ -817,6 +817,19 @@ def test_solver_refuses_exactly_what_validate_eps_refuses(monkeypatch, request, 
                 lfd_solver.solve_thresholds(spec, nominals, grid)
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_alpha_40_on_the_diagonal_stalls_with_a_typed_error(norm_pair, norm_grid, fraction):
+    # the boundary lies near eps = 9.0e15, where the Jacobian's K-column
+    # divides by K^2 = 0; that column is not finite and Newton stops
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, margin = limits.validate_eps(norm_pair, DivergenceSpec(alpha=40.0), norm_grid)
+        eps = fraction * margin / math.sqrt(2.0)
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            lfd_solver.solve_thresholds(DivergenceSpec(alpha=40.0, eps0=eps, eps1=eps),
+                                        norm_pair, norm_grid)
+
+
 def test_symmetric_without_a_root_bracket_names_the_cause(monkeypatch, norm_pair, norm_grid):
     # with no bracket for the symmetric equation, the radii decide the
     # error; the diagonal boundary at alpha = 2 lies near eps = 0.612

@@ -188,8 +188,9 @@ def test_fixing_eps1_mirrors_fixing_eps0(norm_pair, norm_grid, alpha, eps):
 
 
 def test_touching_point_takes_few_evaluations(count_calls, mix_nominals, mix_grid):
-    # one scalar root in v: a bracket grown from v = 0 plus one Brent solve; a
-    # march with nested root finds spent about 1700 grid integrals here
+    # one scalar root in v by Newton from v = 0 takes 10 grid integrals here
+    # (a grown bracket and Brent's method took 12); a march with nested root
+    # finds spent about 1700
     calls = count_calls(limits, "_touching")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -236,16 +237,18 @@ def _touching_reference(lf0, lf1, w, alpha, v):
     return log_norm, radii[0], radii[1]
 
 
+def _mix_or_wide(request, norm_pair, pair):
+    if pair == "mix":
+        return request.getfixturevalue("mix_nominals"), request.getfixturevalue("mix_grid")
+    return norm_pair, density.make_grid(-40.0, 40.0, 801)
+
+
 @pytest.mark.parametrize("pair", ["mix", "wide"])
 @pytest.mark.parametrize("alpha", [-20.0, -1.0, 0.5, 2.0, 4.0, 30.0])
 def test_touching_matches_the_plain_formula(request, norm_pair, pair, alpha):
     # on the wide grid each Gaussian underflows to 0 in 30 cells, so the
     # masks of vanishing nominals are exercised for every sign of alpha
-    if pair == "mix":
-        nominals = request.getfixturevalue("mix_nominals")
-        grid = request.getfixturevalue("mix_grid")
-    else:
-        nominals, grid = norm_pair, density.make_grid(-40.0, 40.0, 801)
+    nominals, grid = _mix_or_wide(request, norm_pair, pair)
     with np.errstate(divide="ignore"):
         lf0, lf1 = (np.log(density.evaluate(f, grid.points)) for f in nominals)
     with warnings.catch_warnings():
@@ -255,12 +258,37 @@ def test_touching_matches_the_plain_formula(request, norm_pair, pair, alpha):
         assert family.vanish0.sum() == family.vanish1.sum() == 30
     for v in (-8.0, -1.0, 0.0, 0.37, 1.0, 8.0, 100.0):
         want = _touching_reference(lf0, lf1, grid.weights, alpha, v)
-        assert limits._touching(family, v) == pytest.approx(want, rel=0, abs=1e-14)
+        assert limits._touching(family, v)[:3] == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("pair", ["mix", "wide"])
+@pytest.mark.parametrize("alpha", [-20.0, -1.0, 0.5, 2.0, 4.0, 30.0])
+def test_touching_slopes_match_central_differences(request, norm_pair, pair, alpha):
+    # Richardson's extrapolation of central differences at h = 1/64 and
+    # 1/128; the radii near 0 are 1 - M with M near 1, so a smaller h would
+    # measure their rounding.  On the wide grid each nominal vanishes in 30
+    # cells, where the slopes must stay finite and quiet
+    nominals, grid = _mix_or_wide(request, norm_pair, pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        family = limits._family(nominals, alpha, grid)
+
+    def central(v, h):
+        up, down = limits._touching(family, v + h), limits._touching(family, v - h)
+        return np.subtract(up[1:3], down[1:3]) / (2.0 * h)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (-8.0, -1.0, 0.0, 0.37, 1.0, 8.0):
+            slopes = limits._touching(family, v)[3:]
+            assert np.all(np.isfinite(slopes))
+            want = (4.0 * central(v, 1.0 / 128.0) - central(v, 1.0 / 64.0)) / 3.0
+            assert slopes == pytest.approx(want, rel=1e-5, abs=0.0), v
 
 
 def test_no_trial_point_is_evaluated_twice(monkeypatch, mix_nominals, mix_grid, mix_spec):
-    # a bracket's ends are Brent's starting points, and a sweep of roots on
-    # one family shares v = 0 and its bracket points; each is computed once
+    # a sweep of roots on one family starts each root at the one before, and
+    # its first at v = 0, where every root search starts; each is computed once
     real = limits._touching
     calls = []
 
@@ -394,6 +422,20 @@ def test_surface_builds_the_family_once(count_calls, mix_nominals, mix_grid):
     assert calls[0] == 2
 
 
+@pytest.mark.parametrize("alpha, most", [(4.0, 40), (2.0, 36)])
+def test_surface_starts_each_root_at_the_last(count_calls, mix_nominals, mix_grid,
+                                              alpha, most):
+    # 7 interior roots: from v = 0 each took a bracket and a Brent solve, 55
+    # and 52 grid integrals in all; Newton from the root before takes 38 and
+    # 33, and Newton from v = 0 would take 37 and 39
+    calls = count_calls(limits, "_touching")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = limits.eps_surface(alpha, 9, nominals=mix_nominals, grid=mix_grid)
+    assert len(rep.pairs) == 9
+    assert calls[0] <= most
+
+
 def test_surface_argument_validation(norm_pair, norm_grid):
     with pytest.raises(ValueError, match="at least 2"):
         limits.eps_surface(0.5, 1)
@@ -438,8 +480,9 @@ VALIDATE_MARGINS = [
 @pytest.mark.parametrize("alpha, eps0, eps1, margin", VALIDATE_MARGINS)
 def test_validate_eps_is_one_root(count_calls, mix_nominals, mix_grid,
                                   alpha, eps0, eps1, margin):
-    # one bracket and Brent solve on the touching family takes 4-13 grid
-    # integrals here; a ray search over boundary solves took 103-456
+    # one Newton root on the touching family takes 1-8 grid integrals here
+    # (a bracket and a Brent solve took 1-10); a ray search over boundary
+    # solves took 103-456
     calls = count_calls(limits, "_touching")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
