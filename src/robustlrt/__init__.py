@@ -7,9 +7,9 @@ check how large the uncertainty radii are allowed to be, and evaluate
 error probabilities by quadrature or Monte Carlo.
 
 The grid kernels that every threshold search integrates with are plain
-vectorized numpy (``robustlrt.kernels``), and one bracket-and-Brent search
-(``robustlrt.roots``) solves every scalar equation outside the discrete
-oracle; numpy is the only run-time dependency.
+vectorized numpy (``robustlrt.kernels``), and one Newton search with exact
+slopes (``robustlrt.roots``) solves every scalar equation outside the
+discrete oracle; numpy is the only run-time dependency.
 """
 
 from .density import (

@@ -43,9 +43,9 @@ gathers the I2 knots of the split with their trapezoid weights times f0
 and f1 and the k-independent parts of the bracket, once per threshold
 pair.  `i2_powers(geo, kb)` then gives (S, T0, T1) for one balance power
 K = kb with a few vector operations and a dot product per integral, and
-`i2_s` gives S alone, the one integral the off-centre mass balance in k
-needs.  `i2_power_derivatives(geo, kb)` gives the derivatives of
-(S, T0, T1) and of the region masses that the solver's Newton step needs;
+`i2_s` gives S alone with its slope in log k, what the off-centre mass
+balance in k needs.  `i2_power_derivatives(geo, kb)` gives the derivatives
+of (S, T0, T1) and of the region masses that the solver's Newton step needs;
 it works the few crossing-cell terms in Python floats, adding each to its
 sum as it makes it, in the orders numpy takes over whole arrays, so they
 equal their whole-array form bit for bit.
@@ -309,21 +309,29 @@ def i2_geometry(sp, rho, beta, alpha, lb_, ub):
 
 
 def _i2_log_bracket(geo, kb):
-    """log Br at the I2 knots of `geo` for K = kb, as `_interior_bracket` gives it."""
-    return geo.log_ul - np.log(geo.tl / kb + geo.ut)
+    """(log Br, p, p + q) at the I2 knots of `geo` for K = kb, as
+    `_interior_bracket` gives them."""
+    p = geo.tl / kb
+    pq = p + geo.ut
+    return geo.log_ul - np.log(pq), p, pq
 
 
 def i2_s(geo, kb):
-    """S of `i2_powers` alone, the one integral the mass balance in k needs."""
-    logbr = _i2_log_bracket(geo, kb)
-    with np.errstate(over="ignore"):  # an overflowing order integrates to inf
-        return 0.5 * float(geo.w1 @ np.exp(logbr / geo.beta))
+    """(S, dS/d log k): S of `i2_powers` alone, the one integral the mass
+    balance in k needs, and its slope.  d log Br/d log K is the rule
+    delta = p/(p + q) of `_interior_bracket` and K = k^beta, so
+    dS/d log k = integral of Br^(1/beta) * delta * f1."""
+    logbr, p, pq = _i2_log_bracket(geo, kb)
+    # an overflowing order integrates to inf, and its slope to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        ps = np.exp(logbr / geo.beta)
+        return 0.5 * float(geo.w1 @ ps), 0.5 * float(geo.w1 @ (ps * (p / pq)))
 
 
 def _i2_integrands(geo, kb):
     """log Br and the integrands of (S, T0, T1) at the I2 knots, without the
     weights w1, w0, w1."""
-    logbr = _i2_log_bracket(geo, kb)
+    logbr, _, _ = _i2_log_bracket(geo, kb)
     pw = logbr * (geo.alpha / geo.beta)
     with np.errstate(over="ignore"):  # an overflowing order integrates to inf
         return logbr, (np.exp(logbr / geo.beta), np.exp(pw + geo.alog), np.exp(pw))

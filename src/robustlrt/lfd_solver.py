@@ -19,17 +19,20 @@ branches meet continuously there, so the Jacobian is the threshold powers,
 the interior integrals' derivatives and dk from the mass balance; on the
 grid the crossing cells add the quadrature's share, which keeps the
 Jacobian that of the discrete residual.  A Newton step costs one residual
-evaluation per line-search trial and none for its Jacobian.  A residual
+evaluation per line-search trial and none for its Jacobian.  Off the
+centre prior a residual evaluation solves the mass balance for k by
+`roots.newton` with the exact slope of its interior integral.  A residual
 evaluation is None where a region degenerates; the searches take it as a
 failed trial, and the zero-radius solve raises DegenerateRegionError.  The
 module also offers a one-dimensional fast path for symmetric problems at
 rho = 1 (``solve_symmetric``): the same residuals restricted to
-l_l = 1/l_u, summed into one scalar equation in log l_u, so its thresholds
-multiply to 1 exactly.  The interior bracket and the rule come from one
-kernel helper, ``robust_rule``, ``robust_lr`` and the materialized
-tables share one branch form, and ``partition`` takes the grid kernels'
-region labels.  Both solvers refuse radii through one feasibility check,
-`limits.validate_eps`.
+l_l = 1/l_u, summed into one scalar equation in log l_u, which
+`roots.newton` solves with the slope from the residual pair's Jacobian, so
+its thresholds multiply to 1 exactly.  The interior bracket and the rule
+come from one kernel helper, ``robust_rule``, ``robust_lr`` and the
+materialized tables share one branch form, and ``partition`` takes the
+grid kernels' region labels.  Both solvers refuse radii through one
+feasibility check, `limits.validate_eps`.
 
 Both solvers return tables on the quadrature grid augmented with the
 region crossing points of `kernels.augment_with_crossings`, the one rule
@@ -41,7 +44,6 @@ likelihood ratio are `density.TabulatedFunction` tables on those knots.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
                       augment_with_crossings, grid_values, i2_geometry, i2_power_derivatives,
                       i2_powers, i2_s, region_split, split_masses)
-from .roots import bracket, brent
+from .roots import newton
 
 
 class DegenerateRegionError(RuntimeError):
@@ -184,14 +186,48 @@ def _pow(x, p):
         return math.inf
 
 
+def _balance_root(geo, beta, num, den, c, k_lit):
+    """The root k of the mass balance psi(k) = k*den - num - c*S(k) for
+    unequal thresholds, None where the search finds none.
+
+    psi falls as k grows, so -psi rises in u = log2(k/k_lit) from the
+    literal ratio k_lit = num/den: `newton` searches |u| <= 64 with the
+    slope d(-psi)/du = ln 2*(c*dS/d log k - k*den) of `i2_s`.  It stops at
+    a width of 8.9e-16/ln 2 + 8.9e-16*|u| in u.  The first term is Brent's
+    relative width 8.9e-16 in k; the second, a few float spacings of u,
+    keeps the width above that spacing, which passes the first term from
+    |u| = 8 on, where newton would otherwise bisect to its maxiter.  There
+    is no absolute width in k: newton returns the point before its last step,
+    off by about that step, so an absolute tolerance in k would leave the
+    residual noisy and cost the continuation evaluations.
+    """
+    ln2 = math.log(2.0)
+
+    def fdf(u):
+        k = k_lit * 2.0 ** u
+        kb = _pow(k, beta)
+        if not 0.0 < kb < math.inf:
+            return math.nan, math.nan
+        s, ds = i2_s(geo, kb)
+        return -(k * den - num - c * s), ln2 * (c * ds - k * den)
+
+    try:
+        u = newton(fdf, 0.0, 64.0, 8.9e-16 / ln2, 8.9e-16, maxiter=200)
+    except (ValueError, RuntimeError):
+        return None
+    return None if u is None else k_lit * 2.0 ** u
+
+
 def _eval_state(l_l, l_u, alpha, rho, gv: GridValues, x0, x1) -> _EvalState | None:
     """The residual pair and what its Jacobian needs at thresholds (l_l, l_u);
     None where a region carries no mass, the mass balance has no positive
-    root, or a power or z is not positive and finite (NaN included)."""
+    root, or a power or z is not positive and finite (NaN included).  Off
+    the centre prior k is the root of the mass balance, in closed form for
+    equal thresholds and by `_balance_root` otherwise."""
     # one region split of the grid gives the masses and the I2 geometry,
     # and its label part is the last split's while the knot labels repeat;
     # only the bracket powers depend on k, so off centre each trial k of the
-    # mass balance psi(k) costs a few vector operations and one dot product
+    # mass balance psi(k) costs a few vector operations and two dot products
     split = region_split(gv, rho * l_l, rho * l_u)
     masses = split_masses(split)
     a0, m0, b0, a1, m1, b1 = masses
@@ -209,35 +245,14 @@ def _eval_state(l_l, l_u, alpha, rho, gv: GridValues, x0, x1) -> _EvalState | No
             return None
         geo = i2_geometry(split, rho, beta, alpha, big_l, big_u)
 
-    def s_of(k):
-        if geo is None:
-            return m1
-        kb = _pow(k, beta)
-        return i2_s(geo, kb) if 0.0 < kb < math.inf else math.nan
-
     k = num / den
     if not 0.0 < k < math.inf:
         return None
     if rho != 1.0:
         c = 1.0 - 1.0 / rho
-
-        def psi(k):
-            return k * den - num - c * s_of(k)
-
-        # psi falls as k grows: from the literal ratio k_lit = num/den search
-        # k_lit * 2^u upward where psi is positive and downward where it is
-        # negative
-        k_lit, p_lit = k, psi(k)
-        span = bracket(lambda u: psi(k_lit * 2.0 ** u), 0.0, p_lit,
-                       1.0 if p_lit > 0.0 else -1.0, 64.0)
-        if span is None:
-            return None
-        try:
-            k = brent(psi, k_lit * 2.0 ** span[0], k_lit * 2.0 ** span[1], xtol=1e-14,
-                      rtol=8.9e-16, maxiter=200)
-        except ValueError:
-            return None
-        if not 0.0 < k < math.inf:
+        # equal thresholds make S the plain mass M1 and psi linear in k
+        k = (num + c * m1) / den if geo is None else _balance_root(geo, beta, num, den, c, k)
+        if k is None or not 0.0 < k < math.inf:
             return None
 
     if geo is None:
@@ -557,19 +572,20 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
     Requires f1(y) = f0(-y) pointwise and a strictly increasing likelihood
     ratio; then at rho = 1 l_l = 1/l_u, and the sum of the two activation
     residuals of solve_thresholds is a single scalar equation in
-    u = log l_u.  Its root is bracketed outward from u = 0 and found by
-    Brent's method, so l_l = exp(-u) and l_u = exp(u) multiply to 1
-    exactly.  On a grid the two residuals differ slightly, because the
-    linear crossing of the tabulated ratio with l_l is not the mirror image
-    of its crossing with 1/l_l: the root leaves the general residual pair
-    off zero (``residual_norm`` is its larger entry), and the thresholds
-    differ from solve_thresholds' by a few parts in 1e9 at 4001 points.
+    u = log l_u.  `roots.newton` finds its root outward from u = 0 with the
+    slope that the residual pair's Jacobian gives, so l_l = exp(-u) and
+    l_u = exp(u) multiply to 1 exactly.  On a grid the two residuals
+    differ slightly, because the linear crossing of the tabulated ratio
+    with l_l is not the mirror image of its crossing with 1/l_l: the root
+    leaves the general residual pair off zero (``residual_norm`` is its
+    larger entry), and the thresholds differ from solve_thresholds' by a
+    few parts in 1e9 at 4001 points.
     The table is materialized as solve_thresholds' is, so it reproduces
     the split-cell masses the residual zeroed; the mirror defect
     g1_hat(y) - g0_hat(-y) and the achieved radii show the same discrete
     asymmetry.  rho != 1 and eps = 0 go to solve_thresholds.
-    Without a bracket, infeasible radii raise InfeasibleEpsError and
-    feasible ones NonConvergenceError.
+    Without a root, infeasible radii raise InfeasibleEpsError and feasible
+    ones NonConvergenceError.
     """
     spec = DivergenceSpec(alpha=alpha, rho=rho, eps0=eps, eps1=eps)
     gv = _grid_values(nominals, grid)
@@ -589,26 +605,35 @@ def solve_symmetric(eps: float, alpha: float, rho: float, nominals,
         return solve_thresholds(spec, nominals, grid)
 
     x_eps = x_of(alpha, eps)
+    # the u that newton evaluated last and its state: newton returns that u
+    last = [0.0, _eval_state(1.0, 1.0, alpha, 1.0, gv, x_eps, x_eps)]
+    # newton needs a rising residual, and the root lies at l_u > 1: orient
+    # the residual by its sign at u = 0.  The thresholds are equal there and
+    # have no Jacobian, so the first step is the capped one, sqrt(eps) long.
+    # The residual is flat near u = 0, where Newton overshoots: the steps
+    # then double from sqrt(eps), and do not pass a narrow ratio range's end
+    r_at_0 = math.nan if last[1] is None else last[1].r0 + last[1].r1
+    sign = -1.0 if r_at_0 > 0.0 else 1.0
 
-    # the _EvalState at u, None where the regions degenerate; the last three
-    # are kept, and one evicted is computed again, bit for bit
-    @functools.lru_cache(maxsize=3)
-    def state(u):
-        return _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
+    def fdf(u):
+        if u != last[0]:
+            last[:] = u, _eval_state(math.exp(-u), math.exp(u), alpha, 1.0, gv, x_eps, x_eps)
+        st = last[1]
+        if st is None:
+            return math.nan, math.nan
+        # d/du = d/d log l_u - d/d log l_l, summed over both residuals
+        jac = st.jacobian()
+        slope = math.nan if jac is None else float(np.sum(jac[:, 1] - jac[:, 0]))
+        return sign * (st.r0 + st.r1), sign * slope
 
-    def resid(u):
-        st = state(u)
-        return math.nan if st is None else st.r0 + st.r1
-
-    # l_u moves like sqrt(eps) away from 1 and stays inside the ratio range
-    span = bracket(resid, 0.0, resid(0.0), math.sqrt(eps), math.log(float(l[core].max())))
-    if span is None:
+    if newton(fdf, 0.0, math.log(float(l[core].max())), 1e-13, 8.9e-16,
+              maxiter=_MAX_ITER, step=math.sqrt(eps)) is None:
         _preflight(spec, gv, grid)
         raise NonConvergenceError(
             "no decision point solves the symmetric activation equation for "
             "eps = %g, although the radii are feasible" % eps
         )
-    st = state(brent(resid, *span, xtol=1e-13, rtol=8.9e-16, maxiter=_MAX_ITER))
+    st = last[1]
     ll, lu = st.l_l, st.l_u
     if abs(st.k - ll) > 1e-6 * ll:
         warnings.warn(

@@ -98,15 +98,16 @@ def test_anchor_thresholds_and_constants(mix_solution):
 
 
 # (rho, eps0, eps1) -> (l_l, l_u, k, z) of the anchor pair at alpha 4, frozen
-# bit for bit: off centre k is the root of the mass balance psi(k), and a
-# change in how psi is evaluated must not move any of them
+# bit for bit: off centre each k is Newton's root of the mass balance psi(k)
+# from its exact slope, so a change in how psi or its slope is evaluated, or
+# in where its search stops, moves them by rounding
 OFF_CENTRE_ANCHORS = {
-    (0.8, 0.011, 0.014): (0.6355066056203221, 1.295253055509646, 0.6856129267358464,
-                          0.7609116759205539),
-    (1.2, 0.02, 0.03): (0.6710754759800571, 1.9215116895073414, 0.5495051135387496,
-                        0.7753724093049286),
-    (1.5, 0.005, 0.005): (0.8697236452419852, 1.4009736574486582, 0.798116206498405,
-                          0.9130308201166447),
+    (0.8, 0.011, 0.014): (0.635506605620322, 1.295253055509646, 0.6856129267358462,
+                          0.7609116759205538),
+    (1.2, 0.02, 0.03): (0.6710754759800577, 1.9215116895073365, 0.5495051135387505,
+                        0.7753724093049288),
+    (1.5, 0.005, 0.005): (0.8697236452419854, 1.4009736574486575, 0.7981162064984052,
+                          0.9130308201166448),
 }
 # the same, as the Newton iteration with finite-difference Jacobian columns
 # left them; the analytic Jacobian reaches the same roots within rounding
@@ -133,7 +134,8 @@ def test_off_centre_anchors_are_frozen(mix_nominals, mix_grid, rho, eps0, eps1):
 # row by row) of one residual evaluation at radii (0.02, 0.03), frozen bit
 # for bit: which work an evaluation redoes per label vector and per threshold
 # pair, and how the Jacobian adds up its crossing-cell terms, must not move
-# any of them.  The 7-component "seven" pair has 26 crossing pieces at
+# any of them; off centre their k is Newton's root of psi(k), as in
+# OFF_CENTRE_ANCHORS.  The 7-component "seven" pair has 26 crossing pieces at
 # (0.7, 1.4), so 26 piece ends move with each threshold
 EVALUATION_ANCHORS = {
     ('mix', 4.0, 1.0, 0.605, 1.618): (
@@ -144,9 +146,9 @@ EVALUATION_ANCHORS = {
         -0.10791194284468064, -0.19206700478251704, 0.6856590052105285, 0.7609508485115714,
         0.7282626240477408, 2.63895364868398, -1.7093913532774794, -2.338839401155835),
     ('mix', 4.0, 1.2, 0.6711, 1.9215): (
-        0.00011311759152587975, -0.0001689470906693913, 0.5495821869064945,
-        0.7754205596780356, 3.3905783600841075, 1.7706042755770437, -4.811650217070058,
-        -1.136273428917979),
+        0.0001131175915256577, -0.0001689470906705015, 0.5495821869064947,
+        0.7754205596780358, 3.390578360084107, 1.7706042755770437, -4.811650217070051,
+        -1.136273428917978),
     ('mix', 0.5, 1.0, 0.6, 1.7): (
         -0.0016378875203035825, 0.0027721649959512318, 0.6208085999540089,
         0.7443863698891048, -0.042515034299390374, -0.06206998342763696,
@@ -158,9 +160,9 @@ EVALUATION_ANCHORS = {
         -0.010660472873438964, 0.001880045266178465, 0.5604428781250123, 0.7067874925758302,
         0.26237024315925783, 0.38144451429805865, -0.5731849782976809, -0.38125854735898396),
     ('norm', 2.0, 1.2, 0.55, 1.8): (
-        -0.00045830154730719386, 0.019554989096521647, 0.5156074740422814,
-        0.6040927591172569, 0.05896710240463236, 0.197644071919111, -0.35607049093140297,
-        -0.05712903414983331),
+        -0.0004583015473074159, 0.019554989096521647, 0.5156074740422815,
+        0.604092759117257, 0.05896710240463295, 0.1976440719191112, -0.3560704909314026,
+        -0.057129034149833134),
     ('norm', -1.0, 1.0, 0.6, 1.6): (
         -0.016234377040688308, -0.02957443080389699, 0.5929504019149728, 0.6520991377966798,
         0.030289313556602592, 0.12395451273830689, -0.13859957218707705,
@@ -169,12 +171,12 @@ EVALUATION_ANCHORS = {
         -0.1500893483381911, -0.14738286081824326, 0.6587692596690562, 0.7943268218312964,
         2.084871244384234, 2.5932480705397896, -4.267847177651437, -3.2917585947443424),
     ('seven', 0.5, 0.8, 0.7, 1.4): (
-        -0.03264898315266551, 0.0003243340141892981, 2.033269773252344, 1.7504091719642334,
-        -0.03757110951151131, -0.4439468395572397, -0.026869131901516984,
-        -0.15623085366301206),
+        -0.03264898315266551, 0.00032433401418907604, 2.0332697732523446, 1.7504091719642338,
+        -0.03757110951151126, -0.44394683955724024, -0.02686913190151698,
+        -0.15623085366301204),
     ('seven', -1.0, 1.2, 0.7, 1.4): (
-        0.028120040720338357, 0.33695491660638166, 0.24642443535192501, 0.6114333329305784,
-        -1.890326309232991, -0.4215096696260317, -6.647930158530614, -0.7105681158868038),
+        0.028120040720339023, 0.33695491660638477, 0.2464244353519238, 0.6114333329305779,
+        -1.890326309233016, -0.4215096696260344, -6.647930158530687, -0.7105681158868051),
     ('seven', 4.0, 1.0, 0.4, 1.3): (
         3.3520474376897447, 32.847701697579865, 0.08962255034409349, 0.14029919376736025,
         -14.706005064656676, -45.810593737221666, -227.8835887982074, -373.7774541695971),
@@ -237,6 +239,40 @@ def test_reused_label_part_gives_the_fresh_evaluation(mix_nominals, mix_grid):
     assert parts[5] is not parts[4] and parts[6] is not parts[5]
 
 
+@pytest.mark.parametrize("pair, alpha, rho, eps0, eps1", [
+    *(("mix", 4.0, rho, eps0, eps1) for rho, eps0, eps1 in sorted(OFF_CENTRE_ANCHORS)),
+    ("norm", 2.0, 1.2, 0.02, 0.03)])
+def test_mass_balance_root_and_slope(anchor_pairs, pair, alpha, rho, eps0, eps1):
+    # off centre k is the root of psi(k) = k*den - num - c*S(k), which Newton
+    # finds with the slope dS/d log k that i2_s gives beside S
+    if pair == "mix":
+        ll, lu = OFF_CENTRE_ANCHORS[rho, eps0, eps1][:2]
+    else:
+        ll, lu = 0.55, 1.8
+    gv = lfd_solver._grid_values(*anchor_pairs[pair])
+    x0, x1 = divergence.x_of(alpha, eps0), divergence.x_of(alpha, eps1)
+    st = lfd_solver._eval_state(ll, lu, alpha, rho, gv, x0, x1)
+    a0, m0, b0, a1, m1, b1 = st.masses
+    num, den, c, beta = a1 - ll * a0, lu * b0 - b1, 1.0 - 1.0 / rho, alpha - 1.0
+    terms = (st.k * den, num, c * st.s_int)
+    assert abs(terms[0] - terms[1] - terms[2]) <= 4.0 * math.ulp(max(map(abs, terms)))
+
+    def s_at(log_k):
+        return kernels.i2_s(st.geo, math.exp(beta * log_k))[0]
+
+    def central(h):
+        return (s_at(math.log(st.k) + h) - s_at(math.log(st.k) - h)) / (2.0 * h)
+
+    s, ds = kernels.i2_s(st.geo, st.k ** beta)
+    assert s == st.s_int
+    assert ds == pytest.approx((4.0 * central(5e-4) - central(1e-3)) / 3.0, rel=1e-6)
+
+    # equal thresholds make psi linear in k, solved in closed form
+    st = lfd_solver._eval_state(1.0, 1.0, alpha, rho, gv, x0, x1)
+    a0, m0, b0, a1, m1, b1 = st.masses
+    assert st.k == (a1 - a0 + c * m1) / (b0 - b1)
+
+
 def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix_grid):
     # one region split per residual evaluation serves the masses and the I2
     # geometry; each trial k of the off-centre mass balance only reweighs
@@ -255,7 +291,10 @@ def test_residual_evaluation_splits_the_grid_once(count_calls, mix_nominals, mix
     assert labels[0] == evals[0] + 1
     assert 0 < parts[0] < evals[0]
     assert geometries[0] == evals[0]
-    assert trials[0] > 3 * evals[0]
+    # the path's radius leg at rho = 1 has no mass balance to solve, and
+    # Newton on psi(k) takes 5-6 trials per evaluation on the prior leg,
+    # about 2.2 per evaluation in all
+    assert trials[0] > 2 * evals[0]
 
 
 @pytest.mark.parametrize("n", [4001, 40001])
@@ -682,7 +721,7 @@ def test_symmetric_off_center_prior_is_the_general_solve(norm_pair, norm_grid, r
 @pytest.mark.parametrize("alpha, eps", SYMMETRIC_CASES)
 def test_symmetric_solve_takes_few_residual_evaluations(count_calls, norm_pair, norm_grid,
                                                         alpha, eps):
-    # one evaluation of the shared residual per bracket or Brent step
+    # one evaluation of the shared residual per Newton step
     calls = count_calls(lfd_solver, "_eval_state")
     sym = lfd_solver.solve_symmetric(eps, alpha, 1.0, norm_pair, norm_grid)
     assert sym.residual_norm < 1e-8
@@ -691,10 +730,11 @@ def test_symmetric_solve_takes_few_residual_evaluations(count_calls, norm_pair, 
 
 def test_symmetric_solve_keeps_only_its_last_states(monkeypatch, norm_pair, norm_grid):
     # the residual states of the root search die as the search moves on:
-    # when Brent's method returns, at most its last few are alive
+    # when Newton's method returns, only the state of the point it returns
+    # is kept, and at most one more is alive
     # (a state is unhashable, so a weak reference each stands in for a WeakSet)
     refs, counts = [], []
-    real_eval, real_brent = lfd_solver._eval_state, lfd_solver.brent
+    real_eval, real_newton = lfd_solver._eval_state, lfd_solver.newton
 
     def tracked(*args):
         st = real_eval(*args)
@@ -703,16 +743,33 @@ def test_symmetric_solve_keeps_only_its_last_states(monkeypatch, norm_pair, norm
         return st
 
     def counted(*args, **kwargs):
-        root = real_brent(*args, **kwargs)
+        root = real_newton(*args, **kwargs)
         gc.collect()
         counts.append(sum(r() is not None for r in refs))
         return root
 
     monkeypatch.setattr(lfd_solver, "_eval_state", tracked)
-    monkeypatch.setattr(lfd_solver, "brent", counted)
+    monkeypatch.setattr(lfd_solver, "newton", counted)
     sym = lfd_solver.solve_symmetric(0.1, 2.0, 1.0, norm_pair, norm_grid)
     assert sym.residual_norm < 1e-8
-    assert len(counts) == 1 and 0 < counts[0] <= 4
+    assert len(counts) == 1 and 0 < counts[0] <= 2
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_symmetric_solves_a_narrow_ratio_range(alpha):
+    # the ratio of N(-0.05, 1) and N(0.05, 1) spans only [e^-0.8, e^0.8] on
+    # [-8, 8], and the root lies at u = log l_u = 0.03: the search starts
+    # with a step of sqrt(eps), not one past the range, where a threshold
+    # above every ratio value leaves no mass
+    pair = (density.gaussian(-0.05, 1.0), density.gaussian(0.05, 1.0))
+    grid = density.make_grid(-8.0, 8.0, 4001)
+    sym = lfd_solver.solve_symmetric(1e-4, alpha, 1.0, pair, grid)
+    assert sym.residual_norm < 1e-10
+    assert sym.thresholds.l_l * sym.thresholds.l_u == pytest.approx(1.0, abs=1e-15)
+    gen = lfd_solver.solve_thresholds(
+        DivergenceSpec(alpha=alpha, rho=1.0, eps0=1e-4, eps1=1e-4), pair, grid)
+    assert sym.thresholds.l_l == pytest.approx(gen.thresholds.l_l, rel=1e-9)
+    assert sym.thresholds.l_u == pytest.approx(gen.thresholds.l_u, rel=1e-9)
 
 
 def test_symmetric_matches_general_solver_near_the_boundary(norm_pair):
@@ -831,9 +888,9 @@ def test_alpha_40_on_the_diagonal_stalls_with_a_typed_error(norm_pair, norm_grid
 
 
 def test_symmetric_without_a_root_bracket_names_the_cause(monkeypatch, norm_pair, norm_grid):
-    # with no bracket for the symmetric equation, the radii decide the
-    # error; the diagonal boundary at alpha = 2 lies near eps = 0.612
-    monkeypatch.setattr(lfd_solver, "bracket", lambda *args: None)
+    # with no root of the symmetric equation, the radii decide the error;
+    # the diagonal boundary at alpha = 2 lies near eps = 0.612
+    monkeypatch.setattr(lfd_solver, "newton", lambda *args, **kwargs: None)
     with pytest.raises(NonConvergenceError, match="although the radii are feasible"):
         lfd_solver.solve_symmetric(0.2, 2.0, 1.0, norm_pair, norm_grid)
     with pytest.raises(InfeasibleEpsError, match="not strictly inside"):

@@ -1,6 +1,5 @@
-"""Scalar root finding: Brent's method and safeguarded Newton against scipy's
-brentq, the bracket growth, the failure contracts, and the import that keeps
-scipy out.
+"""Scalar root finding: safeguarded Newton against scipy's brentq, its
+outward search, its failure contracts, and the import that keeps scipy out.
 
 scipy is imported here only, as the independent reference; the package
 itself needs numpy alone, which a child interpreter checks.
@@ -15,82 +14,7 @@ from pathlib import Path
 import pytest
 
 import robustlrt
-from robustlrt.roots import bracket, brent, newton
-
-
-def _counted(f):
-    def g(x):
-        g.calls += 1
-        return f(x)
-
-    g.calls = 0
-    return g
-
-
-CASES = [
-    ("cubic", lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    ("cos", lambda x: math.cos(x) - x, 0.0, 1.0),
-    ("steep tanh", lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
-    # f(a) * f(b) underflows to -0.0: only a sign comparison sees the bracket
-    ("underflowing products", lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
-]
-
-
-@pytest.mark.parametrize("name,f,a,b", CASES, ids=[c[0] for c in CASES])
-@pytest.mark.parametrize("xtol,rtol", [(2e-12, 4 * sys.float_info.epsilon), (1e-14, 8.9e-16),
-                                       (1e-4, 1e-6)])
-def test_brent_matches_brentq(name, f, a, b, xtol, rtol):
-    optimize = pytest.importorskip("scipy.optimize")
-    mine, ref = _counted(f), _counted(f)
-    x = brent(mine, a, b, xtol=xtol, rtol=rtol)
-    x_ref = optimize.brentq(ref, a, b, xtol=xtol, rtol=rtol)
-    assert abs(x - x_ref) <= xtol + rtol * abs(x_ref)
-    assert mine.calls <= ref.calls + 2
-
-
-def test_brent_returns_a_zero_end():
-    assert brent(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-    assert brent(lambda x: x - 3.0, 1.0, 3.0) == 3.0
-
-
-def test_brent_failures():
-    with pytest.raises(ValueError, match="different signs"):
-        brent(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        brent(lambda x: math.nan, 0.0, 1.0)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        brent(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-15, maxiter=2)
-    with pytest.raises(ValueError):
-        brent(lambda x: x, -1.0, 1.0, rtol=1e-17)
-
-
-def test_bracket_grows_geometrically():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return 10.0 - x
-
-    assert bracket(f, 0.0, f(0.0), 1.0, 100.0) == (8.0, 16.0)
-    assert seen == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
-    # downward, and a zero at a tried point ends the search there
-    assert bracket(lambda x: x + 4.0, 0.0, 4.0, -1.0, 100.0) == (-4.0, -2.0)
-    assert bracket(lambda x: x, 0.0, 0.0, 1.0, 1.0) == (0.0, 0.0)
-
-
-def test_bracket_gives_up_past_its_limit_and_on_nan():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return 1.0
-
-    assert bracket(f, 0.0, 1.0, 0.5, 64.0) is None
-    assert max(seen) == 64.0
-    assert bracket(lambda x: math.nan, 0.0, 1.0, 1.0, 64.0) is None
-    assert bracket(lambda x: -1.0, 0.0, math.nan, 1.0, 64.0) is None
+from robustlrt.roots import newton
 
 
 # rising functions with their derivatives, a start and a bracket for brentq
@@ -100,6 +24,7 @@ NEWTON_CASES = [
     # a tangent from far off overshoots into the flat tail: bisection helps
     ("steep tanh", lambda x: (math.tanh(50.0 * (x - 0.3)),
                               50.0 / math.cosh(50.0 * (x - 0.3)) ** 2), 0.25, 0.0, 1.0),
+    # f(a) * f(b) underflows to -0.0: only a sign comparison sees the bracket
     ("underflowing products", lambda x: (1e-200 * (x - 0.3), 1e-200), -7.0, 0.0, 1.0),
     ("wrong-way slope at the start", lambda x: (x ** 3 - 3.0 * x - 1.0, 3.0 * x * x - 3.0),
      0.0, 1.5, 2.5),
@@ -133,14 +58,26 @@ def test_newton_matches_brentq_and_keeps_its_bracket(name, fdf, x0, a, b, xtol, 
 
 
 def test_newton_steps_outward_like_bracket_until_f_changes_sign():
+    # a slope that is not positive, or NaN as at the symmetric solve's start,
+    # takes the capped outward steps
+    for slope in (0.0, math.nan):
+        seen = []
+
+        def fdf(x):
+            seen.append(x)
+            return (math.tanh(x - 20.0), slope)
+
+        assert abs(newton(fdf, 0.0, 1e3, 1e-12, 4 * sys.float_info.epsilon) - 20.0) < 1e-11
+        assert seen[:6] == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
+    # the first step sets the scale of the doubling
     seen = []
 
-    def fdf(x):
+    def flat(x):
         seen.append(x)
-        return (math.tanh(x - 20.0), 0.0)
+        return (-1.0, math.nan)
 
-    assert abs(newton(fdf, 0.0, 1e3, 1e-12, 4 * sys.float_info.epsilon) - 20.0) < 1e-11
-    assert seen[:6] == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
+    assert newton(flat, 0.0, 10.0, 1e-14, 8.9e-16, step=0.25) is None
+    assert seen == [0.0, 0.25, 0.75, 1.75, 3.75, 7.75, 10.0]
 
 
 def test_newton_failures():
