@@ -278,6 +278,25 @@ class _BucketIndex:
         np.fmin(t, self.top, out=t)
         return t.astype(np.intp)
 
+    def bucket_classes(self, cell_class: np.ndarray, other) -> np.ndarray:
+        """Per bucket, the class in cell_class (one per cell, xp[j] to xp[j + 1])
+        of every cell that `cells` can give the bucket's queries, or other
+        where those cells' classes differ.
+
+        An uncrowded bucket's query finds the cell below the bucket or, where
+        the bucket holds a knot, the cell that knot starts, so both must
+        agree.  The last knot starts no cell and has class other, so the
+        buckets whose queries can find it, above the table among them, get
+        other; so do bucket 0, which also holds the queries below the table
+        and at a NaN, and the crowded buckets, whose queries bisect: neither
+        has a cell below it (`below` < 0).
+        """
+        cls = np.append(cell_class, cell_class.dtype.type(other))
+        lo = np.maximum(self.below, 0)
+        out = cls.take(lo)
+        out[(self.below < 0) | (cls.take(lo + 1) != out)] = other
+        return out
+
     def cells(self, x: np.ndarray) -> np.ndarray:
         """np.interp's knot of each query: the last j with xp[j] <= x for x in
         [xp[0], xp[-1]]; off the table and at a NaN, a knot whose value

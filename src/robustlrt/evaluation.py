@@ -139,24 +139,42 @@ def lrt_rule(nominals, rho: float):
     a float.  The ratio is a plain division where f0 is positive at every
     point of the call, and `density.ratio_values` with its conventions
     otherwise, so f0 = 0 < f1 decides 1 and 0/0, a ratio of 1, ties at
-    rho = 1.  Exact at any y, so it suits Monte Carlo evaluation; for
-    quadrature of this discontinuous rule prefer `lrt_errors`, which
-    integrates the decision regions without smearing the jump.
+    rho = 1.  The rule exposes its ratio as ``rule.ratio(y)`` at an array y
+    and its threshold as ``rule.rho``: Monte Carlo counts l > rho from the
+    ratio and draws a decision uniform only at the ties.  Exact at any y,
+    so it suits Monte Carlo evaluation; for quadrature of this
+    discontinuous rule prefer `lrt_errors`, which integrates the decision
+    regions without smearing the jump.
     """
-    f0, f1 = nominals
+    return _RatioRule(nominals[0], nominals[1], rho)
 
-    def decide(y: np.ndarray) -> np.ndarray:
-        p0 = density._pdf(f0, y)
-        l = density._pdf(f1, y)
+
+class _RatioRule:
+    """The rule of `lrt_rule`: 1, 0 or 1/2 as ratio(y) = f1/f0 is above,
+    below or at rho (or NaN)."""
+
+    __slots__ = ("f0", "f1", "rho")
+
+    def __init__(self, f0: DensityModel, f1: DensityModel, rho: float):
+        self.f0, self.f1, self.rho = f0, f1, rho
+
+    def ratio(self, y: np.ndarray) -> np.ndarray:
+        p0 = density._pdf(self.f0, y)
+        l = density._pdf(self.f1, y)
         if p0.min(initial=math.inf) > 0.0:
             np.divide(l, p0, out=l)
         else:
             l = density.ratio_values(p0, l)
-        d = (l > rho).astype(np.float64)
-        d[(l == rho) | np.isnan(l)] = 0.5
-        return d
+        return l
 
-    return lambda y: density._pointwise(decide, y)
+    def __call__(self, y):
+        return density._pointwise(self._decide, y)
+
+    def _decide(self, y: np.ndarray) -> np.ndarray:
+        l = self.ratio(y)
+        d = (l > self.rho).astype(np.float64)
+        d[(l == self.rho) | np.isnan(l)] = 0.5
+        return d
 
 
 def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
@@ -177,6 +195,40 @@ def lrt_errors(nominals, rho: float, grid: QuadratureGrid) -> ErrorReport:
     return ErrorReport(p_f, p_m, _bayes(p_f, p_m, rho), method="quadrature")
 
 
+# the class of a bucket whose draws read the rule; 0 and 1 are rule values
+_READ = 2
+
+
+def _constant_cells(f: np.ndarray) -> np.ndarray:
+    """Per cell of a table's values f, 0 or 1 where both its ends are exactly
+    that value, so np.interp gives it everywhere in the cell, else _READ."""
+    cls = np.full(f.size - 1, _READ, dtype=np.int8)
+    for c in (0, 1):
+        cls[(f[:-1] == c) & (f[1:] == c)] = c
+    return cls
+
+
+def _landing_cells(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """`_constant_cells` for the inverse-CDF draws of a table on the knots x.
+
+    A draw of cell j lies in the cell or on x[j + 1].  Rounding is
+    monotone, so u - cdf[j] rounds to at most the cell's rounded CDF step,
+    the slope's divisor, and rounding can carry the draw past x[j + 1]
+    only by the four roundings of its width, slope, product and sum, half
+    an ulp each of the width, at most 2 m, or of the sum, about m, where m
+    is the larger magnitude of x[j] and x[j + 1]: less than 8 ulps of m in
+    all.  So cell j keeps its class only where
+    cell j + 1 shares it and x[j + 2] lies more than 16 such ulps above
+    x[j + 1]; the last cell, with no cell after it, is read.
+    """
+    cls = _constant_cells(f)
+    ulps = np.spacing(np.maximum(np.abs(x[:-2]), np.abs(x[1:-1])))
+    keep = (cls[1:] == cls[:-1]) & (x[2:] - x[1:-1] > 16.0 * ulps)
+    cls[:-1][~keep] = _READ
+    cls[-1] = _READ
+    return cls
+
+
 def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> int:
     """Count of randomized decisions for the alternative on n draws of model.
 
@@ -189,33 +241,81 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
     The rule values are compared unclipped: a uniform u lies in [0, 1), so
     u < v and u < clip(v, 0, 1) agree for every v, NaN included.
 
-    A `TabulatedFunction` rule on the knots of a table model, both bucket
-    indexes `plain`, is read on the knots: the draws' uniforms are drawn as
-    `density._sample` draws them, and each block becomes its draws in place.
-    A uniform's inverse-CDF cell j is a knot cell of the table, and its draw
-    y = slope[j] * (u - cdf[j]) + x[j] lies at or above x[j], so j is the
-    rule's knot for y, and the rule's `values` there are np.interp's bit for
-    bit, unless y rounds onto x[j + 1] or past it; those draws bisect.  Any
-    other rule is read by `_rule_values`.
+    The rule is read only where it randomises, and the count is the integer
+    a read at every draw gives:
+
+    - A `plain` `TabulatedFunction` rule gets one class per bucket of the
+      index its draws are looked up in (`_BucketIndex.bucket_classes`): 0
+      or 1 where every cell the bucket's draws can find is exactly that
+      value at both ends, so u < 0 never and u < 1 always holds, else
+      `_READ`.  Each block still draws all its uniforms, adds its class-1
+      draws to the count, and reads the rule only at its `_READ` draws.
+    - On the knots of a table model whose inverse-CDF index is `plain`
+      too, the draws are looked up in that index: a uniform's inverse-CDF
+      cell j is a knot cell of the table, and its draw y = slope[j] * (u -
+      cdf[j]) + x[j] lies at or above x[j], so j is the rule's knot for y,
+      and the rule's `values` there are np.interp's bit for bit, unless y
+      rounds onto x[j + 1] or past it; those draws bisect, and
+      `_landing_cells` keeps cell j's class only where they cannot leave
+      it.  Other draws are sampled and looked up in the rule's own index.
+    - The rule of `lrt_rule` counts the draws whose ratio exceeds its rho,
+      and only its ties, decided by u < 1/2, take uniforms: Generator.random
+      takes one 64-bit output of the bit generator per double, so advancing
+      the generator over the other draws' uniforms leaves each tie its own.
+    - Any other rule, a table that is not `plain` among them, is read at
+      every draw by `_rule_values`.
     """
-    on_knots = (isinstance(model, density.Tabulated) and isinstance(delta, TabulatedFunction)
+    block = density._INTERP_BLOCK
+    if isinstance(delta, _RatioRule):
+        y = density._sample(model, n, rng)
+        hits = drawn = 0
+        for s in range(0, n, block):
+            l = delta.ratio(y[s:s + block])
+            hits += int(np.count_nonzero(l > delta.rho))
+            tie = np.flatnonzero((l == delta.rho) | np.isnan(l))
+            if tie.size:
+                first, last = int(tie[0]), int(tie[-1])
+                rng.bit_generator.advance(s + first - drawn)
+                u = rng.random(last - first + 1)
+                hits += int(np.count_nonzero(u.take(tie - first) < 0.5))
+                drawn = s + last + 1
+        return hits
+    table = isinstance(delta, TabulatedFunction) and delta.index.plain
+    on_knots = (table and isinstance(model, density.Tabulated)
                 and np.array_equal(model.points, delta.points)
-                and model._inverse_cdf.index.plain and delta.index.plain)
-    y = rng.random(n) if on_knots else density._sample(model, n, rng)
+                and model._inverse_cdf.index.plain)
+    if on_knots:
+        index = model._inverse_cdf.index
+        classes = index.bucket_classes(_landing_cells(delta.points, delta.values), _READ)
+        y = rng.random(n)
+    else:
+        y = density._sample(model, n, rng)
+        if table:
+            index = delta.index
+            classes = index.bucket_classes(_constant_cells(delta.values), _READ)
     hits = 0
-    for s in range(0, n, density._INTERP_BLOCK):
-        yb = y[s:s + density._INTERP_BLOCK]
+    for s in range(0, n, block):
+        yb = y[s:s + block]
+        u = rng.random(yb.size)
+        if table:
+            cls = classes.take(index._buckets(yb))
+            hits += int(np.count_nonzero(cls == 1))
+            read = np.flatnonzero(cls == _READ)
+            if not read.size:
+                continue
+            yb, u = yb.take(read), u.take(read)
         if on_knots:
-            inverse, xp = model._inverse_cdf.index, delta.points
-            j = inverse.cells(yb)
-            inverse.values(yb, j, yb)
+            xp = delta.points
+            j = index.cells(yb)
+            index.values(yb, j, yb)
             # j <= len(xp) - 2, since u < 1 = cdf[-1]
             past = np.flatnonzero(yb >= xp[1:].take(j))
             j[past] = np.searchsorted(xp, yb[past], "right") - 1
             v = _in_unit_interval(delta.index.values(yb, j, yb))
+        elif table:
+            v = _in_unit_interval(delta.index.values(yb, delta.index.cells(yb), yb))
         else:
             v = _rule_values(delta, yb)
-        u = rng.random(yb.size)
         hits += int(np.count_nonzero(u < v))
     return hits
 
@@ -233,7 +333,10 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     the pairs stay in generator order (`_decisions`).  `_decisions` counts
     u < delta(y) one block at a time; the count, an exact integer sum,
     does not depend on the blocks, and count / n is the mean of the
-    decisions bit for bit.
+    decisions bit for bit.  The rule is read only where it randomises: a
+    table rule's draws in its exact 0 and 1 runs are counted from their
+    bucket's class, and the plain likelihood-ratio test draws uniforms only
+    at its ties; the counts are those of a read at every draw.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")

@@ -115,13 +115,15 @@ def mc_in_generator_order():
 
     The reference for `evaluation.monte_carlo_errors`, in generator order:
     per hypothesis h the stream [seed, h] gives the n draws, then one
-    uniform per draw, and a table rule is read through plain np.interp.
+    uniform per draw, and a table rule is read through plain np.interp,
+    its left and right values included.
     """
 
     def recount(delta, model0, model1, n, seed):
         rule = delta
         if isinstance(delta, TabulatedFunction):
-            rule = lambda y: np.interp(y, delta.points, delta.values)  # noqa: E731
+            rule = lambda y: np.interp(y, delta.points, delta.values,  # noqa: E731
+                                       delta.left, delta.right)
         decided = []
         for h, model in enumerate((model0, model1)):
             rng = np.random.default_rng([seed, h])

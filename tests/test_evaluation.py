@@ -160,7 +160,9 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
     # the draws' inverse-CDF cells.  On knots 1e-9 apart near 1e6 a draw
     # often rounds onto the next knot, y == x[j + 1], and bisects; a rule
     # on those knots that holds -0.0 is not `plain` and looks its draws up.
-    # Every rule value the count compares is np.interp's at the draw
+    # Every rule value the count compares is np.interp's at its draw, and
+    # every draw whose value is not read is in a bucket of class 0 or 1,
+    # and np.interp gives it exactly that value
     sol = norm_solution_40k
     n, k = 200_000, np.arange(401)
     pts = 1e6 + k * 1e-9
@@ -177,12 +179,15 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
     cases = [(sol.delta_hat, (sol.g0_hat, sol.g1_hat), 0),
              (TabulatedFunction(pts, rule_values), tables, 0),
              (TabulatedFunction(pts, signed), tables, 2)]
-    check = evaluation._in_unit_interval
+    check, classify = evaluation._in_unit_interval, density._BucketIndex.bucket_classes
     for rule, models, sampled in cases:
         calls = count_calls(density, "_sample")
-        seen = []
+        seen, classed = [], []
         monkeypatch.setattr(evaluation, "_in_unit_interval",
                             lambda v: seen.append(v.copy()) or check(v))
+        monkeypatch.setattr(density._BucketIndex, "bucket_classes",
+                            lambda index, *a: classed.append((index, classify(index, *a)))
+                            or classed[-1][1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = monte_carlo_errors(rule, *models, 1.0, n, seed=5)
@@ -193,10 +198,41 @@ def test_monte_carlo_of_a_tabulated_rule_equals_plain_np_interp(norm_solution_40
             want = monte_carlo_errors(lambda y, r=rule: np.interp(y, r.points, r.values),
                                       *models, 1.0, n, seed=5)
         assert got == want
-        seen = np.concatenate(seen)
+        read_values = []
         for h, model in enumerate(models):
             y = density._sample(model, n, np.random.default_rng([5, h]))
-            assert np.array_equal(seen[h * n:(h + 1) * n], np.interp(y, rule.points, rule.values))
+            v = np.interp(y, rule.points, rule.values)
+            cls = np.full(n, evaluation._READ)
+            if classed:
+                # on the knots a draw's bucket is its uniform's, else its own
+                index, classes = classed[h]
+                q = np.random.default_rng([5, h]).random(n) if sampled == 0 else y
+                cls = classes.take(index._buckets(q))
+            read = cls == evaluation._READ
+            assert np.array_equal(v[~read], cls[~read])
+            read_values.append(v[read])
+        assert np.array_equal(np.concatenate(seen), np.concatenate(read_values))
+        # the LFD rule is 0 or 1 at about half of its draws; the others randomise throughout
+        assert (len(np.concatenate(seen)) < 1.5 * n) == (rule is sol.delta_hat)
+
+
+def test_monte_carlo_reads_the_rule_at_about_half_of_the_draws(norm_solution_40k, norm_pair,
+                                                               monkeypatch):
+    # the N(-1,1) vs N(1,1) rule at alpha 0.5 is exactly 0 or 1 outside I2:
+    # 51 % of the LFD draws and 40 % of the nominal draws reach its values
+    sol = norm_solution_40k
+    index, n = sol.delta_hat.index, 200_000
+    real, queries = type(index).values, [0]
+
+    def values(x, j, out):
+        queries[0] += x.size
+        return real(index, x, j, out)
+
+    monkeypatch.setattr(index, "values", values)
+    for models in ((sol.g0_hat, sol.g1_hat), norm_pair):
+        queries[0] = 0
+        monte_carlo_errors(sol.delta_hat, *models, 1.0, n, seed=5)
+        assert queries[0] <= 0.55 * 2 * n
 
 
 @pytest.mark.parametrize("n", [1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
@@ -228,6 +264,131 @@ def test_monte_carlo_equals_the_generator_order_algorithm(n, mix_solution, mix_n
                 mc_in_generator_order(rule, m0, m1, n, n + 17), name
 
 
+def _ulp_runs():
+    # knots about 8.6 ulps apart near 1e6; where a 0 or 1 run ends, the next
+    # knot lies 1 or 2 ulps on: 0 -> 1 and 0 -> 0.3 within one ulp, 1 -> 0.6
+    # and 0.95 -> 1 within two
+    x = 1e6 + np.arange(200) * 1e-9
+    f = np.concatenate([np.zeros(40), np.ones(40), np.linspace(0.55, 0.0, 40), np.zeros(40),
+                        np.linspace(0.35, 0.9, 10), np.ones(30)])
+    at = np.array([40, 80, 160, 170])
+    steps = np.array([1, 2, 1, -2]) * np.spacing(x[at])
+    knots = np.where(steps > 0.0, x[at - 1], x[at]) + steps
+    x, f = np.insert(x, at, knots), np.insert(f, at, [1.0, 0.6, 0.3, 0.95])
+    assert sorted(np.diff(x) / np.spacing(x[1:]))[:4] == [1.0, 1.0, 2.0, 2.0]
+    return x, f
+
+
+def test_on_knots_cells_keep_their_class_only_where_no_draw_can_leave_them():
+    # x[2] - x[1] = 1 + 0.75 * 2^-52 rounds up to 1 + 2^-52, so the top
+    # uniform of cell 1 lands at 2^-52, past x[2] and past x[3], which lies
+    # 2 ulps of x[2] above it
+    e = 2.0 ** -52
+    x = np.array([-2.0, -1.0, 0.75 * e, 0.75 * e + 2 * np.spacing(0.75 * e), 1.0, 2.0, 3.0, 4.0])
+    model = density.tabulated(x, [1.0, 1.0, 2.0, 1.0, 2.0, 3.0, 2.0, 3.0])
+    inverse, cdf = model._inverse_cdf.index, model._inverse_cdf.points
+    u = np.nextafter(cdf[2:3], 0.0)
+    assert inverse.values(u, inverse.cells(u), u.copy())[0] == e > x[3]
+    # with the 0 run to x[4], cell 0 keeps 0; cell 1, whose draws can reach
+    # cell 3, and cell 2, whose draws can reach it, are read; cells 4 and 5
+    # keep 1, and the last cell, whose draws can pass the last knot, is read
+    f = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    assert evaluation._constant_cells(f).tolist() == [0, 0, 0, 2, 1, 1, 1]
+    assert evaluation._landing_cells(x, f).tolist() == [0, 2, 2, 2, 1, 1, 2]
+
+
+def test_monte_carlo_counts_runs_that_end_ulps_apart(mc_in_generator_order):
+    x, f = _ulp_runs()
+    rule = TabulatedFunction(x, f)
+    # on its own table models the draws are read on the knots; under a
+    # mixture they land on the ulp grid of 1e6, often on the knots themselves
+    tables = tuple(density.tabulated(x, 1.0 + 0.5 * np.sin(np.arange(x.size) + h)) for h in (0, 2))
+    mixture = density.gaussian_mixture([(0.5, 1e6 + 0.5e-7, 4e-8), (0.5, 1e6 + 1.5e-7, 4e-8)])
+    for models in (tables, (mixture, density.shifted(mixture, 2e-8))):
+        n = 3 * density._INTERP_BLOCK + 5
+        got = monte_carlo_errors(rule, *models, 1.0, n, seed=21)
+        assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *models, n, 21)
+
+
+@pytest.mark.parametrize("side", [0.0, 1.0, 0.25])
+def test_monte_carlo_counts_off_table_draws(side, norm_pair, mc_in_generator_order):
+    # Gaussian draws fall off the rule's table on both sides, where it holds
+    # `side`, whatever its end runs are
+    x = np.linspace(-2.0, 2.0, 41)
+    rising = np.clip(x + 0.5, 0.0, 1.0)
+    for f in (rising, 1.0 - rising):
+        rule = TabulatedFunction(x, f, side, side)
+        n = 2 * density._INTERP_BLOCK + 3
+        got = monte_carlo_errors(rule, *norm_pair, 1.0, n, seed=8)
+        assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *norm_pair, n, 8)
+
+
+def test_monte_carlo_reads_crowded_buckets_and_tables_that_are_not_plain(
+        norm_pair, monkeypatch, mc_in_generator_order):
+    # five knots 1e-7 apart share one bucket of the rule's index, and of the
+    # inverse-CDF index of tables on those knots, inside the rule's ramp
+    x = np.sort(np.concatenate([np.linspace(-3.0, 3.0, 31), 0.05 + np.arange(5) * 1e-7]))
+    f = np.clip(x + 0.5, 0.0, 1.0)
+    rule = TabulatedFunction(x, f)
+    assert rule.index.crowded and rule.index.plain
+    tables = tuple(density.tabulated(x, density.evaluate(m, x)) for m in norm_pair)
+    assert tables[0]._inverse_cdf.index.crowded
+    # -0.0 in the 0 run, or a NaN in the ramp, makes a table that is not
+    # `plain`; it is read at every draw
+    signed, gap = f.copy(), f.copy()
+    signed[:5] = -0.0
+    gap[x.size // 2] = np.nan
+    assert not (TabulatedFunction(x, signed).index.plain or TabulatedFunction(x, gap).index.plain)
+    check, seen = evaluation._in_unit_interval, [0]
+    monkeypatch.setattr(evaluation, "_in_unit_interval",
+                        lambda v: seen.__setitem__(0, seen[0] + v.size) or check(v))
+    n = 2 * density._INTERP_BLOCK + 3
+    for values in (f, signed, gap):
+        rule = TabulatedFunction(x, values)
+        for models in (norm_pair, tables):
+            seen[0] = 0
+            got = monte_carlo_errors(rule, *models, 1.0, n, seed=9)
+            assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *models, n, 9)
+            assert (seen[0] == 2 * n) == (values is not f)
+
+
+def _tie_tables(tail: bool):
+    # two tables on dyadic knots with the same exact mass, equal on runs
+    # where the ratio is exactly 1: the first five and the last seven cells,
+    # or with `tail` only the first two, about 1e-5 of the mass
+    x = np.arange(65) * 0.25
+    if tail:
+        f0 = np.full(65, 3000.0)
+        f0[:3] = 1.0
+        p = np.zeros(65)
+        p[3:34], p[34:64], p[64] = 100.0, -100.0, -200.0
+    else:
+        f0 = 100.0 + 10.0 * np.arange(65)
+        p = np.zeros(65)
+        p[6:31], p[32:57] = 20.0, -20.0
+    t0, t1 = density.tabulated(x, f0), density.tabulated(x, f0 + p)
+    assert np.trapezoid(f0, x) == np.trapezoid(f0 + p, x)
+    return t0, t1
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_monte_carlo_draws_the_uniforms_of_lrt_ties(tail, mc_in_generator_order):
+    block = density._INTERP_BLOCK
+    tables = _tie_tables(tail)
+    rule = lrt_rule(tables, 1.0)
+    n, seed = (2 * block - 1, 15) if tail else (3 * block + 5, 4)
+    for h, model in enumerate(tables):
+        ties = np.flatnonzero(rule.ratio(density._sample(model, n, np.random.default_rng([seed, h]))) == 1.0)
+        if tail:
+            # only in the last, partial block
+            assert ties.size and ties[0] >= block
+        else:
+            assert ties[0] < block and ties.size > 0.05 * n
+    for models in (tables, tables[::-1]):
+        got = monte_carlo_errors(rule, *models, 1.0, n, seed=seed)
+        assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *models, n, seed)
+
+
 def test_monte_carlo_input_validation(norm_pair, norm_grid):
     f0, f1 = norm_pair
     with pytest.raises(ValueError, match="at least 1000"):
@@ -250,6 +411,17 @@ def test_monte_carlo_checks_the_rule_on_the_last_partial_block(h, mix_solution, 
         rule = lambda v: np.where(np.isin(v, last), 1.5, 0.5)  # noqa: E731
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             monte_carlo_errors(rule, *models, 1.0, n, seed=seed)
+
+
+def test_monte_carlo_checks_a_table_rule_where_it_reads_it(norm_pair):
+    # a table rule above 1 on its ramp is refused, whether the draws are
+    # looked up in its own index or on the knots of tables
+    x = np.linspace(-3.0, 3.0, 31)
+    rule = TabulatedFunction(x, np.where(np.abs(x) < 0.5, 1.5, np.clip(x + 0.5, 0.0, 1.0)))
+    tables = tuple(density.tabulated(x, density.evaluate(m, x)) for m in norm_pair)
+    for models in (norm_pair, tables):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            monte_carlo_errors(rule, *models, 1.0, 5000, seed=2)
 
 
 def test_monte_carlo_memory_is_the_draws_and_one_block(norm_pair, norm_solution_40k,
