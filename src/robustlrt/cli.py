@@ -419,7 +419,8 @@ def _cmd_evaluate(cfg):
 def _cmd_sweep_alpha(cfg):
     nominals = _nominals(cfg)
     alphas = _parse_list(_need(cfg, "alphas"), "alphas")
-    spec = _spec(cfg, alphas[0])
+    # the sweep sets each row's order; this checks rho and the radii at a valid one
+    spec = _spec(cfg, 0.5)
     grid = _grid_or_default(cfg, nominals)
     rows = evaluation.alpha_sweep(spec, alphas, nominals, grid)
     return {"rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1}, {

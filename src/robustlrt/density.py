@@ -237,8 +237,8 @@ class _BucketIndex:
     (it returns fp[j]), a NaN retried from the cell's other end, and the
     last knot.  On a table whose values and slopes are finite, whose span
     is positive and finite and whose values hold no -0.0 (`plain`), the
-    arithmetic gives those same values; on any other table the queries at
-    a knot or with a NaN value are handed to np.interp.
+    arithmetic gives those same values.  `values` serves only plain tables;
+    `TabulatedFunction` reads any other table with np.interp.
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray, left, right):
@@ -312,21 +312,14 @@ class _BucketIndex:
 
     def values(self, x: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write np.interp(x, xp, fp, left, right) into out, which may be x,
-        given the knots j of the queries, as `cells` finds them."""
+        given the knots j of the queries (`cells`), on a `plain` table."""
         with np.errstate(all="ignore"):
-            if not self.plain:
-                x = x.copy()  # the fix-up reads x after out, which may be x, is written
             below, above = x < self.xp0, x > self.xpn
-            xj = self.xp.take(j)
-            at_knot = None if self.plain else x == xj
-            np.subtract(x, xj, out=out)
+            np.subtract(x, self.xp.take(j), out=out)
             out *= self.slope.take(j)
             out += self.fp.take(j)
             np.copyto(out, self.left, where=below)
             np.copyto(out, self.right, where=above)
-            if at_knot is not None:
-                redo = np.flatnonzero(at_knot | np.isnan(out))
-                out[redo] = np.interp(x[redo], self.xp, self.fp, self.left, self.right)
         return out
 
 
@@ -341,11 +334,12 @@ class TabulatedFunction:
     it, so queries in random order, such as Monte Carlo draws, cost a
     bisection each.  Here the queries go in blocks of ``_INTERP_BLOCK``: a
     block in order (non-decreasing) goes to np.interp, and any other block
-    to the table's bucket `index`, built on first use and kept.  A block's
-    first pair is compared before the whole block is checked for order, so
-    about half of the unordered blocks skip that pass.  The points and
-    values are kept read-only, so the index stays that of the table: a
-    read-only array as it is, a writeable one as a copy.
+    to the table's bucket `index`, built on first use and kept, if the
+    table is `plain`, else to np.interp too.  A block's first pair is
+    compared before the whole block is checked for order, so about half of
+    the unordered blocks skip that pass.  The points and values are kept
+    read-only, so the index stays that of the table: a read-only array as
+    it is, a writeable one as a copy.
     """
 
     points: np.ndarray
@@ -376,7 +370,8 @@ class TabulatedFunction:
         res = np.empty_like(flat) if out is None else out
         for s in range(0, flat.size, _INTERP_BLOCK):
             xb, ob = flat[s:s + _INTERP_BLOCK], res[s:s + _INTERP_BLOCK]
-            if xb.size < 2 or (xb[1] >= xb[0] and np.all(xb[1:] >= xb[:-1])):
+            if (xb.size < 2 or (xb[1] >= xb[0] and np.all(xb[1:] >= xb[:-1]))
+                    or not self.index.plain):
                 ob[:] = np.interp(xb, self.points, self.values, self.left, self.right)
             else:
                 self.index.values(xb, self.index.cells(xb), ob)
@@ -480,7 +475,10 @@ def likelihood_ratio(f0: DensityModel, f1: DensityModel, y) -> np.ndarray | floa
 
 def ratio_values(f0_values: np.ndarray, f1_values: np.ndarray) -> np.ndarray:
     """Pointwise f1/f0 with the 0-denominator conventions of likelihood_ratio:
-    +inf for f0 = 0 < f1, 1 for 0/0, and NaN wherever either value is NaN."""
+    +inf for f0 = 0 < f1, 1 for 0/0, and NaN wherever either value is NaN.
+    Where every f0 is positive, which a NaN is not, it is the plain division."""
+    if f0_values.min(initial=math.inf) > 0.0:
+        return np.divide(f1_values, f0_values)
     out = np.empty_like(f1_values)
     pos = f0_values > 0.0
     np.divide(f1_values, f0_values, out=out, where=pos)

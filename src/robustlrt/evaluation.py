@@ -106,7 +106,7 @@ def _in_unit_interval(v: np.ndarray) -> np.ndarray:
     """v, checked to lie in [0, 1] up to 1e-9 and not clipped; a NaN passes
     the check."""
     # the range by the extremes first; a NaN fails it and goes elementwise
-    if not (v.min() >= -1e-9 and v.max() <= 1.0 + 1e-9):
+    if not (v.min(initial=0.0) >= -1e-9 and v.max(initial=0.0) <= 1.0 + 1e-9):
         bad = v[(v < -1e-9) | (v > 1.0 + 1e-9)]
         if bad.size:
             raise ValueError(
@@ -136,15 +136,14 @@ def lrt_rule(nominals, rho: float):
 
     Returns delta(y) = 1 where f1/f0 > rho, 0 where it is below, and 1/2 on
     the boundary and where the ratio is NaN (at a NaN y); a scalar y gives
-    a float.  The ratio is a plain division where f0 is positive at every
-    point of the call, and `density.ratio_values` with its conventions
-    otherwise, so f0 = 0 < f1 decides 1 and 0/0, a ratio of 1, ties at
-    rho = 1.  The rule exposes its ratio as ``rule.ratio(y)`` at an array y
-    and its threshold as ``rule.rho``: Monte Carlo counts l > rho from the
-    ratio and draws a decision uniform only at the ties.  Exact at any y,
-    so it suits Monte Carlo evaluation; for quadrature of this
-    discontinuous rule prefer `lrt_errors`, which integrates the decision
-    regions without smearing the jump.
+    a float.  The ratio is `density.ratio_values` of the two pdfs, so
+    f0 = 0 < f1 decides 1 and 0/0, a ratio of 1, ties at rho = 1.  The rule
+    exposes its ratio as ``rule.ratio(y)`` at an array y and its threshold
+    as ``rule.rho``, from which Monte Carlo decides the draws off the ties
+    without a uniform (`_decisions`).  Exact at any y, so it suits Monte
+    Carlo evaluation; for quadrature of this discontinuous rule prefer
+    `lrt_errors`, which integrates the decision regions without smearing
+    the jump.
     """
     return _RatioRule(nominals[0], nominals[1], rho)
 
@@ -159,13 +158,7 @@ class _RatioRule:
         self.f0, self.f1, self.rho = f0, f1, rho
 
     def ratio(self, y: np.ndarray) -> np.ndarray:
-        p0 = density._pdf(self.f0, y)
-        l = density._pdf(self.f1, y)
-        if p0.min(initial=math.inf) > 0.0:
-            np.divide(l, p0, out=l)
-        else:
-            l = density.ratio_values(p0, l)
-        return l
+        return density.ratio_values(density._pdf(self.f0, y), density._pdf(self.f1, y))
 
     def __call__(self, y):
         return density._pointwise(self._decide, y)
@@ -233,53 +226,38 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
     """Count of randomized decisions for the alternative on n draws of model.
 
     The n draws come first in the stream, in generator order
-    (`density._sample`).  The decision uniforms follow them, drawn with
-    Generator.random, the doubles of uniform(0.0, 1.0), one block of
-    ``density._INTERP_BLOCK`` at a time, which gives the values of one call
-    for all n, so each draw meets the uniform drawn at its own place.  Only
-    one block's uniforms, rule values and comparisons are held at a time.
-    The rule values are compared unclipped: a uniform u lies in [0, 1), so
-    u < v and u < clip(v, 0, 1) agree for every v, NaN included.
+    (`density._sample`), and the decision uniforms follow, one per draw,
+    the doubles of Generator.random, those of uniform(0.0, 1.0).  Each
+    block of ``density._INTERP_BLOCK`` draws gives the count of its draws
+    decided 1 without their rule value, the indices of the draws it must
+    read, and their values.  One step serves every rule: Generator.random
+    takes one 64-bit output of the bit generator per double, so advancing
+    the generator to the block's first read draw and drawing up to its last
+    gives each read draw the uniform at its own place, and u < v is counted
+    there.  The count is the integer a read at every draw gives, and only
+    one block's values and uniforms are held at a time.  The values are
+    compared unclipped: u lies in [0, 1), so u < v and u < clip(v, 0, 1)
+    agree for every v, NaN included.
 
-    The rule is read only where it randomises, and the count is the integer
-    a read at every draw gives:
-
+    - The rule of `lrt_rule` decides 1 where its ratio exceeds its rho,
+      and is read at 1/2 at its ties and NaNs.
     - A `plain` `TabulatedFunction` rule gets one class per bucket of the
       index its draws are looked up in (`_BucketIndex.bucket_classes`): 0
       or 1 where every cell the bucket's draws can find is exactly that
       value at both ends, so u < 0 never and u < 1 always holds, else
-      `_READ`.  Each block still draws all its uniforms, adds its class-1
-      draws to the count, and reads the rule only at its `_READ` draws.
-    - On the knots of a table model whose inverse-CDF index is `plain`
-      too, the draws are looked up in that index: a uniform's inverse-CDF
-      cell j is a knot cell of the table, and its draw y = slope[j] * (u -
-      cdf[j]) + x[j] lies at or above x[j], so j is the rule's knot for y,
-      and the rule's `values` there are np.interp's bit for bit, unless y
-      rounds onto x[j + 1] or past it; those draws bisect, and
-      `_landing_cells` keeps cell j's class only where they cannot leave
-      it.  Other draws are sampled and looked up in the rule's own index.
-    - The rule of `lrt_rule` counts the draws whose ratio exceeds its rho,
-      and only its ties, decided by u < 1/2, take uniforms: Generator.random
-      takes one 64-bit output of the bit generator per double, so advancing
-      the generator over the other draws' uniforms leaves each tie its own.
+      `_READ`.  Its class-1 draws are decided 1, and it is read at its
+      `_READ` draws.  On the knots of a table model whose inverse-CDF index
+      is `plain` too, the draws are looked up in that index: a uniform's
+      inverse-CDF cell j is a knot cell of the table, and its draw
+      y = slope[j] * (u - cdf[j]) + x[j] lies at or above x[j], so j is the
+      rule's knot for y, and the rule's `values` there are np.interp's bit
+      for bit, unless y rounds onto x[j + 1] or past it; those draws
+      bisect, and `_landing_cells` keeps cell j's class only where they
+      cannot leave it.  Other draws are sampled and looked up in the rule's
+      own index.
     - Any other rule, a table that is not `plain` among them, is read at
       every draw by `_rule_values`.
     """
-    block = density._INTERP_BLOCK
-    if isinstance(delta, _RatioRule):
-        y = density._sample(model, n, rng)
-        hits = drawn = 0
-        for s in range(0, n, block):
-            l = delta.ratio(y[s:s + block])
-            hits += int(np.count_nonzero(l > delta.rho))
-            tie = np.flatnonzero((l == delta.rho) | np.isnan(l))
-            if tie.size:
-                first, last = int(tie[0]), int(tie[-1])
-                rng.bit_generator.advance(s + first - drawn)
-                u = rng.random(last - first + 1)
-                hits += int(np.count_nonzero(u.take(tie - first) < 0.5))
-                drawn = s + last + 1
-        return hits
     table = isinstance(delta, TabulatedFunction) and delta.index.plain
     on_knots = (table and isinstance(model, density.Tabulated)
                 and np.array_equal(model.points, delta.points)
@@ -293,30 +271,34 @@ def _decisions(delta, model: DensityModel, n: int, rng: np.random.Generator) -> 
         if table:
             index = delta.index
             classes = index.bucket_classes(_constant_cells(delta.values), _READ)
-    hits = 0
-    for s in range(0, n, block):
-        yb = y[s:s + block]
-        u = rng.random(yb.size)
-        if table:
+    hits = drawn = 0
+    for s in range(0, n, density._INTERP_BLOCK):
+        yb = y[s:s + density._INTERP_BLOCK]
+        if isinstance(delta, _RatioRule):
+            l = delta.ratio(yb)
+            hits += int(np.count_nonzero(l > delta.rho))
+            read, v = np.flatnonzero((l == delta.rho) | np.isnan(l)), 0.5
+        elif table:
             cls = classes.take(index._buckets(yb))
             hits += int(np.count_nonzero(cls == 1))
             read = np.flatnonzero(cls == _READ)
-            if not read.size:
-                continue
-            yb, u = yb.take(read), u.take(read)
-        if on_knots:
-            xp = delta.points
+            yb = yb.take(read)
             j = index.cells(yb)
-            index.values(yb, j, yb)
-            # j <= len(xp) - 2, since u < 1 = cdf[-1]
-            past = np.flatnonzero(yb >= xp[1:].take(j))
-            j[past] = np.searchsorted(xp, yb[past], "right") - 1
+            if on_knots:
+                xp = delta.points
+                index.values(yb, j, yb)
+                # j <= len(xp) - 2, since u < 1 = cdf[-1]
+                past = np.flatnonzero(yb >= xp[1:].take(j))
+                j[past] = np.searchsorted(xp, yb[past], "right") - 1
             v = _in_unit_interval(delta.index.values(yb, j, yb))
-        elif table:
-            v = _in_unit_interval(delta.index.values(yb, delta.index.cells(yb), yb))
         else:
-            v = _rule_values(delta, yb)
-        hits += int(np.count_nonzero(u < v))
+            read, v = np.arange(yb.size), _rule_values(delta, yb)
+        if read.size:
+            first, last = int(read[0]), int(read[-1])
+            rng.bit_generator.advance(s + first - drawn)
+            read -= first
+            hits += int(np.count_nonzero(rng.random(last - first + 1).take(read) < v))
+            drawn = s + last + 1
     return hits
 
 
@@ -333,10 +315,10 @@ def monte_carlo_errors(delta, model0: DensityModel, model1: DensityModel,
     the pairs stay in generator order (`_decisions`).  `_decisions` counts
     u < delta(y) one block at a time; the count, an exact integer sum,
     does not depend on the blocks, and count / n is the mean of the
-    decisions bit for bit.  The rule is read only where it randomises: a
-    table rule's draws in its exact 0 and 1 runs are counted from their
-    bucket's class, and the plain likelihood-ratio test draws uniforms only
-    at its ties; the counts are those of a read at every draw.
+    decisions bit for bit.  A draw whose decision the rule fixes without
+    randomising, such as a table rule's draw in its exact 0 or 1 run or a
+    likelihood-ratio draw off its tie, is counted without its uniform; the
+    counts are those of a read at every draw.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for the CLT half-widths, got {n}")
@@ -482,15 +464,14 @@ def alpha_sweep(spec: DivergenceSpec, alphas, nominals,
     """Robust thresholds as the divergence order varies, radii held fixed.
 
     Solves the threshold equations for each order in `alphas` with the
-    spec's (rho, eps0, eps1).  A failed order (infeasible radii, solver
-    breakdown) is recorded in its row's `error` field and the sweep
-    continues with the rest.
+    spec's (rho, eps0, eps1).  A failed order (an order in the guard band
+    around 0 and 1, infeasible radii, solver breakdown) is recorded in its
+    row's `error` field and the sweep continues with the rest.
     """
     rows: list[AlphaRow] = []
     for a in alphas:
-        row_spec = dataclasses.replace(spec, alpha=float(a))
         try:
-            sol = solve_thresholds(row_spec, nominals, grid)
+            sol = solve_thresholds(dataclasses.replace(spec, alpha=float(a)), nominals, grid)
         except (ValueError, RuntimeError) as exc:
             rows.append(AlphaRow(float(a), math.nan, math.nan, math.nan,
                                  math.nan, math.nan, error=str(exc)))

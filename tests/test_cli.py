@@ -547,6 +547,23 @@ def test_sweep_alpha_command(tmp_path, capsys):
     assert all(float(r[3]) < 1e-8 for r in rows)
 
 
+@pytest.mark.parametrize("alphas", ["1, 2", "2, 1"])
+def test_sweep_alpha_command_records_an_order_in_the_guard_band(tmp_path, capsys, alphas):
+    # an excluded order anywhere in the list gets a NaN row; a bad prior is
+    # still refused before any solve
+    cfg = tmp_path / "sa.cfg"
+    text = (f"command = sweep-alpha\nnominal0 = {MIX0}\nnominal1 = {MIX1}\n"
+            f"alphas = {alphas}\neps0 = 0.02\neps1 = 0.03\ngrid = -8:9:4001\n")
+    cfg.write_text(text)
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 0 and err == ""
+    assert "\n1,nan,nan,nan\n" in "\n" + out
+    assert len(read_csv(out)[2]) == 2
+    cfg.write_text(text + "rho = 0\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 1 and out == "" and "rho must be positive" in err
+
+
 def test_sweep_snr_command(tmp_path, capsys):
     cfg = tmp_path / "ss.cfg"
     cfg.write_text(

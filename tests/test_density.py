@@ -520,6 +520,26 @@ def test_lookup_equals_np_interp_on_adversarial_tables():
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
+def test_tables_that_are_not_plain_are_read_by_np_interp(count_calls):
+    # the bucket index serves plain tables only: every block of queries in
+    # random order of any other table goes to np.interp as it is
+    rng = np.random.default_rng(16)
+    interp = np.interp
+    for name, xp, fp in _adversarial_tables(rng):
+        if name not in ("-0.0 values", "infinite values"):
+            continue
+        x = np.concatenate([xp, rng.uniform(-1.2, 1.2, 2 * density._INTERP_BLOCK)])
+        rng.shuffle(x)
+        table = density.TabulatedFunction(xp, fp)
+        assert not table.index.plain
+        blocks, looked_up = count_calls(np, "interp"), count_calls(density._BucketIndex, "values")
+        got = table(x)
+        assert (blocks[0], looked_up[0]) == (3, 0), name
+        want = interp(x, xp, fp)
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
 def test_tabulated_function_refuses_malformed_tables():
     # np.interp refuses points and values of different lengths, and an
     # empty table has no value to give

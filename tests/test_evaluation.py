@@ -389,6 +389,36 @@ def test_monte_carlo_draws_the_uniforms_of_lrt_ties(tail, mc_in_generator_order)
         assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *models, n, seed)
 
 
+class _RecordingGenerator:
+    """A Generator that records the size of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_monte_carlo_draws_no_uniform_for_a_decided_draw(norm_pair, mc_in_generator_order):
+    # a one-component Gaussian samples through standard_normal only, and
+    # every draw of a rule that is exactly 0 or 1 far beyond the draws is
+    # decided by its bucket's class, so no uniform is drawn at all
+    x = np.linspace(-40.0, 40.0, 801)
+    n = 3 * density._INTERP_BLOCK + 5
+    for c in (0, 1):
+        rule = TabulatedFunction(x, np.full(x.size, float(c)))
+        for h, model in enumerate(norm_pair):
+            rng = _RecordingGenerator([7, h])
+            assert evaluation._decisions(rule, model, n, rng) == c * n
+            assert rng.sizes == []
+        got = monte_carlo_errors(rule, *norm_pair, 1.0, n, seed=7)
+        assert (got.p_false_alarm, got.p_miss) == mc_in_generator_order(rule, *norm_pair, n, 7)
+
+
 def test_monte_carlo_input_validation(norm_pair, norm_grid):
     f0, f1 = norm_pair
     with pytest.raises(ValueError, match="at least 1000"):
@@ -577,6 +607,15 @@ def test_alpha_sweep_threshold_anchors(mix_spec, mix_nominals, mix_grid):
     lus = [r.l_u for r in rows]
     assert all(x < y for x, y in zip(lls, lls[1:]))
     assert all(x > y for x, y in zip(lus, lus[1:]))
+
+
+def test_alpha_sweep_records_an_order_in_the_guard_band(mix_spec, mix_nominals, mix_grid):
+    rows = evaluation.alpha_sweep(mix_spec, [2.0, 1.0, 4.0], mix_nominals, mix_grid)
+    assert [r.alpha for r in rows] == [2.0, 1.0, 4.0]
+    assert rows[0].error is None and rows[2].error is None
+    assert rows[2].l_l == pytest.approx(0.6050401521115419, rel=1e-8)
+    assert "guard band" in rows[1].error
+    assert math.isnan(rows[1].l_l) and math.isnan(rows[1].l_u)
 
 
 def test_alpha_sweep_records_failed_orders(mix_nominals, mix_grid):
