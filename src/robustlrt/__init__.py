@@ -12,6 +12,9 @@ slopes (``robustlrt.roots``) solves every scalar equation outside the
 discrete oracle; numpy is the only run-time dependency.
 """
 
+import importlib.util
+import sys
+
 from .density import (
     DensityModel,
     GaussianMixture,
@@ -39,35 +42,9 @@ from .divergence import (
     moment_integral,
     x_of,
 )
-from .evaluation import (
-    AlphaRow,
-    ErrorReport,
-    SnrRow,
-    alpha_sweep,
-    amplitudes_from_snr,
-    error_probs,
-    lrt_errors,
-    lrt_rule,
-    monte_carlo_errors,
-    snr_of,
-    snr_sweep,
-)
-from .lfd_solver import (
-    DegenerateRegionError,
-    InfeasibleEpsError,
-    NonConvergenceError,
-    ParametricInfeasibleError,
-    RobustSolution,
-    ThresholdPair,
-    partition,
-    phi1,
-    robust_lr,
-    robust_rule,
-    solve_symmetric,
-    solve_thresholds,
-)
 from .limits import (
     FeasibilityReport,
+    InfeasibleEpsError,
     InfeasiblePairError,
     NoBoundaryPointError,
     eps_surface,
@@ -76,19 +53,51 @@ from .limits import (
     max_eps_general,
     validate_eps,
 )
-from .oracle import (
-    DiscreteProblem,
-    OracleError,
-    OscillationError,
-    alternating_saddle,
-    bayes_error_bins,
-    best_response_rule,
-    bin_centers,
-    discrete_divergence,
-    discretize,
-    maximize_over_ball,
-    worst_case_error,
-)
+from .roots import NonConvergenceError
+
+# The modules that only some commands run, and the names the package takes
+# from each.  Each module is registered in sys.modules at import but runs
+# only on the first access to one of its attributes (importlib's
+# LazyLoader), so a process compiles the solver, the evaluation and the
+# oracle only when it uses them, while code that looks the package's modules
+# up in sys.modules still finds every one.  `__getattr__` resolves each name
+# on its first access.
+_HOMES = {name: module for module, names in (
+    ("lfd_solver", ("DegenerateRegionError", "ParametricInfeasibleError", "RobustSolution",
+                    "ThresholdPair", "partition", "phi1", "robust_lr", "robust_rule",
+                    "solve_symmetric", "solve_thresholds")),
+    ("evaluation", ("AlphaRow", "ErrorReport", "SnrRow", "alpha_sweep", "amplitudes_from_snr",
+                    "error_probs", "lrt_errors", "lrt_rule", "monte_carlo_errors", "snr_of",
+                    "snr_sweep")),
+    ("oracle", ("DiscreteProblem", "OracleError", "OscillationError", "alternating_saddle",
+                "bayes_error_bins", "best_response_rule", "bin_centers", "discrete_divergence",
+                "discretize", "maximize_over_ball", "worst_case_error")),
+) for name in names}
+
+
+def _deferred(module: str):
+    """The submodule, registered in sys.modules and run on first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+lfd_solver, evaluation, oracle = map(_deferred, ("lfd_solver", "evaluation", "oracle"))
+
+
+def __getattr__(name: str):
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[module], name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))
+
 
 __version__ = "0.1.0"
 

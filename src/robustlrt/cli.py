@@ -20,7 +20,6 @@ Density spec grammar (for the nominal0/nominal1 config keys):
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -29,17 +28,10 @@ import warnings
 
 import numpy as np
 
-from . import csvtext, density, evaluation, limits
+from . import csvtext, density, limits
 from .density import QuadratureGrid
 from .divergence import DivergenceSpec
-from .lfd_solver import (
-    InfeasibleEpsError,
-    NonConvergenceError,
-    RobustSolution,
-    partition,
-    solve_symmetric,
-    solve_thresholds,
-)
+from .roots import NonConvergenceError
 
 __all__ = ["ConfigError", "parse_density", "load_config", "run", "main"]
 
@@ -136,6 +128,8 @@ def parse_density(spec: str) -> density.DensityModel:
         shift_amount = _number(args[-1], "shift amount")
         return _built(where, density.shifted, parse_density(",".join(args[:-1])), shift_amount)
     if head == "table":
+        import csv
+
         path = body.strip()
         try:
             with open(path, newline="") as fh:
@@ -311,7 +305,10 @@ def _render(fmt: str, meta: dict, columns: dict) -> str:
     return "".join(_json_object(text, " ") + ["\n"])
 
 
-def _solution_table(sol: RobustSolution):
+def _solution_table(sol):
+    """(meta, columns) of a solve's `lfd_solver.RobustSolution`."""
+    from .lfd_solver import partition
+
     spec = sol.spec
     l = density.ratio_values(sol.f0_values, sol.f1_values)
     meta = {
@@ -330,14 +327,20 @@ def _solution_table(sol: RobustSolution):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (meta, columns) for `run` to write
+# command handlers: each returns (meta, columns) for `run` to write.  A
+# handler imports the solver and the evaluation itself, so a process loads
+# only the modules of the commands it runs: limits and surface need neither.
 
 
 def _cmd_solve(cfg):
+    from .lfd_solver import solve_thresholds
+
     return _solution_table(solve_thresholds(*_problem(cfg)))
 
 
 def _cmd_solve_symmetric(cfg):
+    from .lfd_solver import solve_symmetric
+
     nominals = _nominals(cfg)
     eps = _get_float(cfg, "eps")
     alpha = _get_float(cfg, "alpha")
@@ -389,6 +392,9 @@ def _cmd_surface(cfg):
 
 
 def _cmd_evaluate(cfg):
+    from . import evaluation
+    from .lfd_solver import solve_thresholds
+
     spec, nominals, grid = _problem(cfg)
     mc = _parse_mc(cfg["mc"]) if "mc" in cfg else None
     sol = solve_thresholds(spec, nominals, grid)
@@ -417,18 +423,26 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_sweep_alpha(cfg):
+    from . import evaluation
+
     nominals = _nominals(cfg)
     alphas = _parse_list(_need(cfg, "alphas"), "alphas")
     # the sweep sets each row's order; this checks rho and the radii at a valid one
     spec = _spec(cfg, 0.5)
     grid = _grid_or_default(cfg, nominals)
     rows = evaluation.alpha_sweep(spec, alphas, nominals, grid)
+    # a failed order's row is NaNs; stderr says why
+    for r in rows:
+        if r.error is not None:
+            print(f"warning: alpha = {r.alpha!r} failed: {r.error}", file=sys.stderr)
     return {"rho": spec.rho, "eps0": spec.eps0, "eps1": spec.eps1}, {
         "alpha": [r.alpha for r in rows], "l_l": [r.l_l for r in rows],
         "l_u": [r.l_u for r in rows], "residual": [r.residual_norm for r in rows]}
 
 
 def _cmd_sweep_snr(cfg):
+    from . import evaluation
+
     noise = parse_density(_need(cfg, "nominal0"))
     snr_db = None
     if "amplitudes" in cfg:
@@ -445,6 +459,10 @@ def _cmd_sweep_snr(cfg):
     grid = _parse_grid(cfg["grid"]) if "grid" in cfg else None
     n, seed = _parse_mc(cfg["mc"]) if "mc" in cfg else (0, 0)
     rows = evaluation.snr_sweep(noise, amps, spec, grid, n, seed=seed, snr_db=snr_db)
+    for r in rows:
+        if not r.feasible:
+            print(f"warning: snr_db = {r.snr_db!r}, eps0 = {r.eps0!r}, eps1 = {r.eps1!r} "
+                  f"failed: {r.note}", file=sys.stderr)
     return {"alpha": spec.alpha, "rho": spec.rho}, {
         "snr_db": [r.snr_db for r in rows], "test": [r.test for r in rows],
         "eps0": [r.eps0 for r in rows], "eps1": [r.eps1 for r in rows],
@@ -498,7 +516,7 @@ def run(cfg: dict[str, str]) -> int:
                 except OSError as exc:
                     raise ConfigError(f"cannot write {out!r}: {exc}") from None
             return EXIT_OK
-        except (InfeasibleEpsError, limits.NoBoundaryPointError) as exc:
+        except (limits.InfeasibleEpsError, limits.NoBoundaryPointError) as exc:
             print(f"infeasible radii: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         except NonConvergenceError as exc:

@@ -57,7 +57,8 @@ from .divergence import DivergenceSpec, alpha_divergence, check_alpha, x_of
 from .kernels import (GridValues, I2Geometry, _div, _interior_bracket, _labels,
                       augment_with_crossings, grid_values, i2_geometry, i2_power_derivatives,
                       i2_powers, i2_s, region_split, split_masses)
-from .roots import newton
+from .limits import InfeasibleEpsError
+from .roots import NonConvergenceError, newton
 
 
 class DegenerateRegionError(RuntimeError):
@@ -66,14 +67,6 @@ class DegenerateRegionError(RuntimeError):
 
 class ParametricInfeasibleError(RuntimeError):
     """The branch form produced a negative base under a fractional power."""
-
-
-class InfeasibleEpsError(ValueError):
-    """The requested radius pair lies on or outside the admissible boundary."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Root search exhausted its iteration budget; carries best residual."""
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,15 @@ class NoBoundaryPointError(RuntimeError):
     """No touching point exists for the requested fixed radius."""
 
 
+class InfeasibleEpsError(ValueError):
+    """The requested radius pair lies on or outside the admissible boundary.
+
+    The threshold solvers raise it where `validate_eps` refuses their radii;
+    it lives beside NoBoundaryPointError so that the command line maps both
+    to one exit code without loading the solvers.
+    """
+
+
 class InfeasiblePairError(ValueError):
     """No nominal pair attains the requested radius pair on the boundary."""
 
@@ -159,41 +168,26 @@ def _moment_alpha(lf0: np.ndarray, lf1: np.ndarray, alpha: float, w: np.ndarray)
     return float(np.dot(np.exp(lm), w))
 
 
-def _logaddexp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log(e^x + e^y) elementwise in whole-array passes, as a new array.
-
-    max(x, y) + log1p(exp(-|x - y|)) runs numpy's vectorised exp and log1p,
-    where numpy's own logaddexp calls libm once per element.  A tie, equal
-    infinities included, gives x + log 2 as that ufunc does, and NaN stays
-    NaN.
-    """
-    with np.errstate(invalid="ignore"):
-        out = np.subtract(x, y)
-        np.abs(out, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
-        out += np.maximum(x, y)
-        np.add(x, _LOG2, out=out, where=np.equal(x, y))
-    return out
-
-
 class _Family(NamedTuple):
     """The touching family of one nominal pair, built once by `_family`.
 
     blf0 and blf1 are b log f0 and b log f1 on the grid (b = 1 - alpha);
-    vanish0 and vanish1 mark the cells where f0 or f1 is zero, or are None
-    when no cell is; w holds the grid weights.  ends[-1] (g = f0) and
-    ends[1] (g = f1) are (eps0, eps1, lambda0, lambda1).  seen maps every v
-    evaluated so far to `_touching`'s result there; `_at` reads through it.
-    Each family gets its own seen dict, so nothing outlives the family.
+    vanish0 and vanish1 mark the cells where f0 or f1 is zero, and both
+    where both are, or are None when no cell is; w holds the grid weights.
+    work holds three grid-sized arrays that each member overwrites.
+    ends[-1] (g = f0) and ends[1] (g = f1) are (eps0, eps1, lambda0,
+    lambda1).  seen maps every v evaluated so far to `_touching`'s result
+    there; `_at` reads through it.  Each family gets its own work arrays and
+    seen dict, so nothing outlives the family.
     """
 
     blf0: np.ndarray
     blf1: np.ndarray
     vanish0: np.ndarray | None
     vanish1: np.ndarray | None
+    both: np.ndarray | None
     w: np.ndarray
+    work: tuple
     alpha: float
     ends: dict
     seen: dict
@@ -208,15 +202,31 @@ def _touching(family: _Family, v: float):
     s = e^v f1^b / h_v^b, d log h_v/dv = s/b, so with M_i = integral(g^a f_i^b)
     dD(g_v, f_i)/dv = -(integral(g^a f_i^b s) - M_i E_g[s]) / b^2, from the
     same passes.  Works from the family's precomputed b log f_i and masks in
-    whole-array passes; callers read it through `_at`, which memoises it by
-    v on the family.  A cell where f_i vanishes adds nothing to the moment
-    of f_i, for every sign of alpha, and s is 0 where f1 vanishes.
+    whole-array passes, in the family's work arrays; callers read it through
+    `_at`, which memoises it by v on the family.  A cell where f_i vanishes
+    adds nothing to the moment of f_i, for every sign of alpha, and s is 0
+    where f1 vanishes.
+
+    b log h_v = log(e^x + e^y) with x = b log f0 and y = v + b log f1 is
+    max(x, y) + log1p(exp(-|x - y|)), numpy's vectorised exp and log1p,
+    where numpy's own logaddexp calls libm once per element.  A finite tie
+    gives x + log1p(1) = x + log 2 as that ufunc does; the equal infinities
+    of the cells where both nominals vanish, whose difference is NaN, get
+    x + log 2 from the family's mask.
     """
-    alpha, w = family.alpha, family.w
+    alpha, w, blf0 = family.alpha, family.w, family.blf0
     b = 1.0 - alpha
-    sw = v + family.blf1
-    lh = _logaddexp(family.blf0, sw)
+    sw, lh, t = family.work
+    np.add(family.blf1, v, out=sw)
     with np.errstate(invalid="ignore"):
+        np.subtract(blf0, sw, out=lh)
+        np.abs(lh, out=lh)
+        np.negative(lh, out=lh)
+        np.exp(lh, out=lh)
+        np.log1p(lh, out=lh)
+        lh += np.maximum(blf0, sw, out=t)
+        if family.both is not None:
+            np.add(blf0, _LOG2, out=lh, where=family.both)
         sw -= lh
     np.exp(sw, out=sw)
     if family.vanish1 is not None:
@@ -224,7 +234,7 @@ def _touching(family: _Family, v: float):
     sw *= w
     lh /= b
     top = float(lh.max())
-    t = np.subtract(lh, top)
+    np.subtract(lh, top, out=t)
     np.exp(t, out=t)
     mass = float(np.dot(t, w))
     log_norm = top + math.log(mass)
@@ -267,11 +277,12 @@ def _family(nominals, alpha: float, grid: QuadratureGrid) -> _Family:
     aa, lam = alpha * b, abs(b)
     ends = {-1.0: (0.0, (1.0 - _moment_alpha(lf0, lf1, alpha, w)) / aa, lam, 0.0),
             1.0: ((1.0 - _moment_alpha(lf1, lf0, alpha, w)) / aa, 0.0, 0.0, lam)}
-    vanish0, vanish1 = (np.isneginf(lf) for lf in (lf0, lf1))
-    return _Family(blf0=b * lf0, blf1=b * lf1,
-                   vanish0=vanish0 if vanish0.any() else None,
-                   vanish1=vanish1 if vanish1.any() else None,
-                   w=w, alpha=alpha, ends=ends, seen={})
+    vanish = [np.isneginf(lf) for lf in (lf0, lf1)]
+    vanish.append(vanish[0] & vanish[1])
+    vanish0, vanish1, both = (m if m.any() else None for m in vanish)
+    return _Family(blf0=b * lf0, blf1=b * lf1, vanish0=vanish0, vanish1=vanish1, both=both,
+                   w=w, work=tuple(np.empty_like(lf0) for _ in range(3)), alpha=alpha,
+                   ends=ends, seen={})
 
 
 def _touching_root(family: _Family, lin, val: float, start: float = 0.0):

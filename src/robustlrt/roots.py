@@ -9,11 +9,18 @@ iteration.  `newton` searches outward from its start with doubling steps
 until f changes sign, then keeps every Newton step inside the bracket it
 has seen and bisects where a step would leave it, and compares signs rather
 than multiplying values, so values whose products underflow still bracket.
+`NonConvergenceError` is the threshold solver's report of a search that
+stalled; it lives here, beside the search, so that the command line can
+map it to its exit code without loading the solver.
 """
 
 from __future__ import annotations
 
 import math
+
+
+class NonConvergenceError(RuntimeError):
+    """Root search exhausted its iteration budget; carries best residual."""
 
 
 def newton(fdf, x0: float, limit: float, xtol: float, rtol: float, maxiter: int = 100,

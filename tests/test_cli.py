@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import robustlrt
-from robustlrt import DivergenceSpec, cli, csvtext, density, evaluation
+from robustlrt import DivergenceSpec, cli, csvtext, density, evaluation, lfd_solver
 from robustlrt.cli import ConfigError, parse_density
 from robustlrt.lfd_solver import (NonConvergenceError, partition, solve_symmetric,
                                   solve_thresholds)
@@ -549,14 +549,16 @@ def test_sweep_alpha_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("alphas", ["1, 2", "2, 1"])
 def test_sweep_alpha_command_records_an_order_in_the_guard_band(tmp_path, capsys, alphas):
-    # an excluded order anywhere in the list gets a NaN row; a bad prior is
-    # still refused before any solve
+    # an excluded order anywhere in the list gets a NaN row and one stderr
+    # line that says why; a bad prior is still refused before any solve
     cfg = tmp_path / "sa.cfg"
     text = (f"command = sweep-alpha\nnominal0 = {MIX0}\nnominal1 = {MIX1}\n"
             f"alphas = {alphas}\neps0 = 0.02\neps1 = 0.03\ngrid = -8:9:4001\n")
     cfg.write_text(text)
     code, out, err = run_main(["--config", str(cfg)], capsys)
-    assert code == 0 and err == ""
+    assert code == 0
+    assert err == ("warning: alpha = 1.0 failed: alpha=1.0 is inside the guard band around "
+                   "the excluded points 0 and 1\n")
     assert "\n1,nan,nan,nan\n" in "\n" + out
     assert len(read_csv(out)[2]) == 2
     cfg.write_text(text + "rho = 0\n")
@@ -584,6 +586,23 @@ def test_sweep_snr_command(tmp_path, capsys):
     for group in (rows[:3], rows[3:]):
         pf = [float(r[4]) for r in group]
         assert pf[0] < pf[1] < pf[2]
+
+
+def test_sweep_snr_says_why_a_row_failed(tmp_path, capsys):
+    # radii 0.3 lie outside the boundary at -20 dB and inside it at 10 dB:
+    # the failed row is NaNs in the table and one warning line on stderr
+    cfg = tmp_path / "ss.cfg"
+    cfg.write_text("command = sweep-snr\nnominal0 = gaussian(0,1)\nsnr_db = -20, 10\n"
+                   "alpha = 0.5\neps0 = 0.3\neps1 = 0.3\n")
+    code, out, err = run_main(["--config", str(cfg)], capsys)
+    assert code == 0
+    [line] = err.splitlines()
+    assert line.startswith("warning: snr_db = -20.0, eps0 = 0.3, eps1 = 0.3 failed: "
+                           "(eps0, eps1) = (0.3, 0.3) is not strictly inside")
+    _, _, rows = read_csv(out)
+    assert rows[1] == ["-20", "robust", "0.29999999999999999", "0.29999999999999999", "nan",
+                       "nan"]
+    assert "nan" not in rows[3]
 
 
 def test_sweep_snr_echoes_the_requested_snr(capsys):
@@ -1218,6 +1237,59 @@ def test_import_builds_no_parser():
     assert proc.stdout.splitlines() == ["0 0", "1 11", "1 11", "1 11"]
 
 
+# Prints, in a fresh interpreter, the package modules that have run after
+# importing the CLI and after each run of the configs given; then checks
+# that every exported name resolves to the object of each module that holds
+# it, and prints the error of an unknown name.  A deferred module sits in
+# sys.modules from the package's import on, as a lazy module, and becomes a
+# plain module when it runs.
+MODULES_RUN = """\
+import contextlib, importlib, io, pkgutil, sys, types
+import robustlrt.cli
+def ran():
+    return " ".join(sorted(n.split(".")[1] for n, m in sys.modules.items()
+                           if n.startswith("robustlrt.") and type(m) is types.ModuleType))
+print(ran())
+for cfg in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert robustlrt.cli.main(["--config", cfg]) == 0
+    print(ran())
+modules = [vars(importlib.import_module(f"robustlrt.{m.name}"))
+           for m in pkgutil.iter_modules(robustlrt.__path__)]
+for name in robustlrt.__all__[1:]:
+    held = [m[name] for m in modules if name in m]
+    assert held and all(h is getattr(robustlrt, name) for h in held), name
+names = {}
+exec("from robustlrt import *", names)
+assert set(robustlrt.__all__) <= set(names) and set(robustlrt.__all__) <= set(dir(robustlrt))
+try:
+    robustlrt.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_each_command_runs_only_its_modules(tmp_path):
+    # limits and surface need neither the solver nor its kernels, and only
+    # evaluate and the sweeps need the evaluation; no command needs the oracle
+    pair = (f"nominal0 = {MIX0}\nnominal1 = {MIX1}\ngrid = -8:9:401\nalpha = 4\n"
+            "eps0 = 0.02\n")
+    configs = []
+    for command, extra in (("limits", ""), ("surface", "n = 5\n"), ("solve", "eps1 = 0.03\n")):
+        cfg = tmp_path / f"{command}.cfg"
+        text = f"command = {command}\n{pair}{extra}"
+        cfg.write_text(text.replace("eps0 = 0.02\n", "") if command == "surface" else text)
+        configs.append(str(cfg))
+    proc = subprocess.run([sys.executable, "-c", MODULES_RUN, *configs],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    startup = "cli csvtext density divergence limits roots"
+    assert proc.stdout.splitlines() == [
+        startup, startup, startup,
+        "cli csvtext density divergence kernels lfd_solver limits roots",
+        "module 'robustlrt' has no attribute 'no_such_name'"]
+
+
 def test_no_flag_leaks_into_the_next_call(tmp_path, capsys):
     cfg = tmp_path / "limits.cfg"
     cfg.write_text("command = limits\nalpha = 0.5\neps0 = 0.2\n")
@@ -1245,7 +1317,7 @@ def test_exit_nonconvergence(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NonConvergenceError("stalled at residual 1e-3")
 
-    monkeypatch.setattr(cli, "solve_thresholds", boom)
+    monkeypatch.setattr(lfd_solver, "solve_thresholds", boom)
     cfg = tmp_path / "nc.cfg"
     cfg.write_text("nominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n")
     code, _, err = run_main(
@@ -1259,7 +1331,7 @@ def test_bad_format_is_refused_before_any_solve(anchor_config, tmp_path, monkeyp
     def never(*args, **kwargs):
         raise AssertionError("the solve ran before the format was checked")
 
-    monkeypatch.setattr(cli, "solve_thresholds", never)
+    monkeypatch.setattr(lfd_solver, "solve_thresholds", never)
     cfg = tmp_path / "xml.cfg"
     cfg.write_text(Path(anchor_config).read_text() + "format = xml\n")
     code, out, err = run_main(["--config", str(cfg)], capsys)
@@ -1271,7 +1343,7 @@ def test_negative_mc_seed_is_refused_before_any_solve(tmp_path, monkeypatch, cap
     def never(*args, **kwargs):
         raise AssertionError("the solve ran before mc was checked")
 
-    monkeypatch.setattr(cli, "solve_thresholds", never)
+    monkeypatch.setattr(lfd_solver, "solve_thresholds", never)
     cfg = tmp_path / "mc.cfg"
     cfg.write_text(
         "command = evaluate\nnominal0 = gaussian(-1,1)\nnominal1 = gaussian(1,1)\n"

@@ -199,28 +199,6 @@ def test_touching_point_takes_few_evaluations(count_calls, mix_nominals, mix_gri
     assert 0 < calls[0] < 100
 
 
-def test_logaddexp_matches_numpy():
-    rng = np.random.default_rng(17)
-    x = rng.uniform(-800.0, 800.0, 20000)
-    # far pairs, and near pairs whose sum can cancel towards 0
-    y = np.concatenate([rng.uniform(-800.0, 800.0, 10000),
-                        x[10000:] + rng.normal(0.0, 3.0, 10000)])
-    want, got = np.logaddexp(x, y), limits._logaddexp(x, y)
-    # the ulp of max(x, y) + log1p(...) is set by its larger operand: where
-    # the sum cancels near 0, np.logaddexp's own result is no better
-    scale = np.maximum(np.abs(want), np.abs(np.maximum(x, y)))
-    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale))
-
-    ties = rng.uniform(-800.0, 800.0, 1000)
-    assert np.array_equal(limits._logaddexp(ties, ties), np.logaddexp(ties, ties))
-
-    special = np.array([-np.inf, np.inf, np.nan, -800.0, -1.0, 0.0, 2.5, 800.0])
-    sx, sy = np.meshgrid(special, special)
-    with np.errstate(invalid="ignore"):
-        want = np.logaddexp(sx, sy)
-    assert np.array_equal(limits._logaddexp(sx, sy), want, equal_nan=True)
-
-
 def _touching_reference(lf0, lf1, w, alpha, v):
     # the touching member as computed before the family precomputed its
     # arrays: one libm logaddexp per cell and masks found on every call
@@ -259,6 +237,34 @@ def test_touching_matches_the_plain_formula(request, norm_pair, pair, alpha):
     for v in (-8.0, -1.0, 0.0, 0.37, 1.0, 8.0, 100.0):
         want = _touching_reference(lf0, lf1, grid.weights, alpha, v)
         assert limits._touching(family, v)[:3] == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-20.0, -1.0, 0.5, 2.0, 4.0, 30.0])
+def test_touching_at_ties_and_where_both_nominals_vanish(alpha):
+    # b log f0 and v + b log f1 tie at v = 0 where f0 = f1 (every 5th cell),
+    # are equal infinities where both nominals vanish (12 cells at each end)
+    # and differ by an infinity where one does: the member's log-sum-exp
+    # gives each what np.logaddexp gives, and its radii and slopes stay finite
+    y = np.linspace(-6.0, 6.0, 241)
+    f0, f1 = (density.evaluate(density.gaussian(mu, 1.0), y) for mu in (-1.0, 1.0))
+    f1[::5] = f0[::5]
+    for f in (f0, f1):
+        f[:12] = f[-12:] = 0.0
+    f0[20:25] = f1[200:205] = 0.0
+    grid = density.QuadratureGrid(y, density.trapezoid_weights(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        family = limits._family((f0, f1), alpha, grid)
+    assert family.both.sum() == 24 and family.vanish0.sum() == family.vanish1.sum() == 29
+    with np.errstate(divide="ignore"):
+        lf0, lf1 = np.log(f0), np.log(f1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (-1.0, 0.0, 0.37, 8.0):
+            got = limits._touching(family, v)
+            assert np.all(np.isfinite(got))
+            want = _touching_reference(lf0, lf1, grid.weights, alpha, v)
+            assert got[:3] == pytest.approx(want, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("pair", ["mix", "wide"])
